@@ -1,0 +1,238 @@
+"""The benchmark's own copy of the reference signals and instance generators.
+
+Kept apart from ``tests/cases.py`` on purpose: an edit to the test suite must
+not silently change a workload.  ``test_bench.py`` checks that both copies
+still agree.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from expanal import ExponentialSum
+
+_SQ = np.sqrt
+
+
+@dataclass(frozen=True)
+class RefCase:
+    name: str
+    signal: ExponentialSum
+    P: float
+    N: int
+    tau: int = None  # None: the line-based method does not apply
+
+
+BIVARIATE_5 = RefCase(
+    "bivariate-5",
+    ExponentialSum(
+        np.array(
+            [
+                [_SQ(2.21) * 1j, 3.33j],
+                [-5.63j, -_SQ(5) * 1j],
+                [-3.47j, _SQ(6) * 1j],
+                [-_SQ(7.1) * 1j, -4.5j],
+                [0.46j, -9.44j],
+            ]
+        ),
+        np.array([3, 2, 1, 2, 1], dtype=complex),
+    ),
+    P=4.0,
+    N=15,
+    tau=7,
+)
+
+TRIVARIATE_6 = RefCase(
+    "trivariate-6",
+    ExponentialSum(
+        np.array(
+            [
+                [-2 - 3j, _SQ(np.pi) * (-1 + 1j), 0.5j],
+                [-1 + _SQ(20) * 1j, -3 + 1j, -1 + 1j],
+                [3j, -4 + 0.5j, 1.22j],
+                [-2 + 3j, _SQ(np.pi) * (-1 - 1j), -0.5j],
+                [-1 - _SQ(20) * 1j, -3 - 1j, -1 - 1j],
+                [-3j, -4 - 0.5j, -1.22j],
+            ]
+        ),
+        np.array([-1, -2, -3, 1, 2, 3], dtype=complex),
+    ),
+    P=5.0,
+    N=15,
+    tau=4,
+)
+
+QUADVARIATE_9 = RefCase(
+    "quadvariate-9",
+    ExponentialSum(
+        np.array(
+            [
+                [2 + 2j, 0.2j, 1j, 1],
+                [2 + 2j, 0.2j, 1j, -1],
+                [2 + 2j, -2, 1 + 1j, 1j],
+                [2 + 2j, -2, 1 + 1j, -2j],
+                [2 + 2j, -2, 1 + 1j, 3j],
+                [3 + 1j, -np.pi, -3, -_SQ(np.pi) * 1j],
+                [3 + 1j, -np.pi, 1, 2j],
+                [3 + 1j, -np.pi, 1, -4],
+                [3 + 1j, 0.2j, 1 + 1j, _SQ(20) * 1j],
+            ],
+            dtype=complex,
+        ),
+        np.ones(9, dtype=complex),
+    ),
+    P=2.4,
+    N=10,
+)
+
+TRIVARIATE_4 = RefCase(
+    "trivariate-4",
+    ExponentialSum(
+        np.array(
+            [
+                [-1.47 - 0.27j, -1.87 - 0.57j, -1.35 + 4.61j],
+                [-1.47 - 0.27j, -1.87 - 0.57j, -1.26 - 2.58j],
+                [-1.47 - 0.27j, -0.84 + 7.53j, -1.75 - 1.33j],
+                [-0.60 + 4.86j, -0.13 + 5.05j, -0.12 + 8.34j],
+            ]
+        ),
+        np.array([1, -4, -2, 2], dtype=complex),
+    ),
+    P=1.0,
+    N=10,
+)
+
+_COEFS_8 = np.array(
+    [1 + 1j, 2 + 3j, 5 - 6j, 0.2 - 1j, 1 + 1j, 2 + 3j, 5 - 6j, 0.2 - 1j]
+)
+
+BIVARIATE_8 = RefCase(
+    "bivariate-8",
+    ExponentialSum(
+        np.array(
+            [
+                [0.1j, 1.2j],
+                [0.19j, 1.3j],
+                [0.3j, 1.5j],
+                [0.35j, 0.3j],
+                [-0.1j, 1.2j],
+                [-0.19j, 0.35j],
+                [-0.3j, -1.5j],
+                [-0.3j, 0.3j],
+            ]
+        ),
+        _COEFS_8,
+    ),
+    P=60.0,
+    N=15,
+)
+
+TRIVARIATE_8 = RefCase(
+    "trivariate-8",
+    ExponentialSum(
+        np.array(
+            [
+                [0.1j, 1.2j, 0.1j],
+                [0.19j, 1.3j, 0.2j],
+                [0.4j, 1.5j, 1.5j],
+                [0.45j, 0.3j, -0.3j],
+                [-0.1j, 1.2j, 0.1j],
+                [-0.19j, 0.35j, -0.5j],
+                [-0.4j, -1.5j, 0.25j],
+                [-0.4j, 0.3j, -0.3j],
+            ]
+        ),
+        _COEFS_8,
+    ),
+    P=60.0,
+    N=15,
+)
+
+QUADVARIATE_8 = RefCase(
+    "quadvariate-8",
+    ExponentialSum(
+        np.array(
+            [
+                [0.1j, 1.2j, 0.1j, 0.45j],
+                [0.19j, 1.3j, 0.2j, 1.5j],
+                [0.3j, 1.5j, 1.5j, -1.3j],
+                [0.45j, 0.3j, -0.3j, 0.4j],
+                [-0.1j, 1.2j, 0.1j, -1.5j],
+                [-0.19j, 0.35j, -0.5j, -0.45j],
+                [-0.4j, -1.5j, 0.25j, 1.3j],
+                [-0.4j, 0.3j, -0.3j, 0.4j],
+            ]
+        ),
+        _COEFS_8,
+    ),
+    P=60.0,
+    N=15,
+)
+
+ALL_REFERENCE = (
+    BIVARIATE_5,
+    TRIVARIATE_6,
+    QUADVARIATE_9,
+    TRIVARIATE_4,
+    BIVARIATE_8,
+    TRIVARIATE_8,
+    QUADVARIATE_8,
+)
+
+# Accuracy gates of tests/test_acceptance.py, per (case, method).
+REFERENCE_TOL = {
+    ("bivariate-5", "sparse"): 1e-8,
+    ("bivariate-5", "recursive"): 1e-8,
+    ("trivariate-6", "sparse"): 1e-6,
+    ("trivariate-6", "recursive"): 1e-8,
+    ("quadvariate-9", "recursive"): 1e-8,
+    ("trivariate-4", "recursive"): 1e-8,
+    ("bivariate-8", "recursive"): 1e-8,
+    ("trivariate-8", "recursive"): 1e-8,
+    ("quadvariate-8", "recursive"): 1e-8,
+}
+RANDOM_TOL = 1e-6
+
+
+def random_poles(rng, count, re_bound, im_range=(0.05, 1.5), min_sep=0.3,
+                 int_clearance=0.05):
+    """Index-domain poles: bounded real part, off the real axis, away from the
+    integers and from each other."""
+    out = []
+    while len(out) < count:
+        re = rng.uniform(-re_bound, re_bound)
+        im = rng.uniform(*im_range) * rng.choice([-1.0, 1.0])
+        cand = complex(re, im)
+        if abs(re - round(re)) < int_clearance and abs(im) < int_clearance:
+            continue
+        if any(abs(cand - p) < min_sep for p in out):
+            continue
+        out.append(cand)
+    return np.array(out, dtype=complex)
+
+
+def random_coefficients(rng, count):
+    mag = rng.uniform(0.5, 2.0, size=count)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return mag * np.exp(1j * phase)
+
+
+def signal_from_amplitudes(pole_matrix, amplitudes, P):
+    """Signal whose coefficient data is sum_j amplitudes[j]/prod(k - poles[j])."""
+    poles = np.asarray(pole_matrix, dtype=complex)
+    frequencies = 2j * np.pi * poles / P
+    d = poles.shape[1]
+    coefficients = (
+        np.asarray(amplitudes, dtype=complex)
+        * (2j * np.pi) ** d
+        / np.prod(1.0 - np.exp(frequencies * P), axis=1)
+    )
+    return ExponentialSum(frequencies, coefficients)
+
+
+def random_axis_distinct(rng, order, d, tau, P=2.0):
+    """Instance whose per-axis pole values are pairwise distinct and inside
+    the tau strip, as the line-based method requires."""
+    cols = [random_poles(rng, order, tau - 0.3) for _ in range(d)]
+    poles = np.column_stack(cols)
+    return signal_from_amplitudes(poles, random_coefficients(rng, order), P), poles
