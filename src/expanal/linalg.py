@@ -1,7 +1,8 @@
 """Dense complex linear algebra behind the recovery pipelines.
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy): SVD,
-truncated-SVD least squares, and generalized eigenvalues of square pencils.
+truncated-SVD least squares, Hermitian eigendecomposition, and generalized
+eigenvalues of square pencils.
 """
 
 import numpy as np
@@ -58,6 +59,20 @@ def lstsq_with_rank(a, b, rcond=DEFAULT_RCOND):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"least squares solve failed: {exc}") from exc
     return x, int(rank)
+
+
+def eigh(a):
+    """Eigendecomposition a = v @ diag(w) @ v.conj().T of a Hermitian matrix.
+
+    Reads the lower triangle; eigenvalues ascending, columns of v orthonormal.
+    """
+    a = as_complex_matrix(a, "a")
+    if a.shape[0] != a.shape[1]:
+        raise ShapeMismatch(f"matrix must be square, got {a.shape}")
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
 def gen_eig(a, b, inf_cutoff=INF_EIG_CUTOFF):

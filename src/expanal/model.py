@@ -5,10 +5,17 @@ coefficients over a period box follow a closed product formula, which this
 module evaluates exactly; recovery code consumes those coefficients through a
 CoefficientSource that declares which integer indices are covered (a full grid
 or a set of index lines).
+
+Both the signal and its coefficients are sums of M separable terms: term j is
+a weight times a product of one univariate factor per axis.  _SeparableSum
+holds one factor table per axis and contracts those tables against the term
+weights, so grid synthesis, the full-grid amplitude solve and the signal error
+cost O(size of the grid) time and memory and never form a (grid x M) array.
 """
 
 from dataclasses import dataclass
 import numpy as np
+import scipy.optimize
 
 from .errors import (
     BadParameters,
@@ -92,15 +99,42 @@ class ExponentialSum:
 
         Each axis contributes the factor (exp(f*P) - 1)/(f*P - 2*pi*i*k); when
         f*P coincides with 2*pi*i*k the factor degenerates to the constant 1.
+        The value is bitwise identical to the same index of a synthesized grid.
         """
-        if P <= 0:
-            raise BadParameters("period P must be positive")
         idx = np.asarray(k, dtype=int).ravel()
         if idx.shape[0] != self.d:
             raise ShapeMismatch(f"index must have {self.d} entries, got {idx.shape[0]}")
+        return complex(self.fourier_coefficients(idx[None, :], P)[0])
+
+    def fourier_coefficients(self, indices, P):
+        """Exact Fourier coefficients at the rows of an (n, d) integer index array."""
+        if P <= 0:
+            raise BadParameters("period P must be positive")
+        idx = np.asarray(indices, dtype=int)
+        if idx.ndim != 2 or idx.shape[1] != self.d:
+            raise ShapeMismatch(f"indices must be an (n, {self.d}) array, got shape {idx.shape}")
+        if idx.shape[0] == 0:
+            return np.empty(0, dtype=complex)
+        low = idx.min(axis=0)
+        spans = [np.arange(lo, hi + 1) for lo, hi in zip(low, idx.max(axis=0))]
+        return self._coefficient_terms(P, spans).at(idx - low, self.coefficients)
+
+    def _coefficient_terms(self, P, axis_indices):
+        """The coefficient formula as separable terms: one factor table per
+        axis, with rows at that axis's integer indices."""
         freq_p = self.frequencies * P
         growth = np.exp(freq_p) - 1.0
-        return complex(_coefficient_kernel(freq_p, growth, self.coefficients, idx[None, :])[0])
+        tables = []
+        for axis, k in enumerate(axis_indices):
+            fp = freq_p[None, :, axis]
+            denom = fp - TWO_PI_I * np.asarray(k)[:, None]
+            degenerate = np.abs(denom) <= _DEGENERATE_BRANCH_RTOL * (1.0 + np.abs(fp))
+            tables.append(np.where(
+                degenerate,
+                1.0 + 0.0j,
+                growth[None, :, axis] / np.where(degenerate, 1.0, denom),
+            ))
+        return _SeparableSum(tables)
 
     def synthesize(self, P, N, coverage):
         """Tabulate Fourier coefficients on the requested index coverage.
@@ -122,27 +156,15 @@ class ExponentialSum:
                 f"frequency[{j},{axis}] equals 2*pi*i*{k}/P; coefficients on the "
                 f"sampled box are not rational in the index"
             )
-        freq_p = self.frequencies * P
-        growth = np.exp(freq_p) - 1.0
-
         if isinstance(coverage, FullGrid):
-            size = 2 * N + 1
             axes = [np.arange(-N, N + 1)] * self.d
-            idx = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d)
-            values = np.empty(idx.shape[0], dtype=complex)
-            for start in range(0, idx.shape[0], _EVAL_CHUNK):
-                block = idx[start:start + _EVAL_CHUNK]
-                values[start:start + _EVAL_CHUNK] = _coefficient_kernel(
-                    freq_p, growth, self.coefficients, block
-                )
-            return CoefficientSource(self.d, P, N, coverage, grid=values.reshape((size,) * self.d))
+            grid = self._coefficient_terms(P, axes).grid(self.coefficients)
+            return CoefficientSource(self.d, P, N, coverage, grid=grid)
 
         if isinstance(coverage, SparseLines):
-            table = {}
-            for _, line in coverage.line_indices(self.d, N):
-                vals = _coefficient_kernel(freq_p, growth, self.coefficients, line)
-                for row, v in zip(line, vals):
-                    table[tuple(int(x) for x in row)] = complex(v)
+            idx = np.concatenate([line for _, line in coverage.line_indices(self.d, N)])
+            values = self.fourier_coefficients(idx, P)
+            table = {tuple(int(x) for x in row): complex(v) for row, v in zip(idx, values)}
             return CoefficientSource(self.d, P, N, coverage, table=table)
 
         raise BadParameters(f"unknown coverage {coverage!r}")
@@ -158,25 +180,76 @@ class ExponentialSum:
         return out
 
 
-def _coefficient_kernel(freq_p, growth, coefficients, idx):
-    """Coefficient values for an (n, d) integer index array.
+_AXIS_LETTERS = "abcdefghijklmnopqrstuvwxy"
 
-    All operations are elementwise or per-row reductions, so results are
-    bitwise identical no matter how the index set is batched.
+
+class _SeparableSum:
+    """A sum of M separable terms on a product index set.
+
+    F[k_0, ..., k_{d-1}] = sum_j w_j * prod_a tables[a][k_a, j]
+
+    Each axis holds one (n_a, M) factor table.  Read as a design matrix,
+    A[k, j] = prod_a tables[a][k_a, j] is the Khatri-Rao product of the tables
+    (axis 0 slowest); no method forms it, or any other (grid x M) array.
     """
-    n = idx.shape[0]
-    prod = np.ones((n, freq_p.shape[0]), dtype=complex)
-    for axis in range(freq_p.shape[1]):
-        fp = freq_p[None, :, axis]
-        denom = fp - TWO_PI_I * idx[:, None, axis]
-        degenerate = np.abs(denom) <= _DEGENERATE_BRANCH_RTOL * (1.0 + np.abs(fp))
-        factor = np.where(
-            degenerate,
-            1.0 + 0.0j,
-            growth[None, :, axis] / np.where(degenerate, 1.0, denom),
-        )
-        prod = prod * factor
-    return np.sum(prod * coefficients[None, :], axis=1)
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def grid(self, weights):
+        """F on the whole product grid, shape (n_0, ..., n_{d-1}).
+
+        One plain einsum (no optimize): each entry is the same product over
+        the axes and sum over the terms whatever the table sizes, so one-row
+        tables, or rows gathered by `at`, give bitwise-identical values.
+        """
+        axes = _AXIS_LETTERS[:len(self.tables)]
+        spec = ",".join(a + "z" for a in axes) + ",z->" + axes
+        return np.einsum(spec, *self.tables, weights)
+
+    def at(self, rows, weights):
+        """F at the rows of an (n, d) array of table row numbers, in bounded blocks."""
+        spec = ",".join("iz" for _ in self.tables) + ",z->i"
+        out = np.empty(rows.shape[0], dtype=complex)
+        for start in range(0, rows.shape[0], _EVAL_CHUNK):
+            block = rows[start:start + _EVAL_CHUNK]
+            gathered = [table[block[:, axis]] for axis, table in enumerate(self.tables)]
+            out[start:start + _EVAL_CHUNK] = np.einsum(spec, *gathered, weights)
+        return out
+
+    def gram(self):
+        """A^H A: the elementwise product of the per-axis Grams T_a^H T_a."""
+        out = 1.0
+        for table in self.tables:
+            out = out * (table.conj().T @ table)
+        return out
+
+    def adjoint(self, values):
+        """A^H y for y on the product grid: one matmul and one row-wise dot."""
+        left, right = self._halves()
+        partial = values.reshape(left.shape[0], right.shape[0]) @ right.conj()
+        return np.sum(left.conj() * partial, axis=0)
+
+    def apply(self, weights):
+        """A w on the product grid (F through one matmul; not bitwise `grid`)."""
+        left, right = self._halves()
+        shape = tuple(table.shape[0] for table in self.tables)
+        return ((left * weights) @ right.T).reshape(shape)
+
+    def _halves(self):
+        """Khatri-Rao products of the leading and the trailing half of the axes."""
+        split = len(self.tables) // 2
+        terms = self.tables[0].shape[1]
+        return (_khatri_rao(self.tables[:split], terms),
+                _khatri_rao(self.tables[split:], terms))
+
+
+def _khatri_rao(tables, terms):
+    """Row-wise Kronecker product of (n_a, terms) tables, first table slowest."""
+    out = np.ones((1, terms), dtype=complex)
+    for table in tables:
+        out = (out[:, None, :] * table[None, :, :]).reshape(-1, terms)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +458,14 @@ class ErrorReport:
 
 
 def _match_rows(truth_freq, rec_freq):
-    """Greedy nearest-neighbour row assignment, resolved to an injection."""
-    Mt, Mr = truth_freq.shape[0], rec_freq.shape[0]
+    """Row assignment of least total frequency-row distance, as an injection.
+
+    Truth rows left unmatched (when the orders differ) map to None.
+    """
     dist = np.linalg.norm(truth_freq[:, None, :] - rec_freq[None, :, :], axis=2)
-    perm = [None] * Mt
-    work = dist.copy()
-    for _ in range(min(Mt, Mr)):
-        i, j = np.unravel_index(np.argmin(work), work.shape)
+    perm = [None] * truth_freq.shape[0]
+    for i, j in zip(*scipy.optimize.linear_sum_assignment(dist)):
         perm[i] = int(j)
-        work[i, :] = np.inf
-        work[:, j] = np.inf
     return perm
 
 
@@ -402,10 +473,11 @@ def relative_errors(truth, recovered, box=(-10.0, 10.0), points_per_axis=51,
                     max_signal_points=2_000_000, seed=0):
     """Relative errors between a reference signal and a reconstruction.
 
-    Rows are matched greedily by nearest frequency vectors first, so the
-    metrics are invariant under row permutations of either input.  The signal
-    error is the sup-norm misfit over an equispaced lattice in the given box,
-    subsampled (seeded) when the lattice exceeds max_signal_points.
+    Rows are matched first by an optimal assignment on the frequency-row
+    distances, so the metrics are invariant under row permutations of either
+    input.  The signal error is the sup-norm misfit over an equispaced lattice
+    in the given box, subsampled (seeded) when the lattice exceeds
+    max_signal_points.
     """
     if truth.d != recovered.d:
         raise ShapeMismatch(f"dimension mismatch: {truth.d} vs {recovered.d}")
@@ -424,9 +496,8 @@ def relative_errors(truth, recovered, box=(-10.0, 10.0), points_per_axis=51,
     den = np.abs(truth.coefficients).max()
     coef_err = num / den if den > 0 else (0.0 if num == 0 else num)
 
-    pts = _signal_lattice(truth.d, box, points_per_axis, max_signal_points, seed)
-    f = truth.evaluate(pts)
-    g = recovered.evaluate(pts)
+    f, g = _lattice_values((truth, recovered), box, points_per_axis,
+                           max_signal_points, seed)
     scale = np.abs(f).max()
     diff = np.abs(f - g).max()
     sig_err = diff / scale if scale > 0 else (0.0 if diff == 0 else diff)
@@ -441,15 +512,22 @@ def relative_errors(truth, recovered, box=(-10.0, 10.0), points_per_axis=51,
     )
 
 
-def _signal_lattice(d, box, points_per_axis, max_points, seed):
+def _lattice_values(signals, box, points_per_axis, max_points, seed):
+    """Each signal's values on the equispaced lattice, or on its seeded subsample.
+
+    exp(<row_j, t>) factors over the axes, so each signal is a separable sum
+    over one exp table per axis on the 1-D lattice axis.
+    """
     axis = np.linspace(box[0], box[1], points_per_axis)
-    total = points_per_axis ** d
-    if total <= max_points:
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, d)
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, points_per_axis, size=(max_points, d))
-    return axis[picks]
+    d = signals[0].d
+    terms = [
+        _SeparableSum([np.exp(axis[:, None] * s.frequencies[None, :, a]) for a in range(d)])
+        for s in signals
+    ]
+    if points_per_axis ** d <= max_points:
+        return [t.grid(s.coefficients) for t, s in zip(terms, signals)]
+    picks = np.random.default_rng(seed).integers(0, points_per_axis, size=(max_points, d))
+    return [t.at(picks, s.coefficients) for t, s in zip(terms, signals)]
 
 
 # ---------------------------------------------------------------------------

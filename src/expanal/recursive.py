@@ -5,10 +5,11 @@ line are fitted, then a Cauchy-type least squares factorization (reused across
 all tail indices) splits the slice into one lower-dimensional slice per pole.
 The recursion records its poles in a tree whose root-to-leaf paths are the
 recovered pole vectors, so pairing is automatic and repeated per-axis values
-are handled.
+are handled.  The amplitudes then solve one least squares system on the whole
+grid, whose design is a Khatri-Rao product of per-axis Cauchy matrices; it is
+solved through its M x M normal system without forming the design.
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .errors import (
     ResynthesisWarning,
     ShapeMismatch,
 )
-from .model import TWO_PI_I, ExponentialSum, FullGrid
+from .model import TWO_PI_I, ExponentialSum, FullGrid, _SeparableSum
 from .rational import (
     DEFAULT_TOL,
     check_fit_residual,
@@ -32,7 +33,6 @@ from .rational import (
 )
 
 POLE_MERGE_RTOL = 1e-8
-AMPLITUDE_ROW_CAP = 1_000_000
 RESYNTHESIS_WARN_TOL = 1e-6
 
 
@@ -269,41 +269,41 @@ def build_pole_tree(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
     return PoleTree(roots=tuple(roots), dimension=source.d).validate()
 
 
-def leaves_to_sum(tree, source, rcond=linalg.DEFAULT_RCOND, row_cap=AMPLITUDE_ROW_CAP):
+def leaves_to_sum(tree, source, rcond=linalg.DEFAULT_RCOND):
     """Signal parameters from a pole tree and its full-grid source.
 
-    The root-to-leaf pole paths give the frequency rows; the amplitudes solve
-    the full-grid least squares system (row-capped deterministically for very
-    large grids) and map to the signal coefficients.
+    The root-to-leaf pole paths give the frequency rows.  The amplitudes x
+    solve the least squares system on every grid index,
+    grid[k] = sum_j x_j prod_a 1/(k_a - b_ja), through its normal system
+    G x = A^H grid, where G is the elementwise product of the per-axis Cauchy
+    Grams C_a^H C_a.  G is M x M; the design A is never formed.  The system
+    counts as rank deficient when the smallest eigenvalue of G is at most
+    rcond times the largest.  One step of iterative refinement recovers the
+    accuracy the normal system gives up.  The amplitudes then map to the
+    signal coefficients.
     """
+    if not 0.0 < rcond < 1.0:
+        raise BadParameters(f"rcond must lie in (0, 1), got {rcond!r}")
     poles = tree.leaf_paths()
-    m, d = poles.shape
-    n_half = source.N
+    d = poles.shape[1]
+    k = np.arange(-source.N, source.N + 1, dtype=float)
+    design = _SeparableSum([1.0 / (k[:, None] - poles[None, :, a]) for a in range(d)])
     grid = source.grid()
-    total = grid.size
 
-    if total > row_cap:
-        idx = _centered_indices(d, n_half, min(20 * m, total))
-        rhs = np.array([source.value(row) for row in idx], dtype=complex)
-        coords = [idx[:, axis].astype(float) for axis in range(d)]
-    else:
-        axes = [np.arange(-n_half, n_half + 1, dtype=float)] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        rhs = grid.ravel()
-        coords = [mesh[axis].ravel() for axis in range(d)]
-
-    design = np.empty((len(rhs), m), dtype=complex)
-    for j in range(m):
-        denom = coords[0] - poles[j, 0]
-        for axis in range(1, d):
-            denom = denom * (coords[axis] - poles[j, axis])
-        design[:, j] = 1.0 / denom
-
-    amplitudes, rank = linalg.lstsq_with_rank(design, rhs, rcond=rcond)
-    if rank < m:
+    eigenvalues, eigenvectors = linalg.eigh(design.gram())
+    if not eigenvalues[0] > rcond * eigenvalues[-1]:
         raise IllConditioned(
-            f"amplitude system has numerical rank {rank} < {m}"
+            f"amplitude system is numerically rank deficient: Gram eigenvalue "
+            f"ratio {eigenvalues[0] / eigenvalues[-1]:.3e} <= {rcond:.0e}"
         )
+
+    def solve(values):
+        rhs = design.adjoint(values)
+        return eigenvectors @ ((eigenvectors.conj().T @ rhs) / eigenvalues)
+
+    amplitudes = solve(grid)
+    amplitudes = amplitudes + solve(grid - design.apply(amplitudes))
+
     frequencies = TWO_PI_I * poles / source.P
     coefficients = (
         amplitudes * TWO_PI_I ** d
@@ -312,23 +312,8 @@ def leaves_to_sum(tree, source, rcond=linalg.DEFAULT_RCOND, row_cap=AMPLITUDE_RO
     return ExponentialSum(frequencies, coefficients)
 
 
-def _centered_indices(d, n_half, count):
-    """First `count` indices of [-N,N]^d in expanding-shell, lexicographic order."""
-    out = []
-    for radius in range(n_half + 1):
-        ring = sorted(
-            idx
-            for idx in itertools.product(range(-radius, radius + 1), repeat=d)
-            if max(abs(x) for x in idx) == radius
-        )
-        out.extend(ring)
-        if len(out) >= count:
-            break
-    return np.array(out[:count], dtype=int)
-
-
 def recover_recursive(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
-                      max_order=None, method="eig", row_cap=AMPLITUDE_ROW_CAP,
+                      max_order=None, method="eig",
                       resynthesis_tol=RESYNTHESIS_WARN_TOL, check_points=100,
                       seed=0, trace_sink=None):
     """Recover an exponential sum from a full coefficient grid.
@@ -343,14 +328,12 @@ def recover_recursive(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
     """
     tree = build_pole_tree(source, tol=tol, rcond=rcond, max_order=max_order,
                            method=method, trace_sink=trace_sink)
-    signal = leaves_to_sum(tree, source, rcond=rcond, row_cap=row_cap)
+    signal = leaves_to_sum(tree, source, rcond=rcond)
 
     rng = np.random.default_rng(seed)
     picks = rng.integers(-source.N, source.N + 1, size=(check_points, source.d))
-    data = np.array([source.value(row) for row in picks], dtype=complex)
-    model = np.array(
-        [signal.fourier_coefficient(row, source.P) for row in picks], dtype=complex
-    )
+    data = source.grid()[tuple((picks + source.N).T)]
+    model = signal.fourier_coefficients(picks, source.P)
     scale = np.abs(data).max()
     if scale > 0:
         residual = np.abs(model - data).max() / scale

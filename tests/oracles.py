@@ -3,7 +3,8 @@
 Each oracle takes a computational route disjoint from the implementation it
 verifies: adaptive quadrature instead of the closed coefficient formula,
 characteristic-polynomial roots instead of QZ, exhaustive permutation search
-instead of the assignment solver, and explicit rank-one pseudoinverses.
+instead of the assignment solver, explicit rank-one pseudoinverses, and a
+dense least squares design instead of the separable normal system.
 """
 
 import itertools
@@ -71,6 +72,26 @@ def factor_quadrature_coefficient(signal, k, P):
             product *= complex(re, im) / P
         total += product
     return total
+
+
+def dense_amplitude_coefficients(poles, grid, P):
+    """Signal coefficients of the full-grid amplitude fit by dense least squares.
+
+    Builds the whole (grid x M) design A[k, j] = prod_a 1/(k_a - poles[j, a])
+    and solves it with numpy's SVD-based lstsq, then maps amplitudes to
+    coefficients as the recursive method does.
+    """
+    poles = np.asarray(poles, dtype=complex)
+    m, d = poles.shape
+    n_half = (grid.shape[0] - 1) // 2
+    k = np.arange(-n_half, n_half + 1, dtype=float)
+    mesh = np.meshgrid(*([k] * d), indexing="ij")
+    design = np.ones((grid.size, m), dtype=complex)
+    for axis in range(d):
+        design /= mesh[axis].reshape(-1, 1) - poles[None, :, axis]
+    amplitudes = np.linalg.lstsq(design, np.ravel(grid), rcond=None)[0]
+    frequencies = 2j * np.pi * poles / P
+    return amplitudes * (2j * np.pi) ** d / np.prod(1.0 - np.exp(frequencies * P), axis=1)
 
 
 def characteristic_roots(a):

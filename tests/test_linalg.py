@@ -5,7 +5,7 @@ import pytest
 
 from expanal import gen_eig, lstsq, svd
 from expanal.errors import BadParameters, ShapeMismatch
-from expanal.linalg import lstsq_with_rank, sort_complex
+from expanal.linalg import eigh, lstsq_with_rank, sort_complex
 
 from oracles import characteristic_roots, match_complex_sets, rank_one_pseudoinverse
 
@@ -101,6 +101,20 @@ class TestLstsq:
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         _, rank = lstsq_with_rank(a, [1.0, 2.0])
         assert rank == 1
+
+
+class TestEigh:
+    def test_reconstruction_ascending(self):
+        rng = np.random.default_rng(8)
+        b = random_complex(rng, (5, 5))
+        a = b.conj().T @ b
+        w, v = eigh(a)
+        assert np.all(np.diff(w) >= 0)
+        assert np.abs(v @ np.diag(w) @ v.conj().T - a).max() <= 1e-12 * np.abs(a).max()
+
+    def test_rejects_rectangular(self):
+        with pytest.raises(ShapeMismatch):
+            eigh(np.ones((2, 3)))
 
 
 class TestGenEig:

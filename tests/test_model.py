@@ -16,7 +16,7 @@ from expanal import (
 )
 from expanal.errors import BadParameters, DegenerateFrequency, ShapeMismatch
 
-from cases import BIVARIATE_5, TRIVARIATE_6, random_univariate
+from cases import BIVARIATE_5, QUADVARIATE_9, TRIVARIATE_6, random_univariate
 from oracles import box_quadrature_coefficient, factor_quadrature_coefficient
 
 
@@ -111,6 +111,15 @@ class TestSynthesize:
         for idx, value in full.items():
             assert value == case.signal.fourier_coefficient(idx, case.P)
 
+    def test_batch_lookup_matches_grid_bitwise(self):
+        case = QUADVARIATE_9
+        full = case.signal.synthesize(case.P, case.N, FullGrid())
+        picks = np.random.default_rng(4).integers(-case.N, case.N + 1, size=(200, 4))
+        batch = case.signal.fourier_coefficients(picks, case.P)
+        assert np.array_equal(batch, full.grid()[tuple((picks + case.N).T)])
+        for k, value in zip(picks[:20], batch):
+            assert value == case.signal.fourier_coefficient(k, case.P)
+
     def test_axis_and_diagonal_slices(self):
         case = BIVARIATE_5
         src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
@@ -154,6 +163,15 @@ class TestRelativeErrors:
         assert report.order_mismatch
         assert report.truth_order == 5 and report.recovered_order == 3
         assert report.frequency_error == 0.0
+        assert report.matched_permutation[3:] == (None, None)
+
+    def test_optimal_not_greedy_matching(self):
+        # greedy takes the closest pair (1, 0.6) first and leaves (0, 1.7)
+        truth = ExponentialSum(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
+        rec = ExponentialSum(np.array([[0.6], [1.7]]), np.array([1.0, 1.0]))
+        report = relative_errors(truth, rec)
+        assert report.matched_permutation == (0, 1)
+        assert abs(report.frequency_error - 0.7) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -168,6 +186,26 @@ class TestRelativeErrors:
         sub = relative_errors(sig, other, points_per_axis=21, max_signal_points=50)
         assert full.signal_error > 0.0
         assert 0.1 * full.signal_error <= sub.signal_error <= 10.0 * full.signal_error
+
+
+    @pytest.mark.parametrize(
+        "sig, points, cap",
+        [(BIVARIATE_5.signal, 51, 2_000_000), (QUADVARIATE_9.signal, 21, 20_000)],
+        ids=["full-lattice-d2", "subsample-d4"],
+    )
+    def test_signal_error_matches_evaluate(self, sig, points, cap):
+        other = ExponentialSum(sig.frequencies * (1 + 1e-9), sig.coefficients * (1 - 1e-9))
+        axis = np.linspace(-10.0, 10.0, points)
+        if points ** sig.d <= cap:
+            mesh = np.meshgrid(*([axis] * sig.d), indexing="ij")
+            pts = np.stack(mesh, axis=-1).reshape(-1, sig.d)
+        else:
+            pts = axis[np.random.default_rng(0).integers(0, points, size=(cap, sig.d))]
+        f, g = sig.evaluate(pts), other.evaluate(pts)
+        expected = np.abs(f - g).max() / np.abs(f).max()
+        report = relative_errors(sig, other, points_per_axis=points, max_signal_points=cap)
+        assert expected > 0.0
+        assert abs(report.signal_error - expected) <= 1e-13
 
 
 class TestJson:
