@@ -47,10 +47,8 @@ from .recursive import (
 from .sparse import (
     AxisRecovery,
     PairingCertificate,
-    SparseGridPlan,
     match_pairs,
     pairing_system,
-    plan,
     recover_axis,
     recover_sparse,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "PoleTree",
     "RecursiveRecovery",
     "SliceValues",
-    "SparseGridPlan",
     "SparseGridRecovery",
     "SparseLines",
     "TreeNode",
@@ -87,7 +84,6 @@ __all__ = [
     "pairing_system",
     "parse_coverage",
     "peel_dimension",
-    "plan",
     "poles_of",
     "recover_axis",
     "recover_recursive",

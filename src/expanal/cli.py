@@ -221,15 +221,15 @@ def cmd_compare(args):
 
 def cmd_plot_grid(args):
     from .errors import BadParameters
-    from .sparse import plan
+    from .model import SparseLines
 
     try:
-        grid_plan = plan(args.d, args.N, args.tau)
+        lines = SparseLines(args.tau).line_indices(args.d, args.N)
     except BadParameters as exc:
         return _fail(str(exc), EXIT_INPUT)
     header = ",".join(f"k{i + 1}" for i in range(args.d)) + ",category"
     rows = [header]
-    for category, line in grid_plan.lines():
+    for category, line in lines:
         for idx in line:
             rows.append(",".join(str(int(k)) for k in idx) + f",{category}")
     _write_atomic(args.out, "\n".join(rows) + "\n")

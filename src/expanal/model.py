@@ -309,10 +309,18 @@ class SparseLines:
         return d * (2 * N + 1) + (d - 1) * (2 * N + 1 - 2 * self.tau)
 
     def line_indices(self, d, N):
-        """(label, (n, d) index array) pairs, axes first then diagonals."""
-        lines = [(f"axis-{m}", axis_line_indices(d, N, m)) for m in range(d)]
+        """("axis" or "diagonal", (n, d) index array) pairs, axes first.
+
+        The one owner of the line geometry: d axis lines of 2N+1 indices and
+        d-1 diagonals of 2N+1-2*tau.  Needs d >= 1 and tau < N.
+        """
+        if d < 1:
+            raise BadParameters(f"dimension must be >= 1, got {d}")
+        if self.tau >= N:
+            raise BadParameters(f"need tau < N, got tau={self.tau}, N={N}")
+        lines = [("axis", axis_line_indices(d, N, m)) for m in range(d)]
         lines += [
-            (f"diagonal-{m}", diagonal_line_indices(d, N, self.tau, m))
+            ("diagonal", diagonal_line_indices(d, N, self.tau, m))
             for m in range(1, d)
         ]
         return lines
@@ -369,8 +377,6 @@ class CoefficientSource:
         elif isinstance(coverage, SparseLines):
             if table is None or grid is not None:
                 raise BadParameters("sparse coverage needs an index table")
-            if coverage.tau >= self.N:
-                raise BadParameters(f"need tau < N, got tau={coverage.tau}, N={self.N}")
             expected = coverage.unique_indices(self.d, self.N)
             if set(table.keys()) != expected:
                 raise BadParameters("table does not cover exactly the declared index lines")

@@ -4,6 +4,10 @@ The pipeline fits sampled values with a greedy barycentric interpolant,
 extracts poles from an arrowhead generalized eigenproblem (or from the
 divided-difference matrix pencil), solves for residues by least squares, and
 maps pole/residue pairs back to exponential-sum parameters.
+
+pole_residue_from_samples is the one line fit of both recovery methods: it
+owns the sample geometry k = -N..N and the whole acceptance policy, so no
+caller repeats any of it.
 """
 
 from dataclasses import dataclass
@@ -311,15 +315,28 @@ def check_fit_residual(pole_residue, points, values, tol=ISOLATED_MISFIT_TOL):
     )
 
 
-def pole_residue_from_samples(points, values, tol=DEFAULT_TOL, max_order=None,
+def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None,
                               rcond=linalg.DEFAULT_RCOND, method="eig"):
-    """Full univariate pipeline from samples to a filtered PoleResidue.
+    """The univariate line fit: samples on k = -N..N to a filtered PoleResidue.
 
-    Returns (PoleResidue, AaaTrace).  Poles come from the arrowhead
-    eigenproblem of the greedy fit (method="eig") or from the matrix pencil
-    with the fitted order (method="pencil").
+    values holds an odd number 2N+1 of samples at k = -N..N; an even count
+    raises ShapeMismatch.  Poles come from the arrowhead eigenproblem of the
+    greedy fit (method="eig") or from the matrix pencil with the fitted order
+    (method="pencil").  The policy runs in this order: pole extraction, the
+    sample-collision check (DegenerateFrequency), the spurious-pole filter,
+    the (real, imag) sort, NoConvergence when the greedy fit missed its
+    tolerance, and finally check_fit_residual.
+
+    Returns (PoleResidue, AaaTrace).
     """
-    form, trace = aaa_fit(points, values, tol=tol, max_order=max_order)
+    vals = np.asarray(values, dtype=complex).ravel()
+    if len(vals) % 2 == 0:
+        raise ShapeMismatch(
+            f"line must hold an odd number of samples, k = -N..N; got {len(vals)}"
+        )
+    n_half = (len(vals) - 1) // 2
+    points = np.arange(-n_half, n_half + 1, dtype=float).astype(complex)
+    form, trace = aaa_fit(points, vals, tol=tol, max_order=max_order)
     if len(form) < 2:
         raise DegenerateFrequency(
             "samples are constant; no rational structure of positive order"
@@ -327,21 +344,25 @@ def pole_residue_from_samples(points, values, tol=DEFAULT_TOL, max_order=None,
     if method == "eig":
         poles = poles_of(form)
     elif method == "pencil":
-        poles = loewner_pencil_poles(points, values, len(form) - 1, rank_tol=rcond)
+        poles = loewner_pencil_poles(points, vals, len(form) - 1, rank_tol=rcond)
     else:
         raise BadParameters(f"unknown pole method {method!r}")
-    pts = as_complex_vector(points, "points")
-    bad = np.abs(pts[None, :] - poles[:, None]).min(axis=1) <= SAMPLE_COLLISION_TOL
+    bad = np.abs(points[None, :] - poles[:, None]).min(axis=1) <= SAMPLE_COLLISION_TOL
     if bad.any():
-        nearest = pts[np.abs(pts[None, :] - poles[bad, None]).argmin(axis=1)]
+        nearest = points[np.abs(points[None, :] - poles[bad, None]).argmin(axis=1)]
         raise DegenerateFrequency(
             f"fitted pole sits on sample point(s) "
             f"{np.round(nearest.real).astype(int).tolist()}; the coefficients "
             f"there have no rational structure"
         )
-    pr = filter_spurious(poles, points, values, rcond=rcond)
+    pr = filter_spurious(poles, points, vals, rcond=rcond)
     srt = np.lexsort((pr.poles.imag, pr.poles.real))
     pr = PoleResidue(pr.poles[srt], pr.residues[srt])
+    if not trace.converged:
+        raise NoConvergence(
+            f"greedy fit did not reach tolerance within {trace.iterations} steps"
+        )
+    check_fit_residual(pr, points, vals)
     return pr, trace
 
 
@@ -349,22 +370,14 @@ def recover_univariate(source, tol=DEFAULT_TOL, max_order=None,
                        rcond=linalg.DEFAULT_RCOND, method="eig"):
     """Recover a univariate exponential sum from a d=1 coefficient source.
 
-    Fits the samples on k = -N..N, extracts poles and residues, checks the
-    refit residual for loss of rational structure, and maps pole/residue pairs
-    to frequencies and coefficients.
+    Runs the line fit on k = -N..N and maps its pole/residue pairs to
+    frequencies and coefficients.
     """
     if source.d != 1:
         raise ShapeMismatch(f"univariate recovery needs d=1, got d={source.d}")
-    points = np.arange(-source.N, source.N + 1, dtype=float).astype(complex)
-    values = source.axis_line(0)
-    pr, trace = pole_residue_from_samples(
-        points, values, tol=tol, max_order=max_order, rcond=rcond, method=method
+    pr, _ = pole_residue_from_samples(
+        source.axis_line(0), tol=tol, max_order=max_order, rcond=rcond, method=method
     )
-    if not trace.converged:
-        raise NoConvergence(
-            f"greedy fit did not reach tolerance within {trace.iterations} steps"
-        )
-    check_fit_residual(pr, points, values)
     frequencies = TWO_PI_I * pr.poles / source.P
     coefficients = TWO_PI_I * pr.residues / (1.0 - np.exp(frequencies * source.P))
     return ExponentialSum(frequencies[:, None], coefficients)

@@ -1,8 +1,10 @@
 """Full-grid recovery by recursive dimension reduction.
 
 One coordinate is peeled at a time: the distinct poles on the current axis
-line are fitted, then a Cauchy-type least squares factorization (reused across
-all tail indices) splits the slice into one lower-dimensional slice per pole.
+line are fitted by rational.pole_residue_from_samples (the same line fit and
+policy as the line-based method; only close poles are merged here), then a
+Cauchy-type least squares factorization (reused across all tail indices)
+splits the slice into one lower-dimensional slice per pole.
 The recursion records its poles in a tree whose root-to-leaf paths are the
 recovered pole vectors, so pairing is automatic and repeated per-axis values
 are handled.  The amplitudes then solve one least squares system on the whole
@@ -21,16 +23,11 @@ from .errors import (
     CoverageMismatch,
     ExpanalError,
     IllConditioned,
-    NoConvergence,
     ResynthesisWarning,
     ShapeMismatch,
 )
 from .model import TWO_PI_I, ExponentialSum, FullGrid, _SeparableSum
-from .rational import (
-    DEFAULT_TOL,
-    check_fit_residual,
-    pole_residue_from_samples,
-)
+from .rational import DEFAULT_TOL, pole_residue_from_samples
 
 POLE_MERGE_RTOL = 1e-8
 RESYNTHESIS_WARN_TOL = 1e-6
@@ -156,29 +153,16 @@ def distinct_poles(values, tol=DEFAULT_TOL, max_order=None,
                    rcond=linalg.DEFAULT_RCOND, method="eig"):
     """Distinct poles of a univariate slice line sampled at k = -N..N.
 
-    Returns (count, poles sorted by (real, imag)).  Poles closer than a small
-    relative threshold are merged defensively so finite precision cannot split
-    one branch into two.
+    Returns (count, poles sorted by (real, imag)).  The fit is
+    pole_residue_from_samples; poles closer than a small relative threshold
+    are then merged defensively so finite precision cannot split one branch
+    into two.
     """
-    poles, _ = _line_poles(values, tol, max_order, rcond, method)
-    return len(poles), poles
-
-
-def _line_poles(values, tol, max_order, rcond, method):
-    vals = np.asarray(values, dtype=complex).ravel()
-    n_half = (len(vals) - 1) // 2
-    points = np.arange(-n_half, n_half + 1, dtype=float).astype(complex)
-    if len(points) != len(vals):
-        raise ShapeMismatch("line must hold an odd number of samples, k = -N..N")
-    pr, trace = pole_residue_from_samples(
-        points, vals, tol=tol, max_order=max_order, rcond=rcond, method=method
+    pr, _ = pole_residue_from_samples(
+        values, tol=tol, max_order=max_order, rcond=rcond, method=method
     )
-    if not trace.converged:
-        raise NoConvergence(
-            f"line fit did not reach tolerance in {trace.iterations} steps"
-        )
-    check_fit_residual(pr, points, vals)
-    return _merge_close(pr.poles), trace
+    poles = _merge_close(pr.poles)
+    return len(poles), poles
 
 
 def _merge_close(poles, rtol=POLE_MERGE_RTOL):
@@ -245,9 +229,12 @@ def build_pole_tree(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
     def grow(values, depth, path):
         line = values[(slice(None),) + (n_half,) * (values.ndim - 1)]
         try:
-            poles, trace = _line_poles(line, tol, max_order, rcond, method)
+            pr, trace = pole_residue_from_samples(
+                line, tol=tol, max_order=max_order, rcond=rcond, method=method
+            )
         except ExpanalError as exc:
             raise type(exc)(f"at pole path {path}: {exc}") from exc
+        poles = _merge_close(pr.poles)
         if trace_sink is not None:
             trace_sink.append(trace)
         if values.ndim == 1:
@@ -322,13 +309,19 @@ def recover_recursive(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
     the reconstruction reproduces the input coefficients at seeded random
     indices; a large residual there is reported as a ResynthesisWarning (the
     usual cause is a slice function vanishing at the origin, which hides one
-    of the poles from its axis line).
+    of the poles from its axis line).  check_points=0 skips the spot check.
 
     Returns (ExponentialSum, PoleTree).
     """
+    if not isinstance(check_points, (int, np.integer)) or check_points < 0:
+        raise BadParameters(
+            f"check_points must be a non-negative integer, got {check_points!r}"
+        )
     tree = build_pole_tree(source, tol=tol, rcond=rcond, max_order=max_order,
                            method=method, trace_sink=trace_sink)
     signal = leaves_to_sum(tree, source, rcond=rcond)
+    if check_points == 0:
+        return signal, tree
 
     rng = np.random.default_rng(seed)
     picks = rng.integers(-source.N, source.N + 1, size=(check_points, source.d))

@@ -6,6 +6,10 @@ Each diagonal admits a two-family partial fraction decomposition whose
 coefficients satisfy a sign condition and a coefficient identity exactly for
 the correct pairing; matching is solved as a global assignment over those
 condition violations and chained across axes.
+
+The line geometry belongs to model.SparseLines, and every axis fit goes
+through rational.pole_residue_from_samples with its full policy; this module
+adds only the order rule across axes and the pairing.
 """
 
 from dataclasses import dataclass
@@ -24,51 +28,11 @@ from .errors import (
     ShapeMismatch,
     TauViolation,
 )
-from .model import (
-    TWO_PI_I,
-    ExponentialSum,
-    SparseLines,
-    axis_line_indices,
-    diagonal_line_indices,
-)
+from .model import TWO_PI_I, ExponentialSum, SparseLines
 from .rational import DEFAULT_TOL, pole_residue_from_samples
 
 PAIRING_SCORE_TOL = 1e-6
 PAIRING_MARGIN = 10.0
-HUNGARIAN_LIMIT = 64
-
-
-@dataclass(frozen=True)
-class SparseGridPlan:
-    """The 2d-1 index lines read by the line-based method."""
-
-    d: int
-    N: int
-    tau: int
-    axis_lines: tuple
-    diagonal_lines: tuple
-
-    @property
-    def counted_samples(self):
-        """Per-line sample count (the origin is recounted on every axis line)."""
-        return self.d * (2 * self.N + 1) + (self.d - 1) * (2 * self.N + 1 - 2 * self.tau)
-
-    def lines(self):
-        """(category, array) pairs for all lines, axes first."""
-        out = [("axis", line) for line in self.axis_lines]
-        out += [("diagonal", line) for line in self.diagonal_lines]
-        return out
-
-
-def plan(d, N, tau):
-    """Index lines for dimension d, half-width N and diagonal shift tau."""
-    if d < 1:
-        raise BadParameters(f"dimension must be >= 1, got {d}")
-    if not (isinstance(tau, (int, np.integer)) and tau >= 1 and N > tau):
-        raise BadParameters(f"need N > tau >= 1, got N={N}, tau={tau}")
-    axis_lines = tuple(axis_line_indices(d, N, m) for m in range(d))
-    diag_lines = tuple(diagonal_line_indices(d, N, tau, m) for m in range(1, d))
-    return SparseGridPlan(int(d), int(N), int(tau), axis_lines, diag_lines)
 
 
 @dataclass(frozen=True)
@@ -104,27 +68,30 @@ class PairingCertificate:
                 raise BadParameters(f"stage permutation {p} is not a bijection")
 
 
-def recover_axis(points, values, axis, tol=DEFAULT_TOL, expected_order=None,
+def recover_axis(values, axis, tol=DEFAULT_TOL, expected_order=None,
                  rcond=linalg.DEFAULT_RCOND, method="eig"):
-    """Fit one axis line; poles sorted by (real, imag) with their coefficients.
+    """Fit one axis line on k = -N..N; poles sorted by (real, imag).
 
-    With expected_order set, the fit is capped at that order and any deviation
-    of the recovered order raises AxisOrderMismatch (a shared axis value in the
-    data shows up as a drop in the fitted order).
+    The fit and its policy are pole_residue_from_samples.  With expected_order
+    set, the fit is capped at that order plus one, and an unconverged fit or
+    any other recovered order raises AxisOrderMismatch (a shared axis value in
+    the data shows up as a drop in the fitted order).
     """
     cap = None if expected_order is None else expected_order + 1
-    pr, trace = pole_residue_from_samples(
-        points, values, tol=tol, max_order=cap, rcond=rcond, method=method
-    )
-    if expected_order is None:
-        if not trace.converged:
-            raise NoConvergence(
-                f"axis {axis}: fit did not reach tolerance in {trace.iterations} steps"
-            )
-    elif not trace.converged or len(pr.poles) != expected_order:
+    try:
+        pr, trace = pole_residue_from_samples(
+            values, tol=tol, max_order=cap, rcond=rcond, method=method
+        )
+    except NoConvergence as exc:
+        if expected_order is None:
+            raise NoConvergence(f"axis {axis}: {exc}") from exc
         raise AxisOrderMismatch(
-            f"axis {axis} recovered order {len(pr.poles)}"
-            f"{'' if trace.converged else ' (unconverged)'} but axis 0 fixed order "
+            f"axis {axis}: unconverged fit ({exc}) where axis 0 fixed order "
+            f"{expected_order}; axiswise-distinct assumption violated"
+        ) from exc
+    if expected_order is not None and len(pr.poles) != expected_order:
+        raise AxisOrderMismatch(
+            f"axis {axis} recovered order {len(pr.poles)} but axis 0 fixed order "
             f"{expected_order}; axiswise-distinct assumption violated"
         )
     return AxisRecovery(axis=axis, poles=pr.poles, coefficients=pr.residues, trace=trace)
@@ -200,12 +167,9 @@ def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau,
         raise ShapeMismatch("pairing inputs are dimension-inconsistent")
 
     scores = _score_matrix(c, coeffs_prev, prev, nxt, tau)
-    if m <= HUNGARIAN_LIMIT:
-        rows, cols = scipy.optimize.linear_sum_assignment(scores)
-        perm = np.empty(m, dtype=int)
-        perm[rows] = cols
-    else:
-        perm = _greedy_assignment(scores)
+    rows, cols = scipy.optimize.linear_sum_assignment(scores)
+    perm = np.empty(m, dtype=int)
+    perm[rows] = cols
 
     matched = scores[np.arange(m), perm]
     for j in range(m):
@@ -218,18 +182,6 @@ def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau,
                 f"conditions with a clear margin"
             )
     return perm, matched
-
-
-def _greedy_assignment(scores):
-    work = scores.copy()
-    m = work.shape[0]
-    perm = np.full(m, -1, dtype=int)
-    for _ in range(m):
-        i, j = np.unravel_index(np.argmin(work), work.shape)
-        perm[i] = j
-        work[i, :] = np.inf
-        work[:, j] = np.inf
-    return perm
 
 
 def recover_sparse(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
@@ -246,16 +198,14 @@ def recover_sparse(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
     if not isinstance(source.coverage, SparseLines):
         raise CoverageMismatch("line-based recovery needs sparse-lines coverage")
     tau = source.coverage.tau
-    n_half, d, period = source.N, source.d, source.P
-    points = np.arange(-n_half, n_half + 1, dtype=float).astype(complex)
+    d, period = source.d, source.P
 
-    first = recover_axis(points, source.axis_line(0), 0, tol=tol, rcond=rcond,
-                         method=method)
+    first = recover_axis(source.axis_line(0), 0, tol=tol, rcond=rcond, method=method)
     order = first.order
     axes = [first]
     for axis in range(1, d):
         axes.append(
-            recover_axis(points, source.axis_line(axis), axis, tol=tol,
+            recover_axis(source.axis_line(axis), axis, tol=tol,
                          expected_order=order, rcond=rcond, method=method)
         )
 

@@ -35,9 +35,3 @@ def check_distinct(values, name="values", tol=0.0):
         if d.size and d.min() <= tol:
             raise BadParameters(f"{name} must be pairwise distinct")
     return arr
-
-
-def check_positive_int(value, name):
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise BadParameters(f"{name} must be a positive integer, got {value!r}")
-    return int(value)

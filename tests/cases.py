@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from expanal import ExponentialSum
+from expanal import CoefficientSource, ExponentialSum, SparseLines
 
 _SQ = np.sqrt
 TWO_PI = 2.0 * np.pi
@@ -242,3 +242,21 @@ def random_axis_distinct(rng, order, d, tau, P=2.0):
     cols = [random_poles(rng, order, tau - 0.3) for _ in range(d)]
     poles = np.column_stack(cols)
     return signal_from_amplitudes(poles, random_coefficients(rng, order), P), poles
+
+
+# Relative spikes on two axis-0 entries of the bivariate-5 sparse:7 table: too
+# small for the greedy fit to park a pole on them, large enough that the
+# refit misses k=5 by about 2e-6 of the line's scale (an isolated misfit).
+BIVARIATE_5_SPIKES = {(5, 0): -4.37855e-05 - 2.58e-07j, (-2, 0): -3.6e-09 + 1.21e-08j}
+
+
+def spiked_bivariate_5():
+    """Sparse:7 source of BIVARIATE_5 with each entry in BIVARIATE_5_SPIKES
+    moved by that factor times its own magnitude."""
+    case = BIVARIATE_5
+    coverage = SparseLines(case.tau)
+    clean = case.signal.synthesize(case.P, case.N, coverage)
+    table = {k: clean.value(k) for k in coverage.unique_indices(2, case.N)}
+    for idx, spike in BIVARIATE_5_SPIKES.items():
+        table[idx] += spike * abs(table[idx])
+    return CoefficientSource(2, case.P, case.N, coverage, table=table)

@@ -9,18 +9,26 @@ from expanal import (
     FullGrid,
     SparseLines,
     aaa_fit,
+    distinct_poles,
     evaluate_barycentric,
     loewner_pencil_poles,
     poles_of,
+    recover_axis,
     recover_univariate,
     relative_errors,
     residues_ls,
 )
-from expanal.errors import BadParameters, DegenerateFrequency, RankDeficient
+from expanal.errors import (
+    BadParameters,
+    DegenerateFrequency,
+    RankDeficient,
+    ShapeMismatch,
+)
 from expanal.linalg import sort_complex
 from expanal.model import TWO_PI_I, ExponentialSum
+from expanal.rational import pole_residue_from_samples
 
-from cases import BIVARIATE_5, random_univariate
+from cases import BIVARIATE_5, random_univariate, spiked_bivariate_5
 
 KGRID = np.arange(-10, 11, dtype=float)
 
@@ -263,3 +271,38 @@ class TestRecoverUnivariate:
         src = CoefficientSource(1, 2.0, n, FullGrid(), grid=values)
         with pytest.raises(DegenerateFrequency, match=r"\[3\]"):
             recover_univariate(src)
+
+
+def _univariate_line(values):
+    n_half = (len(values) - 1) // 2
+    return recover_univariate(
+        CoefficientSource(1, BIVARIATE_5.P, n_half, FullGrid(), grid=values)
+    )
+
+
+# every public entry point that fits one index line
+LINE_FITS = {
+    "pole_residue_from_samples": pole_residue_from_samples,
+    "recover_univariate": _univariate_line,
+    "recover_axis": lambda values: recover_axis(values, 0),
+    "distinct_poles": distinct_poles,
+}
+
+
+class TestOneLineFitPolicy:
+    @pytest.mark.parametrize(
+        "entry", ["recover_univariate", "recover_axis", "distinct_poles"]
+    )
+    def test_isolated_misfit_same_error(self, entry):
+        line = spiked_bivariate_5().axis_line(0)
+        with pytest.raises(DegenerateFrequency, match="isolated"):
+            LINE_FITS[entry](line)
+
+    @pytest.mark.parametrize(
+        "entry", ["pole_residue_from_samples", "recover_axis", "distinct_poles"]
+    )
+    def test_even_sample_count_rejected(self, entry):
+        case = BIVARIATE_5
+        src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
+        with pytest.raises(ShapeMismatch):
+            LINE_FITS[entry](src.axis_line(0)[1:])

@@ -19,6 +19,7 @@ from expanal import (
     TreeNode,
 )
 from expanal.errors import (
+    BadParameters,
     CoverageMismatch,
     IllConditioned,
     NoConvergence,
@@ -259,6 +260,21 @@ class TestRecoverRecursive:
         src = sig.synthesize(2.0, 10, FullGrid())
         with pytest.warns(ResynthesisWarning):
             recover_recursive(src)
+
+    def test_zero_check_points_skips_spot_check(self):
+        case = TRIVARIATE_4
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        checked, _ = recover_recursive(src)
+        unchecked, _ = recover_recursive(src, check_points=0)
+        assert np.array_equal(unchecked.coefficients, checked.coefficients)
+        assert np.array_equal(unchecked.frequencies, checked.frequencies)
+
+    @pytest.mark.parametrize("check_points", [-1, 2.5])
+    def test_bad_check_points_rejected(self, check_points):
+        case = TRIVARIATE_4
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        with pytest.raises(BadParameters):
+            recover_recursive(src, check_points=check_points)
 
     def test_pencil_engine(self):
         case = TRIVARIATE_4
