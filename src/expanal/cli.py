@@ -6,8 +6,11 @@ against a ground-truth signal), plot-grid (CSV of the line-sampling index
 pattern).  Exit codes: 0 success, 1 input error, 2 degenerate signal,
 3 recovery failure, 4 method/coverage mismatch.
 
-Numerical modules are imported lazily so the EXPANAL_THREADS cap can be
-applied to the BLAS thread pools before numpy loads.
+Each verb imports only the modules it uses, and importing the package loads
+none of them, so the EXPANAL_THREADS cap reaches the BLAS thread pools before
+numpy loads.  generate loads numpy but not scipy; recover loads scipy.linalg,
+plus scipy.optimize for the sparse method or an error report; compare loads
+scipy.optimize for the row matching.
 """
 
 import argparse
@@ -109,10 +112,10 @@ def _report_json(report):
 
 
 def cmd_recover(args):
+    if args.seed < 0:
+        return _fail(f"--seed must be non-negative, got {args.seed}", EXIT_INPUT)
     from . import model
     from .errors import BadParameters, ExpanalError
-    from .recursive import recover_recursive
-    from .sparse import recover_sparse
 
     try:
         source = model.source_from_json(_load_json(args.grid))
@@ -129,6 +132,11 @@ def cmd_recover(args):
             f"--tau {args.tau} contradicts the grid's tau={source.coverage.tau}",
             EXIT_MISMATCH,
         )
+
+    if args.method == "sparse":
+        from .sparse import recover_sparse
+    else:
+        from .recursive import recover_recursive
 
     start = time.perf_counter()
     try:
@@ -187,6 +195,8 @@ def cmd_recover(args):
 
 
 def cmd_compare(args):
+    if args.seed < 0:
+        return _fail(f"--seed must be non-negative, got {args.seed}", EXIT_INPUT)
     from . import model
     from .errors import BadParameters, ShapeMismatch
 

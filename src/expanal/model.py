@@ -15,7 +15,6 @@ cost O(size of the grid) time and memory and never form a (grid x M) array.
 
 from dataclasses import dataclass
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     BadParameters,
@@ -23,6 +22,7 @@ from .errors import (
     DegenerateFrequency,
     ShapeMismatch,
 )
+from .validation import check_nonnegative_int
 
 TWO_PI_I = 2j * np.pi
 
@@ -468,9 +468,11 @@ def _match_rows(truth_freq, rec_freq):
 
     Truth rows left unmatched (when the orders differ) map to None.
     """
+    from scipy.optimize import linear_sum_assignment
+
     dist = np.linalg.norm(truth_freq[:, None, :] - rec_freq[None, :, :], axis=2)
     perm = [None] * truth_freq.shape[0]
-    for i, j in zip(*scipy.optimize.linear_sum_assignment(dist)):
+    for i, j in zip(*linear_sum_assignment(dist)):
         perm[i] = int(j)
     return perm
 
@@ -485,6 +487,7 @@ def relative_errors(truth, recovered, box=(-10.0, 10.0), points_per_axis=51,
     in the given box, subsampled (seeded) when the lattice exceeds
     max_signal_points.
     """
+    check_nonnegative_int(seed, "seed")
     if truth.d != recovered.d:
         raise ShapeMismatch(f"dimension mismatch: {truth.d} vs {recovered.d}")
     perm = _match_rows(truth.frequencies, recovered.frequencies)
@@ -572,15 +575,27 @@ def signal_from_json(obj):
 
 
 def source_to_json(source):
-    return {
+    """The wire object of a coefficient source.
+
+    A full grid is dense: flat "re" and "im" arrays in C order over [-N..N]^d
+    (axis 0 slowest, index k at position k+N).  Sparse lines are per entry:
+    {"k": index, "c": [re, im]} in lexicographic index order.
+    """
+    obj = {
         "d": source.d,
         "P": source.P,
         "N": source.N,
         "coverage": source.coverage.descriptor(),
-        "entries": [
-            {"k": list(idx), "c": _pair(value)} for idx, value in source.items()
-        ],
     }
+    if isinstance(source.coverage, FullGrid):
+        flat = source.grid().ravel()
+        obj["re"] = flat.real.tolist()
+        obj["im"] = flat.imag.tolist()
+    else:
+        obj["entries"] = [
+            {"k": list(idx), "c": _pair(value)} for idx, value in source.items()
+        ]
+    return obj
 
 
 def source_from_json(obj):
@@ -589,20 +604,35 @@ def source_from_json(obj):
         P = float(obj["P"])
         N = int(obj["N"])
         coverage = parse_coverage(obj["coverage"])
-        entries = [(tuple(int(x) for x in e["k"]), _unpair(e["c"])) for e in obj["entries"]]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        if isinstance(coverage, FullGrid):
+            parts = np.array(obj["re"]), np.array(obj["im"])
+        else:
+            entries = [(tuple(int(x) for x in e["k"]), _unpair(e["c"]))
+                       for e in obj["entries"]]
+    except KeyError as exc:
+        raise BadParameters(f"coefficient grid object has no {exc} field") from exc
+    except (TypeError, ValueError, IndexError) as exc:
         raise BadParameters(f"malformed coefficient grid object: {exc}") from exc
     if isinstance(coverage, FullGrid):
-        size = 2 * N + 1
-        grid = np.full((size,) * d, np.nan, dtype=complex)
-        for idx, value in entries:
-            if len(idx) != d or any(abs(x) > N for x in idx):
-                raise BadParameters(f"entry index {idx} outside [-N,N]^d")
-            grid[tuple(x + N for x in idx)] = value
-        if np.isnan(grid).any():
-            raise BadParameters("full-grid file does not cover every index")
-        return CoefficientSource(d, P, N, coverage, grid=grid)
+        return CoefficientSource(d, P, N, coverage, grid=_dense_grid(d, N, *parts))
     table = dict(entries)
     if len(table) != len(entries):
         raise BadParameters("duplicate entries in coefficient file")
     return CoefficientSource(d, P, N, coverage, table=table)
+
+
+def _dense_grid(d, N, re, im):
+    """The (2N+1)^d grid from its flat real and imaginary parts."""
+    if d < 1 or N < 1:
+        raise BadParameters(f"need d >= 1 and N >= 1, got d={d}, N={N}")
+    count = (2 * N + 1) ** d
+    for name, part in (("re", re), ("im", im)):
+        if part.dtype.kind not in "iuf" or part.shape != (count,):
+            raise BadParameters(
+                f'"{name}" must be a flat array of (2N+1)^d = {count} numbers'
+            )
+        if not np.isfinite(part).all():
+            raise BadParameters(f'"{name}" has non-finite values')
+    grid = np.empty(count, dtype=complex)
+    grid.real, grid.imag = re, im
+    return grid.reshape((2 * N + 1,) * d)

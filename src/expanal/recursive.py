@@ -28,6 +28,7 @@ from .errors import (
 )
 from .model import TWO_PI_I, ExponentialSum, FullGrid, _SeparableSum
 from .rational import DEFAULT_TOL, pole_residue_from_samples
+from .validation import check_nonnegative_int
 
 POLE_MERGE_RTOL = 1e-8
 RESYNTHESIS_WARN_TOL = 1e-6
@@ -313,10 +314,8 @@ def recover_recursive(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
 
     Returns (ExponentialSum, PoleTree).
     """
-    if not isinstance(check_points, (int, np.integer)) or check_points < 0:
-        raise BadParameters(
-            f"check_points must be a non-negative integer, got {check_points!r}"
-        )
+    check_nonnegative_int(check_points, "check_points")
+    check_nonnegative_int(seed, "seed")
     tree = build_pole_tree(source, tol=tol, rcond=rcond, max_order=max_order,
                            method=method, trace_sink=trace_sink)
     signal = leaves_to_sum(tree, source, rcond=rcond)

@@ -27,6 +27,12 @@ def as_complex_vector(a, name="vector"):
     return arr
 
 
+def check_nonnegative_int(value, name):
+    """Require a non-negative integer (numpy integers included)."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise BadParameters(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def check_distinct(values, name="values", tol=0.0):
     """Require pairwise distinct complex values (within an absolute tolerance)."""
     arr = np.asarray(values, dtype=complex).ravel()

@@ -66,7 +66,7 @@ class TestGenerate:
         assert run("generate", str(path), "--N", "10", "--coverage", "full",
                    "--out", out) == 0
         obj = json.loads(open(out).read())
-        assert len(obj["entries"]) == 21 ** 4
+        assert len(obj["re"]) == len(obj["im"]) == 21 ** 4
 
 
 class TestRecover:
@@ -138,6 +138,30 @@ class TestRecover:
         payload = json.loads(open(result).read())
         assert payload["error"] == "TauViolation"
 
+    def test_per_entry_full_grid_rejected(self, spec_file, tmp_path):
+        # the per-entry layout is read for sparse lines only
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "d": 1, "P": 1.0, "N": 1, "coverage": "full",
+            "entries": [{"k": [k], "c": [1.0, 0.0]} for k in (-1, 0, 1)],
+        }))
+        code = run("recover", str(grid), "--method", "recursive",
+                   "--out", str(tmp_path / "r.json"))
+        assert code == 1
+
+    def test_negative_seed(self, spec_file, tmp_path, capsys):
+        grid = str(tmp_path / "grid.json")
+        run("generate", spec_file, "--N", "6", "--coverage", "full", "--out", grid)
+        capsys.readouterr()
+        result = tmp_path / "r.json"
+        code = run("recover", grid, "--method", "recursive", "--seed", "-1",
+                   "--out", str(result))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --seed must be non-negative, got -1"
+        ]
+        assert not result.exists()
+
 
 class TestCompare:
     def test_identical(self, spec_file, capsys):
@@ -161,6 +185,18 @@ class TestCompare:
         bad = tmp_path / "bad.json"
         bad.write_text("[")
         assert run("compare", spec_file, str(bad)) == 1
+
+    def test_negative_seed(self, tmp_path, capsys):
+        # d=4: the seed picks the subsample of the 2M-point lattice, and the
+        # check comes before it
+        path = tmp_path / "sig4.json"
+        path.write_text(
+            json.dumps(signal_to_json(QUADVARIATE_9.signal, QUADVARIATE_9.P))
+        )
+        assert run("compare", str(path), str(path), "--seed", "-1") == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: --seed must be non-negative, got -1"]
 
     def test_json_report(self, spec_file, tmp_path):
         out = str(tmp_path / "report.json")

@@ -1,9 +1,12 @@
 """Tests for the signal model, coefficient synthesis and error metrics."""
 
+import json
+
 import numpy as np
 import pytest
 
 from expanal import (
+    CoefficientSource,
     ExponentialSum,
     FullGrid,
     SparseLines,
@@ -177,6 +180,13 @@ class TestRelativeErrors:
         with pytest.raises(ShapeMismatch):
             relative_errors(BIVARIATE_5.signal, TRIVARIATE_6.signal)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_bad_seed_rejected(self, seed):
+        # d=4: the check comes before the 2M-point lattice
+        sig = QUADVARIATE_9.signal
+        with pytest.raises(BadParameters, match="seed"):
+            relative_errors(sig, sig, seed=seed)
+
     def test_grid_override(self):
         # the subsampled estimate normalizes by its own sup, so it tracks the
         # full-lattice value only up to a modest factor
@@ -234,6 +244,47 @@ class TestJson:
         src = case.signal.synthesize(case.P, 3, FullGrid())
         back = source_from_json(source_to_json(src))
         assert np.array_equal(back.grid(), src.grid())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_full_grid_wire_roundtrip_bitwise(self, d):
+        N = 2
+        rng = np.random.default_rng(d)
+        shape = (2 * N + 1,) * d
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid.flat[1] = complex(0.25, -0.0)
+        src = CoefficientSource(d, 1.5, N, FullGrid(), grid=grid)
+        obj = json.loads(json.dumps(source_to_json(src)))
+        assert sorted(obj) == ["N", "P", "coverage", "d", "im", "re"]
+        # C order over [-N..N]^d: index k at position k+N, axis 0 slowest
+        k = np.arange(d) % (2 * N + 1) - N
+        position = int(np.ravel_multi_index(tuple(k + N), shape))
+        assert complex(obj["re"][position], obj["im"][position]) == src.value(k)
+        back = source_from_json(obj)
+        assert back.grid().tobytes() == src.grid().tobytes()
+        assert np.signbit(back.grid().flat[1].imag)
+
+    def test_sparse_wire_layout_unchanged(self):
+        case = BIVARIATE_5
+        src = case.signal.synthesize(case.P, 15, SparseLines(7))
+        entries = [
+            {"k": [k0, k1], "c": [src.value((k0, k1)).real, src.value((k0, k1)).imag]}
+            for k0, k1 in sorted(SparseLines(7).unique_indices(2, 15))
+        ]
+        assert source_to_json(src) == {
+            "d": 2, "P": case.P, "N": 15, "coverage": "sparse:7", "entries": entries,
+        }
+
+    @pytest.mark.parametrize("text", [
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, 2, 3]}',
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, 2, 3], "im": [0, 0]}',
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, NaN, 3], "im": [0, 0, 0]}',
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": ["1", "2", "3"], "im": [0, 0, 0]}',
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "entries": ['
+        '{"k": [-1], "c": [1, 0]}, {"k": [0], "c": [1, 0]}, {"k": [1], "c": [1, 0]}]}',
+    ], ids=["missing-im", "wrong-length", "nan", "strings", "per-entry"])
+    def test_malformed_full_grid(self, text):
+        with pytest.raises(BadParameters):
+            source_from_json(json.loads(text))
 
     def test_malformed_signal(self):
         with pytest.raises(BadParameters):

@@ -276,6 +276,13 @@ class TestRecoverRecursive:
         with pytest.raises(BadParameters):
             recover_recursive(src, check_points=check_points)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        case = TRIVARIATE_4
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        with pytest.raises(BadParameters, match="seed"):
+            recover_recursive(src, seed=seed)
+
     def test_pencil_engine(self):
         case = TRIVARIATE_4
         src = case.signal.synthesize(case.P, case.N, FullGrid())
