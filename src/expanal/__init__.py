@@ -6,9 +6,10 @@ a line-sampled method that fits each coordinate axis separately and pairs the
 per-axis poles through shifted diagonal lines, and a full-grid method that
 peels one dimension at a time and collects the poles in a tree.
 
-Importing the package loads none of its modules and so neither numpy nor
-scipy: each public name is resolved from its module on first access
-(PEP 562), so a command-line verb pays only for the modules it uses.
+Importing the package loads none of its modules and so not numpy, its one
+dependency (scipy serves only the tests and the benchmark): each public name
+is resolved from its module on first access (PEP 562), so a command-line verb
+pays only for the modules it uses.
 """
 
 import importlib

@@ -8,9 +8,8 @@ pattern).  Exit codes: 0 success, 1 input error, 2 degenerate signal,
 
 Each verb imports only the modules it uses, and importing the package loads
 none of them, so the EXPANAL_THREADS cap reaches the BLAS thread pools before
-numpy loads.  generate loads numpy but not scipy; recover loads scipy.linalg,
-plus scipy.optimize for the sparse method or an error report; compare loads
-scipy.optimize for the row matching.
+numpy loads.  No verb loads scipy: the library is numpy only, so generate,
+recover and compare each pay for the numpy import and their own modules.
 """
 
 import argparse

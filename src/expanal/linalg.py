@@ -1,18 +1,21 @@
 """Dense complex linear algebra behind the recovery pipelines.
 
-Thin, contract-checked wrappers around LAPACK (via numpy/scipy): SVD,
-truncated-SVD least squares, Hermitian eigendecomposition, and generalized
-eigenvalues of square pencils.
+Thin, contract-checked wrappers around LAPACK via numpy alone: SVD,
+truncated-SVD least squares, Hermitian eigendecomposition, eigenvalues of
+square pencils with a nonsingular right-hand matrix, and one least-cost
+assignment (shortest augmenting paths).  The library needs no scipy: both
+pole engines reduce their pencil to a standard eigenproblem, and the pairing
+and the error metric share linear_assignment.
 """
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, BadParameters, ShapeMismatch
 from .validation import as_complex_matrix, as_complex_vector
 
 DEFAULT_RCOND = 1e-13
-INF_EIG_CUTOFF = 1e-12
 
 
 def svd(a):
@@ -75,27 +78,94 @@ def eigh(a):
         raise ConvergenceFailure(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
-def gen_eig(a, b, inf_cutoff=INF_EIG_CUTOFF):
-    """All generalized eigenvalues of the square pencil (a, b).
+def gen_eig(a, b=None):
+    """All eigenvalues of the square pencil (a, b): those of solve(b, a).
 
-    Eigenvalues whose QZ beta satisfies |beta| <= inf_cutoff * max|beta| are
-    returned as complex infinity; callers filter with np.isfinite.
+    b must be nonsingular (the identity when omitted), so every eigenvalue is
+    finite; an exactly singular b, or a failed solve or eigenvalue iteration,
+    raises ConvergenceFailure.  The name is kept from the QZ-based version
+    that also took singular pencils: it is a public export and the entry
+    point the pole engines and the benchmark tracer share.
     """
     a = as_complex_matrix(a, "a")
-    b = as_complex_matrix(b, "b")
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"pencil matrices must be square and equal-sized, got {a.shape} and {b.shape}")
+    if b is not None:
+        b = as_complex_matrix(b, "b")
+    if a.shape[0] != a.shape[1] or (b is not None and b.shape != a.shape):
+        raise ShapeMismatch(
+            f"pencil matrices must be square and equal-sized, got {a.shape}"
+            + ("" if b is None else f" and {b.shape}")
+        )
     try:
-        ab = scipy.linalg.eig(a, b, right=False, homogeneous_eigvals=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ConvergenceFailure(f"QZ iteration failed: {exc}") from exc
-    alpha, beta = np.asarray(ab[0]), np.asarray(ab[1])
-    out = np.full(alpha.shape, complex(np.inf, 0.0), dtype=complex)
-    scale = np.abs(beta).max()
-    if scale > 0.0:
-        finite = np.abs(beta) > inf_cutoff * scale
-        out[finite] = alpha[finite] / beta[finite]
-    return out
+        return np.linalg.eigvals(a if b is None else np.linalg.solve(b, a))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"pencil eigenvalues failed: {exc}") from exc
+
+
+def linear_assignment(cost):
+    """Least-total-cost assignment of the rows and columns of a real matrix.
+
+    Every row of an m x n cost with m <= n gets a distinct column (every
+    column when m > n).  Returns (rows, cols), rows ascending, so that
+    cost[rows, cols].sum() is minimal.  Each row enters through one shortest
+    augmenting path over the reduced costs (Jonker and Volgenant 1987, in the
+    dual-update form of Crouse 2016), so the result is optimal at any size.
+
+    The path search runs over Python lists: the callers match orders of a
+    few dozen at most, where per-call numpy overhead would cost more than
+    the arithmetic.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2:
+        raise ShapeMismatch(f"cost must be 2-D, got ndim={cost.ndim}")
+    if not np.isfinite(cost).all():
+        raise BadParameters("cost contains non-finite entries")
+    transposed = cost.shape[0] > cost.shape[1]
+    if transposed:
+        cost = cost.T
+    m, n = cost.shape
+    table = cost.tolist()
+    u, v = [0.0] * m, [0.0] * n
+    row_of, col_of = [-1] * n, [-1] * m
+    for start in range(m):
+        # Dijkstra over the columns from row `start`, on reduced costs >= 0
+        dist, pred = [math.inf] * n, [0] * n
+        todo, done, rows_seen = list(range(n)), [], []
+        i, reach = start, 0.0
+        while True:
+            rows_seen.append(i)
+            row, offset = table[i], reach - u[i]
+            best, pick = math.inf, -1
+            for slot, j in enumerate(todo):
+                step = row[j] - v[j] + offset
+                if step < dist[j]:
+                    dist[j], pred[j] = step, i
+                # among equal distances an unassigned column ends the path
+                if dist[j] < best or (dist[j] == best and row_of[j] < 0):
+                    best, pick = dist[j], slot
+            reach = best
+            j = todo[pick]
+            todo[pick] = todo[-1]
+            todo.pop()
+            done.append(j)
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        for r in rows_seen[1:]:
+            u[r] += reach - dist[col_of[r]]
+        u[start] += reach
+        for k in done:
+            v[k] -= reach - dist[k]
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    rows, cols = np.arange(m), np.array(col_of, dtype=int)
+    if transposed:
+        order = np.argsort(cols)
+        return cols[order], rows[order]
+    return rows, cols
 
 
 def sort_complex(values):

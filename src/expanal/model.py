@@ -22,6 +22,7 @@ from .errors import (
     DegenerateFrequency,
     ShapeMismatch,
 )
+from .linalg import linear_assignment
 from .validation import check_nonnegative_int
 
 TWO_PI_I = 2j * np.pi
@@ -468,11 +469,9 @@ def _match_rows(truth_freq, rec_freq):
 
     Truth rows left unmatched (when the orders differ) map to None.
     """
-    from scipy.optimize import linear_sum_assignment
-
     dist = np.linalg.norm(truth_freq[:, None, :] - rec_freq[None, :, :], axis=2)
     perm = [None] * truth_freq.shape[0]
-    for i, j in zip(*linear_sum_assignment(dist)):
+    for i, j in zip(*linear_assignment(dist)):
         perm[i] = int(j)
     return perm
 
@@ -605,7 +604,7 @@ def source_from_json(obj):
         N = int(obj["N"])
         coverage = parse_coverage(obj["coverage"])
         if isinstance(coverage, FullGrid):
-            parts = np.array(obj["re"]), np.array(obj["im"])
+            parts = obj["re"], obj["im"]
         else:
             entries = [(tuple(int(x) for x in e["k"]), _unpair(e["c"]))
                        for e in obj["entries"]]
@@ -622,17 +621,25 @@ def source_from_json(obj):
 
 
 def _dense_grid(d, N, re, im):
-    """The (2N+1)^d grid from its flat real and imaginary parts."""
+    """The (2N+1)^d grid from its flat real and imaginary parts (JSON lists).
+
+    Every token must be a JSON number: numpy would read a boolean mixed into
+    numbers as 0.0 or 1.0, so the token types are checked before conversion.
+    """
     if d < 1 or N < 1:
         raise BadParameters(f"need d >= 1 and N >= 1, got d={d}, N={N}")
     count = (2 * N + 1) ** d
     for name, part in (("re", re), ("im", im)):
-        if part.dtype.kind not in "iuf" or part.shape != (count,):
+        if (not isinstance(part, list) or len(part) != count
+                or not set(map(type, part)) <= {int, float}):
             raise BadParameters(
                 f'"{name}" must be a flat array of (2N+1)^d = {count} numbers'
             )
-        if not np.isfinite(part).all():
-            raise BadParameters(f'"{name}" has non-finite values')
     grid = np.empty(count, dtype=complex)
-    grid.real, grid.imag = re, im
+    try:
+        grid.real, grid.imag = re, im
+    except OverflowError as exc:
+        raise BadParameters(f"coefficient grid has an out-of-range number: {exc}") from exc
+    if not np.isfinite(grid).all():
+        raise BadParameters("coefficient grid has non-finite values")
     return grid.reshape((2 * N + 1,) * d)

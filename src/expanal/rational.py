@@ -1,7 +1,7 @@
 """Univariate rational recovery in barycentric form.
 
 The pipeline fits sampled values with a greedy barycentric interpolant,
-extracts poles from an arrowhead generalized eigenproblem (or from the
+extracts poles from the deflated arrowhead matrix of the fit (or from the
 divided-difference matrix pencil), solves for residues by least squares, and
 maps pole/residue pairs back to exponential-sum parameters.
 
@@ -17,7 +17,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     BadParameters,
-    ConvergenceFailure,
     DegenerateFrequency,
     NoConvergence,
     RankDeficient,
@@ -36,6 +35,10 @@ ISOLATED_MISFIT_TOL = 1e-6
 # a fitted pole this close to a sample point is that same signature: the fit
 # parked a pole on the index whose coefficient broke the rational structure
 SAMPLE_COLLISION_TOL = 1e-8
+
+# a barycentric weight sum this small against the weights' 1-norm means the
+# denominator lost a degree: one pole sits at infinity
+INF_EIG_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -199,23 +202,38 @@ def evaluate_barycentric(form, z):
 
 
 def poles_of(form):
-    """Poles of a barycentric form via the arrowhead generalized eigenproblem.
+    """Poles of a barycentric form: the zeros of q(z) = sum_j w_j / (z - z_j).
 
-    For n support points the (n+1) x (n+1) pencil has two infinite eigenvalues;
-    the finite ones are the poles, returned sorted by (real, imag).
+    With sigma = sum(w) and D = diag(support), A = (I - w e^T / sigma) D has
+    e^T A = 0, and its other n-1 eigenvalues are exactly the zeros of q: the
+    finite eigenvalues of the arrowhead pencil of the AAA method, without its
+    two infinite ones.  A Householder basis Q2 of the complement of e deflates
+    the zero eigenvalue, so the poles are the eigenvalues of the (n-1) x (n-1)
+    matrix Q2^T A Q2, a rank-one update of Q2^T D Q2.  Sorted by (real, imag).
+
+    |sigma| <= INF_EIG_CUTOFF * ||w||_1 puts a pole at infinity: the
+    denominator lost a degree, so the form does not decay like a sum of simple
+    poles.  That raises DegenerateFrequency rather than returning the n-2
+    finite poles.
     """
     n = len(form)
     if n < 2:
         raise BadParameters("need at least two support points to have poles")
-    a = np.zeros((n + 1, n + 1), dtype=complex)
-    a[0, 1:] = form.weights
-    a[1:, 0] = 1.0
-    a[np.arange(1, n + 1), np.arange(1, n + 1)] = form.support
-    b = np.eye(n + 1, dtype=complex)
-    b[0, 0] = 0.0
-    eig = linalg.gen_eig(a, b)
-    finite = eig[np.isfinite(eig)]
-    return linalg.sort_complex(finite)
+    z, w = form.support, form.weights
+    sigma = w.sum()
+    if abs(sigma) <= INF_EIG_CUTOFF * np.abs(w).sum():
+        raise DegenerateFrequency(
+            f"barycentric weights sum to {abs(sigma) / np.abs(w).sum():.3e} of "
+            f"their 1-norm: the fit has a pole at infinity, which no sum of "
+            f"simple poles has"
+        )
+    # I - 2 v v^T / (v^T v) maps e/sqrt(n) to -e_1, so its other columns are
+    # an orthonormal basis of the complement of e
+    v = np.full(n, 1.0 / np.sqrt(n))
+    v[0] += 1.0
+    q2 = (np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
+    a = (q2.T * z) @ q2 - np.outer(q2.T @ w, q2.T @ z) / sigma
+    return linalg.sort_complex(linalg.gen_eig(a))
 
 
 def loewner_pencil_poles(points, values, order, rank_tol=linalg.DEFAULT_RCOND):
@@ -252,15 +270,9 @@ def loewner_pencil_poles(points, values, order, rank_tol=linalg.DEFAULT_RCOND):
         )
     uo = u[:, :order]
     vo = v[:, :order]
-    reduced_b = np.diag(s[:order]).astype(complex)
+    # reduced_b = diag(s) is nonsingular, since s[order-1] > 0 here
     reduced_a = uo.conj().T @ shifted @ vo
-    eig = linalg.gen_eig(reduced_a, reduced_b)
-    finite = eig[np.isfinite(eig)]
-    if len(finite) != order:
-        raise ConvergenceFailure(
-            f"expected {order} finite pencil eigenvalues, got {len(finite)}"
-        )
-    return linalg.sort_complex(finite)
+    return linalg.sort_complex(linalg.gen_eig(reduced_a, np.diag(s[:order])))
 
 
 def residues_ls(poles, points, values, rcond=linalg.DEFAULT_RCOND):

@@ -15,7 +15,6 @@ adds only the order rule across axes and the pairing.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg
 from .errors import (
@@ -167,7 +166,7 @@ def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau,
         raise ShapeMismatch("pairing inputs are dimension-inconsistent")
 
     scores = _score_matrix(c, coeffs_prev, prev, nxt, tau)
-    rows, cols = scipy.optimize.linear_sum_assignment(scores)
+    rows, cols = linalg.linear_assignment(scores)
     perm = np.empty(m, dtype=int)
     perm[rows] = cols
 

@@ -34,10 +34,19 @@ def check_nonnegative_int(value, name):
 
 
 def check_distinct(values, name="values", tol=0.0):
-    """Require pairwise distinct complex values (within an absolute tolerance)."""
+    """Require pairwise distinct complex values (within an absolute tolerance).
+
+    Sorted (real, imag), the values are scanned one offset at a time; once no
+    pair at some offset is within tol in the real part, no pair further apart
+    can be within tol at all.
+    """
     arr = np.asarray(values, dtype=complex).ravel()
-    for i in range(len(arr)):
-        d = np.abs(arr[i + 1:] - arr[i])
-        if d.size and d.min() <= tol:
+    srt = np.sort(arr)
+    for k in range(1, len(srt)):
+        head, tail = srt[:-k], srt[k:]
+        near = tail.real - head.real <= tol
+        if not near.any():
+            break
+        if (np.abs(tail[near] - head[near]) <= tol).any():
             raise BadParameters(f"{name} must be pairwise distinct")
     return arr

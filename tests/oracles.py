@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
 
 def box_quadrature_coefficient(signal, k, P):
@@ -161,3 +162,21 @@ def match_complex_sets(first, second):
         work[i, :] = np.inf
         work[:, j] = np.inf
     return worst
+
+
+def qz_arrowhead_poles(form):
+    """Finite eigenvalues of the (n+1) x (n+1) arrowhead pencil, by QZ.
+
+    The pole extraction of the AAA paper: two eigenvalues are infinite, and
+    |beta| <= 1e-12 * max|beta| counts as infinite.
+    """
+    n = len(form)
+    a = np.zeros((n + 1, n + 1), dtype=complex)
+    a[0, 1:] = form.weights
+    a[1:, 0] = 1.0
+    a[np.arange(1, n + 1), np.arange(1, n + 1)] = form.support
+    b = np.eye(n + 1, dtype=complex)
+    b[0, 0] = 0.0
+    alpha, beta = scipy.linalg.eig(a, b, right=False, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-12 * np.abs(beta).max()
+    return alpha[finite] / beta[finite]

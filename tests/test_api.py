@@ -79,42 +79,78 @@ def test_unknown_attribute_raises():
 
 
 # Runs in a fresh interpreter: prints the numpy/scipy modules loaded after
-# the package import and after each of two CLI verbs.
+# the package import and after each CLI verb, generate -> recover (both
+# methods) -> compare.  argv: signal file, scratch directory.
 _IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 import expanal, expanal.cli
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 
+signal, tmp = sys.argv[1], sys.argv[2]
+full, lines = os.path.join(tmp, "full.json"), os.path.join(tmp, "lines.json")
+verbs = {
+    "generate": ["generate", signal, "--N", "6", "--coverage", "full", "--out", full],
+    "generate-sparse": ["generate", signal, "--N", "15", "--coverage", "sparse:7",
+                        "--out", lines],
+    "recover-recursive": ["recover", full, "--method", "recursive",
+                          "--out", os.path.join(tmp, "r1.json")],
+    "recover-sparse": ["recover", lines, "--method", "sparse", "--truth", signal,
+                       "--out", os.path.join(tmp, "r2.json")],
+    "compare": ["compare", signal, os.path.join(tmp, "r2.json")],
+}
 stages = {"import": loaded()}
-generate = ["generate", sys.argv[1], "--N", "6", "--coverage", "full",
-            "--out", sys.argv[2]]
-assert expanal.cli.main(generate) == 0
-stages["generate"] = loaded()
-recover = ["recover", sys.argv[2], "--method", "recursive", "--out", sys.argv[3]]
-assert expanal.cli.main(recover) == 0
-stages["recover"] = loaded()
+for name, argv in verbs.items():
+    code = expanal.cli.main(argv)
+    if code != 0:
+        sys.exit(f"{name} exited {code}")
+    stages[name] = loaded()
 print(json.dumps(stages))
 """
 
+# Makes every scipy import fail before the probe runs.
+_NO_SCIPY = """
+import importlib.abc, sys
 
-def test_cli_verbs_load_only_what_they_use(tmp_path):
-    # numpy must not be loaded before main() applies the EXPANAL_THREADS cap
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+exec(compile(sys.argv.pop(1), "<probe>", "exec"))
+"""
+
+
+def _run_probe(tmp_path, prelude=None):
     signal = tmp_path / "signal.json"
     signal.write_text(json.dumps({
         "d": 2, "P": 1.0, "gamma": [[1.0, 0.0], [0.5, 0.5]],
         "lambda": [[[-0.1, 1.3], [0.2, -2.1]], [[0.3, 0.7], [-0.2, 2.9]]],
     }))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(signal),
-         str(tmp_path / "grid.json"), str(tmp_path / "result.json")],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    stages = json.loads(proc.stdout.splitlines()[-1])
+    argv = [_IMPORT_PROBE, str(signal), str(tmp_path)]
+    if prelude is not None:
+        argv = [prelude] + argv
+    proc = subprocess.run([sys.executable, "-c", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_verbs_load_only_what_they_use(tmp_path):
+    # numpy must not be loaded before main() applies the EXPANAL_THREADS cap,
+    # and no verb loads scipy, which the library does not use
+    stages = _run_probe(tmp_path)
     assert stages["import"] == []
     assert "numpy" in stages["generate"]
-    assert not any(m.startswith("scipy") for m in stages["generate"])
-    assert "scipy.linalg" in stages["recover"]
-    assert "scipy.optimize" not in stages["recover"]
+    assert {verb: [m for m in mods if m.startswith("scipy")]
+            for verb, mods in stages.items()} == {verb: [] for verb in stages}
+
+
+def test_cli_verbs_run_without_scipy(tmp_path):
+    stages = _run_probe(tmp_path, prelude=_NO_SCIPY)
+    assert list(stages) == ["import", "generate", "generate-sparse",
+                            "recover-recursive", "recover-sparse", "compare"]

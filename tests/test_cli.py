@@ -149,6 +149,18 @@ class TestRecover:
                    "--out", str(tmp_path / "r.json"))
         assert code == 1
 
+    def test_boolean_in_dense_grid_rejected(self, spec_file, tmp_path):
+        # numpy would read the true as 1.0; a boolean is not a JSON number
+        grid = tmp_path / "grid.json"
+        run("generate", spec_file, "--N", "3", "--coverage", "full", "--out", str(grid))
+        obj = json.loads(grid.read_text())
+        obj["re"][5] = True
+        grid.write_text(json.dumps(obj))
+        result = tmp_path / "r.json"
+        code = run("recover", str(grid), "--method", "recursive", "--out", str(result))
+        assert code == 1
+        assert not result.exists()
+
     def test_negative_seed(self, spec_file, tmp_path, capsys):
         grid = str(tmp_path / "grid.json")
         run("generate", spec_file, "--N", "6", "--coverage", "full", "--out", grid)

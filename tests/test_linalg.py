@@ -1,11 +1,14 @@
 """Tests for the dense linear-algebra contracts."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from expanal import gen_eig, lstsq, svd
-from expanal.errors import BadParameters, ShapeMismatch
-from expanal.linalg import eigh, lstsq_with_rank, sort_complex
+from expanal.errors import BadParameters, ConvergenceFailure, ShapeMismatch
+from expanal.linalg import eigh, linear_assignment, lstsq_with_rank, sort_complex
 
 from oracles import characteristic_roots, match_complex_sets, rank_one_pseudoinverse
 
@@ -123,16 +126,14 @@ class TestGenEig:
         assert np.allclose(sort_complex(eig), [1.0, 2.0], atol=1e-12)
 
     def test_arrowhead_two_point(self):
-        # denominator weights (1, 1) on support {0, 1}: the single finite
-        # eigenvalue sits halfway by symmetry
+        # the arrowhead pencil has a singular b (infinite eigenvalues), which
+        # the contract excludes; its one finite pole, 0.5, is checked through
+        # poles_of in test_rational.py
         a = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 1]], dtype=complex)
         b = np.eye(3, dtype=complex)
         b[0, 0] = 0.0
-        eig = gen_eig(a, b)
-        finite = eig[np.isfinite(eig)]
-        assert len(finite) == 1
-        assert abs(finite[0] - 0.5) <= 1e-12
-        assert np.sum(~np.isfinite(eig)) == 2
+        with pytest.raises(ConvergenceFailure):
+            gen_eig(a, b)
 
     def test_against_characteristic_roots(self):
         rng = np.random.default_rng(17)
@@ -154,3 +155,50 @@ class TestGenEig:
             gen_eig(np.eye(2), np.eye(3))
         with pytest.raises(ShapeMismatch):
             gen_eig(np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_default_b_is_identity(self):
+        rng = np.random.default_rng(19)
+        a = random_complex(rng, (6, 6))
+        assert match_complex_sets(gen_eig(a), np.linalg.eigvals(a)) <= 1e-12
+
+
+def brute_force_assignment(cost):
+    """Least total cost over every injection of the shorter side."""
+    m, n = cost.shape
+    if m <= n:
+        return min(cost[np.arange(m), list(p)].sum()
+                   for p in itertools.permutations(range(n), m))
+    return brute_force_assignment(cost.T)
+
+
+class TestLinearAssignment:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 3), (4, 6), (6, 4), (7, 7), (5, 7)])
+    def test_brute_force(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        for ties in (False, True):
+            cost = (rng.integers(0, 3, shape).astype(float) if ties
+                    else rng.standard_normal(shape))
+            rows, cols = linear_assignment(cost)
+            assert len(rows) == min(shape)
+            assert np.array_equal(rows, np.sort(rows))
+            assert len(set(rows)) == len(set(cols)) == min(shape)
+            assert abs(cost[rows, cols].sum() - brute_force_assignment(cost)) <= 1e-12
+
+    def test_constant_cost(self):
+        rows, cols = linear_assignment(np.ones((4, 4)))
+        assert np.array_equal(rows, np.arange(4)) and sorted(cols) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("shape", [(10, 10), (40, 25), (60, 90), (200, 150)])
+    def test_against_scipy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        cost = rng.uniform(-1.0, 5.0, shape)
+        rows, cols = linear_assignment(cost)
+        ref_rows, ref_cols = linear_sum_assignment(cost)
+        assert np.array_equal(rows, ref_rows)
+        assert abs(cost[rows, cols].sum() - cost[ref_rows, ref_cols].sum()) <= 1e-9
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ShapeMismatch):
+            linear_assignment(np.ones(3))
+        with pytest.raises(BadParameters):
+            linear_assignment([[1.0, np.inf], [0.0, 1.0]])

@@ -279,9 +279,16 @@ class TestJson:
         '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, 2, 3], "im": [0, 0]}',
         '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, NaN, 3], "im": [0, 0, 0]}',
         '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": ["1", "2", "3"], "im": [0, 0, 0]}',
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1.0, true, 2.0], "im": [0, 0, 0]}',
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, 2, 3], "im": [0, false, 0]}',
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, null, 3], "im": [0, 0, 0]}',
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, [2], 3], "im": [0, 0, 0]}',
+        '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, 1' + '0' * 400 + ', 3], '
+        '"im": [0, 0, 0]}',
         '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "entries": ['
         '{"k": [-1], "c": [1, 0]}, {"k": [0], "c": [1, 0]}, {"k": [1], "c": [1, 0]}]}',
-    ], ids=["missing-im", "wrong-length", "nan", "strings", "per-entry"])
+    ], ids=["missing-im", "wrong-length", "nan", "strings", "bool-in-re", "bool-in-im",
+            "null", "nested", "huge-int", "per-entry"])
     def test_malformed_full_grid(self, text):
         with pytest.raises(BadParameters):
             source_from_json(json.loads(text))
