@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceFailure, BadParameters, ShapeMismatch
-from .validation import as_complex_matrix, as_complex_vector
+from .validation import as_complex_matrix, as_complex_vector, check_rcond
 
 DEFAULT_RCOND = 1e-13
 
@@ -40,8 +40,7 @@ def lstsq(a, b, rcond=DEFAULT_RCOND):
     b = as_complex_vector(b, "b")
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"a has {a.shape[0]} rows but b has length {b.shape[0]}")
-    if not 0.0 < rcond < 1.0:
-        raise BadParameters(f"rcond must lie in (0, 1), got {rcond!r}")
+    check_rcond(rcond)
     try:
         x, _, _, _ = np.linalg.lstsq(a, b, rcond=rcond)
     except np.linalg.LinAlgError as exc:
@@ -55,8 +54,7 @@ def lstsq_with_rank(a, b, rcond=DEFAULT_RCOND):
     b = as_complex_vector(b, "b")
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"a has {a.shape[0]} rows but b has length {b.shape[0]}")
-    if not 0.0 < rcond < 1.0:
-        raise BadParameters(f"rcond must lie in (0, 1), got {rcond!r}")
+    check_rcond(rcond)
     try:
         x, _, rank, _ = np.linalg.lstsq(a, b, rcond=rcond)
     except np.linalg.LinAlgError as exc:

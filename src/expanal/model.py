@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import linear_assignment
-from .validation import check_nonnegative_int
+from .validation import check_nonnegative_int, check_period
 
 TWO_PI_I = 2j * np.pi
 
@@ -109,8 +109,7 @@ class ExponentialSum:
 
     def fourier_coefficients(self, indices, P):
         """Exact Fourier coefficients at the rows of an (n, d) integer index array."""
-        if P <= 0:
-            raise BadParameters("period P must be positive")
+        check_period(P)
         idx = np.asarray(indices, dtype=int)
         if idx.ndim != 2 or idx.shape[1] != self.d:
             raise ShapeMismatch(f"indices must be an (n, {self.d}) array, got shape {idx.shape}")
@@ -144,8 +143,7 @@ class ExponentialSum:
         sampled |k| <= N: such coefficients lose their rational structure and
         are outside the recovery scope.
         """
-        if P <= 0:
-            raise BadParameters("period P must be positive")
+        check_period(P)
         if N < 1:
             raise BadParameters("index half-width N must be >= 1")
         if isinstance(coverage, str):
@@ -354,8 +352,7 @@ class CoefficientSource:
     """
 
     def __init__(self, d, P, N, coverage, grid=None, table=None):
-        if P <= 0:
-            raise BadParameters("period P must be positive")
+        check_period(P)
         if N < 1:
             raise BadParameters("index half-width N must be >= 1")
         self.d = int(d)
@@ -548,7 +545,16 @@ def _pair(z):
 
 
 def _unpair(p):
-    return complex(float(p[0]), float(p[1]))
+    return complex(_json_number(p[0], "value"), _json_number(p[1], "value"))
+
+
+def _json_number(x, name, integral=False):
+    """A JSON number as a float, or as an int when integral; no booleans."""
+    fractional = type(x) is float and not x.is_integer()
+    if type(x) not in (int, float) or (integral and fractional):
+        kind = "integer" if integral else "number"
+        raise BadParameters(f"{name} must be a JSON {kind}, got {x!r}")
+    return int(x) if integral else float(x)
 
 
 def signal_to_json(signal, P):
@@ -562,8 +568,8 @@ def signal_to_json(signal, P):
 
 def signal_from_json(obj):
     try:
-        d = int(obj["d"])
-        P = float(obj["P"])
+        d = _json_number(obj["d"], "d", integral=True)
+        P = _json_number(obj["P"], "P")
         gamma = np.array([_unpair(p) for p in obj["gamma"]], dtype=complex)
         lam = np.array([[_unpair(p) for p in row] for row in obj["lambda"]], dtype=complex)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -599,15 +605,15 @@ def source_to_json(source):
 
 def source_from_json(obj):
     try:
-        d = int(obj["d"])
-        P = float(obj["P"])
-        N = int(obj["N"])
+        d = _json_number(obj["d"], "d", integral=True)
+        P = _json_number(obj["P"], "P")
+        N = _json_number(obj["N"], "N", integral=True)
         coverage = parse_coverage(obj["coverage"])
         if isinstance(coverage, FullGrid):
             parts = obj["re"], obj["im"]
         else:
-            entries = [(tuple(int(x) for x in e["k"]), _unpair(e["c"]))
-                       for e in obj["entries"]]
+            entries = [(tuple(_json_number(x, "k", integral=True) for x in e["k"]),
+                        _unpair(e["c"])) for e in obj["entries"]]
     except KeyError as exc:
         raise BadParameters(f"coefficient grid object has no {exc} field") from exc
     except (TypeError, ValueError, IndexError) as exc:

@@ -7,9 +7,12 @@ maps pole/residue pairs back to exponential-sum parameters.
 
 pole_residue_from_samples is the one line fit of both recovery methods: it
 owns the sample geometry k = -N..N and the whole acceptance policy, so no
-caller repeats any of it.
+caller repeats any of it.  It is the fit's validation boundary: it checks its
+arguments once, then runs private kernels on trusted arrays.  The public steps
+check their own arguments and call the same kernels.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +20,14 @@ import numpy as np
 from . import linalg
 from .errors import (
     BadParameters,
+    ConvergenceFailure,
     DegenerateFrequency,
     NoConvergence,
     RankDeficient,
     ShapeMismatch,
 )
 from .model import TWO_PI_I, ExponentialSum
-from .validation import as_complex_vector, check_distinct
+from .validation import as_complex_vector, check_distinct, check_rcond
 
 DEFAULT_TOL = 1e-12
 SPURIOUS_RESIDUE_RTOL = 1e-12
@@ -130,9 +134,19 @@ def aaa_fit(points, values, tol=DEFAULT_TOL, max_order=None):
     vals = as_complex_vector(values, "values")
     if pts.shape != vals.shape:
         raise ShapeMismatch("points and values must have equal length")
+    check_distinct(pts, "points")
+    chosen, weights, trace = _greedy_fit(pts, vals, tol, max_order)
+    return BarycentricForm(pts[chosen], vals[chosen], weights), trace
+
+
+def _greedy_fit(pts, vals, tol, max_order):
+    """aaa_fit on trusted arrays: (support indices, weights, AaaTrace).
+
+    Only the scalar arguments are checked.  With one support point the fit is
+    the constant supv[0] whatever its weight, so the first step needs no SVD.
+    """
     if len(pts) < 2:
         raise BadParameters("need at least two sample points")
-    check_distinct(pts, "points")
     if tol <= 0:
         raise BadParameters("tol must be positive")
     if max_order is None:
@@ -141,47 +155,33 @@ def aaa_fit(points, values, tol=DEFAULT_TOL, max_order=None):
         raise BadParameters("max_order must be >= 1")
 
     scale = np.abs(vals).max()
-    remaining = list(range(len(pts)))
-    first = int(np.argmax(np.abs(vals)))
-    chosen = [first]
-    remaining.remove(first)
-
+    chosen = [int(np.argmax(np.abs(vals)))]
+    free = np.ones(len(pts), dtype=bool)
+    free[chosen] = False
     history = []
-    converged = False
-    weights = np.array([1.0 + 0.0j])
+    weights = np.ones(1, dtype=complex)
     while True:
-        sup = pts[chosen]
+        rest = np.flatnonzero(free)
         supv = vals[chosen]
-        rest = np.array(remaining, dtype=int)
-        cauchy = 1.0 / (pts[rest, None] - sup[None, :])
-        loewner = (vals[rest, None] - supv[None, :]) * cauchy
-        _, _, v = linalg.svd(loewner)
-        weights = v[:, -1]
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fit = (cauchy @ (weights * supv)) / (cauchy @ weights)
-        resid = np.abs(vals[rest] - fit)
-        resid = np.where(np.isnan(resid), np.inf, resid)
-        err = float(resid.max()) if len(resid) else 0.0
-        history.append(err)
-
-        if err <= tol * scale:
-            converged = True
+        if len(chosen) == 1:
+            resid = np.abs(vals[rest] - supv[0])
+        else:
+            cauchy = 1.0 / (pts[rest, None] - pts[chosen][None, :])
+            loewner = (vals[rest, None] - supv[None, :]) * cauchy
+            try:
+                weights = np.linalg.svd(loewner, full_matrices=False)[2][-1].conj()
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+            with np.errstate(divide="ignore", invalid="ignore"):
+                resid = np.abs(vals[rest] - (cauchy @ (weights * supv)) / (cauchy @ weights))
+            resid[np.isnan(resid)] = np.inf
+        history.append(float(resid.max()))
+        converged = bool(history[-1] <= tol * scale)
+        if converged or len(chosen) >= max_order or len(rest) <= 1:
             break
-        if len(chosen) >= max_order or len(remaining) <= 1:
-            break
-        nxt = int(rest[np.argmax(resid)])
-        chosen.append(nxt)
-        remaining.remove(nxt)
-
-    form = BarycentricForm(pts[chosen], vals[chosen], weights)
-    trace = AaaTrace(
-        iterations=len(history),
-        max_residual_history=tuple(history),
-        chosen_support_order=tuple(chosen),
-        converged=converged,
-    )
-    return form, trace
+        chosen.append(int(rest[np.argmax(resid)]))
+        free[chosen[-1]] = False
+    return chosen, weights, AaaTrace(len(history), tuple(history), tuple(chosen), converged)
 
 
 def evaluate_barycentric(form, z):
@@ -216,10 +216,26 @@ def poles_of(form):
     poles.  That raises DegenerateFrequency rather than returning the n-2
     finite poles.
     """
-    n = len(form)
-    if n < 2:
+    if len(form) < 2:
         raise BadParameters("need at least two support points to have poles")
-    z, w = form.support, form.weights
+    return _arrowhead_poles(form.support, form.weights)
+
+
+@functools.lru_cache(maxsize=64)
+def _deflation_basis(n):
+    """Q2 of poles_of for n support points, read-only.
+
+    I - 2 v v^T / (v^T v) maps e/sqrt(n) to -e_1, so its other columns are an
+    orthonormal basis of the complement of e."""
+    v = np.full(n, 1.0 / np.sqrt(n))
+    v[0] += 1.0
+    q2 = (np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
+    q2.setflags(write=False)
+    return q2
+
+
+def _arrowhead_poles(z, w):
+    """poles_of on a trusted support z and weights w."""
     sigma = w.sum()
     if abs(sigma) <= INF_EIG_CUTOFF * np.abs(w).sum():
         raise DegenerateFrequency(
@@ -227,13 +243,12 @@ def poles_of(form):
             f"their 1-norm: the fit has a pole at infinity, which no sum of "
             f"simple poles has"
         )
-    # I - 2 v v^T / (v^T v) maps e/sqrt(n) to -e_1, so its other columns are
-    # an orthonormal basis of the complement of e
-    v = np.full(n, 1.0 / np.sqrt(n))
-    v[0] += 1.0
-    q2 = (np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v))[:, 1:]
+    q2 = _deflation_basis(len(z))
     a = (q2.T * z) @ q2 - np.outer(q2.T @ w, q2.T @ z) / sigma
-    return linalg.sort_complex(linalg.gen_eig(a))
+    try:
+        return linalg.sort_complex(np.linalg.eigvals(a))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"pencil eigenvalues failed: {exc}") from exc
 
 
 def loewner_pencil_poles(points, values, order, rank_tol=linalg.DEFAULT_RCOND):
@@ -253,9 +268,8 @@ def loewner_pencil_poles(points, values, order, rank_tol=linalg.DEFAULT_RCOND):
     if len(pts) < 2 * order:
         raise BadParameters(f"need at least {2 * order} samples for order {order}")
 
-    _, trace = aaa_fit(pts, vals, tol=np.finfo(float).tiny, max_order=order)
-    chosen = list(trace.chosen_support_order)
-    rest = np.array([i for i in range(len(pts)) if i not in set(chosen)], dtype=int)
+    chosen = _greedy_fit(pts, vals, np.finfo(float).tiny, order)[0]
+    rest = np.setdiff1d(np.arange(len(pts)), chosen)
     sup, supv = pts[chosen], vals[chosen]
     gam, gamv = pts[rest], vals[rest]
 
@@ -277,29 +291,49 @@ def loewner_pencil_poles(points, values, order, rank_tol=linalg.DEFAULT_RCOND):
 
 def residues_ls(poles, points, values, rcond=linalg.DEFAULT_RCOND):
     """Residues minimizing the 2-norm misfit of sum_j a_j/(k - b_j) = values."""
-    b = check_distinct(np.asarray(poles, complex).ravel(), "poles")
-    pts = as_complex_vector(points, "points")
-    vals = as_complex_vector(values, "values")
-    if np.abs(pts[:, None] - b[None, :]).min() == 0.0:
-        raise BadParameters("sample points must be disjoint from the poles")
-    cauchy = 1.0 / (pts[:, None] - b[None, :])
-    return linalg.lstsq(cauchy, vals, rcond=rcond)
+    return _cauchy_lstsq(*_cauchy_inputs(poles, points, values, rcond), rcond)
 
 
 def filter_spurious(poles, points, values, rtol=SPURIOUS_RESIDUE_RTOL,
                     rcond=linalg.DEFAULT_RCOND):
     """Drop near-zero-residue poles (Froissart doublets) and refit the rest."""
-    residues = residues_ls(poles, points, values, rcond=rcond)
+    return PoleResidue(*_filter_spurious(*_cauchy_inputs(poles, points, values, rcond),
+                                         rtol, rcond))
+
+
+def _cauchy_inputs(poles, points, values, rcond):
+    """The checked arguments of residues_ls and filter_spurious."""
+    b = check_distinct(np.asarray(poles, complex).ravel(), "poles")
+    pts = as_complex_vector(points, "points")
+    vals = as_complex_vector(values, "values")
+    if np.abs(pts[:, None] - b[None, :]).min() == 0.0:
+        raise BadParameters("sample points must be disjoint from the poles")
+    if pts.shape != vals.shape:
+        raise ShapeMismatch("points and values must have equal length")
+    check_rcond(rcond)
+    return b, pts, vals
+
+
+def _cauchy_lstsq(b, pts, vals, rcond):
+    """residues_ls on trusted arrays, with the poles b off the points."""
+    try:
+        return np.linalg.lstsq(1.0 / (pts[:, None] - b[None, :]), vals, rcond=rcond)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"least squares solve failed: {exc}") from exc
+
+
+def _filter_spurious(b, pts, vals, rtol, rcond):
+    """filter_spurious on trusted arrays: (kept poles in input order, residues)."""
+    residues = _cauchy_lstsq(b, pts, vals, rcond)
     top = np.abs(residues).max()
     if top == 0.0:
         raise DegenerateFrequency("samples carry no rational structure of positive order")
     keep = np.abs(residues) >= rtol * top
     if keep.all():
-        return PoleResidue(poles, residues)
-    kept = np.asarray(poles, complex).ravel()[keep]
-    if len(kept) == 0:
+        return b, residues
+    if not keep.any():
         raise DegenerateFrequency("all residues fall below the spurious-pole threshold")
-    return PoleResidue(kept, residues_ls(kept, points, values, rcond=rcond))
+    return b[keep], _cauchy_lstsq(b[keep], pts, vals, rcond)
 
 
 def check_fit_residual(pole_residue, points, values, tol=ISOLATED_MISFIT_TOL):
@@ -331,34 +365,40 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None,
                               rcond=linalg.DEFAULT_RCOND, method="eig"):
     """The univariate line fit: samples on k = -N..N to a filtered PoleResidue.
 
-    values holds an odd number 2N+1 of samples at k = -N..N; an even count
-    raises ShapeMismatch.  Poles come from the arrowhead eigenproblem of the
-    greedy fit (method="eig") or from the matrix pencil with the fitted order
-    (method="pencil").  The policy runs in this order: pole extraction, the
-    sample-collision check (DegenerateFrequency), the spurious-pole filter,
-    the (real, imag) sort, NoConvergence when the greedy fit missed its
+    values is a 1-D array of an odd number 2N+1 of finite samples at
+    k = -N..N; another shape or an even count raises ShapeMismatch.  Poles
+    come from the arrowhead eigenproblem of the greedy fit (method="eig") or
+    from the matrix pencil with the fitted order (method="pencil").  All
+    arguments are checked before any work; the policy then runs in this order:
+    pole extraction, the sample-collision check (DegenerateFrequency), the
+    spurious-pole filter, NoConvergence when the greedy fit missed its
     tolerance, and finally check_fit_residual.
 
-    Returns (PoleResidue, AaaTrace).
+    Returns (PoleResidue with poles sorted by (real, imag), AaaTrace).
     """
-    vals = np.asarray(values, dtype=complex).ravel()
+    vals = np.asarray(values, dtype=complex)
+    if vals.ndim != 1:
+        raise ShapeMismatch(f"line must be 1-D, got ndim={vals.ndim}")
     if len(vals) % 2 == 0:
         raise ShapeMismatch(
             f"line must hold an odd number of samples, k = -N..N; got {len(vals)}"
         )
+    if not np.isfinite(vals).all():
+        raise BadParameters("values contains non-finite entries")
+    check_rcond(rcond)
+    if method not in ("eig", "pencil"):
+        raise BadParameters(f"unknown pole method {method!r}")
     n_half = (len(vals) - 1) // 2
     points = np.arange(-n_half, n_half + 1, dtype=float).astype(complex)
-    form, trace = aaa_fit(points, vals, tol=tol, max_order=max_order)
-    if len(form) < 2:
+    chosen, weights, trace = _greedy_fit(points, vals, tol, max_order)
+    if len(chosen) < 2:
         raise DegenerateFrequency(
             "samples are constant; no rational structure of positive order"
         )
     if method == "eig":
-        poles = poles_of(form)
-    elif method == "pencil":
-        poles = loewner_pencil_poles(points, vals, len(form) - 1, rank_tol=rcond)
+        poles = _arrowhead_poles(points[chosen], weights)
     else:
-        raise BadParameters(f"unknown pole method {method!r}")
+        poles = loewner_pencil_poles(points, vals, len(chosen) - 1, rank_tol=rcond)
     bad = np.abs(points[None, :] - poles[:, None]).min(axis=1) <= SAMPLE_COLLISION_TOL
     if bad.any():
         nearest = points[np.abs(points[None, :] - poles[bad, None]).argmin(axis=1)]
@@ -367,9 +407,8 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None,
             f"{np.round(nearest.real).astype(int).tolist()}; the coefficients "
             f"there have no rational structure"
         )
-    pr = filter_spurious(poles, points, vals, rcond=rcond)
-    srt = np.lexsort((pr.poles.imag, pr.poles.real))
-    pr = PoleResidue(pr.poles[srt], pr.residues[srt])
+    # both engines sort their poles and the filter keeps their order
+    pr = PoleResidue(*_filter_spurious(poles, points, vals, SPURIOUS_RESIDUE_RTOL, rcond))
     if not trace.converged:
         raise NoConvergence(
             f"greedy fit did not reach tolerance within {trace.iterations} steps"

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .model import TWO_PI_I, ExponentialSum, FullGrid, _SeparableSum
 from .rational import DEFAULT_TOL, pole_residue_from_samples
-from .validation import check_nonnegative_int
+from .validation import check_nonnegative_int, check_rcond
 
 POLE_MERGE_RTOL = 1e-8
 RESYNTHESIS_WARN_TOL = 1e-6
@@ -169,6 +169,9 @@ def distinct_poles(values, tol=DEFAULT_TOL, max_order=None,
 def _merge_close(poles, rtol=POLE_MERGE_RTOL):
     scale = np.abs(poles).max()
     threshold = rtol * scale if scale > 0 else 0.0
+    # only the zero diagonal lies within the threshold when no pair does
+    if np.count_nonzero(np.abs(poles[:, None] - poles[None, :]) <= threshold) == len(poles):
+        return linalg.sort_complex(poles)
     clusters = []
     for pole in poles:
         for cluster in clusters:
@@ -193,6 +196,8 @@ def peel_dimension(poles, parent_values, rcond=linalg.DEFAULT_RCOND):
         raise ShapeMismatch("parent slice must have at least two dimensions")
     b = np.asarray(poles, dtype=complex).ravel()
     n = vals.shape[0]
+    if n % 2 == 0:
+        raise ShapeMismatch(f"leading axis must hold an odd number of samples, got {n}")
     n_half = (n - 1) // 2
     if n < len(b):
         raise BadParameters(f"{n} samples cannot determine {len(b)} pole slices")
@@ -270,8 +275,7 @@ def leaves_to_sum(tree, source, rcond=linalg.DEFAULT_RCOND):
     accuracy the normal system gives up.  The amplitudes then map to the
     signal coefficients.
     """
-    if not 0.0 < rcond < 1.0:
-        raise BadParameters(f"rcond must lie in (0, 1), got {rcond!r}")
+    check_rcond(rcond)
     poles = tree.leaf_paths()
     d = poles.shape[1]
     k = np.arange(-source.N, source.N + 1, dtype=float)
@@ -290,7 +294,8 @@ def leaves_to_sum(tree, source, rcond=linalg.DEFAULT_RCOND):
         return eigenvectors @ ((eigenvectors.conj().T @ rhs) / eigenvalues)
 
     amplitudes = solve(grid)
-    amplitudes = amplitudes + solve(grid - design.apply(amplitudes))
+    residual = design.apply(amplitudes)
+    amplitudes = amplitudes + solve(np.subtract(grid, residual, out=residual))
 
     frequencies = TWO_PI_I * poles / source.P
     coefficients = (

@@ -28,9 +28,21 @@ def as_complex_vector(a, name="vector"):
 
 
 def check_nonnegative_int(value, name):
-    """Require a non-negative integer (numpy integers included)."""
-    if not isinstance(value, (int, np.integer)) or value < 0:
+    """Require a non-negative integer (numpy integers included, booleans not)."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 0:
         raise BadParameters(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def check_period(P):
+    """Require a finite positive period."""
+    if not (np.isfinite(P) and P > 0):
+        raise BadParameters(f"period P must be finite and positive, got {P!r}")
+
+
+def check_rcond(rcond):
+    """Require a relative singular-value cutoff in (0, 1)."""
+    if not 0.0 < rcond < 1.0:
+        raise BadParameters(f"rcond must lie in (0, 1), got {rcond!r}")
 
 
 def check_distinct(values, name="values", tol=0.0):

@@ -57,6 +57,13 @@ class TestGenerate:
                    "--coverage", "full", "--out", out) == 0
         assert json.loads(open(out).read())["P"] == 3.0
 
+    @pytest.mark.parametrize("period", ["nan", "inf"])
+    def test_nonfinite_period(self, spec_file, tmp_path, period):
+        out = tmp_path / "grid.json"
+        assert run("generate", spec_file, "--P", period, "--N", "6",
+                   "--coverage", "full", "--out", str(out)) == 1
+        assert not out.exists()
+
     def test_full_grid_count(self, tmp_path):
         path = tmp_path / "sig4.json"
         path.write_text(
@@ -158,6 +165,33 @@ class TestRecover:
         grid.write_text(json.dumps(obj))
         result = tmp_path / "r.json"
         code = run("recover", str(grid), "--method", "recursive", "--out", str(result))
+        assert code == 1
+        assert not result.exists()
+
+    def test_nonfinite_period_in_grid_rejected(self, spec_file, tmp_path):
+        grid = tmp_path / "grid.json"
+        run("generate", spec_file, "--N", "3", "--coverage", "full", "--out", str(grid))
+        obj = json.loads(grid.read_text())
+        obj["P"] = float("nan")
+        grid.write_text(json.dumps(obj))
+        result = tmp_path / "r.json"
+        code = run("recover", str(grid), "--method", "recursive", "--out", str(result))
+        assert code == 1
+        assert not result.exists()
+
+    # each token reads as the original value under int() or float()
+    @pytest.mark.parametrize("field, token", [("N", 15.9), ("P", "4.0"), ("k", "1")])
+    def test_edited_sparse_file_rejected(self, spec_file, tmp_path, field, token):
+        grid = tmp_path / "grid.json"
+        run("generate", spec_file, "--N", "15", "--coverage", "sparse:7", "--out", str(grid))
+        obj = json.loads(grid.read_text())
+        if field == "k":
+            next(e for e in obj["entries"] if e["k"][0] == 1)["k"][0] = token
+        else:
+            obj[field] = token
+        grid.write_text(json.dumps(obj))
+        result = tmp_path / "r.json"
+        code = run("recover", str(grid), "--method", "sparse", "--out", str(result))
         assert code == 1
         assert not result.exists()
 

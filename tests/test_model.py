@@ -95,6 +95,16 @@ class TestSynthesize:
         with pytest.raises(DegenerateFrequency):
             sig.synthesize(1.0, 5, FullGrid())
 
+    @pytest.mark.parametrize("P", [np.nan, np.inf, -np.inf, 0.0])
+    def test_period_must_be_finite_and_positive(self, P):
+        case = BIVARIATE_5
+        with pytest.raises(BadParameters, match="period"):
+            case.signal.synthesize(P, 3, FullGrid())
+        with pytest.raises(BadParameters, match="period"):
+            case.signal.synthesize(P, 3, SparseLines(2))
+        with pytest.raises(BadParameters, match="period"):
+            CoefficientSource(1, P, 1, FullGrid(), grid=np.ones(3))
+
     def test_full_grid_against_factor_quadrature(self):
         case = TRIVARIATE_6
         src = case.signal.synthesize(case.P, case.N, FullGrid())
@@ -180,7 +190,7 @@ class TestRelativeErrors:
         with pytest.raises(ShapeMismatch):
             relative_errors(BIVARIATE_5.signal, TRIVARIATE_6.signal)
 
-    @pytest.mark.parametrize("seed", [-1, 0.5])
+    @pytest.mark.parametrize("seed", [-1, 0.5, True])
     def test_bad_seed_rejected(self, seed):
         # d=4: the check comes before the 2M-point lattice
         sig = QUADVARIATE_9.signal
@@ -292,6 +302,53 @@ class TestJson:
     def test_malformed_full_grid(self, text):
         with pytest.raises(BadParameters):
             source_from_json(json.loads(text))
+
+    # one bad token per wire field of a sparse-lines file: values and P take
+    # JSON numbers only, d, N and each index k JSON integers only; the refusal
+    # must come from the type check, not from a later mismatch
+    @pytest.mark.parametrize("field, token", [
+        ("d", True), ("d", "2"), ("d", 2.5),
+        ("N", True), ("N", "6"), ("N", 6.9),
+        ("P", True), ("P", "4.0"),
+        ("k", True), ("k", "1"), ("k", 1.5),
+        ("c", True), ("c", "1.0"),
+    ])
+    def test_sparse_wire_fields_take_numbers_only(self, field, token):
+        case = BIVARIATE_5
+        obj = source_to_json(case.signal.synthesize(case.P, 6, SparseLines(2)))
+        entry = next(e for e in obj["entries"] if e["k"][0] == 1)
+        if field == "k":
+            entry["k"][0] = token
+        elif field == "c":
+            entry["c"][0] = token
+        else:
+            obj[field] = token
+        with pytest.raises(BadParameters, match="JSON"):
+            source_from_json(obj)
+
+    def test_sparse_wire_integral_floats_accepted(self):
+        case = BIVARIATE_5
+        src = case.signal.synthesize(case.P, 6, SparseLines(2))
+        obj = source_to_json(src)
+        obj["d"], obj["N"] = 2.0, 6.0
+        for entry in obj["entries"]:
+            entry["k"] = [float(x) for x in entry["k"]]
+        back = source_from_json(obj)
+        assert all(back.value(idx) == value for idx, value in src.items())
+
+    @pytest.mark.parametrize("field, token", [
+        ("d", True), ("d", 1.5), ("P", True), ("P", "2"), ("gamma", True), ("lambda", "1"),
+    ])
+    def test_signal_wire_fields_take_numbers_only(self, field, token):
+        obj = signal_to_json(BIVARIATE_5.signal, BIVARIATE_5.P)
+        if field == "gamma":
+            obj["gamma"][0][0] = token
+        elif field == "lambda":
+            obj["lambda"][0][1][1] = token
+        else:
+            obj[field] = token
+        with pytest.raises(BadParameters, match="JSON"):
+            signal_from_json(obj)
 
     def test_malformed_signal(self):
         with pytest.raises(BadParameters):

@@ -21,14 +21,22 @@ from expanal import (
 from expanal.errors import (
     BadParameters,
     DegenerateFrequency,
+    NoConvergence,
     RankDeficient,
     ShapeMismatch,
 )
 from expanal.linalg import sort_complex
+from expanal import recursive
 from expanal.model import TWO_PI_I, ExponentialSum
-from expanal.rational import pole_residue_from_samples
+from expanal.rational import (
+    SAMPLE_COLLISION_TOL,
+    PoleResidue,
+    check_fit_residual,
+    filter_spurious,
+    pole_residue_from_samples,
+)
 
-from cases import BIVARIATE_5, random_univariate, spiked_bivariate_5
+from cases import ALL_REFERENCE, BIVARIATE_5, random_univariate, spiked_bivariate_5
 from oracles import match_complex_sets, qz_arrowhead_poles
 
 KGRID = np.arange(-10, 11, dtype=float)
@@ -338,3 +346,162 @@ class TestOneLineFitPolicy:
         src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
         with pytest.raises(ShapeMismatch):
             LINE_FITS[entry](src.axis_line(0)[1:])
+
+
+def composed_line_fit(values):
+    """The line fit as the composition of the public steps: the reference for
+    the validated-once path of pole_residue_from_samples."""
+    vals = np.asarray(values, dtype=complex)
+    n_half = (len(vals) - 1) // 2
+    points = np.arange(-n_half, n_half + 1, dtype=float)
+    form, trace = aaa_fit(points, vals)
+    if len(form) < 2:
+        raise DegenerateFrequency(
+            "samples are constant; no rational structure of positive order"
+        )
+    poles = poles_of(form)
+    bad = np.abs(points[None, :] - poles[:, None]).min(axis=1) <= SAMPLE_COLLISION_TOL
+    if bad.any():
+        nearest = points[np.abs(points[None, :] - poles[bad, None]).argmin(axis=1)]
+        raise DegenerateFrequency(
+            f"fitted pole sits on sample point(s) "
+            f"{np.round(nearest).astype(int).tolist()}; the coefficients "
+            f"there have no rational structure"
+        )
+    pr = filter_spurious(poles, points, vals)
+    srt = np.lexsort((pr.poles.imag, pr.poles.real))
+    pr = PoleResidue(pr.poles[srt], pr.residues[srt])
+    if not trace.converged:
+        raise NoConvergence(
+            f"greedy fit did not reach tolerance within {trace.iterations} steps"
+        )
+    check_fit_residual(pr, points, vals)
+    return pr, trace
+
+
+def reference_greedy_trace(values, tol=1e-12):
+    """(iterations, support order, converged) of the greedy fit on k = -N..N,
+    by the plain loop: an SVD at every step and a list of free points."""
+    vals = np.asarray(values, dtype=complex)
+    n_half = (len(vals) - 1) // 2
+    pts = np.arange(-n_half, n_half + 1, dtype=float)
+    scale = np.abs(vals).max()
+    chosen = [int(np.argmax(np.abs(vals)))]
+    remaining = [i for i in range(len(vals)) if i != chosen[0]]
+    iterations = 0
+    while True:
+        iterations += 1
+        rest = np.array(remaining)
+        cauchy = 1.0 / (pts[rest, None] - pts[chosen][None, :])
+        loewner = (vals[rest, None] - vals[chosen][None, :]) * cauchy
+        weights = np.linalg.svd(loewner)[2][-1].conj()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit = (cauchy @ (weights * vals[chosen])) / (cauchy @ weights)
+        resid = np.nan_to_num(np.abs(vals[rest] - fit), nan=np.inf)
+        if resid.max() <= tol * scale:
+            return iterations, tuple(chosen), True
+        if len(chosen) >= min(len(vals) // 2, 100) or len(remaining) <= 1:
+            return iterations, tuple(chosen), False
+        chosen.append(int(rest[np.argmax(resid)]))
+        remaining.remove(chosen[-1])
+
+
+def _outcome(fit, values):
+    try:
+        return fit(values)
+    except Exception as exc:  # the error itself is the outcome compared
+        return exc
+
+
+def _reference_grid_lines():
+    """Every line the seven reference grids feed to the fit."""
+    lines = []
+
+    def record(values, **kwargs):
+        lines.append(np.array(values))
+        return pole_residue_from_samples(values, **kwargs)
+
+    original = recursive.pole_residue_from_samples
+    recursive.pole_residue_from_samples = record
+    try:
+        for case in ALL_REFERENCE:
+            recursive.recover_recursive(case.signal.synthesize(case.P, case.N, FullGrid()))
+    finally:
+        recursive.pole_residue_from_samples = original
+    return lines
+
+
+def _random_lines(count=200):
+    """Seeded random lines, M = 1..8 and N = 10..40; every fourth is noisy."""
+    rng = np.random.default_rng(2024)
+    lines = []
+    for i in range(count):
+        signal, _ = random_univariate(rng, int(rng.integers(1, 9)))
+        line = signal.synthesize(2.0, int(rng.integers(10, 41)), "full").axis_line(0)
+        if i % 4 == 3:
+            noise = rng.standard_normal(len(line)) + 1j * rng.standard_normal(len(line))
+            line = line + 1e-9 * np.abs(line).max() * noise
+        lines.append(line)
+    return lines
+
+
+def _degenerate_lines():
+    k = np.arange(-12, 13, dtype=float)
+    spike = 2.0 / (k - (0.4 + 0.7j)) - 1.3 / (k - (-1.2 - 0.5j))
+    spike[15] += 0.8 - 0.4j
+    unconverged = np.random.default_rng(3).standard_normal(21).astype(complex)
+    return [np.full(11, 5.0 + 0j), np.zeros(11, complex), spike,
+            spiked_bivariate_5().axis_line(0), unconverged,
+            np.array([1.0 + 0j]), np.array([1.0, np.nan, 2.0])]
+
+
+class TestValidatedOncePath:
+    """pole_residue_from_samples checks its arguments once and then runs the
+    private kernels; it must give what the public steps give, step by step."""
+
+    @pytest.mark.parametrize("source", ["reference", "random", "degenerate"])
+    def test_matches_public_step_composition(self, source):
+        lines = {"reference": _reference_grid_lines, "random": _random_lines,
+                 "degenerate": _degenerate_lines}[source]()
+        assert len(lines) >= {"reference": 85, "random": 200, "degenerate": 7}[source]
+        failures = 0
+        for values in lines:
+            lean = _outcome(pole_residue_from_samples, values)
+            composed = _outcome(composed_line_fit, values)
+            if isinstance(composed, Exception):
+                failures += 1
+                assert type(lean) is type(composed)
+                assert str(lean) == str(composed)
+                continue
+            (pr, trace), (ref, ref_trace) = lean, composed
+            assert trace.iterations == ref_trace.iterations
+            assert trace.chosen_support_order == ref_trace.chosen_support_order
+            assert trace.converged == ref_trace.converged
+            assert (trace.iterations, trace.chosen_support_order, trace.converged) \
+                == reference_greedy_trace(values)
+            assert len(pr.poles) == len(ref.poles)
+            assert np.abs(pr.poles - ref.poles).max() <= 1e-13 * np.abs(ref.poles).max()
+            assert (np.abs(pr.residues - ref.residues).max()
+                    <= 1e-13 * np.abs(ref.residues).max())
+        if source == "degenerate":
+            assert failures == len(lines)
+        elif source == "random":
+            assert 0 < failures < len(lines)
+        else:
+            assert failures == 0
+
+    @pytest.mark.parametrize("values", [np.ones((3, 3)), np.array(1.0 + 0j)])
+    def test_line_must_be_one_dimensional(self, values):
+        with pytest.raises(ShapeMismatch, match="1-D"):
+            pole_residue_from_samples(values)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol": 0.0}, "tol"),
+        ({"max_order": 0}, "max_order"),
+        ({"rcond": 1.5}, "rcond"),
+        ({"method": "qz"}, "method"),
+    ])
+    def test_arguments_checked_before_any_work(self, kwargs, match):
+        # constant samples would end in DegenerateFrequency after the fit
+        with pytest.raises(BadParameters, match=match):
+            pole_residue_from_samples(np.full(11, 2.0), **kwargs)

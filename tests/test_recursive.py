@@ -24,9 +24,11 @@ from expanal.errors import (
     IllConditioned,
     NoConvergence,
     ResynthesisWarning,
+    ShapeMismatch,
 )
 from expanal.linalg import sort_complex
 from expanal.model import TWO_PI_I
+from expanal.recursive import _merge_close
 
 from cases import (
     BIVARIATE_5,
@@ -118,6 +120,24 @@ class TestPeelDimension:
             line = piece.values[(slice(None),) + (case.N,) * (piece.values.ndim - 1)]
             _, kids = distinct_poles(line)
             assert np.abs(kids - expected).max() <= 1e-9
+
+    def test_even_leading_axis_rejected(self):
+        with pytest.raises(ShapeMismatch, match="odd number"):
+            peel_dimension([0.5], np.ones((4, 4)))
+
+
+class TestMergeClose:
+    def test_no_close_pair_unchanged(self):
+        poles = np.array([1.0 + 0.5j, -2.0 + 0.1j, 0.3 - 1.0j])
+        assert np.array_equal(_merge_close(poles), sort_complex(poles))
+
+    def test_close_pair_merged_to_its_mean(self):
+        pair = np.array([1.0 + 0.5j, 1.0 + 0.5j + 1e-10])
+        merged = _merge_close(np.array([pair[0], -2.0 + 0.1j, pair[1]]))
+        assert np.array_equal(merged, [-2.0 + 0.1j, np.mean(pair)])
+
+    def test_single_pole(self):
+        assert np.array_equal(_merge_close(np.array([0.4 - 0.2j])), [0.4 - 0.2j])
 
 
 class TestBuildPoleTree:
@@ -269,14 +289,14 @@ class TestRecoverRecursive:
         assert np.array_equal(unchecked.coefficients, checked.coefficients)
         assert np.array_equal(unchecked.frequencies, checked.frequencies)
 
-    @pytest.mark.parametrize("check_points", [-1, 2.5])
+    @pytest.mark.parametrize("check_points", [-1, 2.5, True])
     def test_bad_check_points_rejected(self, check_points):
         case = TRIVARIATE_4
         src = case.signal.synthesize(case.P, case.N, FullGrid())
         with pytest.raises(BadParameters):
             recover_recursive(src, check_points=check_points)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):
         case = TRIVARIATE_4
         src = case.signal.synthesize(case.P, case.N, FullGrid())
