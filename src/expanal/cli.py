@@ -113,6 +113,8 @@ def _report_json(report):
 def cmd_recover(args):
     if args.seed < 0:
         return _fail(f"--seed must be non-negative, got {args.seed}", EXIT_INPUT)
+    if not 0 < args.tol < float("inf"):
+        return _fail(f"--tol must be finite and positive, got {args.tol}", EXIT_INPUT)
     from . import model
     from .errors import BadParameters, ExpanalError
 

@@ -4,7 +4,9 @@ A signal is a finite sum of complex multivariate exponentials.  Its Fourier
 coefficients over a period box follow a closed product formula, which this
 module evaluates exactly; recovery code consumes those coefficients through a
 CoefficientSource that declares which integer indices are covered (a full grid
-or a set of index lines).
+or a set of index lines) and holds their values in one array, in
+lexicographic index order.  SparseLines alone knows the line geometry: where
+each line's values sit in that array.
 
 Both the signal and its coefficients are sums of M separable terms: term j is
 a weight times a product of one univariate factor per axis.  _SeparableSum
@@ -157,16 +159,12 @@ class ExponentialSum:
             )
         if isinstance(coverage, FullGrid):
             axes = [np.arange(-N, N + 1)] * self.d
-            grid = self._coefficient_terms(P, axes).grid(self.coefficients)
-            return CoefficientSource(self.d, P, N, coverage, grid=grid)
-
-        if isinstance(coverage, SparseLines):
-            idx = np.concatenate([line for _, line in coverage.line_indices(self.d, N)])
-            values = self.fourier_coefficients(idx, P)
-            table = {tuple(int(x) for x in row): complex(v) for row, v in zip(idx, values)}
-            return CoefficientSource(self.d, P, N, coverage, table=table)
-
-        raise BadParameters(f"unknown coverage {coverage!r}")
+            values = self._coefficient_terms(P, axes).grid(self.coefficients)
+        elif isinstance(coverage, SparseLines):
+            values = self.fourier_coefficients(coverage.unique_indices(self.d, N), P)
+        else:
+            raise BadParameters(f"unknown coverage {coverage!r}")
+        return CoefficientSource(self.d, P, N, coverage, values)
 
     def degenerate_components(self, P, N):
         """(term, axis, index) triples where a frequency hits a sampled index."""
@@ -296,7 +294,8 @@ class SparseLines:
     tau: int
 
     def __post_init__(self):
-        if not isinstance(self.tau, (int, np.integer)) or self.tau < 1:
+        if (type(self.tau) is bool or not isinstance(self.tau, (int, np.integer))
+                or self.tau < 1):
             raise BadParameters(f"tau must be a positive integer, got {self.tau!r}")
         object.__setattr__(self, "tau", int(self.tau))
 
@@ -324,15 +323,29 @@ class SparseLines:
         ]
         return lines
 
+    def layout(self, d, N):
+        """(rows, positions): where each line's values sit in the stored array.
+
+        rows is the (n, d) array of the covered indices, each once, in
+        lexicographic order; positions maps ("axis", m) and ("diagonal", m)
+        to the row number of each index of that line, in line order.
+        """
+        lines = self.line_indices(d, N)
+        rows, inverse = np.unique(np.concatenate([line for _, line in lines]),
+                                  axis=0, return_inverse=True)
+        keys = [("axis", m) for m in range(d)] + [("diagonal", m) for m in range(1, d)]
+        ends = np.cumsum([len(line) for _, line in lines])[:-1]
+        return rows, dict(zip(keys, np.split(inverse.ravel(), ends)))
+
     def unique_indices(self, d, N):
-        out = set()
-        for _, line in self.line_indices(d, N):
-            out.update(tuple(int(x) for x in row) for row in line)
-        return out
+        """The covered indices, each once, as an (n, d) array in lexicographic order."""
+        return self.layout(d, N)[0]
 
 
 def parse_coverage(text):
     """Parse a coverage descriptor: "full" or "sparse:TAU"."""
+    if not isinstance(text, str):
+        raise BadParameters(f"coverage descriptor must be a string, got {text!r}")
     if text == "full":
         return FullGrid()
     if text.startswith("sparse:"):
@@ -347,11 +360,13 @@ def parse_coverage(text):
 class CoefficientSource:
     """Fourier coefficients addressable by integer multi-index.
 
-    Exactly one backing store is held: a dense (2N+1)^d grid for FullGrid
-    coverage, or a table keyed by index tuples for SparseLines coverage.
+    One read-only array, `values`, holds the coefficients in lexicographic
+    index order whatever the coverage: the dense (2N+1)^d grid for FullGrid
+    (index k at position k+N on each axis), or a flat array over the covered
+    indices of SparseLines, each index once (SparseLines.layout).
     """
 
-    def __init__(self, d, P, N, coverage, grid=None, table=None):
+    def __init__(self, d, P, N, coverage, values):
         check_period(P)
         if N < 1:
             raise BadParameters("index half-width N must be >= 1")
@@ -359,28 +374,22 @@ class CoefficientSource:
         self.P = float(P)
         self.N = int(N)
         self.coverage = coverage
-        self._grid = None
-        self._table = None
         if isinstance(coverage, FullGrid):
-            if grid is None or table is not None:
-                raise BadParameters("full coverage needs a dense grid")
-            grid = np.asarray(grid, dtype=complex)
-            if grid.shape != (2 * self.N + 1,) * self.d:
-                raise ShapeMismatch(
-                    f"grid shape {grid.shape} does not match [-N,N]^d with N={self.N}, d={self.d}"
-                )
-            grid = grid.copy()
-            grid.setflags(write=False)
-            self._grid = grid
+            self._rows = self._lines = None  # a full grid is indexed by position
+            shape = (2 * self.N + 1,) * self.d
         elif isinstance(coverage, SparseLines):
-            if table is None or grid is not None:
-                raise BadParameters("sparse coverage needs an index table")
-            expected = coverage.unique_indices(self.d, self.N)
-            if set(table.keys()) != expected:
-                raise BadParameters("table does not cover exactly the declared index lines")
-            self._table = dict(table)
+            self._rows, self._lines = coverage.layout(self.d, self.N)
+            shape = (len(self._rows),)
         else:
             raise BadParameters(f"unknown coverage {coverage!r}")
+        values = np.array(values, dtype=complex)
+        if values.shape != shape:
+            raise ShapeMismatch(
+                f"values of shape {values.shape} do not match {coverage.descriptor()} "
+                f"coverage with N={self.N}, d={self.d}: need {shape}"
+            )
+        values.setflags(write=False)
+        self.values = values
 
     @property
     def counted_samples(self):
@@ -389,50 +398,41 @@ class CoefficientSource:
 
     def value(self, k):
         """Coefficient at index k; KeyError if k is outside the coverage."""
-        idx = tuple(int(x) for x in np.asarray(k, dtype=int).ravel())
+        idx = np.asarray(k, dtype=int).ravel()
         if len(idx) != self.d:
             raise ShapeMismatch(f"index must have {self.d} entries")
-        if any(abs(x) > self.N for x in idx):
-            raise KeyError(idx)
-        if self._grid is not None:
-            return complex(self._grid[tuple(x + self.N for x in idx)])
-        return self._table[idx]
+        if np.abs(idx).max() <= self.N:
+            if self._rows is None:
+                return complex(self.values[tuple(idx + self.N)])
+            hit = np.flatnonzero((self._rows == idx).all(axis=1))
+            if hit.size:
+                return complex(self.values[hit[0]])
+        raise KeyError(tuple(int(x) for x in idx))
 
     def axis_line(self, axis):
         """Values on the coordinate-axis line, k = -N..N."""
-        line = axis_line_indices(self.d, self.N, axis)
-        return np.array([self.value(row) for row in line], dtype=complex)
+        if self._lines is None:
+            line = axis_line_indices(self.d, self.N, axis)
+            return self.values[tuple((line + self.N).T)]
+        return self._line("axis", axis)
 
-    def diagonal_line(self, axis, tau=None):
+    def diagonal_line(self, axis):
         """Values on the shifted diagonal pairing axes (axis-1, axis)."""
-        if isinstance(self.coverage, SparseLines):
-            if tau is not None and tau != self.coverage.tau:
-                raise BadParameters(
-                    f"source was sampled with tau={self.coverage.tau}, not {tau}"
-                )
-            tau = self.coverage.tau
-        elif tau is None:
-            raise BadParameters("tau is required to slice a full grid diagonally")
-        line = diagonal_line_indices(self.d, self.N, tau, axis)
-        return np.array([self.value(row) for row in line], dtype=complex)
+        if self._lines is None:
+            raise CoverageMismatch("a full grid holds no diagonal lines")
+        return self._line("diagonal", axis)
+
+    def _line(self, kind, axis):
+        positions = self._lines.get((kind, axis))
+        if positions is None:
+            raise BadParameters(f"no {kind} line {axis} at d={self.d}")
+        return self.values[positions]
 
     def grid(self):
         """The dense (2N+1)^d value array (full coverage only)."""
-        if self._grid is None:
+        if self._lines is not None:
             raise CoverageMismatch("source does not hold a full grid")
-        return self._grid
-
-    def indices(self):
-        """Covered indices as tuples, in deterministic (lexicographic) order."""
-        if self._grid is not None:
-            return [
-                tuple(x - self.N for x in idx) for idx in np.ndindex(*self._grid.shape)
-            ]
-        return sorted(self._table.keys())
-
-    def items(self):
-        for idx in self.indices():
-            yield idx, self.value(idx)
+        return self.values
 
 
 # ---------------------------------------------------------------------------
@@ -580,27 +580,22 @@ def signal_from_json(obj):
 
 
 def source_to_json(source):
-    """The wire object of a coefficient source.
+    """The wire object of a coefficient source: flat "re" and "im" arrays of
+    its values in lexicographic index order.
 
-    A full grid is dense: flat "re" and "im" arrays in C order over [-N..N]^d
-    (axis 0 slowest, index k at position k+N).  Sparse lines are per entry:
-    {"k": index, "c": [re, im]} in lexicographic index order.
+    A full grid is in C order over [-N..N]^d (axis 0 slowest, index k at
+    position k+N); sparse lines list each covered index once
+    (SparseLines.unique_indices).
     """
-    obj = {
+    flat = source.values.ravel()
+    return {
         "d": source.d,
         "P": source.P,
         "N": source.N,
         "coverage": source.coverage.descriptor(),
+        "re": flat.real.tolist(),
+        "im": flat.imag.tolist(),
     }
-    if isinstance(source.coverage, FullGrid):
-        flat = source.grid().ravel()
-        obj["re"] = flat.real.tolist()
-        obj["im"] = flat.imag.tolist()
-    else:
-        obj["entries"] = [
-            {"k": list(idx), "c": _pair(value)} for idx, value in source.items()
-        ]
-    return obj
 
 
 def source_from_json(obj):
@@ -609,43 +604,37 @@ def source_from_json(obj):
         P = _json_number(obj["P"], "P")
         N = _json_number(obj["N"], "N", integral=True)
         coverage = parse_coverage(obj["coverage"])
-        if isinstance(coverage, FullGrid):
-            parts = obj["re"], obj["im"]
-        else:
-            entries = [(tuple(_json_number(x, "k", integral=True) for x in e["k"]),
-                        _unpair(e["c"])) for e in obj["entries"]]
+        parts = obj["re"], obj["im"]
     except KeyError as exc:
         raise BadParameters(f"coefficient grid object has no {exc} field") from exc
     except (TypeError, ValueError, IndexError) as exc:
         raise BadParameters(f"malformed coefficient grid object: {exc}") from exc
-    if isinstance(coverage, FullGrid):
-        return CoefficientSource(d, P, N, coverage, grid=_dense_grid(d, N, *parts))
-    table = dict(entries)
-    if len(table) != len(entries):
-        raise BadParameters("duplicate entries in coefficient file")
-    return CoefficientSource(d, P, N, coverage, table=table)
+    return CoefficientSource(d, P, N, coverage, _wire_values(d, N, coverage, *parts))
 
 
-def _dense_grid(d, N, re, im):
-    """The (2N+1)^d grid from its flat real and imaginary parts (JSON lists).
+def _wire_values(d, N, coverage, re, im):
+    """The stored values from their flat real and imaginary parts (JSON lists).
 
-    Every token must be a JSON number: numpy would read a boolean mixed into
-    numbers as 0.0 or 1.0, so the token types are checked before conversion.
+    The count comes from the coverage.  Every token must be a JSON number:
+    numpy would read a boolean mixed into numbers as 0.0 or 1.0, so the token
+    types are checked before conversion.
     """
     if d < 1 or N < 1:
         raise BadParameters(f"need d >= 1 and N >= 1, got d={d}, N={N}")
-    count = (2 * N + 1) ** d
+    full = isinstance(coverage, FullGrid)
+    count = (2 * N + 1) ** d if full else len(coverage.unique_indices(d, N))
     for name, part in (("re", re), ("im", im)):
         if (not isinstance(part, list) or len(part) != count
                 or not set(map(type, part)) <= {int, float}):
             raise BadParameters(
-                f'"{name}" must be a flat array of (2N+1)^d = {count} numbers'
+                f'"{name}" must be a flat array of {count} JSON numbers for '
+                f"{coverage.descriptor()} coverage with N={N}, d={d}"
             )
-    grid = np.empty(count, dtype=complex)
+    values = np.empty(count, dtype=complex)
     try:
-        grid.real, grid.imag = re, im
+        values.real, values.imag = re, im
     except OverflowError as exc:
         raise BadParameters(f"coefficient grid has an out-of-range number: {exc}") from exc
-    if not np.isfinite(grid).all():
+    if not np.isfinite(values).all():
         raise BadParameters("coefficient grid has non-finite values")
-    return grid.reshape((2 * N + 1,) * d)
+    return values.reshape((2 * N + 1,) * d) if full else values

@@ -116,10 +116,11 @@ def aaa_fit(points, values, tol=DEFAULT_TOL, max_order=None):
     Args:
         points: distinct sample abscissae (at least two).
         values: sample values, same length as points.
-        tol: relative residual tolerance; iteration stops once the largest
-            misfit over the unused points drops below tol * max|values|.
-        max_order: cap on the number of support points; defaults to half the
-            sample count (at most 100).
+        tol: finite positive relative residual tolerance; iteration stops
+            once the largest misfit over the unused points drops below
+            tol * max|values|.
+        max_order: positive integer cap on the number of support points;
+            defaults to half the sample count (at most 100).
 
     Returns:
         (BarycentricForm, AaaTrace).  The trace's converged flag is False when
@@ -147,12 +148,13 @@ def _greedy_fit(pts, vals, tol, max_order):
     """
     if len(pts) < 2:
         raise BadParameters("need at least two sample points")
-    if tol <= 0:
-        raise BadParameters("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise BadParameters(f"tol must be finite and positive, got {tol!r}")
     if max_order is None:
         max_order = min(len(pts) // 2, 100)
-    if max_order < 1:
-        raise BadParameters("max_order must be >= 1")
+    if (type(max_order) is bool or not isinstance(max_order, (int, np.integer))
+            or max_order < 1):
+        raise BadParameters(f"max_order must be a positive integer, got {max_order!r}")
 
     scale = np.abs(vals).max()
     chosen = [int(np.argmax(np.abs(vals)))]

@@ -256,7 +256,9 @@ def spiked_bivariate_5():
     case = BIVARIATE_5
     coverage = SparseLines(case.tau)
     clean = case.signal.synthesize(case.P, case.N, coverage)
-    table = {k: clean.value(k) for k in coverage.unique_indices(2, case.N)}
+    rows = coverage.unique_indices(2, case.N)
+    values = np.array(clean.values)
     for idx, spike in BIVARIATE_5_SPIKES.items():
-        table[idx] += spike * abs(table[idx])
-    return CoefficientSource(2, case.P, case.N, coverage, table=table)
+        at = np.flatnonzero((rows == idx).all(axis=1))[0]
+        values[at] += spike * abs(values[at])
+    return CoefficientSource(2, case.P, case.N, coverage, values)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from expanal import relative_errors, signal_from_json, signal_to_json
+from expanal import SparseLines, relative_errors, signal_from_json, signal_to_json
 from expanal.cli import main
 
 from cases import BIVARIATE_5, QUADVARIATE_9, signal_from_poles
@@ -33,7 +33,8 @@ class TestGenerate:
         assert obj["coverage"] == "sparse:7"
         # 79 samples counted per line; the origin and the two points where
         # the diagonal crosses the axes are stored once each
-        assert len(obj["entries"]) == 76
+        assert sorted(obj) == ["N", "P", "coverage", "d", "im", "re"]
+        assert len(obj["re"]) == len(obj["im"]) == 76
 
     def test_degenerate_signal(self, tmp_path):
         sig = signal_from_poles(np.array([[1.0 + 0.0j, 0.4 + 0.5j]]),
@@ -146,7 +147,6 @@ class TestRecover:
         assert payload["error"] == "TauViolation"
 
     def test_per_entry_full_grid_rejected(self, spec_file, tmp_path):
-        # the per-entry layout is read for sparse lines only
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({
             "d": 1, "P": 1.0, "N": 1, "coverage": "full",
@@ -180,19 +180,52 @@ class TestRecover:
         assert not result.exists()
 
     # each token reads as the original value under int() or float()
-    @pytest.mark.parametrize("field, token", [("N", 15.9), ("P", "4.0"), ("k", "1")])
+    @pytest.mark.parametrize("field, token", [("N", 15.9), ("P", "4.0")])
     def test_edited_sparse_file_rejected(self, spec_file, tmp_path, field, token):
         grid = tmp_path / "grid.json"
         run("generate", spec_file, "--N", "15", "--coverage", "sparse:7", "--out", str(grid))
         obj = json.loads(grid.read_text())
-        if field == "k":
-            next(e for e in obj["entries"] if e["k"][0] == 1)["k"][0] = token
-        else:
-            obj[field] = token
+        obj[field] = token
         grid.write_text(json.dumps(obj))
         result = tmp_path / "r.json"
         code = run("recover", str(grid), "--method", "sparse", "--out", str(result))
         assert code == 1
+        assert not result.exists()
+
+    def test_per_entry_sparse_file_rejected(self, spec_file, tmp_path):
+        # the per-entry layout of earlier versions: {"k": index, "c": [re, im]}
+        grid = tmp_path / "grid.json"
+        run("generate", spec_file, "--N", "15", "--coverage", "sparse:7", "--out", str(grid))
+        obj = json.loads(grid.read_text())
+        rows = SparseLines(7).unique_indices(2, 15).tolist()
+        obj["entries"] = [{"k": k, "c": [re, im]}
+                          for k, re, im in zip(rows, obj.pop("re"), obj.pop("im"))]
+        grid.write_text(json.dumps(obj))
+        result = tmp_path / "r.json"
+        code = run("recover", str(grid), "--method", "sparse", "--out", str(result))
+        assert code == 1
+        assert not result.exists()
+
+    @pytest.mark.parametrize("coverage", [5, ["sparse:7"]])
+    def test_non_string_coverage_rejected(self, tmp_path, capsys, coverage):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"d": 1, "P": 1.0, "N": 1, "coverage": coverage}))
+        result = tmp_path / "r.json"
+        code = run("recover", str(grid), "--method", "sparse", "--out", str(result))
+        assert code == 1
+        assert "coverage descriptor must be a string" in capsys.readouterr().err
+        assert not result.exists()
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol(self, tmp_path, capsys, tol):
+        # refused before the grid is read: the grid file does not exist
+        result = tmp_path / "r.json"
+        code = run("recover", str(tmp_path / "missing.json"), "--method", "sparse",
+                   "--tol", tol, "--out", str(result))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --tol must be finite and positive, got {float(tol)}"
+        ]
         assert not result.exists()
 
     def test_negative_seed(self, spec_file, tmp_path, capsys):

@@ -17,9 +17,20 @@ from expanal import (
     source_from_json,
     source_to_json,
 )
-from expanal.errors import BadParameters, DegenerateFrequency, ShapeMismatch
+from expanal.errors import (
+    BadParameters,
+    CoverageMismatch,
+    DegenerateFrequency,
+    ShapeMismatch,
+)
 
-from cases import BIVARIATE_5, QUADVARIATE_9, TRIVARIATE_6, random_univariate
+from cases import (
+    BIVARIATE_5,
+    QUADVARIATE_9,
+    TRIVARIATE_6,
+    random_axis_distinct,
+    random_univariate,
+)
 from oracles import box_quadrature_coefficient, factor_quadrature_coefficient
 
 
@@ -103,7 +114,7 @@ class TestSynthesize:
         with pytest.raises(BadParameters, match="period"):
             case.signal.synthesize(P, 3, SparseLines(2))
         with pytest.raises(BadParameters, match="period"):
-            CoefficientSource(1, P, 1, FullGrid(), grid=np.ones(3))
+            CoefficientSource(1, P, 1, FullGrid(), np.ones(3))
 
     def test_full_grid_against_factor_quadrature(self):
         case = TRIVARIATE_6
@@ -118,11 +129,14 @@ class TestSynthesize:
     def test_lookup_matches_formula_bitwise(self):
         case = BIVARIATE_5
         sparse = case.signal.synthesize(case.P, 6, SparseLines(2))
-        for idx, value in sparse.items():
-            assert value == case.signal.fourier_coefficient(idx, case.P)
         full = case.signal.synthesize(case.P, 3, FullGrid())
-        for idx, value in full.items():
-            assert value == case.signal.fourier_coefficient(idx, case.P)
+        # both stores list their values in lexicographic index order
+        full_rows = np.array(list(np.ndindex(7, 7))) - 3
+        for src, rows in ((sparse, sparse.coverage.unique_indices(2, 6)), (full, full_rows)):
+            assert len(rows) == src.values.size
+            for idx, value in zip(rows, src.values.ravel()):
+                assert value == case.signal.fourier_coefficient(idx, case.P)
+                assert src.value(idx) == value
 
     def test_batch_lookup_matches_grid_bitwise(self):
         case = QUADVARIATE_9
@@ -247,7 +261,7 @@ class TestJson:
         src = case.signal.synthesize(case.P, 6, SparseLines(2))
         back = source_from_json(source_to_json(src))
         assert back.coverage == src.coverage
-        assert all(back.value(idx) == value for idx, value in src.items())
+        assert back.values.tobytes() == src.values.tobytes()
 
     def test_source_roundtrip_full(self):
         case = BIVARIATE_5
@@ -262,7 +276,7 @@ class TestJson:
         shape = (2 * N + 1,) * d
         grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         grid.flat[1] = complex(0.25, -0.0)
-        src = CoefficientSource(d, 1.5, N, FullGrid(), grid=grid)
+        src = CoefficientSource(d, 1.5, N, FullGrid(), grid)
         obj = json.loads(json.dumps(source_to_json(src)))
         assert sorted(obj) == ["N", "P", "coverage", "d", "im", "re"]
         # C order over [-N..N]^d: index k at position k+N, axis 0 slowest
@@ -274,14 +288,17 @@ class TestJson:
         assert np.signbit(back.grid().flat[1].imag)
 
     def test_sparse_wire_layout_unchanged(self):
+        # pins the sparse layout: re/im over the covered indices, each once,
+        # in lexicographic order
         case = BIVARIATE_5
         src = case.signal.synthesize(case.P, 15, SparseLines(7))
-        entries = [
-            {"k": [k0, k1], "c": [src.value((k0, k1)).real, src.value((k0, k1)).imag]}
-            for k0, k1 in sorted(SparseLines(7).unique_indices(2, 15))
-        ]
+        rows = sorted({tuple(row) for _, line in SparseLines(7).line_indices(2, 15)
+                       for row in line.tolist()})
+        values = [case.signal.fourier_coefficient(k, case.P) for k in rows]
+        assert len(rows) == 76
         assert source_to_json(src) == {
-            "d": 2, "P": case.P, "N": 15, "coverage": "sparse:7", "entries": entries,
+            "d": 2, "P": case.P, "N": 15, "coverage": "sparse:7",
+            "re": [z.real for z in values], "im": [z.imag for z in values],
         }
 
     @pytest.mark.parametrize("text", [
@@ -303,24 +320,20 @@ class TestJson:
         with pytest.raises(BadParameters):
             source_from_json(json.loads(text))
 
-    # one bad token per wire field of a sparse-lines file: values and P take
-    # JSON numbers only, d, N and each index k JSON integers only; the refusal
-    # must come from the type check, not from a later mismatch
+    # one bad token per wire field of a sparse-lines file: P and each value c
+    # (a token of re) take JSON numbers only, d and N JSON integers only; the
+    # refusal must come from the type check, not from a later mismatch
     @pytest.mark.parametrize("field, token", [
         ("d", True), ("d", "2"), ("d", 2.5),
         ("N", True), ("N", "6"), ("N", 6.9),
         ("P", True), ("P", "4.0"),
-        ("k", True), ("k", "1"), ("k", 1.5),
         ("c", True), ("c", "1.0"),
     ])
     def test_sparse_wire_fields_take_numbers_only(self, field, token):
         case = BIVARIATE_5
         obj = source_to_json(case.signal.synthesize(case.P, 6, SparseLines(2)))
-        entry = next(e for e in obj["entries"] if e["k"][0] == 1)
-        if field == "k":
-            entry["k"][0] = token
-        elif field == "c":
-            entry["c"][0] = token
+        if field == "c":
+            obj["re"][1] = token
         else:
             obj[field] = token
         with pytest.raises(BadParameters, match="JSON"):
@@ -331,10 +344,8 @@ class TestJson:
         src = case.signal.synthesize(case.P, 6, SparseLines(2))
         obj = source_to_json(src)
         obj["d"], obj["N"] = 2.0, 6.0
-        for entry in obj["entries"]:
-            entry["k"] = [float(x) for x in entry["k"]]
         back = source_from_json(obj)
-        assert all(back.value(idx) == value for idx, value in src.items())
+        assert back.values.tobytes() == src.values.tobytes()
 
     @pytest.mark.parametrize("field, token", [
         ("d", True), ("d", 1.5), ("P", True), ("P", "2"), ("gamma", True), ("lambda", "1"),
@@ -353,3 +364,107 @@ class TestJson:
     def test_malformed_signal(self):
         with pytest.raises(BadParameters):
             signal_from_json({"d": 2, "P": 1.0, "gamma": [[1, 0]]})
+
+
+class TestSparseStore:
+    """Sparse lines are one flat array over the covered indices."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_wire_roundtrip_bitwise(self, d, tau):
+        N = 4
+        coverage = SparseLines(tau)
+        n = len(coverage.unique_indices(d, N))
+        rng = np.random.default_rng(10 * d + tau)
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        values[0] = complex(0.25, -0.0)
+        src = CoefficientSource(d, 1.5, N, coverage, values)
+        obj = json.loads(json.dumps(source_to_json(src)))
+        assert sorted(obj) == ["N", "P", "coverage", "d", "im", "re"]
+        assert len(obj["re"]) == len(obj["im"]) == n
+        back = source_from_json(obj)
+        assert back.coverage == coverage
+        assert back.values.tobytes() == src.values.tobytes()
+        assert np.signbit(back.values[0].imag)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_lines_match_formula_bitwise(self, d, tau):
+        sig, _ = random_axis_distinct(np.random.default_rng(d + tau), 2, d, tau=3)
+        src = sig.synthesize(2.0, 8, SparseLines(tau))
+        reads = [src.axis_line(m) for m in range(d)]
+        reads += [src.diagonal_line(m) for m in range(1, d)]
+        lines = src.coverage.line_indices(d, 8)
+        assert len(reads) == len(lines) == 2 * d - 1
+        for got, (_, line) in zip(reads, lines):
+            assert got.tobytes() == sig.fourier_coefficients(line, 2.0).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_rows_unique_and_lexicographic(self, d, tau):
+        coverage = SparseLines(tau)
+        rows = [tuple(row) for row in coverage.unique_indices(d, 5).tolist()]
+        covered = {tuple(row) for _, line in coverage.line_indices(d, 5)
+                   for row in line.tolist()}
+        assert rows == sorted(covered)
+        sig, _ = random_axis_distinct(np.random.default_rng(d), 1, d, tau=3)
+        assert sig.synthesize(2.0, 5, coverage).values.shape == (len(rows),)
+
+    def test_wrong_length_refused(self):
+        coverage = SparseLines(2)
+        with pytest.raises(ShapeMismatch):
+            CoefficientSource(2, 1.0, 6, coverage, np.ones(3))
+        with pytest.raises(ShapeMismatch):
+            CoefficientSource(2, 1.0, 6, FullGrid(), np.ones(len(coverage.unique_indices(2, 6))))
+
+    def test_diagonal_line_of_full_grid_refused(self):
+        src = BIVARIATE_5.signal.synthesize(BIVARIATE_5.P, 6, FullGrid())
+        with pytest.raises(CoverageMismatch):
+            src.diagonal_line(1)
+
+    def test_line_outside_the_coverage_refused(self):
+        src = BIVARIATE_5.signal.synthesize(BIVARIATE_5.P, 6, SparseLines(2))
+        with pytest.raises(BadParameters):
+            src.axis_line(2)
+        with pytest.raises(BadParameters):
+            src.diagonal_line(0)
+
+    @pytest.mark.parametrize("edit", [
+        "short-re", "long-im", "bool-in-re", "bool-in-im", "string-in-re", "nan-in-im",
+        "per-entry",
+    ])
+    def test_malformed_sparse_object(self, edit):
+        case = BIVARIATE_5
+        obj = json.loads(json.dumps(
+            source_to_json(case.signal.synthesize(case.P, 6, SparseLines(2)))
+        ))
+        if edit == "short-re":
+            obj["re"].pop()
+        elif edit == "long-im":
+            obj["im"].append(0.0)
+        elif edit == "bool-in-re":
+            obj["re"][3] = True
+        elif edit == "bool-in-im":
+            obj["im"][3] = False
+        elif edit == "string-in-re":
+            obj["re"][3] = "1.0"
+        elif edit == "nan-in-im":
+            obj["im"][3] = float("nan")
+        else:
+            rows = SparseLines(2).unique_indices(2, 6).tolist()
+            obj["entries"] = [{"k": k, "c": [re, im]}
+                              for k, re, im in zip(rows, obj.pop("re"), obj.pop("im"))]
+        with pytest.raises(BadParameters):
+            source_from_json(obj)
+
+    @pytest.mark.parametrize("coverage", [5, ["sparse:2"], None, True])
+    def test_coverage_must_be_a_string(self, coverage):
+        with pytest.raises(BadParameters, match="string"):
+            parse_coverage(coverage)
+        with pytest.raises(BadParameters, match="string"):
+            source_from_json({"d": 1, "P": 1.0, "N": 1, "coverage": coverage})
+
+    @pytest.mark.parametrize("tau", [True, False, 1.0, 0, -2])
+    def test_tau_must_be_a_positive_integer(self, tau):
+        with pytest.raises(BadParameters, match="tau"):
+            SparseLines(tau)

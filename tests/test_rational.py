@@ -308,7 +308,7 @@ class TestRecoverUnivariate:
         k = np.arange(-n, n + 1, dtype=float)
         values = 2.0 / (k - (0.4 + 0.7j)) - 1.3 / (k - (-1.2 - 0.5j))
         values[n + 3] += 0.8 - 0.4j
-        src = CoefficientSource(1, 2.0, n, FullGrid(), grid=values)
+        src = CoefficientSource(1, 2.0, n, FullGrid(), values)
         with pytest.raises(DegenerateFrequency, match=r"\[3\]"):
             recover_univariate(src)
 
@@ -316,7 +316,7 @@ class TestRecoverUnivariate:
 def _univariate_line(values):
     n_half = (len(values) - 1) // 2
     return recover_univariate(
-        CoefficientSource(1, BIVARIATE_5.P, n_half, FullGrid(), grid=values)
+        CoefficientSource(1, BIVARIATE_5.P, n_half, FullGrid(), values)
     )
 
 
@@ -505,3 +505,16 @@ class TestValidatedOncePath:
         # constant samples would end in DegenerateFrequency after the fit
         with pytest.raises(BadParameters, match=match):
             pole_residue_from_samples(np.full(11, 2.0), **kwargs)
+
+    # nan tol used to end in NoConvergence and inf tol in "samples are
+    # constant"; a nan max_order meant no cap, 2.5 and True were taken as is
+    @pytest.mark.parametrize("name, bad", [
+        ("tol", np.nan), ("tol", np.inf), ("tol", -1.0),
+        ("max_order", 2.5), ("max_order", True), ("max_order", np.nan),
+    ])
+    def test_tol_and_max_order_checked(self, name, bad):
+        line = BIVARIATE_5.signal.synthesize(BIVARIATE_5.P, 15, "full").axis_line(0)
+        with pytest.raises(BadParameters, match=name):
+            pole_residue_from_samples(line, **{name: bad})
+        with pytest.raises(BadParameters, match=name):
+            aaa_fit(np.arange(-15, 16), line, **{name: bad})

@@ -211,7 +211,7 @@ class TestLeavesToSum:
         tree = build_pole_tree(clean)
         noise = rng.standard_normal(clean.grid().shape) + 1j * rng.standard_normal(clean.grid().shape)
         noisy = clean.grid() + 1e-3 * np.abs(clean.grid()).max() * noise
-        src = CoefficientSource(d, 2.0, 6, FullGrid(), grid=noisy)
+        src = CoefficientSource(d, 2.0, 6, FullGrid(), noisy)
         rec = leaves_to_sum(tree, src)
         oracle = dense_amplitude_coefficients(tree.leaf_paths(), noisy, 2.0)
         assert np.abs(rec.coefficients - oracle).max() <= 1e-12 * np.abs(oracle).max()

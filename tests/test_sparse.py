@@ -186,11 +186,19 @@ class TestMatchPairs:
 class RecordingSource(CoefficientSource):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.reads = set()
+        self.reads = []
 
     def value(self, k):
-        self.reads.add(tuple(int(x) for x in np.asarray(k, dtype=int).ravel()))
+        self.reads.append(("value", tuple(np.asarray(k).tolist())))
         return super().value(k)
+
+    def axis_line(self, axis):
+        self.reads.append(("axis", axis))
+        return super().axis_line(axis)
+
+    def diagonal_line(self, axis):
+        self.reads.append(("diagonal", axis))
+        return super().diagonal_line(axis)
 
 
 class TestRecoverSparse:
@@ -256,12 +264,10 @@ class TestRecoverSparse:
     def test_reads_exactly_the_plan(self):
         case = BIVARIATE_5
         src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
-        recording = RecordingSource(
-            src.d, src.P, src.N, src.coverage, table=dict(src.items())
-        )
+        recording = RecordingSource(src.d, src.P, src.N, src.coverage, src.values)
         recover_sparse(recording)
-        expected = src.coverage.unique_indices(src.d, src.N)
-        assert recording.reads == expected
+        # each of the 2d-1 lines once, and no point lookups
+        assert sorted(recording.reads) == [("axis", 0), ("axis", 1), ("diagonal", 1)]
 
     def test_isolated_misfit_raises(self):
         # the refit misses one axis-0 sample by ~2e-6 of the line's scale;
