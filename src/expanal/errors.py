@@ -21,10 +21,6 @@ class NoConvergence(ExpanalError):
     """A rational fit hit its order cap with the residual above tolerance."""
 
 
-class RankDeficient(ExpanalError):
-    """A matrix that must have full numerical rank does not."""
-
-
 class IllConditioned(ExpanalError):
     """A linear system is numerically rank deficient."""
 
@@ -48,10 +44,6 @@ class TauViolation(ExpanalError):
 
 class CoverageMismatch(ExpanalError):
     """The coefficient source's coverage does not fit the requested method."""
-
-
-class OrderMismatch(ExpanalError):
-    """Truth and reconstruction have different orders."""
 
 
 class NotFitted(ExpanalError):

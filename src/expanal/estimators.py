@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotFitted
 from .recursive import recover_recursive
-from .sparse import PAIRING_MARGIN, PAIRING_SCORE_TOL, recover_sparse
+from .sparse import recover_sparse
 
 
 class _BaseRecovery:
@@ -66,23 +66,12 @@ class SparseGridRecovery(_BaseRecovery):
     shift is taken from the coverage descriptor.
     """
 
-    def __init__(self, tol=1e-12, rcond=1e-13, pairing_tol=PAIRING_SCORE_TOL,
-                 pairing_margin=PAIRING_MARGIN, method="eig"):
+    def __init__(self, tol=1e-12, method="eig"):
         self.tol = tol
-        self.rcond = rcond
-        self.pairing_tol = pairing_tol
-        self.pairing_margin = pairing_margin
         self.method = method
 
     def fit(self, source, y=None):
-        signal, certificate = recover_sparse(
-            source,
-            tol=self.tol,
-            rcond=self.rcond,
-            pairing_tol=self.pairing_tol,
-            pairing_margin=self.pairing_margin,
-            method=self.method,
-        )
+        signal, certificate = recover_sparse(source, tol=self.tol, method=self.method)
         self.pairing_ = certificate
         return self._finish_fit(signal)
 
@@ -90,22 +79,14 @@ class SparseGridRecovery(_BaseRecovery):
 class RecursiveRecovery(_BaseRecovery):
     """Full-grid recursive dimension-reduction estimator."""
 
-    def __init__(self, tol=1e-12, rcond=1e-13, max_order=None, method="eig",
-                 seed=0):
+    def __init__(self, tol=1e-12, method="eig", seed=0):
         self.tol = tol
-        self.rcond = rcond
-        self.max_order = max_order
         self.method = method
         self.seed = seed
 
     def fit(self, source, y=None):
         signal, tree = recover_recursive(
-            source,
-            tol=self.tol,
-            rcond=self.rcond,
-            max_order=self.max_order,
-            method=self.method,
-            seed=self.seed,
+            source, tol=self.tol, method=self.method, seed=self.seed
         )
         self.tree_ = tree
         return self._finish_fit(signal)

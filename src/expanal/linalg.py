@@ -6,16 +6,19 @@ square pencils with a nonsingular right-hand matrix, and one least-cost
 assignment (shortest augmenting paths).  The library needs no scipy: both
 pole engines reduce their pencil to a standard eigenproblem, and the pairing
 and the error metric share linear_assignment.
+
+RCOND is the package's one numerical-rank cutoff, and full_rank_svd the one
+check that a Cauchy system (pairing, slice peel, pencil) has full rank.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, BadParameters, ShapeMismatch
-from .validation import as_complex_matrix, as_complex_vector, check_rcond
+from .errors import BadParameters, ConvergenceFailure, IllConditioned, ShapeMismatch
+from .validation import as_complex_matrix, as_complex_vector
 
-DEFAULT_RCOND = 1e-13
+RCOND = 1e-13
 
 
 def svd(a):
@@ -31,32 +34,46 @@ def svd(a):
     return u, s, vh.conj().T
 
 
-def lstsq(a, b, rcond=DEFAULT_RCOND):
+def full_rank_svd(a, what):
+    """svd(a) of a matrix that must have full numerical column rank.
+
+    Raises IllConditioned naming `what` when a has fewer rows than columns or
+    its smallest singular value is at most RCOND times the largest.
+    """
+    u, s, v = svd(a)
+    ratio = s[-1] / s[0] if len(s) == v.shape[0] and s[0] > 0 else 0.0
+    if ratio <= RCOND:
+        raise IllConditioned(
+            f"{what} is numerically rank deficient: singular value ratio "
+            f"{ratio:.3e} <= {RCOND:.0e}"
+        )
+    return u, s, v
+
+
+def lstsq(a, b):
     """Minimum-norm least squares solution of a @ x = b.
 
-    Singular values below rcond times the largest are treated as zero.
+    Singular values below RCOND times the largest are treated as zero.
     """
     a = as_complex_matrix(a, "a")
     b = as_complex_vector(b, "b")
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"a has {a.shape[0]} rows but b has length {b.shape[0]}")
-    check_rcond(rcond)
     try:
-        x, _, _, _ = np.linalg.lstsq(a, b, rcond=rcond)
+        x, _, _, _ = np.linalg.lstsq(a, b, rcond=RCOND)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"least squares solve failed: {exc}") from exc
     return x
 
 
-def lstsq_with_rank(a, b, rcond=DEFAULT_RCOND):
+def lstsq_with_rank(a, b):
     """Like lstsq, additionally returning the numerical rank at the cutoff."""
     a = as_complex_matrix(a, "a")
     b = as_complex_vector(b, "b")
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"a has {a.shape[0]} rows but b has length {b.shape[0]}")
-    check_rcond(rcond)
     try:
-        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=rcond)
+        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RCOND)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"least squares solve failed: {exc}") from exc
     return x, int(rank)

@@ -74,6 +74,19 @@ class ExponentialSum:
         object.__setattr__(self, "frequencies", freq)
         object.__setattr__(self, "coefficients", coef)
 
+    @classmethod
+    def from_poles(cls, poles, amplitudes, P):
+        """The signal whose coefficients are sum_j amplitudes[j] * prod_a
+        1/(k_a - poles[j, a]): the inverse of the coefficient formula, for an
+        (M, d) matrix of index-domain poles."""
+        poles = np.asarray(poles, dtype=complex)
+        frequencies = TWO_PI_I * poles / P
+        coefficients = (
+            amplitudes * TWO_PI_I ** poles.shape[1]
+            / np.prod(1.0 - np.exp(frequencies * P), axis=1)
+        )
+        return cls(frequencies, coefficients)
+
     @property
     def d(self):
         return self.frequencies.shape[1]
@@ -388,6 +401,8 @@ class CoefficientSource:
                 f"values of shape {values.shape} do not match {coverage.descriptor()} "
                 f"coverage with N={self.N}, d={self.d}: need {shape}"
             )
+        if not np.isfinite(values).all():
+            raise BadParameters("coefficient values must be finite")
         values.setflags(write=False)
         self.values = values
 
@@ -635,6 +650,4 @@ def _wire_values(d, N, coverage, re, im):
         values.real, values.imag = re, im
     except OverflowError as exc:
         raise BadParameters(f"coefficient grid has an out-of-range number: {exc}") from exc
-    if not np.isfinite(values).all():
-        raise BadParameters("coefficient grid has non-finite values")
     return values.reshape((2 * N + 1,) * d) if full else values

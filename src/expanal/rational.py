@@ -22,12 +22,12 @@ from .errors import (
     BadParameters,
     ConvergenceFailure,
     DegenerateFrequency,
+    IllConditioned,
     NoConvergence,
-    RankDeficient,
     ShapeMismatch,
 )
-from .model import TWO_PI_I, ExponentialSum
-from .validation import as_complex_vector, check_distinct, check_rcond
+from .model import ExponentialSum
+from .validation import as_complex_vector, check_distinct
 
 DEFAULT_TOL = 1e-12
 SPURIOUS_RESIDUE_RTOL = 1e-12
@@ -253,12 +253,14 @@ def _arrowhead_poles(z, w):
         raise ConvergenceFailure(f"pencil eigenvalues failed: {exc}") from exc
 
 
-def loewner_pencil_poles(points, values, order, rank_tol=linalg.DEFAULT_RCOND):
+def loewner_pencil_poles(points, values, order):
     """Poles of an order-`order` rational function from the matrix pencil.
 
     The support partition is chosen by an order-step greedy fit; the pencil of
     plain and shifted divided-difference matrices is projected to size
-    order x order through a rank-truncated SVD before solving.
+    order x order through the SVD of the plain matrix, which must have full
+    rank (linalg.full_rank_svd).  A greedy fit that is exact with fewer than
+    `order` support points raises IllConditioned too.
     """
     pts = as_complex_vector(points, "points")
     vals = as_complex_vector(values, "values")
@@ -271,6 +273,10 @@ def loewner_pencil_poles(points, values, order, rank_tol=linalg.DEFAULT_RCOND):
         raise BadParameters(f"need at least {2 * order} samples for order {order}")
 
     chosen = _greedy_fit(pts, vals, np.finfo(float).tiny, order)[0]
+    if len(chosen) < order:
+        raise IllConditioned(
+            f"greedy fit is exact with {len(chosen)} < {order} support points"
+        )
     rest = np.setdiff1d(np.arange(len(pts)), chosen)
     sup, supv = pts[chosen], vals[chosen]
     gam, gamv = pts[rest], vals[rest]
@@ -279,31 +285,24 @@ def loewner_pencil_poles(points, values, order, rank_tol=linalg.DEFAULT_RCOND):
     plain = (gamv[:, None] - supv[None, :]) / denom
     shifted = (gam[:, None] * gamv[:, None] - sup[None, :] * supv[None, :]) / denom
 
-    u, s, v = linalg.svd(plain)
-    if len(s) < order or s[order - 1] <= rank_tol * s[0]:
-        raise RankDeficient(
-            f"divided-difference matrix has numerical rank < {order}"
-        )
-    uo = u[:, :order]
-    vo = v[:, :order]
-    # reduced_b = diag(s) is nonsingular, since s[order-1] > 0 here
-    reduced_a = uo.conj().T @ shifted @ vo
-    return linalg.sort_complex(linalg.gen_eig(reduced_a, np.diag(s[:order])))
+    u, s, v = linalg.full_rank_svd(plain, "divided-difference matrix")
+    # reduced_b = diag(s) is nonsingular, since every s > 0 here
+    reduced_a = u.conj().T @ shifted @ v
+    return linalg.sort_complex(linalg.gen_eig(reduced_a, np.diag(s)))
 
 
-def residues_ls(poles, points, values, rcond=linalg.DEFAULT_RCOND):
+def residues_ls(poles, points, values):
     """Residues minimizing the 2-norm misfit of sum_j a_j/(k - b_j) = values."""
-    return _cauchy_lstsq(*_cauchy_inputs(poles, points, values, rcond), rcond)
+    return _cauchy_lstsq(*_cauchy_inputs(poles, points, values))
 
 
-def filter_spurious(poles, points, values, rtol=SPURIOUS_RESIDUE_RTOL,
-                    rcond=linalg.DEFAULT_RCOND):
-    """Drop near-zero-residue poles (Froissart doublets) and refit the rest."""
-    return PoleResidue(*_filter_spurious(*_cauchy_inputs(poles, points, values, rcond),
-                                         rtol, rcond))
+def filter_spurious(poles, points, values):
+    """Drop poles whose residue is below SPURIOUS_RESIDUE_RTOL of the largest
+    (Froissart doublets) and refit the rest."""
+    return PoleResidue(*_filter_spurious(*_cauchy_inputs(poles, points, values)))
 
 
-def _cauchy_inputs(poles, points, values, rcond):
+def _cauchy_inputs(poles, points, values):
     """The checked arguments of residues_ls and filter_spurious."""
     b = check_distinct(np.asarray(poles, complex).ravel(), "poles")
     pts = as_complex_vector(points, "points")
@@ -312,34 +311,35 @@ def _cauchy_inputs(poles, points, values, rcond):
         raise BadParameters("sample points must be disjoint from the poles")
     if pts.shape != vals.shape:
         raise ShapeMismatch("points and values must have equal length")
-    check_rcond(rcond)
     return b, pts, vals
 
 
-def _cauchy_lstsq(b, pts, vals, rcond):
+def _cauchy_lstsq(b, pts, vals):
     """residues_ls on trusted arrays, with the poles b off the points."""
     try:
-        return np.linalg.lstsq(1.0 / (pts[:, None] - b[None, :]), vals, rcond=rcond)[0]
+        return np.linalg.lstsq(1.0 / (pts[:, None] - b[None, :]), vals,
+                               rcond=linalg.RCOND)[0]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"least squares solve failed: {exc}") from exc
 
 
-def _filter_spurious(b, pts, vals, rtol, rcond):
+def _filter_spurious(b, pts, vals):
     """filter_spurious on trusted arrays: (kept poles in input order, residues)."""
-    residues = _cauchy_lstsq(b, pts, vals, rcond)
+    residues = _cauchy_lstsq(b, pts, vals)
     top = np.abs(residues).max()
     if top == 0.0:
         raise DegenerateFrequency("samples carry no rational structure of positive order")
-    keep = np.abs(residues) >= rtol * top
+    keep = np.abs(residues) >= SPURIOUS_RESIDUE_RTOL * top
     if keep.all():
         return b, residues
     if not keep.any():
         raise DegenerateFrequency("all residues fall below the spurious-pole threshold")
-    return b[keep], _cauchy_lstsq(b[keep], pts, vals, rcond)
+    return b[keep], _cauchy_lstsq(b[keep], pts, vals)
 
 
-def check_fit_residual(pole_residue, points, values, tol=ISOLATED_MISFIT_TOL):
-    """Raise when the fitted pole/residue model misses some samples.
+def check_fit_residual(pole_residue, points, values):
+    """Raise when the fitted pole/residue model misses some samples by more
+    than ISOLATED_MISFIT_TOL of max|values|.
 
     A small number of isolated misfits while the rest of the samples agree is
     the signature of a frequency of the form 2*pi*i*k/P (constant coefficient
@@ -349,7 +349,7 @@ def check_fit_residual(pole_residue, points, values, tol=ISOLATED_MISFIT_TOL):
     if scale == 0.0:
         return
     resid = np.abs(pole_residue(np.asarray(points, complex)) - values) / scale
-    bad = resid > tol
+    bad = resid > ISOLATED_MISFIT_TOL
     if not bad.any():
         return
     if bad.mean() <= 0.1:
@@ -363,8 +363,7 @@ def check_fit_residual(pole_residue, points, values, tol=ISOLATED_MISFIT_TOL):
     )
 
 
-def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None,
-                              rcond=linalg.DEFAULT_RCOND, method="eig"):
+def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="eig"):
     """The univariate line fit: samples on k = -N..N to a filtered PoleResidue.
 
     values is a 1-D array of an odd number 2N+1 of finite samples at
@@ -387,7 +386,6 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None,
         )
     if not np.isfinite(vals).all():
         raise BadParameters("values contains non-finite entries")
-    check_rcond(rcond)
     if method not in ("eig", "pencil"):
         raise BadParameters(f"unknown pole method {method!r}")
     n_half = (len(vals) - 1) // 2
@@ -400,7 +398,7 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None,
     if method == "eig":
         poles = _arrowhead_poles(points[chosen], weights)
     else:
-        poles = loewner_pencil_poles(points, vals, len(chosen) - 1, rank_tol=rcond)
+        poles = loewner_pencil_poles(points, vals, len(chosen) - 1)
     bad = np.abs(points[None, :] - poles[:, None]).min(axis=1) <= SAMPLE_COLLISION_TOL
     if bad.any():
         nearest = points[np.abs(points[None, :] - poles[bad, None]).argmin(axis=1)]
@@ -410,7 +408,7 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None,
             f"there have no rational structure"
         )
     # both engines sort their poles and the filter keeps their order
-    pr = PoleResidue(*_filter_spurious(poles, points, vals, SPURIOUS_RESIDUE_RTOL, rcond))
+    pr = PoleResidue(*_filter_spurious(poles, points, vals))
     if not trace.converged:
         raise NoConvergence(
             f"greedy fit did not reach tolerance within {trace.iterations} steps"
@@ -419,8 +417,7 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None,
     return pr, trace
 
 
-def recover_univariate(source, tol=DEFAULT_TOL, max_order=None,
-                       rcond=linalg.DEFAULT_RCOND, method="eig"):
+def recover_univariate(source, tol=DEFAULT_TOL, max_order=None, method="eig"):
     """Recover a univariate exponential sum from a d=1 coefficient source.
 
     Runs the line fit on k = -N..N and maps its pole/residue pairs to
@@ -429,8 +426,6 @@ def recover_univariate(source, tol=DEFAULT_TOL, max_order=None,
     if source.d != 1:
         raise ShapeMismatch(f"univariate recovery needs d=1, got d={source.d}")
     pr, _ = pole_residue_from_samples(
-        source.axis_line(0), tol=tol, max_order=max_order, rcond=rcond, method=method
+        source.axis_line(0), tol=tol, max_order=max_order, method=method
     )
-    frequencies = TWO_PI_I * pr.poles / source.P
-    coefficients = TWO_PI_I * pr.residues / (1.0 - np.exp(frequencies * source.P))
-    return ExponentialSum(frequencies[:, None], coefficients)
+    return ExponentialSum.from_poles(pr.poles[:, None], pr.residues, source.P)

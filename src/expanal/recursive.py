@@ -26,9 +26,9 @@ from .errors import (
     ResynthesisWarning,
     ShapeMismatch,
 )
-from .model import TWO_PI_I, ExponentialSum, FullGrid, _SeparableSum
+from .model import ExponentialSum, FullGrid, _SeparableSum
 from .rational import DEFAULT_TOL, pole_residue_from_samples
-from .validation import check_nonnegative_int, check_rcond
+from .validation import check_nonnegative_int
 
 POLE_MERGE_RTOL = 1e-8
 RESYNTHESIS_WARN_TOL = 1e-6
@@ -150,25 +150,22 @@ class SliceValues:
     values: np.ndarray
 
 
-def distinct_poles(values, tol=DEFAULT_TOL, max_order=None,
-                   rcond=linalg.DEFAULT_RCOND, method="eig"):
+def distinct_poles(values, tol=DEFAULT_TOL, max_order=None, method="eig"):
     """Distinct poles of a univariate slice line sampled at k = -N..N.
 
     Returns (count, poles sorted by (real, imag)).  The fit is
-    pole_residue_from_samples; poles closer than a small relative threshold
+    pole_residue_from_samples; poles closer than POLE_MERGE_RTOL (relative)
     are then merged defensively so finite precision cannot split one branch
     into two.
     """
-    pr, _ = pole_residue_from_samples(
-        values, tol=tol, max_order=max_order, rcond=rcond, method=method
-    )
+    pr, _ = pole_residue_from_samples(values, tol=tol, max_order=max_order, method=method)
     poles = _merge_close(pr.poles)
     return len(poles), poles
 
 
-def _merge_close(poles, rtol=POLE_MERGE_RTOL):
+def _merge_close(poles):
     scale = np.abs(poles).max()
-    threshold = rtol * scale if scale > 0 else 0.0
+    threshold = POLE_MERGE_RTOL * scale if scale > 0 else 0.0
     # only the zero diagonal lies within the threshold when no pair does
     if np.count_nonzero(np.abs(poles[:, None] - poles[None, :]) <= threshold) == len(poles):
         return linalg.sort_complex(poles)
@@ -184,7 +181,7 @@ def _merge_close(poles, rtol=POLE_MERGE_RTOL):
     return linalg.sort_complex(merged)
 
 
-def peel_dimension(poles, parent_values, rcond=linalg.DEFAULT_RCOND):
+def peel_dimension(poles, parent_values):
     """Split a slice into one child slice per pole of its leading axis.
 
     For every tail index the samples along the leading axis satisfy a Cauchy
@@ -202,12 +199,8 @@ def peel_dimension(poles, parent_values, rcond=linalg.DEFAULT_RCOND):
     if n < len(b):
         raise BadParameters(f"{n} samples cannot determine {len(b)} pole slices")
     k = np.arange(-n_half, n_half + 1, dtype=float)
-    cauchy = 1.0 / (k[:, None] - b[None, :])
-    u, s, v = linalg.svd(cauchy)
-    if len(s) < len(b) or s[len(b) - 1] <= rcond * s[0]:
-        raise IllConditioned(
-            f"slice system is numerically rank deficient for {len(b)} poles"
-        )
+    u, s, v = linalg.full_rank_svd(1.0 / (k[:, None] - b[None, :]),
+                                   f"slice system for {len(b)} poles")
     rhs = vals.reshape(n, -1)
     solution = v @ ((u.conj().T @ rhs) / s[:, None])
     depth = vals.ndim
@@ -218,25 +211,23 @@ def peel_dimension(poles, parent_values, rcond=linalg.DEFAULT_RCOND):
     ]
 
 
-def build_pole_tree(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
-                    max_order=None, method="eig", trace_sink=None):
+def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
     """Depth-first pole tree of a full-grid coefficient source.
 
-    Each level fits the current slice's axis line, peels that dimension, and
-    recurses into the per-pole child slices; the last dimension's poles become
-    leaves.  Errors are re-raised with the pole path for context.
+    Each level fits the current slice's axis line (at most source.N poles),
+    peels that dimension, and recurses into the per-pole child slices; the
+    last dimension's poles become leaves.  Errors are re-raised with the pole
+    path for context.
     """
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
-    if max_order is None:
-        max_order = source.N
     n_half = source.N
 
     def grow(values, depth, path):
         line = values[(slice(None),) + (n_half,) * (values.ndim - 1)]
         try:
             pr, trace = pole_residue_from_samples(
-                line, tol=tol, max_order=max_order, rcond=rcond, method=method
+                line, tol=tol, max_order=n_half, method=method
             )
         except ExpanalError as exc:
             raise type(exc)(f"at pole path {path}: {exc}") from exc
@@ -249,7 +240,7 @@ def build_pole_tree(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
                 for p in poles
             ]
         try:
-            slices = peel_dimension(poles, values, rcond=rcond)
+            slices = peel_dimension(poles, values)
         except ExpanalError as exc:
             raise type(exc)(f"at pole path {path}: {exc}") from exc
         nodes = []
@@ -262,7 +253,7 @@ def build_pole_tree(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
     return PoleTree(roots=tuple(roots), dimension=source.d).validate()
 
 
-def leaves_to_sum(tree, source, rcond=linalg.DEFAULT_RCOND):
+def leaves_to_sum(tree, source):
     """Signal parameters from a pole tree and its full-grid source.
 
     The root-to-leaf pole paths give the frequency rows.  The amplitudes x
@@ -271,11 +262,10 @@ def leaves_to_sum(tree, source, rcond=linalg.DEFAULT_RCOND):
     G x = A^H grid, where G is the elementwise product of the per-axis Cauchy
     Grams C_a^H C_a.  G is M x M; the design A is never formed.  The system
     counts as rank deficient when the smallest eigenvalue of G is at most
-    rcond times the largest.  One step of iterative refinement recovers the
-    accuracy the normal system gives up.  The amplitudes then map to the
+    linalg.RCOND times the largest.  One step of iterative refinement recovers
+    the accuracy the normal system gives up.  The amplitudes then map to the
     signal coefficients.
     """
-    check_rcond(rcond)
     poles = tree.leaf_paths()
     d = poles.shape[1]
     k = np.arange(-source.N, source.N + 1, dtype=float)
@@ -283,10 +273,10 @@ def leaves_to_sum(tree, source, rcond=linalg.DEFAULT_RCOND):
     grid = source.grid()
 
     eigenvalues, eigenvectors = linalg.eigh(design.gram())
-    if not eigenvalues[0] > rcond * eigenvalues[-1]:
+    if not eigenvalues[0] > linalg.RCOND * eigenvalues[-1]:
         raise IllConditioned(
             f"amplitude system is numerically rank deficient: Gram eigenvalue "
-            f"ratio {eigenvalues[0] / eigenvalues[-1]:.3e} <= {rcond:.0e}"
+            f"ratio {eigenvalues[0] / eigenvalues[-1]:.3e} <= {linalg.RCOND:.0e}"
         )
 
     def solve(values):
@@ -296,34 +286,26 @@ def leaves_to_sum(tree, source, rcond=linalg.DEFAULT_RCOND):
     amplitudes = solve(grid)
     residual = design.apply(amplitudes)
     amplitudes = amplitudes + solve(np.subtract(grid, residual, out=residual))
-
-    frequencies = TWO_PI_I * poles / source.P
-    coefficients = (
-        amplitudes * TWO_PI_I ** d
-        / np.prod(1.0 - np.exp(frequencies * source.P), axis=1)
-    )
-    return ExponentialSum(frequencies, coefficients)
+    return ExponentialSum.from_poles(poles, amplitudes, source.P)
 
 
-def recover_recursive(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
-                      max_order=None, method="eig",
-                      resynthesis_tol=RESYNTHESIS_WARN_TOL, check_points=100,
+def recover_recursive(source, tol=DEFAULT_TOL, method="eig", check_points=100,
                       seed=0, trace_sink=None):
     """Recover an exponential sum from a full coefficient grid.
 
     Builds the pole tree, solves the amplitude system, and spot-checks that
     the reconstruction reproduces the input coefficients at seeded random
-    indices; a large residual there is reported as a ResynthesisWarning (the
-    usual cause is a slice function vanishing at the origin, which hides one
-    of the poles from its axis line).  check_points=0 skips the spot check.
+    indices; a relative residual above RESYNTHESIS_WARN_TOL there is reported
+    as a ResynthesisWarning (the usual cause is a slice function vanishing at
+    the origin, which hides one of the poles from its axis line).
+    check_points=0 skips the spot check.
 
     Returns (ExponentialSum, PoleTree).
     """
     check_nonnegative_int(check_points, "check_points")
     check_nonnegative_int(seed, "seed")
-    tree = build_pole_tree(source, tol=tol, rcond=rcond, max_order=max_order,
-                           method=method, trace_sink=trace_sink)
-    signal = leaves_to_sum(tree, source, rcond=rcond)
+    tree = build_pole_tree(source, tol=tol, method=method, trace_sink=trace_sink)
+    signal = leaves_to_sum(tree, source)
     if check_points == 0:
         return signal, tree
 
@@ -334,7 +316,7 @@ def recover_recursive(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
     scale = np.abs(data).max()
     if scale > 0:
         residual = np.abs(model - data).max() / scale
-        if residual > resynthesis_tol:
+        if residual > RESYNTHESIS_WARN_TOL:
             warnings.warn(
                 ResynthesisWarning(
                     f"reconstruction misses the input coefficients by a relative "

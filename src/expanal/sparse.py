@@ -22,13 +22,13 @@ from .errors import (
     AxisOrderMismatch,
     BadParameters,
     CoverageMismatch,
-    IllConditioned,
     NoConvergence,
     ShapeMismatch,
     TauViolation,
 )
-from .model import TWO_PI_I, ExponentialSum, SparseLines
+from .model import ExponentialSum, SparseLines
 from .rational import DEFAULT_TOL, pole_residue_from_samples
+from .validation import as_complex_vector
 
 PAIRING_SCORE_TOL = 1e-6
 PAIRING_MARGIN = 10.0
@@ -67,8 +67,7 @@ class PairingCertificate:
                 raise BadParameters(f"stage permutation {p} is not a bijection")
 
 
-def recover_axis(values, axis, tol=DEFAULT_TOL, expected_order=None,
-                 rcond=linalg.DEFAULT_RCOND, method="eig"):
+def recover_axis(values, axis, tol=DEFAULT_TOL, expected_order=None, method="eig"):
     """Fit one axis line on k = -N..N; poles sorted by (real, imag).
 
     The fit and its policy are pole_residue_from_samples.  With expected_order
@@ -79,7 +78,7 @@ def recover_axis(values, axis, tol=DEFAULT_TOL, expected_order=None,
     cap = None if expected_order is None else expected_order + 1
     try:
         pr, trace = pole_residue_from_samples(
-            values, tol=tol, max_order=cap, rcond=rcond, method=method
+            values, tol=tol, max_order=cap, method=method
         )
     except NoConvergence as exc:
         if expected_order is None:
@@ -96,18 +95,18 @@ def recover_axis(values, axis, tol=DEFAULT_TOL, expected_order=None,
     return AxisRecovery(axis=axis, poles=pr.poles, coefficients=pr.residues, trace=trace)
 
 
-def pairing_system(poles_prev, poles_next, diagonal_values, tau,
-                   rcond=linalg.DEFAULT_RCOND):
+def pairing_system(poles_prev, poles_next, diagonal_values, tau):
     """Partial-fraction coefficients of one shifted diagonal.
 
     Solves the stacked Cauchy-type least squares system whose first M columns
     carry the previous-axis poles and whose last M columns carry the next-axis
-    poles shifted by 2*tau.  Raises IllConditioned when the stacked matrix is
-    numerically rank deficient (the shift failed to separate the two families).
+    poles shifted by 2*tau, from the one SVD that linalg.full_rank_svd checks.
+    It raises IllConditioned when the stacked matrix is numerically rank
+    deficient (the shift failed to separate the two families).
     """
     prev = np.asarray(poles_prev, dtype=complex).ravel()
     nxt = np.asarray(poles_next, dtype=complex).ravel()
-    vals = np.asarray(diagonal_values, dtype=complex).ravel()
+    vals = as_complex_vector(diagonal_values, "diagonal values")
     if prev.shape != nxt.shape:
         raise ShapeMismatch("pole families must have equal size")
     m = len(prev)
@@ -119,14 +118,8 @@ def pairing_system(poles_prev, poles_next, diagonal_values, tau,
         raise BadParameters(f"need at least {2 * m} diagonal samples, got {len(vals)}")
     first = 1.0 / (k[:, None] - prev[None, :])
     second = 1.0 / (k[:, None] - (nxt[None, :] - 2 * tau))
-    stacked = np.hstack([first, second])
-    _, s, _ = linalg.svd(stacked)
-    if len(s) < 2 * m or s[2 * m - 1] <= rcond * s[0]:
-        raise IllConditioned(
-            "pairing system is numerically rank deficient; the diagonal shift "
-            "does not separate the pole families"
-        )
-    return linalg.lstsq(stacked, vals, rcond=rcond)
+    u, s, v = linalg.full_rank_svd(np.hstack([first, second]), "pairing system")
+    return v @ ((u.conj().T @ vals) / s)
 
 
 def _score_matrix(c, coeffs_prev, poles_prev, poles_next, tau):
@@ -145,15 +138,15 @@ def _score_matrix(c, coeffs_prev, poles_prev, poles_next, tau):
     return sign + ident
 
 
-def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau,
-                score_tol=PAIRING_SCORE_TOL, margin=PAIRING_MARGIN):
+def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau):
     """Bijection matching previous-axis terms to next-axis poles.
 
     Scores every (term, pole) candidate by its violation of the sign condition
     plus the coefficient identity, then takes the assignment minimizing the
     total score.  The assignment is accepted only when every matched score is
-    below score_tol and each row's runner-up is at least `margin` times worse;
-    otherwise AmbiguousPairing reports the two best candidates.
+    below PAIRING_SCORE_TOL and each row's runner-up is at least
+    PAIRING_MARGIN times worse; otherwise AmbiguousPairing reports the two
+    best candidates.
 
     Returns (permutation, matched_scores).
     """
@@ -174,7 +167,7 @@ def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau,
     for j in range(m):
         row = np.sort(scores[j])
         runner_up = row[1] if m > 1 else np.inf
-        if matched[j] > score_tol or runner_up < margin * matched[j]:
+        if matched[j] > PAIRING_SCORE_TOL or runner_up < PAIRING_MARGIN * matched[j]:
             raise AmbiguousPairing(
                 f"term {j}: best candidate scores {row[0]:.3e}, runner-up "
                 f"{row[1] if m > 1 else np.inf:.3e}; no pairing satisfies both "
@@ -183,9 +176,7 @@ def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau,
     return perm, matched
 
 
-def recover_sparse(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
-                   pairing_tol=PAIRING_SCORE_TOL, pairing_margin=PAIRING_MARGIN,
-                   method="eig"):
+def recover_sparse(source, tol=DEFAULT_TOL, method="eig"):
     """Recover an exponential sum from sparse-lines coefficient coverage.
 
     Runs the per-axis fits (axis 0 fixes the order), solves one pairing stage
@@ -197,15 +188,15 @@ def recover_sparse(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
     if not isinstance(source.coverage, SparseLines):
         raise CoverageMismatch("line-based recovery needs sparse-lines coverage")
     tau = source.coverage.tau
-    d, period = source.d, source.P
+    d = source.d
 
-    first = recover_axis(source.axis_line(0), 0, tol=tol, rcond=rcond, method=method)
+    first = recover_axis(source.axis_line(0), 0, tol=tol, method=method)
     order = first.order
     axes = [first]
     for axis in range(1, d):
         axes.append(
             recover_axis(source.axis_line(axis), axis, tol=tol,
-                         expected_order=order, rcond=rcond, method=method)
+                         expected_order=order, method=method)
         )
 
     aligned = [first.poles]
@@ -213,11 +204,8 @@ def recover_sparse(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
     perms, stage_cs, stage_scores = [], [], []
     for axis in range(1, d):
         diag = source.diagonal_line(axis)
-        c = pairing_system(aligned[-1], axes[axis].poles, diag, tau, rcond=rcond)
-        perm, scores = match_pairs(
-            c, prev_coeffs, aligned[-1], axes[axis].poles, tau,
-            score_tol=pairing_tol, margin=pairing_margin,
-        )
+        c = pairing_system(aligned[-1], axes[axis].poles, diag, tau)
+        perm, scores = match_pairs(c, prev_coeffs, aligned[-1], axes[axis].poles, tau)
         aligned.append(axes[axis].poles[perm])
         prev_coeffs = axes[axis].coefficients[perm]
         perms.append(tuple(int(p) for p in perm))
@@ -232,15 +220,11 @@ def recover_sparse(source, tol=DEFAULT_TOL, rcond=linalg.DEFAULT_RCOND,
             f"parameter does not cover the data"
         )
 
-    frequencies = TWO_PI_I * poles / period
     amplitudes = first.coefficients * np.prod(-poles[:, 1:], axis=1)
-    coefficients = (
-        amplitudes * TWO_PI_I ** d / np.prod(1.0 - np.exp(frequencies * period), axis=1)
-    )
     certificate = PairingCertificate(
         permutations=tuple(perms),
         stage_coefficients=tuple(stage_cs),
         match_scores=tuple(stage_scores),
         axis_traces=tuple(a.trace for a in axes),
     )
-    return ExponentialSum(frequencies, coefficients), certificate
+    return ExponentialSum.from_poles(poles, amplitudes, source.P), certificate

@@ -39,12 +39,6 @@ def check_period(P):
         raise BadParameters(f"period P must be finite and positive, got {P!r}")
 
 
-def check_rcond(rcond):
-    """Require a relative singular-value cutoff in (0, 1)."""
-    if not 0.0 < rcond < 1.0:
-        raise BadParameters(f"rcond must lie in (0, 1), got {rcond!r}")
-
-
 def check_distinct(values, name="values", tol=0.0):
     """Require pairwise distinct complex values (within an absolute tolerance).
 

@@ -8,6 +8,7 @@ only the benchmark's own self-test.
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -25,9 +26,17 @@ REMOVED = {
     "expanal": ("plan", "SparseGridPlan"),
     "expanal.sparse": ("plan", "SparseGridPlan", "HUNGARIAN_LIMIT", "_greedy_assignment"),
     "expanal.recursive": ("_line_poles",),
-    "expanal.validation": ("check_positive_int",),
+    "expanal.validation": ("check_positive_int", "check_rcond"),
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices"),
+    "expanal.errors": ("RankDeficient", "OrderMismatch"),
+    "expanal.linalg": ("DEFAULT_RCOND",),
 }
+
+# Thresholds are module constants, each with one owner (linalg.RCOND,
+# rational.SPURIOUS_RESIDUE_RTOL, sparse.PAIRING_SCORE_TOL, ...), not
+# keyword arguments handed down through every call.
+THRESHOLD_KNOBS = {"rcond", "rank_tol", "rtol", "score_tol", "margin",
+                   "pairing_tol", "pairing_margin", "resynthesis_tol"}
 
 
 def _tracing():
@@ -56,6 +65,21 @@ def test_public_names_resolve_and_removed_names_are_gone():
         if _resolves(importlib.import_module(module), path)
     ]
     assert present == []
+
+
+@pytest.mark.parametrize("module", ["rational", "sparse", "recursive", "linalg",
+                                    "estimators"])
+def test_no_threshold_knobs(module):
+    mod = importlib.import_module(f"expanal.{module}")
+    knobs = {
+        f"{name}({param})"
+        for name, obj in vars(mod).items()
+        if not name.startswith("_") and callable(obj)
+        and getattr(obj, "__module__", None) == mod.__name__
+        for param in inspect.signature(obj).parameters
+        if param in THRESHOLD_KNOBS
+    }
+    assert knobs == set()
 
 
 def test_traced_names_resolve():

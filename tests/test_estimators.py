@@ -31,7 +31,7 @@ class TestParamProtocol:
         est = SparseGridRecovery(tol=1e-10)
         params = est.get_params()
         assert params["tol"] == 1e-10
-        assert set(params) == {"tol", "rcond", "pairing_tol", "pairing_margin", "method"}
+        assert set(params) == {"tol", "method"}
 
     def test_set_params_returns_self(self):
         est = RecursiveRecovery()
@@ -43,7 +43,7 @@ class TestParamProtocol:
             SparseGridRecovery().set_params(banana=1)
 
     def test_manual_clone(self):
-        est = RecursiveRecovery(tol=1e-11, max_order=7)
+        est = RecursiveRecovery(tol=1e-11, seed=7)
         twin = type(est)(**est.get_params())
         assert twin.get_params() == est.get_params()
 

@@ -7,8 +7,14 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from expanal import gen_eig, lstsq, svd
-from expanal.errors import BadParameters, ConvergenceFailure, ShapeMismatch
-from expanal.linalg import eigh, linear_assignment, lstsq_with_rank, sort_complex
+from expanal.errors import BadParameters, ConvergenceFailure, IllConditioned, ShapeMismatch
+from expanal.linalg import (
+    eigh,
+    full_rank_svd,
+    linear_assignment,
+    lstsq_with_rank,
+    sort_complex,
+)
 
 from oracles import characteristic_roots, match_complex_sets, rank_one_pseudoinverse
 
@@ -96,14 +102,27 @@ class TestLstsq:
         with pytest.raises(ShapeMismatch):
             lstsq(np.eye(3), [1.0, 2.0])
 
-    def test_rcond_range(self):
-        with pytest.raises(BadParameters):
-            lstsq(np.eye(2), [1.0, 2.0], rcond=0.0)
-
     def test_rank_reporting(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         _, rank = lstsq_with_rank(a, [1.0, 2.0])
         assert rank == 1
+
+
+class TestFullRankSvd:
+    # a missing or zero singular value reads as the ratio 0
+    @pytest.mark.parametrize("a, ratio", [
+        (np.ones((2, 3)), r"0\.000e\+00"),
+        (np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]), r"\d\.\d{3}e-\d\d"),
+        (np.zeros((3, 2)), r"0\.000e\+00"),
+    ], ids=["wide", "dependent-columns", "zero"])
+    def test_rank_deficient_raises(self, a, ratio):
+        with pytest.raises(IllConditioned, match=f"test matrix .*ratio {ratio} <= 1e-13"):
+            full_rank_svd(a, "test matrix")
+
+    def test_full_rank_returns_svd(self):
+        a = random_complex(np.random.default_rng(11), (6, 4))
+        for got, want in zip(full_rank_svd(a, "test matrix"), svd(a)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEigh:

@@ -1,6 +1,7 @@
 """Tests for the signal model, coefficient synthesis and error metrics."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,24 @@ class TestSparseStore:
             CoefficientSource(2, 1.0, 6, coverage, np.ones(3))
         with pytest.raises(ShapeMismatch):
             CoefficientSource(2, 1.0, 6, FullGrid(), np.ones(len(coverage.unique_indices(2, 6))))
+
+    # a non-finite value must fail where the source is built, not later in
+    # the pairing (NaN on a diagonal) or in the slice peel (inf off the axes)
+    @pytest.mark.parametrize("where", ["nan-on-diagonal", "inf-off-axes"])
+    def test_non_finite_values_refused_at_construction(self, where):
+        case = BIVARIATE_5
+        if where == "nan-on-diagonal":
+            src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
+            values = src.values.copy()
+            values[src.coverage.layout(2, case.N)[1][("diagonal", 1)][3]] = np.nan
+        else:
+            src = case.signal.synthesize(case.P, 6, FullGrid())
+            values = src.values.copy()
+            values[1, 2] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParameters, match="finite"):
+                CoefficientSource(2, case.P, src.N, src.coverage, values)
 
     def test_diagonal_line_of_full_grid_refused(self):
         src = BIVARIATE_5.signal.synthesize(BIVARIATE_5.P, 6, FullGrid())

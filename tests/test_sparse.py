@@ -114,6 +114,31 @@ class TestPairingSystem:
         assert np.abs(c[:2] - expected).max() <= 1e-10
         assert np.abs(c[2:] + expected).max() <= 1e-10
 
+    def test_matches_lstsq_oracle(self):
+        # one SVD serves the rank check and the solve; the plain dense
+        # least-squares solution of the same stacked system is the oracle
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            m, tau = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+            n = int(rng.integers(2 * m + tau, 3 * m + 2 * tau + 4))
+            prev = random_poles(rng, m, tau / 2)
+            nxt = random_poles(rng, m, tau / 2)
+            k = np.arange(-n, n - 2 * tau + 1, dtype=float)
+            stacked = np.hstack([1.0 / (k[:, None] - prev[None, :]),
+                                 1.0 / (k[:, None] - (nxt[None, :] - 2 * tau))])
+            diag = stacked @ np.concatenate([random_coefficients(rng, m)] * 2)
+            diag += 1e-3 * (rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k)))
+            oracle = np.linalg.lstsq(stacked, diag, rcond=None)[0]
+            c = pairing_system(prev, nxt, diag, tau)
+            assert np.abs(c - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_non_finite_diagonal_rejected(self):
+        k = np.arange(-8, 5, dtype=float)
+        diag = 1.0 / ((k - 0.4 - 0.6j) * (k - (-0.8 + 1.1j - 4)))
+        diag[3] = np.nan
+        with pytest.raises(BadParameters, match="diagonal values"):
+            pairing_system([0.4 + 0.6j], [-0.8 + 1.1j], diag, 2)
+
     def test_overlapping_families_rejected(self):
         # next-axis poles shifted onto the previous-axis poles duplicate columns
         tau, n = 2, 10
