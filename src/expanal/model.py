@@ -201,6 +201,10 @@ class _SeparableSum:
     Each axis holds one (n_a, M) factor table.  Read as a design matrix,
     A[k, j] = prod_a tables[a][k_a, j] is the Khatri-Rao product of the tables
     (axis 0 slowest); no method forms it, or any other (grid x M) array.
+    The index set need not be a coefficient grid: the amplitude solve of
+    recursive.leaves_to_sum runs on a compressed core whose table on axis a
+    has one row per basis vector of that axis (one per distinct pole, at most
+    2N+1), not one per index.
     """
 
     def __init__(self, tables):
@@ -288,6 +292,13 @@ def diagonal_line_indices(d, N, tau, axis):
     return line
 
 
+def _positive_int(value, name):
+    """value as an int; BadParameters unless it is an integer >= 1 (no bool)."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
+        raise BadParameters(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FullGrid:
     """Every integer index in [-N, N]^d."""
@@ -307,10 +318,7 @@ class SparseLines:
     tau: int
 
     def __post_init__(self):
-        if (type(self.tau) is bool or not isinstance(self.tau, (int, np.integer))
-                or self.tau < 1):
-            raise BadParameters(f"tau must be a positive integer, got {self.tau!r}")
-        object.__setattr__(self, "tau", int(self.tau))
+        object.__setattr__(self, "tau", _positive_int(self.tau, "tau"))
 
     def descriptor(self):
         return f"sparse:{self.tau}"
@@ -381,11 +389,9 @@ class CoefficientSource:
 
     def __init__(self, d, P, N, coverage, values):
         check_period(P)
-        if N < 1:
-            raise BadParameters("index half-width N must be >= 1")
-        self.d = int(d)
+        self.d = _positive_int(d, "dimension d")
         self.P = float(P)
-        self.N = int(N)
+        self.N = _positive_int(N, "index half-width N")
         self.coverage = coverage
         if isinstance(coverage, FullGrid):
             self._rows = self._lines = None  # a full grid is indexed by position

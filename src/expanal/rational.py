@@ -305,6 +305,8 @@ def filter_spurious(poles, points, values):
 def _cauchy_inputs(poles, points, values):
     """The checked arguments of residues_ls and filter_spurious."""
     b = check_distinct(np.asarray(poles, complex).ravel(), "poles")
+    if b.size == 0:
+        raise BadParameters("need at least one pole")
     pts = as_complex_vector(points, "points")
     vals = as_complex_vector(values, "values")
     if np.abs(pts[:, None] - b[None, :]).min() == 0.0:

@@ -8,8 +8,13 @@ splits the slice into one lower-dimensional slice per pole.
 The recursion records its poles in a tree whose root-to-leaf paths are the
 recovered pole vectors, so pairing is automatic and repeated per-axis values
 are handled.  The amplitudes then solve one least squares system on the whole
-grid, whose design is a Khatri-Rao product of per-axis Cauchy matrices; it is
-solved through its M x M normal system without forming the design.
+grid, whose design is a Khatri-Rao product of per-axis Cauchy matrices.  Each
+axis's Cauchy columns span at most as many directions as that axis has
+distinct poles, so the grid is first compressed onto those per-axis bases (a
+Tucker core, read off the grid in one pass); the residual outside them is the
+same for every amplitude vector, so the least squares solution on the core is
+exactly the one on the grid.  The core system is solved through its M x M
+normal system without forming the design.
 """
 
 import warnings
@@ -186,7 +191,8 @@ def peel_dimension(poles, parent_values):
 
     For every tail index the samples along the leading axis satisfy a Cauchy
     system in the child values; the system matrix depends only on the poles,
-    so it is factorized once and applied to all tails.
+    so its pseudo-inverse is formed once from the checked SVD and applied to
+    all tails in one matmul over the slice.
     """
     vals = np.asarray(parent_values, dtype=complex)
     if vals.ndim < 2:
@@ -201,8 +207,7 @@ def peel_dimension(poles, parent_values):
     k = np.arange(-n_half, n_half + 1, dtype=float)
     u, s, v = linalg.full_rank_svd(1.0 / (k[:, None] - b[None, :]),
                                    f"slice system for {len(b)} poles")
-    rhs = vals.reshape(n, -1)
-    solution = v @ ((u.conj().T @ rhs) / s[:, None])
+    solution = ((v / s) @ u.conj().T) @ vals.reshape(n, -1)
     depth = vals.ndim
     return [
         SliceValues(pole=complex(b[m]), depth=depth,
@@ -258,19 +263,32 @@ def leaves_to_sum(tree, source):
 
     The root-to-leaf pole paths give the frequency rows.  The amplitudes x
     solve the least squares system on every grid index,
-    grid[k] = sum_j x_j prod_a 1/(k_a - b_ja), through its normal system
-    G x = A^H grid, where G is the elementwise product of the per-axis Cauchy
-    Grams C_a^H C_a.  G is M x M; the design A is never formed.  The system
-    counts as rank deficient when the smallest eigenvalue of G is at most
-    linalg.RCOND times the largest.  One step of iterative refinement recovers
-    the accuracy the normal system gives up.  The amplitudes then map to the
-    signal coefficients.
+    grid[k] = sum_j x_j prod_a C_a[k_a, j] with C_a[k, j] = 1/(k - b_ja).
+
+    The columns of C_a take only the distinct poles of axis a, so they lie in
+    the span of Q_a, the reduced QR basis of the Cauchy matrix of those poles.
+    The design A then lies in the span of the Kronecker product of the Q_a,
+    and ||grid - A x||^2 = ||z - D x||^2 + const: the core z is the grid with
+    each Q_a^H applied along its axis (one pass over the grid, the rest on the
+    small result), D has the tables Q_a^H C_a, and the constant is the part
+    of the grid outside the bases.  The least squares solution on z is thus
+    exactly the one on the grid, and its solve is unchanged: the M x M normal
+    system G x = D^H z, G the elementwise product of the per-axis Grams; rank
+    deficient when the smallest eigenvalue of G is at most linalg.RCOND times
+    the largest; one step of iterative refinement.  No design and no
+    grid-sized array is formed.  The amplitudes then map to the signal
+    coefficients.
     """
     poles = tree.leaf_paths()
-    d = poles.shape[1]
     k = np.arange(-source.N, source.N + 1, dtype=float)
-    design = _SeparableSum([1.0 / (k[:, None] - poles[None, :, a]) for a in range(d)])
-    grid = source.grid()
+    core, tables = source.grid(), []
+    # each product contracts the leading axis and appends its core axis
+    # last, so after d of them the core is in grid axis order (flattened)
+    for column in poles.T:
+        basis = np.linalg.qr(1.0 / (k[:, None] - np.unique(column)))[0]
+        core = core.reshape(len(k), -1).T @ basis.conj()
+        tables.append(basis.conj().T @ (1.0 / (k[:, None] - column)))
+    design = _SeparableSum(tables)
 
     eigenvalues, eigenvectors = linalg.eigh(design.gram())
     if not eigenvalues[0] > linalg.RCOND * eigenvalues[-1]:
@@ -283,9 +301,8 @@ def leaves_to_sum(tree, source):
         rhs = design.adjoint(values)
         return eigenvectors @ ((eigenvectors.conj().T @ rhs) / eigenvalues)
 
-    amplitudes = solve(grid)
-    residual = design.apply(amplitudes)
-    amplitudes = amplitudes + solve(np.subtract(grid, residual, out=residual))
+    amplitudes = solve(core)
+    amplitudes = amplitudes + solve(core - design.apply(amplitudes).reshape(core.shape))
     return ExponentialSum.from_poles(poles, amplitudes, source.P)
 
 

@@ -102,11 +102,13 @@ def pairing_system(poles_prev, poles_next, diagonal_values, tau):
     carry the previous-axis poles and whose last M columns carry the next-axis
     poles shifted by 2*tau, from the one SVD that linalg.full_rank_svd checks.
     It raises IllConditioned when the stacked matrix is numerically rank
-    deficient (the shift failed to separate the two families).
+    deficient (the shift failed to separate the two families).  tau must be
+    a positive integer, as in SparseLines.
     """
     prev = np.asarray(poles_prev, dtype=complex).ravel()
     nxt = np.asarray(poles_next, dtype=complex).ravel()
     vals = as_complex_vector(diagonal_values, "diagonal values")
+    tau = SparseLines(tau).tau
     if prev.shape != nxt.shape:
         raise ShapeMismatch("pole families must have equal size")
     m = len(prev)

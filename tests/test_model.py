@@ -411,6 +411,12 @@ class TestSparseStore:
         sig, _ = random_axis_distinct(np.random.default_rng(d), 1, d, tau=3)
         assert sig.synthesize(2.0, 5, coverage).values.shape == (len(rows),)
 
+    # d and N must be integers of at least 1, not truncated to one
+    @pytest.mark.parametrize("d, N", [(1.5, 1), (0, 1), (-1, 1), (True, 1), (1, 2.7)])
+    def test_non_integer_or_small_d_and_N_refused(self, d, N):
+        with pytest.raises(BadParameters, match="positive integer"):
+            CoefficientSource(d, 1.0, N, FullGrid(), np.ones(3))
+
     def test_wrong_length_refused(self):
         coverage = SparseLines(2)
         with pytest.raises(ShapeMismatch):

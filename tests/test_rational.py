@@ -259,6 +259,11 @@ class TestResidues:
         recovered = residues_ls(poles, KGRID, values)
         assert np.abs(recovered - residues).max() <= 1e-10
 
+    @pytest.mark.parametrize("call", [residues_ls, filter_spurious])
+    def test_no_poles_rejected(self, call):
+        with pytest.raises(BadParameters, match="pole"):
+            call([], np.arange(-2, 3.0), np.ones(5))
+
     def test_reference_axis_coefficients(self):
         # the axis-0 residues equal the term amplitudes divided by the
         # negated opposite-axis poles

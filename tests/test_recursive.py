@@ -1,5 +1,7 @@
 """Tests for the full-grid recursive dimension-reduction pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,27 @@ from oracles import dense_amplitude_coefficients
 
 def index_pole(frequency, P):
     return frequency * P / TWO_PI_I
+
+
+def repeated_axis_signal():
+    """Four terms whose first two share their axis-0 pole (three roots)."""
+    rng = np.random.default_rng(9)
+    shared = complex(0.6, 0.8)
+    col0 = np.concatenate([[shared, shared], random_poles(rng, 2, 2.5)])
+    col1 = random_poles(rng, 4, 2.5)
+    col2 = random_poles(rng, 4, 2.5)
+    poles = np.column_stack([col0, col1, col2])
+    return signal_from_amplitudes(poles, random_coefficients(rng, 4), 2.0)
+
+
+def peak_grids(call, *args, grid):
+    """Peak traced allocation of call(*args), in units of grid's bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / grid.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 class TestDistinctPoles:
@@ -226,6 +249,29 @@ class TestLeavesToSum:
         oracle = dense_amplitude_coefficients(tree.leaf_paths(), src.grid(), case.P)
         assert np.abs(rec.coefficients - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
+    def test_repeated_axis_pole_matches_dense_lstsq(self):
+        # the shared root pole is one column of the axis-0 basis, and the
+        # noise leaves a residual outside the compressed core
+        clean = repeated_axis_signal().synthesize(2.0, 10, FullGrid())
+        tree = build_pole_tree(clean)
+        assert len(tree.roots) == 3 and tree.order == 4
+        rng = np.random.default_rng(30)
+        noise = rng.standard_normal(clean.grid().shape) + 1j * rng.standard_normal(clean.grid().shape)
+        noisy = clean.grid() + 1e-3 * np.abs(clean.grid()).max() * noise
+        rec = leaves_to_sum(tree, CoefficientSource(3, 2.0, 10, FullGrid(), noisy))
+        oracle = dense_amplitude_coefficients(tree.leaf_paths(), noisy, 2.0)
+        assert np.abs(rec.coefficients - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_quadvariate_9_matches_dense_lstsq(self):
+        # the worst-conditioned reference grid: its solve lands about 1e-13
+        # from the dense solution, too far for the 1e-14 above
+        case = QUADVARIATE_9
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        tree = build_pole_tree(src)
+        rec = leaves_to_sum(tree, src)
+        oracle = dense_amplitude_coefficients(tree.leaf_paths(), src.grid(), case.P)
+        assert np.abs(rec.coefficients - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
     def test_near_duplicate_paths_ill_conditioned(self):
         rng = np.random.default_rng(12)
         sig, poles = random_axis_distinct(rng, 1, 2, tau=3)
@@ -242,13 +288,7 @@ class TestLeavesToSum:
 
 class TestRecoverRecursive:
     def test_repeated_axis_value(self):
-        rng = np.random.default_rng(9)
-        shared = complex(0.6, 0.8)
-        col0 = np.concatenate([[shared, shared], random_poles(rng, 2, 2.5)])
-        col1 = random_poles(rng, 4, 2.5)
-        col2 = random_poles(rng, 4, 2.5)
-        poles = np.column_stack([col0, col1, col2])
-        sig = signal_from_amplitudes(poles, random_coefficients(rng, 4), 2.0)
+        sig = repeated_axis_signal()
         src = sig.synthesize(2.0, 10, FullGrid())
         rec, tree = recover_recursive(src)
         report = relative_errors(sig, rec)
@@ -317,3 +357,23 @@ class TestRecoverRecursive:
         full_rec, _ = recover_recursive(sig.synthesize(2.0, 10, FullGrid()))
         cross = relative_errors(sparse_rec, full_rec)
         assert cross.frequency_error <= 1e-8
+
+
+class TestGridPasses:
+    """The amplitude solve and the root peel each read the grid once and
+    allocate well under one grid's worth of memory."""
+
+    @pytest.fixture(scope="class")
+    def trivariate_8(self):
+        case = TRIVARIATE_8
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        return src, build_pole_tree(src)
+
+    def test_amplitude_solve_peak_allocation(self, trivariate_8):
+        src, tree = trivariate_8
+        assert peak_grids(leaves_to_sum, tree, src, grid=src.grid()) < 0.75
+
+    def test_root_peel_peak_allocation(self, trivariate_8):
+        src, tree = trivariate_8
+        roots = [root.pole for root in tree.roots]
+        assert peak_grids(peel_dimension, roots, src.grid(), grid=src.grid()) < 0.4

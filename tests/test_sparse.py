@@ -139,6 +139,11 @@ class TestPairingSystem:
         with pytest.raises(BadParameters, match="diagonal values"):
             pairing_system([0.4 + 0.6j], [-0.8 + 1.1j], diag, 2)
 
+    @pytest.mark.parametrize("tau", [0, -1, 1.5, True])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(BadParameters, match="tau"):
+            pairing_system([0.5j], [0.3j], np.ones(5), tau)
+
     def test_overlapping_families_rejected(self):
         # next-axis poles shifted onto the previous-axis poles duplicate columns
         tau, n = 2, 10
