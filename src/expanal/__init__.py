@@ -45,10 +45,8 @@ _EXPORTS = {
     "recover_univariate": "rational",
     "residues_ls": "rational",
     "PoleTree": "recursive",
-    "SliceValues": "recursive",
     "TreeNode": "recursive",
     "build_pole_tree": "recursive",
-    "distinct_poles": "recursive",
     "leaves_to_sum": "recursive",
     "peel_dimension": "recursive",
     "recover_recursive": "recursive",

@@ -1,11 +1,11 @@
 """Dense complex linear algebra behind the recovery pipelines.
 
 Thin, contract-checked wrappers around LAPACK via numpy alone: SVD,
-truncated-SVD least squares, Hermitian eigendecomposition, eigenvalues of
-square pencils with a nonsingular right-hand matrix, and one least-cost
-assignment (shortest augmenting paths).  The library needs no scipy: both
-pole engines reduce their pencil to a standard eigenproblem, and the pairing
-and the error metric share linear_assignment.
+truncated-SVD least squares, Hermitian eigendecomposition, the eigenvalues of
+one square matrix, and one least-cost assignment (shortest augmenting paths).
+The library needs no scipy: both pole engines reduce their pencil to a
+standard eigenproblem, and the pairing and the error metric share
+linear_assignment.
 
 RCOND is the package's one numerical-rank cutoff, and full_rank_svd the one
 check that a Cauchy system (pairing, slice peel, pencil) has full rank.
@@ -93,27 +93,20 @@ def eigh(a):
         raise ConvergenceFailure(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
-def gen_eig(a, b=None):
-    """All eigenvalues of the square pencil (a, b): those of solve(b, a).
+def gen_eig(a):
+    """All eigenvalues of the square matrix a.
 
-    b must be nonsingular (the identity when omitted), so every eigenvalue is
-    finite; an exactly singular b, or a failed solve or eigenvalue iteration,
-    raises ConvergenceFailure.  The name is kept from the QZ-based version
-    that also took singular pencils: it is a public export and the entry
-    point the pole engines and the benchmark tracer share.
+    A failed eigenvalue iteration raises ConvergenceFailure.  The name is kept
+    from the pencil version: it is a public export and the entry point the
+    benchmark tracer wraps.
     """
     a = as_complex_matrix(a, "a")
-    if b is not None:
-        b = as_complex_matrix(b, "b")
-    if a.shape[0] != a.shape[1] or (b is not None and b.shape != a.shape):
-        raise ShapeMismatch(
-            f"pencil matrices must be square and equal-sized, got {a.shape}"
-            + ("" if b is None else f" and {b.shape}")
-        )
+    if a.shape[0] != a.shape[1]:
+        raise ShapeMismatch(f"matrix must be square, got {a.shape}")
     try:
-        return np.linalg.eigvals(a if b is None else np.linalg.solve(b, a))
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"pencil eigenvalues failed: {exc}") from exc
+        raise ConvergenceFailure(f"eigenvalues failed: {exc}") from exc
 
 
 def linear_assignment(cost):

@@ -64,9 +64,9 @@ class ExponentialSum:
             raise BadParameters("frequencies and coefficients must be finite")
         if np.any(coef == 0):
             raise BadParameters("coefficients must be nonzero")
-        for j in range(freq.shape[0] - 1):
-            if np.any(np.all(freq[j + 1:] == freq[j], axis=1)):
-                raise BadParameters("frequency rows must be pairwise distinct")
+        # only the diagonal matches when the rows are pairwise distinct
+        if np.count_nonzero((freq[:, None] == freq[None]).all(axis=2)) != freq.shape[0]:
+            raise BadParameters("frequency rows must be pairwise distinct")
         freq = freq.copy()
         coef = coef.copy()
         freq.setflags(write=False)
@@ -636,20 +636,29 @@ def source_from_json(obj):
 def _wire_values(d, N, coverage, re, im):
     """The stored values from their flat real and imaginary parts (JSON lists).
 
-    The count comes from the coverage.  Every token must be a JSON number:
-    numpy would read a boolean mixed into numbers as 0.0 or 1.0, so the token
-    types are checked before conversion.
+    The count comes from the coverage.  Every coverage stores the 2dN+1
+    indices of its axis lines, so a shorter "re" is refused before any work
+    sized by d and N.  Every token must be a JSON number: numpy would read a
+    boolean mixed into numbers as 0.0 or 1.0, so the token types are checked
+    before conversion.
     """
     if d < 1 or N < 1:
         raise BadParameters(f"need d >= 1 and N >= 1, got d={d}, N={N}")
+    where = f"{coverage.descriptor()} coverage with N={N}, d={d}"
+    if not isinstance(re, list) or len(re) < 2 * d * N + 1:
+        raise BadParameters(
+            f'"re" must be a flat array of at least {2 * d * N + 1} JSON numbers '
+            f"for {where}"
+        )
     full = isinstance(coverage, FullGrid)
     count = (2 * N + 1) ** d if full else len(coverage.unique_indices(d, N))
+    # (2N+1)^d may have more digits than Python prints
+    wanted = f"{2 * N + 1}^{d}" if full else str(count)
     for name, part in (("re", re), ("im", im)):
         if (not isinstance(part, list) or len(part) != count
                 or not set(map(type, part)) <= {int, float}):
             raise BadParameters(
-                f'"{name}" must be a flat array of {count} JSON numbers for '
-                f"{coverage.descriptor()} coverage with N={N}, d={d}"
+                f'"{name}" must be a flat array of {wanted} JSON numbers for {where}'
             )
     values = np.empty(count, dtype=complex)
     try:

@@ -131,13 +131,18 @@ def aaa_fit(points, values, tol=DEFAULT_TOL, max_order=None):
     divided-difference matrix built from the unused points, then moves the
     point of largest misfit into the support (smallest index wins ties).
     """
+    pts, vals = _sample_inputs(points, values)
+    chosen, weights, trace = _greedy_fit(pts, vals, tol, max_order)
+    return BarycentricForm(pts[chosen], vals[chosen], weights), trace
+
+
+def _sample_inputs(points, values):
+    """The checked samples of aaa_fit and loewner_pencil_poles."""
     pts = as_complex_vector(points, "points")
     vals = as_complex_vector(values, "values")
     if pts.shape != vals.shape:
         raise ShapeMismatch("points and values must have equal length")
-    check_distinct(pts, "points")
-    chosen, weights, trace = _greedy_fit(pts, vals, tol, max_order)
-    return BarycentricForm(pts[chosen], vals[chosen], weights), trace
+    return check_distinct(pts, "points"), vals
 
 
 def _greedy_fit(pts, vals, tol, max_order):
@@ -262,11 +267,7 @@ def loewner_pencil_poles(points, values, order):
     rank (linalg.full_rank_svd).  A greedy fit that is exact with fewer than
     `order` support points raises IllConditioned too.
     """
-    pts = as_complex_vector(points, "points")
-    vals = as_complex_vector(values, "values")
-    if pts.shape != vals.shape:
-        raise ShapeMismatch("points and values must have equal length")
-    check_distinct(pts, "points")
+    pts, vals = _sample_inputs(points, values)
     if order < 1:
         raise BadParameters("order must be >= 1")
     if len(pts) < 2 * order:
@@ -286,9 +287,9 @@ def loewner_pencil_poles(points, values, order):
     shifted = (gam[:, None] * gamv[:, None] - sup[None, :] * supv[None, :]) / denom
 
     u, s, v = linalg.full_rank_svd(plain, "divided-difference matrix")
-    # reduced_b = diag(s) is nonsingular, since every s > 0 here
+    # every s > 0, so the pencil (reduced_a, diag(s)) is a row scaling by 1/s
     reduced_a = u.conj().T @ shifted @ v
-    return linalg.sort_complex(linalg.gen_eig(reduced_a, np.diag(s)))
+    return linalg.sort_complex(linalg.gen_eig(reduced_a / s[:, None]))
 
 
 def residues_ls(poles, points, values):

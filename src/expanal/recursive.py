@@ -4,7 +4,8 @@ One coordinate is peeled at a time: the distinct poles on the current axis
 line are fitted by rational.pole_residue_from_samples (the same line fit and
 policy as the line-based method; only close poles are merged here), then a
 Cauchy-type least squares factorization (reused across all tail indices)
-splits the slice into one lower-dimensional slice per pole.
+splits the slice into one lower-dimensional slice per pole, the rows of one
+array.
 The recursion records its poles in a tree whose root-to-leaf paths are the
 recovered pole vectors, so pairing is automatic and repeated per-axis values
 are handled.  The amplitudes then solve one least squares system on the whole
@@ -41,12 +42,10 @@ RESYNTHESIS_WARN_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One recovered pole at one dimension; leaves sit at depth d."""
+    """One recovered pole and the poles of the next axis below it."""
 
     pole: complex
-    depth: int
     children: tuple
-    leaf_multiplicity: int = None
 
     @property
     def is_leaf(self):
@@ -95,80 +94,38 @@ class PoleTree:
         return np.array(paths, dtype=complex).reshape(-1, self.dimension)
 
     def validate(self):
-        """Check sibling distinctness, path lengths and leaf bookkeeping."""
+        """Check that roots and siblings are distinct and leaves sit at depth d."""
 
-        def walk(node, depth):
-            if node.depth != depth:
-                raise BadParameters(f"node at depth {node.depth} expected {depth}")
-            if depth == self.dimension:
-                if not node.is_leaf or node.leaf_multiplicity is None:
-                    raise BadParameters("bottom-level nodes must be leaves with a multiplicity")
-            else:
-                if node.is_leaf:
-                    raise BadParameters(f"interior node at depth {depth} has no children")
-                kids = np.array([c.pole for c in node.children], dtype=complex)
-                if len(kids) != len(np.unique(kids)):
-                    raise BadParameters("sibling poles must be pairwise distinct")
-                for child in node.children:
-                    walk(child, depth + 1)
+        def walk(nodes, depth):
+            if len({node.pole for node in nodes}) != len(nodes):
+                kind = "root" if depth == 1 else "sibling"
+                raise BadParameters(f"{kind} poles must be pairwise distinct")
+            for node in nodes:
+                if node.is_leaf != (depth == self.dimension):
+                    raise BadParameters(
+                        f"{'leaf' if node.is_leaf else 'interior node'} at depth "
+                        f"{depth}; leaves belong at depth {self.dimension}"
+                    )
+                walk(node.children, depth + 1)
 
-        root_poles = np.array([r.pole for r in self.roots], dtype=complex)
-        if len(root_poles) != len(np.unique(root_poles)):
-            raise BadParameters("root poles must be pairwise distinct")
-        for root in self.roots:
-            walk(root, 1)
-        leaf_mult = sum(
-            node.leaf_multiplicity for node in self._leaves()
-        )
-        if leaf_mult != self.order:
-            raise BadParameters("leaf multiplicities must sum to the order")
+        walk(self.roots, 1)
         return self
-
-    def _leaves(self):
-        stack = list(self.roots)
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-            else:
-                stack.extend(node.children)
 
     def to_json(self):
         def encode(node):
             obj = {"pole": [node.pole.real, node.pole.imag]}
             if node.is_leaf:
-                obj["multiplicity"] = node.leaf_multiplicity
-                obj["children"] = []
-            else:
-                obj["children"] = [encode(c) for c in node.children]
+                obj["multiplicity"] = 1
+            obj["children"] = [encode(c) for c in node.children]
             return obj
 
         return {"dimension": self.dimension, "roots": [encode(r) for r in self.roots]}
 
 
-@dataclass(frozen=True)
-class SliceValues:
-    """Values of one pole's lower-dimensional slice on its full index box."""
-
-    pole: complex
-    depth: int
-    values: np.ndarray
-
-
-def distinct_poles(values, tol=DEFAULT_TOL, max_order=None, method="eig"):
-    """Distinct poles of a univariate slice line sampled at k = -N..N.
-
-    Returns (count, poles sorted by (real, imag)).  The fit is
-    pole_residue_from_samples; poles closer than POLE_MERGE_RTOL (relative)
-    are then merged defensively so finite precision cannot split one branch
-    into two.
-    """
-    pr, _ = pole_residue_from_samples(values, tol=tol, max_order=max_order, method=method)
-    poles = _merge_close(pr.poles)
-    return len(poles), poles
-
-
 def _merge_close(poles):
+    """Fitted poles sorted by (real, imag), those closer than POLE_MERGE_RTOL
+    (relative) merged to their mean, so that finite precision cannot split one
+    branch into two."""
     scale = np.abs(poles).max()
     threshold = POLE_MERGE_RTOL * scale if scale > 0 else 0.0
     # only the zero diagonal lies within the threshold when no pair does
@@ -193,6 +150,9 @@ def peel_dimension(poles, parent_values):
     system in the child values; the system matrix depends only on the poles,
     so its pseudo-inverse is formed once from the checked SVD and applied to
     all tails in one matmul over the slice.
+
+    Returns the (len(poles), *tail) solution array: row j is the child slice
+    of poles[j].
     """
     vals = np.asarray(parent_values, dtype=complex)
     if vals.ndim < 2:
@@ -208,27 +168,22 @@ def peel_dimension(poles, parent_values):
     u, s, v = linalg.full_rank_svd(1.0 / (k[:, None] - b[None, :]),
                                    f"slice system for {len(b)} poles")
     solution = ((v / s) @ u.conj().T) @ vals.reshape(n, -1)
-    depth = vals.ndim
-    return [
-        SliceValues(pole=complex(b[m]), depth=depth,
-                    values=solution[m].reshape(vals.shape[1:]))
-        for m in range(len(b))
-    ]
+    return solution.reshape((len(b),) + vals.shape[1:])
 
 
 def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
     """Depth-first pole tree of a full-grid coefficient source.
 
     Each level fits the current slice's axis line (at most source.N poles),
-    peels that dimension, and recurses into the per-pole child slices; the
-    last dimension's poles become leaves.  Errors are re-raised with the pole
-    path for context.
+    peels that dimension, and recurses into the per-pole child slices (the
+    rows of peel_dimension's result); the last dimension's poles become
+    leaves.  Errors are re-raised with the pole path for context.
     """
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
     n_half = source.N
 
-    def grow(values, depth, path):
+    def grow(values, path):
         line = values[(slice(None),) + (n_half,) * (values.ndim - 1)]
         try:
             pr, trace = pole_residue_from_samples(
@@ -240,21 +195,15 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
         if trace_sink is not None:
             trace_sink.append(trace)
         if values.ndim == 1:
-            return [
-                TreeNode(pole=complex(p), depth=depth, children=(), leaf_multiplicity=1)
-                for p in poles
-            ]
+            return [TreeNode(pole=complex(p), children=()) for p in poles]
         try:
             slices = peel_dimension(poles, values)
         except ExpanalError as exc:
             raise type(exc)(f"at pole path {path}: {exc}") from exc
-        nodes = []
-        for piece in slices:
-            kids = grow(piece.values, depth + 1, path + (piece.pole,))
-            nodes.append(TreeNode(pole=piece.pole, depth=depth, children=tuple(kids)))
-        return nodes
+        return [TreeNode(pole=p, children=tuple(grow(child, path + (p,))))
+                for p, child in zip(map(complex, poles), slices)]
 
-    roots = grow(source.grid(), 1, ())
+    roots = grow(source.grid(), ())
     return PoleTree(roots=tuple(roots), dimension=source.d).validate()
 
 

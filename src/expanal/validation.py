@@ -39,20 +39,13 @@ def check_period(P):
         raise BadParameters(f"period P must be finite and positive, got {P!r}")
 
 
-def check_distinct(values, name="values", tol=0.0):
-    """Require pairwise distinct complex values (within an absolute tolerance).
+def check_distinct(values, name="values"):
+    """Require pairwise distinct complex values; returns them flat, in order.
 
-    Sorted (real, imag), the values are scanned one offset at a time; once no
-    pair at some offset is within tol in the real part, no pair further apart
-    can be within tol at all.
+    Sorted by (real, imag), equal values are neighbours.
     """
     arr = np.asarray(values, dtype=complex).ravel()
     srt = np.sort(arr)
-    for k in range(1, len(srt)):
-        head, tail = srt[:-k], srt[k:]
-        near = tail.real - head.real <= tol
-        if not near.any():
-            break
-        if (np.abs(tail[near] - head[near]) <= tol).any():
-            raise BadParameters(f"{name} must be pairwise distinct")
+    if np.any(srt[1:] == srt[:-1]):
+        raise BadParameters(f"{name} must be pairwise distinct")
     return arr

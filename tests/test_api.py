@@ -23,9 +23,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
 REMOVED = {
-    "expanal": ("plan", "SparseGridPlan"),
+    "expanal": ("plan", "SparseGridPlan", "SliceValues", "distinct_poles"),
     "expanal.sparse": ("plan", "SparseGridPlan", "HUNGARIAN_LIMIT", "_greedy_assignment"),
-    "expanal.recursive": ("_line_poles",),
+    "expanal.recursive": ("_line_poles", "SliceValues", "distinct_poles",
+                          "TreeNode.leaf_multiplicity", "PoleTree._leaves"),
     "expanal.validation": ("check_positive_int", "check_rcond"),
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices"),
     "expanal.errors": ("RankDeficient", "OrderMismatch"),
@@ -94,6 +95,52 @@ def test_traced_names_resolve():
                 if not callable(owner):
                     unresolved.append(f"{layer}.{path}")
     assert unresolved == []
+
+
+def _bindings():
+    """Every module-level and class-level binding of the loaded expanal modules."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "expanal":
+            continue
+        for attr, value in vars(module).items():
+            out[name, attr] = value
+            if isinstance(value, type):
+                for key, member in vars(value).items():
+                    out[name, f"{attr}.{key}"] = member
+    return out
+
+
+def test_tracer_hooks_read_live_names():
+    # the result hooks read PoleTree.level_sizes, PoleTree.order and
+    # CoefficientSource.grid; uninstall must restore every patched binding
+    from cases import BIVARIATE_5, TRIVARIATE_4
+
+    tracing = _tracing()
+    for layer in tracing.SPANS:
+        importlib.import_module(f"expanal.{layer}")
+    from expanal import recursive, sparse
+    from expanal.model import FullGrid, SparseLines
+
+    before = _bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        case = TRIVARIATE_4
+        recursive.recover_recursive(case.signal.synthesize(case.P, case.N, FullGrid()))
+        case = BIVARIATE_5
+        sparse.recover_sparse(case.signal.synthesize(case.P, case.N, SparseLines(case.tau)))
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert sorted(after) == sorted(before)
+    assert [key for key, value in before.items() if after[key] is not value] == []
+    metrics = tracer.metrics(1)
+    assert metrics["recursive.recover_recursive.calls"]["value"] == 1
+    assert metrics["sparse.recover_sparse.calls"]["value"] == 1
+    for name in ("recursive.build_pole_tree.nodes", "recursive.leaves_to_sum.design_mb",
+                 "model.ExponentialSum.synthesize.out_mb"):
+        assert metrics[name]["value"] > 0, name
 
 
 def test_all_is_the_export_table():

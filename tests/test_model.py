@@ -1,6 +1,7 @@
 """Tests for the signal model, coefficient synthesis and error metrics."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,8 +42,10 @@ class TestExponentialSum:
             ExponentialSum(np.array([[1j], [2j]]), np.array([1.0, 0.0]))
 
     def test_rejects_duplicate_rows(self):
-        with pytest.raises(BadParameters):
-            ExponentialSum(np.array([[1j, 2j], [1j, 2j]]), np.array([1.0, 2.0]))
+        # rows that differ only in the sign of a zero are equal
+        for rows in ([[1j, 2j], [1j, 2j]], [[0.0, 2j], [-0.0, 2j]]):
+            with pytest.raises(BadParameters, match="pairwise distinct"):
+                ExponentialSum(np.array(rows), np.array([1.0, 2.0]))
 
     def test_constant_exponent(self):
         sig = ExponentialSum(np.zeros((1, 3)), np.array([1.0]))
@@ -339,6 +342,27 @@ class TestJson:
             obj[field] = token
         with pytest.raises(BadParameters, match="JSON"):
             source_from_json(obj)
+
+    # each coverage stores the 2dN+1 indices of its axis lines, so a d or N
+    # that asks for more values than the file holds is refused before any
+    # work sized by them: (2N+1)^d has more digits than Python prints, and
+    # the sparse layout costs O(d^2 N)
+    @pytest.mark.parametrize("d, N, coverage, count", [
+        (10000, 1, "full", 0),
+        (10000, 1, "full", 20001),
+        (1000, 2, "sparse:1", 0),
+    ], ids=["full-empty", "full-axis-lines", "sparse-empty"])
+    def test_impossible_d_and_N_refused_cheaply(self, d, N, coverage, count):
+        obj = {"d": d, "P": 1.0, "N": N, "coverage": coverage,
+               "re": [0.0] * count, "im": [0.0] * count}
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParameters, match="JSON numbers"):
+                source_from_json(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_sparse_wire_integral_floats_accepted(self):
         case = BIVARIATE_5

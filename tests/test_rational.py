@@ -9,7 +9,6 @@ from expanal import (
     FullGrid,
     SparseLines,
     aaa_fit,
-    distinct_poles,
     evaluate_barycentric,
     loewner_pencil_poles,
     poles_of,
@@ -337,22 +336,17 @@ LINE_FITS = {
     "pole_residue_from_samples": pole_residue_from_samples,
     "recover_univariate": _univariate_line,
     "recover_axis": lambda values: recover_axis(values, 0),
-    "distinct_poles": distinct_poles,
 }
 
 
 class TestOneLineFitPolicy:
-    @pytest.mark.parametrize(
-        "entry", ["recover_univariate", "recover_axis", "distinct_poles"]
-    )
+    @pytest.mark.parametrize("entry", ["recover_univariate", "recover_axis"])
     def test_isolated_misfit_same_error(self, entry):
         line = spiked_bivariate_5().axis_line(0)
         with pytest.raises(DegenerateFrequency, match="isolated"):
             LINE_FITS[entry](line)
 
-    @pytest.mark.parametrize(
-        "entry", ["pole_residue_from_samples", "recover_axis", "distinct_poles"]
-    )
+    @pytest.mark.parametrize("entry", ["pole_residue_from_samples", "recover_axis"])
     def test_even_sample_count_rejected(self, entry):
         case = BIVARIATE_5
         src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))

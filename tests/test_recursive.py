@@ -12,7 +12,6 @@ from expanal import (
     PoleTree,
     SparseLines,
     build_pole_tree,
-    distinct_poles,
     leaves_to_sum,
     peel_dimension,
     recover_recursive,
@@ -30,6 +29,7 @@ from expanal.errors import (
 )
 from expanal.linalg import sort_complex
 from expanal.model import TWO_PI_I
+from expanal.rational import pole_residue_from_samples
 from expanal.recursive import _merge_close
 
 from cases import (
@@ -71,35 +71,43 @@ def peak_grids(call, *args, grid):
         tracemalloc.stop()
 
 
+def root_poles(source):
+    return np.array([root.pole for root in build_pole_tree(source).roots])
+
+
+def line_poles(line):
+    return pole_residue_from_samples(line)[0].poles
+
+
 class TestDistinctPoles:
+    """The roots of the pole tree: the distinct poles of the first axis line."""
+
     def test_reference_roots(self):
         case = QUADVARIATE_9
-        src = case.signal.synthesize(case.P, case.N, FullGrid())
-        count, poles = distinct_poles(src.axis_line(0))
-        assert count == 2
+        poles = root_poles(case.signal.synthesize(case.P, case.N, FullGrid()))
         expected = sort_complex(index_pole(np.array([2 + 2j, 3 + 1j]), case.P))
+        assert len(poles) == 2
         assert np.abs(poles - expected).max() <= 1e-10
 
     def test_single_term(self):
         rng = np.random.default_rng(0)
         sig, poles = random_axis_distinct(rng, 1, 2, tau=3)
-        src = sig.synthesize(2.0, 8, FullGrid())
-        count, fitted = distinct_poles(src.axis_line(0))
-        assert count == 1 and abs(fitted[0] - poles[0, 0]) <= 1e-10
+        fitted = root_poles(sig.synthesize(2.0, 8, FullGrid()))
+        assert len(fitted) == 1 and abs(fitted[0] - poles[0, 0]) <= 1e-10
 
     def test_two_distinct(self):
         rng = np.random.default_rng(1)
         sig, poles = random_axis_distinct(rng, 2, 1, tau=3)
-        src = sig.synthesize(2.0, 10, FullGrid())
-        count, fitted = distinct_poles(src.axis_line(0))
-        assert count == 2
+        fitted = root_poles(sig.synthesize(2.0, 10, FullGrid()))
+        assert len(fitted) == 2
         assert np.abs(fitted - sort_complex(poles[:, 0])).max() <= 1e-10
 
     def test_order_cap_failure(self):
+        # the fit may take at most N = 10 poles on 21 samples of noise
         rng = np.random.default_rng(2)
         noise = rng.standard_normal(21) + 1j * rng.standard_normal(21)
         with pytest.raises(NoConvergence):
-            distinct_poles(noise, max_order=4)
+            build_pole_tree(CoefficientSource(1, 2.0, 10, FullGrid(), noise))
 
 
 class TestPeelDimension:
@@ -111,8 +119,8 @@ class TestPeelDimension:
         k = np.arange(-4, 5, dtype=float)
         parent = child_truth[None, :] / (k[:, None] - b)
         pieces = peel_dimension([b], parent)
-        assert len(pieces) == 1
-        assert np.abs(pieces[0].values - child_truth).max() <= 1e-12
+        assert pieces.shape == (1, 9)
+        assert np.abs(pieces[0] - child_truth).max() <= 1e-12
 
     def test_two_pole_synthetic(self):
         rng = np.random.default_rng(3)
@@ -126,23 +134,23 @@ class TestPeelDimension:
             for a, p, q in zip(amps, b_first, b_second)
         )
         pieces = peel_dimension(b_first, parent)
+        assert pieces.shape == (2, 2 * n + 1)
         for piece, a, q in zip(pieces, amps, b_second):
             expected = a / (k - q)
-            assert np.abs(piece.values - expected).max() <= 1e-11
+            assert np.abs(piece - expected).max() <= 1e-11
 
     def test_reference_level_one(self):
         case = QUADVARIATE_9
         src = case.signal.synthesize(case.P, case.N, FullGrid())
-        _, roots = distinct_poles(src.axis_line(0))
-        pieces = peel_dimension(roots, src.grid())
+        pieces = peel_dimension(line_poles(src.axis_line(0)), src.grid())
+        assert pieces.shape == (2,) + src.grid().shape[1:]
         # roots sort with the (3+i)-image first; its children map from
         # {-pi, 0.2i}, the other root's from {0.2i, -2}
         first_kids = sort_complex(index_pole(np.array([-np.pi, 0.2j]), case.P))
         second_kids = sort_complex(index_pole(np.array([0.2j, -2.0]), case.P))
         for piece, expected in zip(pieces, (first_kids, second_kids)):
-            line = piece.values[(slice(None),) + (case.N,) * (piece.values.ndim - 1)]
-            _, kids = distinct_poles(line)
-            assert np.abs(kids - expected).max() <= 1e-9
+            line = piece[(slice(None),) + (case.N,) * (piece.ndim - 1)]
+            assert np.abs(line_poles(line) - expected).max() <= 1e-9
 
     def test_even_leading_axis_rejected(self):
         with pytest.raises(ShapeMismatch, match="odd number"):
@@ -213,6 +221,21 @@ class TestBuildPoleTree:
         leaf = obj["roots"][0]["children"][0]["children"][0]
         assert leaf["multiplicity"] == 1 and leaf["children"] == []
 
+    @pytest.mark.parametrize("roots, message", [
+        ([(1j, [2j]), (1j, [3j])], "root poles"),
+        ([(1j, [2j, 2j])], "sibling poles"),
+        ([(1j, []), (2j, [3j])], "leaf at depth 1"),
+        ([(1j, [(2j, [3j])])], "interior node at depth 2"),
+    ], ids=["equal-roots", "equal-siblings", "short-path", "long-path"])
+    def test_validate_refuses_malformed_trees(self, roots, message):
+        def node(spec):
+            pole, children = spec if isinstance(spec, tuple) else (spec, [])
+            return TreeNode(pole=pole, children=tuple(map(node, children)))
+
+        tree = PoleTree(roots=tuple(map(node, roots)), dimension=2)
+        with pytest.raises(BadParameters, match=message):
+            tree.validate()
+
 
 class TestLeavesToSum:
     def test_single_leaf_closed_form(self):
@@ -278,8 +301,8 @@ class TestLeavesToSum:
         src = sig.synthesize(2.0, 8, FullGrid())
 
         def path(p):
-            leaf = TreeNode(pole=complex(p[1]), depth=2, children=(), leaf_multiplicity=1)
-            return TreeNode(pole=complex(p[0]), depth=1, children=(leaf,))
+            leaf = TreeNode(pole=complex(p[1]), children=())
+            return TreeNode(pole=complex(p[0]), children=(leaf,))
 
         tree = PoleTree(roots=(path(poles[0]), path(poles[0] + 1e-9)), dimension=2)
         with pytest.raises(IllConditioned):
