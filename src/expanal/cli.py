@@ -58,7 +58,10 @@ def _dump(obj):
 
 
 def _load_json(path):
-    with open(path, "r") as handle:
+    """The JSON document in a UTF-8 file.  Every undecodable file raises a
+    ValueError: bad JSON, bad UTF-8, or an integer literal too long for
+    Python to convert."""
+    with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
 
@@ -73,7 +76,7 @@ def cmd_generate(args):
 
     try:
         signal, file_period = model.signal_from_json(_load_json(args.signal))
-    except (OSError, json.JSONDecodeError, BadParameters) as exc:
+    except (OSError, ValueError, BadParameters) as exc:
         return _fail(f"cannot read signal file: {exc}", EXIT_INPUT)
     period = args.P if args.P is not None else file_period
     try:
@@ -120,7 +123,7 @@ def cmd_recover(args):
 
     try:
         source = model.source_from_json(_load_json(args.grid))
-    except (OSError, json.JSONDecodeError, BadParameters) as exc:
+    except (OSError, ValueError, BadParameters) as exc:
         return _fail(f"cannot read coefficient grid: {exc}", EXIT_INPUT)
 
     is_sparse = isinstance(source.coverage, model.SparseLines)
@@ -180,7 +183,7 @@ def cmd_recover(args):
             errors_obj = _report_json(
                 model.relative_errors(truth, signal, seed=args.seed)
             )
-        except (OSError, json.JSONDecodeError, ExpanalError) as exc:
+        except (OSError, ValueError, ExpanalError) as exc:
             return _fail(f"cannot score against truth file: {exc}", EXIT_INPUT)
 
     payload = {
@@ -207,7 +210,7 @@ def cmd_compare(args):
         if isinstance(payload, dict) and "recovered" in payload:
             payload = payload["recovered"]
         recovered, _ = model.signal_from_json(payload)
-    except (OSError, json.JSONDecodeError, BadParameters) as exc:
+    except (OSError, ValueError, BadParameters) as exc:
         return _fail(f"cannot read inputs: {exc}", EXIT_INPUT)
     try:
         report = model.relative_errors(truth, recovered, seed=args.seed)

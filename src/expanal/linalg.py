@@ -43,11 +43,17 @@ def full_rank_svd(a, what):
     u, s, v = svd(a)
     ratio = s[-1] / s[0] if len(s) == v.shape[0] and s[0] > 0 else 0.0
     if ratio <= RCOND:
-        raise IllConditioned(
-            f"{what} is numerically rank deficient: singular value ratio "
-            f"{ratio:.3e} <= {RCOND:.0e}"
-        )
+        raise _rank_deficiency(what, ratio)
     return u, s, v
+
+
+def _rank_deficiency(what, ratio):
+    """The IllConditioned of full_rank_svd for `what` at a singular value
+    ratio at most RCOND."""
+    return IllConditioned(
+        f"{what} is numerically rank deficient: singular value ratio "
+        f"{ratio:.3e} <= {RCOND:.0e}"
+    )
 
 
 def lstsq(a, b):

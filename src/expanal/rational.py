@@ -8,8 +8,10 @@ maps pole/residue pairs back to exponential-sum parameters.
 pole_residue_from_samples is the one line fit of both recovery methods: it
 owns the sample geometry k = -N..N and the whole acceptance policy, so no
 caller repeats any of it.  It is the fit's validation boundary: it checks its
-arguments once, then runs private kernels on trusted arrays.  The public steps
-check their own arguments and call the same kernels.
+arguments once, then runs private kernels on trusted arrays.  The kernels
+take a stack of lines, so that the pole tree fits all lines of a level in one
+call; the public fit is their one-line case.  The public steps check their
+own arguments and call the same kernels.
 """
 
 import functools
@@ -22,6 +24,7 @@ from .errors import (
     BadParameters,
     ConvergenceFailure,
     DegenerateFrequency,
+    ExpanalError,
     IllConditioned,
     NoConvergence,
     ShapeMismatch,
@@ -132,8 +135,9 @@ def aaa_fit(points, values, tol=DEFAULT_TOL, max_order=None):
     point of largest misfit into the support (smallest index wins ties).
     """
     pts, vals = _sample_inputs(points, values)
-    chosen, weights, trace = _greedy_fit(pts, vals, tol, max_order)
-    return BarycentricForm(pts[chosen], vals[chosen], weights), trace
+    groups, traces = _greedy_fit(pts, vals[None], tol, max_order)
+    _, chosen, weights, _ = groups[0]
+    return BarycentricForm(pts[chosen[0]], vals[chosen[0]], weights[0]), traces[0]
 
 
 def _sample_inputs(points, values):
@@ -146,49 +150,88 @@ def _sample_inputs(points, values):
 
 
 def _greedy_fit(pts, vals, tol, max_order):
-    """aaa_fit on trusted arrays: (support indices, weights, AaaTrace).
+    """aaa_fit on a trusted (r, n) stack of lines sharing the points pts.
 
-    Only the scalar arguments are checked.  With one support point the fit is
-    the constant supv[0] whatever its weight, so the first step needs no SVD.
+    Only the scalar arguments are checked.  Returns (groups, traces): a group
+    (rows, chosen, weights, converged) holds the lines that stopped with the
+    same number j of support points, with their support indices and weights
+    as (g, j) arrays; traces[i] is the AaaTrace of line i.  Every line still
+    running at step j has j support points and n - j free ones, so their
+    Loewner matrices stack to (a, n - j, j) and one SVD serves them all; each
+    line stops on its own rule.  With one support point the fit is the
+    constant at that point whatever its weight, so the first step needs no
+    SVD.
     """
-    if len(pts) < 2:
+    n = vals.shape[1]
+    if n < 2:
         raise BadParameters("need at least two sample points")
     if not 0 < tol < np.inf:
         raise BadParameters(f"tol must be finite and positive, got {tol!r}")
     if max_order is None:
-        max_order = min(len(pts) // 2, 100)
+        max_order = min(n // 2, 100)
     if (type(max_order) is bool or not isinstance(max_order, (int, np.integer))
             or max_order < 1):
         raise BadParameters(f"max_order must be a positive integer, got {max_order!r}")
 
-    scale = np.abs(vals).max()
-    chosen = [int(np.argmax(np.abs(vals)))]
-    free = np.ones(len(pts), dtype=bool)
-    free[chosen] = False
-    history = []
-    weights = np.ones(1, dtype=complex)
-    while True:
-        rest = np.flatnonzero(free)
-        supv = vals[chosen]
-        if len(chosen) == 1:
-            resid = np.abs(vals[rest] - supv[0])
-        else:
-            cauchy = 1.0 / (pts[rest, None] - pts[chosen][None, :])
-            loewner = (vals[rest, None] - supv[None, :]) * cauchy
-            try:
-                weights = np.linalg.svd(loewner, full_matrices=False)[2][-1].conj()
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-            with np.errstate(divide="ignore", invalid="ignore"):
-                resid = np.abs(vals[rest] - (cauchy @ (weights * supv)) / (cauchy @ weights))
-            resid[np.isnan(resid)] = np.inf
-        history.append(float(resid.max()))
-        converged = bool(history[-1] <= tol * scale)
-        if converged or len(chosen) >= max_order or len(rest) <= 1:
-            break
-        chosen.append(int(rest[np.argmax(resid)]))
-        free[chosen[-1]] = False
-    return chosen, weights, AaaTrace(len(history), tuple(history), tuple(chosen), converged)
+    size = np.abs(vals)
+    limit = tol * size.max(axis=1)
+    rows = at = np.arange(len(vals))
+    # support indices and values of the running lines, one column per step
+    support = np.empty(vals.shape, dtype=np.intp)
+    supv = np.empty(vals.shape, dtype=complex)
+    support[:, 0] = size.argmax(axis=1)
+    supv[:, 0] = vals[at, support[:, 0]]
+    # the free points of each running line, ascending, and their values
+    keep = np.arange(n) != support[:, :1]
+    rest = np.nonzero(keep)[1].reshape(len(vals), n - 1)
+    restv = vals[keep].reshape(len(vals), n - 1)
+    # row i of history: the largest misfit of running line rows[i] per step
+    history = np.empty(vals.shape)
+    groups, traces = [], [None] * len(vals)
+    j = 1
+    # a zero denominator marks a pole on a free point: its misfit counts as inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(rows):
+            chosen, sup = support[:, :j], supv[:, :j]
+            if j == 1:
+                weights = np.ones((len(rows), 1), dtype=complex)
+                resid = np.abs(restv - sup)
+            else:
+                cauchy = 1.0 / (pts[rest][..., None] - pts[chosen][:, None, :])
+                loewner = (restv[..., None] - sup[:, None, :]) * cauchy
+                try:
+                    weights = np.linalg.svd(loewner, full_matrices=False)[2][:, -1].conj()
+                except np.linalg.LinAlgError as exc:
+                    raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+                resid = np.abs(restv - (cauchy @ (weights * sup)[..., None])[..., 0]
+                               / (cauchy @ weights[..., None])[..., 0])
+                resid[np.isnan(resid)] = np.inf
+            top = history[:, j - 1] = resid.max(axis=1)
+            converged = top <= limit
+            capped = j >= max_order or n - j <= 1
+            if capped or converged.any():
+                stop = converged | capped
+                last = stop.all()
+                done = slice(None) if last else stop
+                groups.append((rows[done], chosen[done], weights[done], converged[done]))
+                for i, indices, ok, steps in zip(
+                        rows[done].tolist(), chosen[done].tolist(),
+                        converged[done].tolist(), history[done, :j].tolist()):
+                    traces[i] = AaaTrace(j, tuple(steps), tuple(indices), ok)
+                if last:
+                    break
+                go = ~stop
+                rows, limit, support, supv, rest, restv, resid, history = (
+                    x[go] for x in (rows, limit, support, supv, rest, restv, resid, history))
+                at = np.arange(len(rows))
+            best = resid.argmax(axis=1)
+            support[:, j] = rest[at, best]
+            supv[:, j] = restv[at, best]
+            keep = rest != support[:, j:j + 1]
+            rest = rest[keep].reshape(len(rows), n - j - 1)
+            restv = restv[keep].reshape(len(rows), n - j - 1)
+            j += 1
+    return groups, traces
 
 
 def evaluate_barycentric(form, z):
@@ -225,7 +268,18 @@ def poles_of(form):
     """
     if len(form) < 2:
         raise BadParameters("need at least two support points to have poles")
-    return _arrowhead_poles(form.support, form.weights)
+    poles, errors = _arrowhead_poles(form.support[None], form.weights[None])
+    if errors:
+        raise errors[0]
+    return poles[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _sample_points(n):
+    """The n = 2N+1 sample points k = -N..N as a read-only complex array."""
+    points = np.arange(-(n // 2), n // 2 + 1, dtype=float).astype(complex)
+    points.setflags(write=False)
+    return points
 
 
 @functools.lru_cache(maxsize=64)
@@ -242,20 +296,38 @@ def _deflation_basis(n):
 
 
 def _arrowhead_poles(z, w):
-    """poles_of on a trusted support z and weights w."""
-    sigma = w.sum()
-    if abs(sigma) <= INF_EIG_CUTOFF * np.abs(w).sum():
-        raise DegenerateFrequency(
-            f"barycentric weights sum to {abs(sigma) / np.abs(w).sum():.3e} of "
-            f"their 1-norm: the fit has a pole at infinity, which no sum of "
-            f"simple poles has"
-        )
-    q2 = _deflation_basis(len(z))
-    a = (q2.T * z) @ q2 - np.outer(q2.T @ w, q2.T @ z) / sigma
+    """poles_of on a trusted stack of supports z and weights w, (g, m) each.
+
+    Returns the (g, m - 1) poles, each row sorted by (real, imag), and
+    {row: DegenerateFrequency} for the rows with a pole at infinity, whose
+    poles are meaningless.  One eigvals call serves the whole stack.
+    """
+    sigma = w.sum(axis=1)
+    norm = np.abs(w).sum(axis=1)
+    infinite = np.abs(sigma) <= INF_EIG_CUTOFF * norm
+    errors = {}
+    if infinite.any():
+        errors = {
+            i: DegenerateFrequency(
+                f"barycentric weights sum to {abs(sigma[i]) / norm[i]:.3e} of "
+                f"their 1-norm: the fit has a pole at infinity, which no sum of "
+                f"simple poles has"
+            )
+            for i in np.flatnonzero(infinite).tolist()
+        }
+        sigma = np.where(infinite, 1.0, sigma)
+    q2 = _deflation_basis(z.shape[1])
+    outer = (q2.T @ w[..., None]) * (q2.T @ z[..., None]).transpose(0, 2, 1)
+    a = (q2.T * z[:, None, :]) @ q2 - outer / sigma[:, None, None]
+    if a.shape[1] == 1:
+        # a 1 x 1 matrix is its own eigenvalue, which LAPACK returns as is
+        return a[:, :, 0], errors
     try:
-        return linalg.sort_complex(np.linalg.eigvals(a))
+        poles = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"pencil eigenvalues failed: {exc}") from exc
+    # complex sorts by (real, imag); stable, like linalg.sort_complex
+    return np.sort(poles, axis=1, kind="stable"), errors
 
 
 def loewner_pencil_poles(points, values, order):
@@ -273,7 +345,8 @@ def loewner_pencil_poles(points, values, order):
     if len(pts) < 2 * order:
         raise BadParameters(f"need at least {2 * order} samples for order {order}")
 
-    chosen = _greedy_fit(pts, vals, np.finfo(float).tiny, order)[0]
+    groups, _ = _greedy_fit(pts, vals[None], np.finfo(float).tiny, order)
+    chosen = groups[0][1][0]
     if len(chosen) < order:
         raise IllConditioned(
             f"greedy fit is exact with {len(chosen)} < {order} support points"
@@ -292,15 +365,33 @@ def loewner_pencil_poles(points, values, order):
     return linalg.sort_complex(linalg.gen_eig(reduced_a / s[:, None]))
 
 
+def _pencil_poles(points, vals, order):
+    """loewner_pencil_poles on each line of a stack: the (g, order) poles and
+    {row: ExpanalError} for the lines it refuses."""
+    poles, errors = np.zeros((len(vals), order), dtype=complex), {}
+    for i, line in enumerate(vals):
+        try:
+            poles[i] = loewner_pencil_poles(points, line, order)
+        except ExpanalError as exc:
+            errors[i] = exc
+    return poles, errors
+
+
 def residues_ls(poles, points, values):
     """Residues minimizing the 2-norm misfit of sum_j a_j/(k - b_j) = values."""
-    return _cauchy_lstsq(*_cauchy_inputs(poles, points, values))
+    b, pts, vals = _cauchy_inputs(poles, points, values)
+    return _cauchy_lstsq(b[None], pts, vals[None])[0]
 
 
 def filter_spurious(poles, points, values):
     """Drop poles whose residue is below SPURIOUS_RESIDUE_RTOL of the largest
     (Froissart doublets) and refit the rest."""
-    return PoleResidue(*_filter_spurious(*_cauchy_inputs(poles, points, values)))
+    b, pts, vals = _cauchy_inputs(poles, points, values)
+    residues, partial = _filter_spurious(b[None], pts, vals[None])
+    result = partial.get(0, (b, residues[0]))
+    if isinstance(result, ExpanalError):
+        raise result
+    return PoleResidue(*result)
 
 
 def _cauchy_inputs(poles, points, values):
@@ -318,26 +409,42 @@ def _cauchy_inputs(poles, points, values):
 
 
 def _cauchy_lstsq(b, pts, vals):
-    """residues_ls on trusted arrays, with the poles b off the points."""
+    """residues_ls on a trusted stack: poles b (g, p) off the points pts,
+    values vals (g, n); one np.linalg.lstsq per line."""
+    cauchy = 1.0 / (pts[:, None] - b[:, None, :])
     try:
-        return np.linalg.lstsq(1.0 / (pts[:, None] - b[None, :]), vals,
-                               rcond=linalg.RCOND)[0]
+        return np.array([np.linalg.lstsq(c, v, rcond=linalg.RCOND)[0]
+                         for c, v in zip(cauchy, vals)]).reshape(b.shape)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"least squares solve failed: {exc}") from exc
 
 
 def _filter_spurious(b, pts, vals):
-    """filter_spurious on trusted arrays: (kept poles in input order, residues)."""
+    """filter_spurious on a trusted stack of lines with equal pole counts.
+
+    Returns (residues, partial): residues is the (g, p) first solve, and
+    partial maps each line that does not keep every pole to its (kept poles
+    in input order, refitted residues) or to the DegenerateFrequency it fails
+    with.
+    """
     residues = _cauchy_lstsq(b, pts, vals)
-    top = np.abs(residues).max()
-    if top == 0.0:
-        raise DegenerateFrequency("samples carry no rational structure of positive order")
-    keep = np.abs(residues) >= SPURIOUS_RESIDUE_RTOL * top
-    if keep.all():
-        return b, residues
-    if not keep.any():
-        raise DegenerateFrequency("all residues fall below the spurious-pole threshold")
-    return b[keep], _cauchy_lstsq(b[keep], pts, vals)
+    size = np.abs(residues)
+    top = size.max(axis=1)
+    keep = size >= SPURIOUS_RESIDUE_RTOL * top[:, None]
+    partial = {}
+    if keep.all() and top.all():
+        return residues, partial
+    for i in np.flatnonzero(~keep.all(axis=1) | (top == 0.0)).tolist():
+        if top[i] == 0.0:
+            partial[i] = DegenerateFrequency(
+                "samples carry no rational structure of positive order")
+        elif not keep[i].any():
+            partial[i] = DegenerateFrequency(
+                "all residues fall below the spurious-pole threshold")
+        else:
+            kept = b[i, keep[i]]
+            partial[i] = (kept, _cauchy_lstsq(kept[None], pts, vals[i, None])[0])
+    return residues, partial
 
 
 def check_fit_residual(pole_residue, points, values):
@@ -352,18 +459,153 @@ def check_fit_residual(pole_residue, points, values):
     if scale == 0.0:
         return
     resid = np.abs(pole_residue(np.asarray(points, complex)) - values) / scale
-    bad = resid > ISOLATED_MISFIT_TOL
-    if not bad.any():
-        return
-    if bad.mean() <= 0.1:
+    count = int((resid > ISOLATED_MISFIT_TOL).sum())
+    if count:
+        raise _misfit_error(resid, count)
+
+
+def _misfit_error(resid, count):
+    """The error of check_fit_residual for relative misfits resid, count of
+    them above ISOLATED_MISFIT_TOL."""
+    if count / len(resid) <= 0.1:
         worst = int(np.argmax(resid))
-        raise DegenerateFrequency(
-            f"fit converged except at {int(bad.sum())} isolated sample(s); worst "
+        return DegenerateFrequency(
+            f"fit converged except at {count} isolated sample(s); worst "
             f"relative misfit {resid[worst]:.3e} at point index {worst}"
         )
-    raise NoConvergence(
-        f"fitted model misses {int(bad.sum())} of {len(resid)} samples"
-    )
+    return NoConvergence(f"fitted model misses {count} of {len(resid)} samples")
+
+
+def _collisions(points, poles):
+    """{row: DegenerateFrequency} for the lines of a (g, p) pole stack with a
+    pole within SAMPLE_COLLISION_TOL of a sample point."""
+    gaps = np.abs(points - poles[..., None])
+    near = gaps.min(axis=2) <= SAMPLE_COLLISION_TOL
+    errors = {}
+    if not near.any():
+        return errors
+    for i in np.flatnonzero(near.any(axis=1)).tolist():
+        nearest = points[gaps[i, near[i]].argmin(axis=1)]
+        errors[i] = DegenerateFrequency(
+            f"fitted pole sits on sample point(s) "
+            f"{np.round(nearest.real).astype(int).tolist()}; the coefficients "
+            f"there have no rational structure"
+        )
+    return errors
+
+
+def _accept(poles, residues, points, vals, converged, steps):
+    """The checks after the spurious filter on a stack of lines with equal
+    pole counts, in order: distinct poles and nonzero residues (PoleResidue),
+    NoConvergence, then check_fit_residual.  {row: error} for the failures.
+
+    A line's samples are never all zero here: such a line stops on its first
+    support point and fails as constant."""
+    model = (residues[:, None, :] / (points[:, None] - poles[:, None, :])).sum(axis=-1)
+    resid = np.abs(model - vals) / np.abs(vals).max(axis=1)[:, None]
+    bad = resid > ISOLATED_MISFIT_TOL
+    # sorted poles: equal ones are neighbours
+    repeated = poles[:, 1:] == poles[:, :-1]
+    errors = {}
+    if converged.all() and not (bad.any() or repeated.any() or (residues == 0).any()):
+        return errors
+    counts = bad.sum(axis=1).tolist()
+    for i, (dup, zero, done) in enumerate(zip(repeated.any(axis=1).tolist(),
+                                              (residues == 0).any(axis=1).tolist(),
+                                              converged.tolist())):
+        if dup:
+            errors[i] = BadParameters("poles must be pairwise distinct")
+        elif zero:
+            errors[i] = BadParameters("residues must be nonzero")
+        elif not done:
+            errors[i] = NoConvergence(
+                f"greedy fit did not reach tolerance within {steps} steps")
+        elif counts[i]:
+            errors[i] = _misfit_error(resid[i], counts[i])
+    return errors
+
+
+def _fit_lines(vals, tol, max_order, method):
+    """The line fit on a trusted (r, 2N+1) stack of samples at k = -N..N.
+
+    Returns one outcome per line: (poles sorted by (real, imag), residues,
+    AaaTrace), or the ExpanalError that pole_residue_from_samples raises on
+    that line alone.  A bad method, tol or max_order raises.  Each step runs
+    as one stacked call per group of lines of equal size, so the number of
+    numpy calls grows with the fit steps and the groups, not with the lines.
+    A LAPACK failure fails its whole stacked call; the stack is then refitted
+    line by line, which pins the failure on its line.
+    """
+    if method not in ("eig", "pencil"):
+        raise BadParameters(f"unknown pole method {method!r}")
+    try:
+        return _fit_stack(vals, tol, max_order, method)
+    except ConvergenceFailure as exc:
+        if len(vals) == 1:
+            return [exc]
+        return [_fit_lines(line[None], tol, max_order, method)[0] for line in vals]
+
+
+def _fit_stack(vals, tol, max_order, method):
+    """_fit_lines without the refit on a LAPACK failure."""
+    points = _sample_points(vals.shape[1])
+    out = [None] * len(vals)
+    live = np.arange(len(vals))
+    if not np.isfinite(vals).all():
+        finite = np.isfinite(vals).all(axis=1)
+        for i in np.flatnonzero(~finite).tolist():
+            out[i] = BadParameters("values contains non-finite entries")
+        live, vals = live[finite], vals[finite]
+    groups, traces = _greedy_fit(points, vals, tol, max_order)
+    for rows, chosen, weights, converged in groups:
+        fits = _fit_group(points, vals[rows], chosen, weights, converged, method)
+        for i, row, fit in zip(live[rows].tolist(), rows.tolist(), fits):
+            out[i] = fit if isinstance(fit, ExpanalError) else fit + (traces[row],)
+    return out
+
+
+def _drop(out, alive, settled, *arrays):
+    """Record the outcomes {position: outcome} of settled in out, at the lines
+    alive names, and return alive and arrays without those positions."""
+    keep = np.ones(len(alive), dtype=bool)
+    for pos, outcome in settled.items():
+        out[alive[pos]] = outcome
+        keep[pos] = False
+    return [alive[keep]] + [array[keep] for array in arrays]
+
+
+def _fit_group(points, vals, chosen, weights, converged, method):
+    """The policy after the greedy fit, for lines with the same number of
+    support points: per line (poles, residues) or its ExpanalError."""
+    g, m = chosen.shape
+    if m < 2:
+        return [DegenerateFrequency(
+            "samples are constant; no rational structure of positive order"
+        ) for _ in range(g)]
+    out, alive = [None] * g, np.arange(g)
+    if method == "eig":
+        poles, errors = _arrowhead_poles(points[chosen], weights)
+    else:
+        poles, errors = _pencil_poles(points, vals, m - 1)
+    if errors:
+        alive, poles, vals, converged = _drop(out, alive, errors, poles, vals, converged)
+    errors = _collisions(points, poles)
+    if errors:
+        alive, poles, vals, converged = _drop(out, alive, errors, poles, vals, converged)
+    # both engines sort their poles and the filter keeps their order
+    residues, partial = _filter_spurious(poles, points, vals)
+    if partial:
+        for pos, fit in partial.items():
+            if not isinstance(fit, ExpanalError):
+                kept, refit = fit
+                partial[pos] = _accept(kept[None], refit[None], points, vals[pos, None],
+                                       converged[pos, None], m).get(0, fit)
+        alive, poles, residues, vals, converged = _drop(
+            out, alive, partial, poles, residues, vals, converged)
+    errors = _accept(poles, residues, points, vals, converged, m)
+    for pos, line in enumerate(alive.tolist()):
+        out[line] = errors.get(pos, (poles[pos], residues[pos]))
+    return out
 
 
 def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="eig"):
@@ -376,7 +618,8 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
     arguments are checked before any work; the policy then runs in this order:
     pole extraction, the sample-collision check (DegenerateFrequency), the
     spurious-pole filter, NoConvergence when the greedy fit missed its
-    tolerance, and finally check_fit_residual.
+    tolerance, and finally check_fit_residual.  This is the one-line case of
+    the stacked fit that build_pole_tree runs on every line of a tree level.
 
     Returns (PoleResidue with poles sorted by (real, imag), AaaTrace).
     """
@@ -389,35 +632,11 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
         )
     if not np.isfinite(vals).all():
         raise BadParameters("values contains non-finite entries")
-    if method not in ("eig", "pencil"):
-        raise BadParameters(f"unknown pole method {method!r}")
-    n_half = (len(vals) - 1) // 2
-    points = np.arange(-n_half, n_half + 1, dtype=float).astype(complex)
-    chosen, weights, trace = _greedy_fit(points, vals, tol, max_order)
-    if len(chosen) < 2:
-        raise DegenerateFrequency(
-            "samples are constant; no rational structure of positive order"
-        )
-    if method == "eig":
-        poles = _arrowhead_poles(points[chosen], weights)
-    else:
-        poles = loewner_pencil_poles(points, vals, len(chosen) - 1)
-    bad = np.abs(points[None, :] - poles[:, None]).min(axis=1) <= SAMPLE_COLLISION_TOL
-    if bad.any():
-        nearest = points[np.abs(points[None, :] - poles[bad, None]).argmin(axis=1)]
-        raise DegenerateFrequency(
-            f"fitted pole sits on sample point(s) "
-            f"{np.round(nearest.real).astype(int).tolist()}; the coefficients "
-            f"there have no rational structure"
-        )
-    # both engines sort their poles and the filter keeps their order
-    pr = PoleResidue(*_filter_spurious(poles, points, vals))
-    if not trace.converged:
-        raise NoConvergence(
-            f"greedy fit did not reach tolerance within {trace.iterations} steps"
-        )
-    check_fit_residual(pr, points, vals)
-    return pr, trace
+    fit = _fit_lines(vals[None], tol, max_order, method)[0]
+    if isinstance(fit, ExpanalError):
+        raise fit
+    poles, residues, trace = fit
+    return PoleResidue(poles, residues), trace
 
 
 def recover_univariate(source, tol=DEFAULT_TOL, max_order=None, method="eig"):

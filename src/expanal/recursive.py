@@ -1,23 +1,31 @@
 """Full-grid recovery by recursive dimension reduction.
 
-One coordinate is peeled at a time: the distinct poles on the current axis
-line are fitted by rational.pole_residue_from_samples (the same line fit and
-policy as the line-based method; only close poles are merged here), then a
-Cauchy-type least squares factorization (reused across all tail indices)
-splits the slice into one lower-dimensional slice per pole, the rows of one
-array.
-The recursion records its poles in a tree whose root-to-leaf paths are the
-recovered pole vectors, so pairing is automatic and repeated per-axis values
-are handled.  The amplitudes then solve one least squares system on the whole
-grid, whose design is a Khatri-Rao product of per-axis Cauchy matrices.  Each
-axis's Cauchy columns span at most as many directions as that axis has
-distinct poles, so the grid is first compressed onto those per-axis bases (a
-Tucker core, read off the grid in one pass); the residual outside them is the
-same for every amplitude vector, so the least squares solution on the core is
+One coordinate is peeled at a time, and the pole tree is built one level
+(one axis) at a time.  A level holds every slice whose leading axis is the
+next to peel, stacked in one array in depth-first (pre-order) order.  One
+stacked call of the line fit (the kernel of rational.pole_residue_from_samples,
+with the same policy as the line-based method; only close poles are merged
+here) finds the distinct poles on the central axis lines of all of them.  A
+Cauchy-type least squares factorization, one per slice and reused across all
+its tail indices, then splits each slice into one lower-dimensional slice per
+pole; the slices with the same pole count are split by one stacked call, and
+their children form the next level.  So the numpy calls of a tree grow with
+its levels and fit steps, not with its nodes.  The root-to-leaf paths of the
+tree are the recovered pole vectors, so pairing is automatic and repeated
+per-axis values are handled.
+
+The amplitudes then solve one least squares system on the whole grid, whose
+design is a Khatri-Rao product of per-axis Cauchy matrices.  Each axis's
+Cauchy columns span at most as many directions as that axis has distinct
+poles, so the grid is first compressed onto those per-axis bases (a Tucker
+core, read off the grid in one pass); the residual outside them is the same
+for every amplitude vector, so the least squares solution on the core is
 exactly the one on the grid.  The core system is solved through its M x M
 normal system without forming the design.
 """
 
+import bisect
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +34,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     BadParameters,
+    ConvergenceFailure,
     CoverageMismatch,
     ExpanalError,
     IllConditioned,
@@ -33,7 +42,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .model import ExponentialSum, FullGrid, _SeparableSum
-from .rational import DEFAULT_TOL, pole_residue_from_samples
+# pole_residue_from_samples stays bound here: bench/test_bench.py checks that
+# the tracer wraps this binding of the line fit
+from .rational import DEFAULT_TOL, _fit_lines, pole_residue_from_samples  # noqa: F401
 from .validation import check_nonnegative_int
 
 POLE_MERGE_RTOL = 1e-8
@@ -128,9 +139,6 @@ def _merge_close(poles):
     branch into two."""
     scale = np.abs(poles).max()
     threshold = POLE_MERGE_RTOL * scale if scale > 0 else 0.0
-    # only the zero diagonal lies within the threshold when no pair does
-    if np.count_nonzero(np.abs(poles[:, None] - poles[None, :]) <= threshold) == len(poles):
-        return linalg.sort_complex(poles)
     clusters = []
     for pole in poles:
         for cluster in clusters:
@@ -143,16 +151,45 @@ def _merge_close(poles):
     return linalg.sort_complex(merged)
 
 
+def _by_count(rows):
+    """The indices of the arrays in rows (None entries skipped), grouped by
+    length."""
+    groups = {}
+    for i, row in enumerate(rows):
+        if row is not None:
+            groups.setdefault(len(row), []).append(i)
+    return groups
+
+
+def _merge_rows(rows):
+    """_merge_close, in place, on each sorted pole array of rows (None entries
+    skipped); one stacked test per pole count finds the arrays that hold a
+    close pair, and the others are already what _merge_close returns."""
+    for count, idx in _by_count(rows).items():
+        if count == 1:
+            continue
+        poles = np.array([rows[i] for i in idx])
+        threshold = POLE_MERGE_RTOL * np.abs(poles).max(axis=1)
+        near = np.abs(poles[:, :, None] - poles[:, None, :]) <= threshold[:, None, None]
+        # only the zero diagonal lies within the threshold when no pair does
+        close = near.sum(axis=(1, 2)) > count
+        if close.any():
+            for pos in np.flatnonzero(close).tolist():
+                rows[idx[pos]] = _merge_close(rows[idx[pos]])
+
+
 def peel_dimension(poles, parent_values):
     """Split a slice into one child slice per pole of its leading axis.
 
     For every tail index the samples along the leading axis satisfy a Cauchy
     system in the child values; the system matrix depends only on the poles,
     so its pseudo-inverse is formed once from the checked SVD and applied to
-    all tails in one matmul over the slice.
+    all tails in one matmul over the slice.  The poles must be nonempty,
+    finite and off the sample points k = -N..N.
 
     Returns the (len(poles), *tail) solution array: row j is the child slice
-    of poles[j].
+    of poles[j].  This is the one-slice case of the stacked peel that
+    build_pole_tree runs on each tree level.
     """
     vals = np.asarray(parent_values, dtype=complex)
     if vals.ndim < 2:
@@ -161,50 +198,141 @@ def peel_dimension(poles, parent_values):
     n = vals.shape[0]
     if n % 2 == 0:
         raise ShapeMismatch(f"leading axis must hold an odd number of samples, got {n}")
-    n_half = (n - 1) // 2
+    if b.size == 0:
+        raise BadParameters("need at least one pole")
     if n < len(b):
         raise BadParameters(f"{n} samples cannot determine {len(b)} pole slices")
+    if not np.isfinite(b).all():
+        raise BadParameters("poles contains non-finite entries")
+    n_half = (n - 1) // 2
+    if (np.arange(-n_half, n_half + 1)[:, None] == b).any():
+        raise BadParameters("sample points must be disjoint from the poles")
+    children, errors = _peel(b[None], vals[None])
+    if errors:
+        raise errors[0]
+    return children[0]
+
+
+def _peel(b, slices):
+    """peel_dimension on a trusted stack: poles b (g, p) off the sample
+    points, slices (g, n, *tail).  One SVD and one matmul serve the stack.
+
+    Returns (children, errors): children is (g, p, *tail), and errors maps
+    the lines whose Cauchy system fails the full_rank_svd check (or whose SVD
+    fails) to that error; their children are meaningless.
+    """
+    g, n = slices.shape[:2]
+    n_half = (n - 1) // 2
     k = np.arange(-n_half, n_half + 1, dtype=float)
-    u, s, v = linalg.full_rank_svd(1.0 / (k[:, None] - b[None, :]),
-                                   f"slice system for {len(b)} poles")
-    solution = ((v / s) @ u.conj().T) @ vals.reshape(n, -1)
-    return solution.reshape((len(b),) + vals.shape[1:])
+    try:
+        u, s, vh = np.linalg.svd(1.0 / (k[:, None] - b[:, None, :]), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        if g == 1:
+            failed = ConvergenceFailure(f"SVD did not converge: {exc}")
+            return np.zeros(b.shape + slices.shape[2:], dtype=complex), {0: failed}
+        # one failed line fails the stacked call: peel line by line to pin it
+        parts = [_peel(b[i, None], slices[i, None]) for i in range(g)]
+        return (np.concatenate([kids for kids, _ in parts]),
+                {i: errs[0] for i, (_, errs) in enumerate(parts) if errs})
+    ratio = s[:, -1] / s[:, 0]
+    errors = {}
+    if (ratio <= linalg.RCOND).any():
+        errors = {
+            i: linalg._rank_deficiency(f"slice system for {b.shape[1]} poles", ratio[i])
+            for i in np.flatnonzero(ratio <= linalg.RCOND).tolist()
+        }
+        s = np.where(s > 0.0, s, 1.0)
+    pinv = (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    children = pinv @ slices.reshape(g, n, -1)
+    return children.reshape(b.shape + slices.shape[2:]), errors
+
+
+def _peel_level(poles, stack):
+    """The child slices of one tree level, by one stacked peel per pole count.
+
+    poles[i] holds the poles of stack[i], or None for a failed node.  Returns
+    (children, errors): the children of node i, one per pole, follow those of
+    node i - 1, and errors maps the nodes whose peel fails to their error.
+    """
+    groups = _by_count(poles)
+    tail = stack.shape[2:]
+    # one group holding every node peels the stack as it is, without a copy
+    if [len(idx) for idx in groups.values()] == [len(poles)]:
+        children, errors = _peel(np.array(poles), stack)
+        return children.reshape((-1,) + tail), errors
+    starts = list(itertools.accumulate((0 if row is None else len(row) for row in poles),
+                                       initial=0))
+    children, errors = np.empty((starts[-1],) + tail, dtype=complex), {}
+    for count, idx in groups.items():
+        kids, errs = _peel(np.array([poles[i] for i in idx]), stack[idx])
+        children[[starts[i] + j for i in idx for j in range(count)]] = kids.reshape((-1,) + tail)
+        errors.update((idx[pos], exc) for pos, exc in errs.items())
+    return children, errors
 
 
 def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
-    """Depth-first pole tree of a full-grid coefficient source.
+    """Pole tree of a full-grid coefficient source, built one level at a time.
 
-    Each level fits the current slice's axis line (at most source.N poles),
-    peels that dimension, and recurses into the per-pole child slices (the
-    rows of peel_dimension's result); the last dimension's poles become
-    leaves.  Errors are re-raised with the pole path for context.
+    A level holds the slices whose leading axis is the next to peel, stacked
+    in depth-first (pre-order) order.  One stacked line fit finds the poles
+    on the central axis lines of all of them (at most source.N per line;
+    close poles merged), and one stacked peel per pole count splits them into
+    the per-pole child slices that form the next level; the last dimension's
+    poles become leaves.
+
+    Result and errors are those of a depth-first build.  A failing node is
+    recorded with its depth-first key, the nodes whose key sorts after the
+    earliest failure are dropped, and once no node is left that failure is
+    raised as "at pole path {path}: ...".  trace_sink receives the AaaTrace
+    of every fit in depth-first pre-order.
     """
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
     n_half = source.N
-
-    def grow(values, path):
-        line = values[(slice(None),) + (n_half,) * (values.ndim - 1)]
+    stack, keys, paths = source.grid()[None], [()], [()]
+    levels, traced, failures = [], [], []
+    while keys:
+        lines = stack[(slice(None), slice(None)) + (n_half,) * (stack.ndim - 2)]
         try:
-            pr, trace = pole_residue_from_samples(
-                line, tol=tol, max_order=n_half, method=method
-            )
+            fits = _fit_lines(lines, tol, n_half, method)
         except ExpanalError as exc:
-            raise type(exc)(f"at pole path {path}: {exc}") from exc
-        poles = _merge_close(pr.poles)
-        if trace_sink is not None:
-            trace_sink.append(trace)
-        if values.ndim == 1:
-            return [TreeNode(pole=complex(p), children=()) for p in poles]
-        try:
-            slices = peel_dimension(poles, values)
-        except ExpanalError as exc:
-            raise type(exc)(f"at pole path {path}: {exc}") from exc
-        return [TreeNode(pole=p, children=tuple(grow(child, path + (p,))))
-                for p, child in zip(map(complex, poles), slices)]
+            # tol and method fail on the first line fitted, the root
+            raise type(exc)(f"at pole path (): {exc}") from exc
+        poles = [None] * len(fits)
+        for i, fit in enumerate(fits):
+            if isinstance(fit, ExpanalError):
+                failures.append((keys[i], paths[i], fit))
+            else:
+                poles[i] = fit[0]
+                traced.append((keys[i], fit[2]))
+        _merge_rows(poles)
+        levels.append(poles)
+        if stack.ndim == 2:
+            break
+        stack, errors = _peel_level(poles, stack)
+        failures += [(keys[i], paths[i], exc) for i, exc in errors.items()]
+        keys = [key + (j,) for key, row in zip(keys, poles) if row is not None
+                for j in range(len(row))]
+        paths = [path + (pole,) for path, row in zip(paths, poles) if row is not None
+                 for pole in row.tolist()]
+        if failures:
+            # keys are unique, so min never compares the errors
+            cut = bisect.bisect_left(keys, min(failures)[0])
+            stack, keys, paths = stack[:cut], keys[:cut], paths[:cut]
 
-    roots = grow(source.grid(), ())
-    return PoleTree(roots=tuple(roots), dimension=source.d).validate()
+    first = min(failures)[0] if failures else None
+    if trace_sink is not None:
+        for key, trace in sorted(traced, key=lambda pair: pair[0]):
+            if first is None or key <= first:
+                trace_sink.append(trace)
+    if failures:
+        _, path, exc = min(failures)
+        raise type(exc)(f"at pole path {path}: {exc}") from exc
+    below = itertools.repeat(())
+    for rows in reversed(levels):
+        below = iter([tuple(TreeNode(pole=pole, children=next(below)) for pole in row.tolist())
+                      for row in rows])
+    return PoleTree(roots=next(below), dimension=source.d).validate()
 
 
 def leaves_to_sum(tree, source):

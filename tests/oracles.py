@@ -3,8 +3,10 @@
 Each oracle takes a computational route disjoint from the implementation it
 verifies: adaptive quadrature instead of the closed coefficient formula,
 characteristic-polynomial roots instead of QZ, exhaustive permutation search
-instead of the assignment solver, explicit rank-one pseudoinverses, and a
-dense least squares design instead of the separable normal system.
+instead of the assignment solver, explicit rank-one pseudoinverses, a dense
+least squares design instead of the separable normal system, and a
+depth-first pole tree, one line fit and one peel per node, instead of the
+level-at-a-time build.
 """
 
 import itertools
@@ -12,6 +14,11 @@ import itertools
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+
+from expanal.errors import CoverageMismatch, ExpanalError
+from expanal.model import FullGrid
+from expanal.rational import DEFAULT_TOL, pole_residue_from_samples
+from expanal.recursive import PoleTree, TreeNode, _merge_close, peel_dimension
 
 
 def box_quadrature_coefficient(signal, k, P):
@@ -180,3 +187,40 @@ def qz_arrowhead_poles(form):
     alpha, beta = scipy.linalg.eig(a, b, right=False, homogeneous_eigvals=True)
     finite = np.abs(beta) > 1e-12 * np.abs(beta).max()
     return alpha[finite] / beta[finite]
+
+
+def depth_first_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None,
+                          fit=None):
+    """The pole tree built depth first: one line fit and one peel per node.
+
+    Each node fits its slice's central axis line with pole_residue_from_samples
+    (or fit, with the same signature), merges close poles, peels the slice
+    with peel_dimension and recurses into the per-pole child slices.  The
+    first error met is raised with its pole path, and trace_sink receives the
+    traces in depth-first pre-order.
+    """
+    if not isinstance(source.coverage, FullGrid):
+        raise CoverageMismatch("recursive recovery needs full-grid coverage")
+    fit = pole_residue_from_samples if fit is None else fit
+    n_half = source.N
+
+    def grow(values, path):
+        line = values[(slice(None),) + (n_half,) * (values.ndim - 1)]
+        try:
+            pr, trace = fit(line, tol=tol, max_order=n_half, method=method)
+        except ExpanalError as exc:
+            raise type(exc)(f"at pole path {path}: {exc}") from exc
+        poles = _merge_close(pr.poles)
+        if trace_sink is not None:
+            trace_sink.append(trace)
+        if values.ndim == 1:
+            return [TreeNode(pole=complex(p), children=()) for p in poles]
+        try:
+            slices = peel_dimension(poles, values)
+        except ExpanalError as exc:
+            raise type(exc)(f"at pole path {path}: {exc}") from exc
+        return [TreeNode(pole=p, children=tuple(grow(child, path + (p,))))
+                for p, child in zip(map(complex, poles), slices)]
+
+    roots = grow(source.grid(), ())
+    return PoleTree(roots=tuple(roots), dimension=source.d).validate()

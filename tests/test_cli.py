@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,35 @@ def spec_file(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+# A 5,000-digit integer passes the JSON grammar but not Python's limit on
+# int conversion (4,300 digits), which raises a plain ValueError; a byte that
+# is not UTF-8 raises UnicodeDecodeError.  Neither is a JSONDecodeError.
+UNDECODABLE = {
+    "long-integer": b'{"d": ' + b"9" * 5000 + b"}",
+    "bad-utf8": b'{"d": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("content", list(UNDECODABLE.values()), ids=list(UNDECODABLE))
+@pytest.mark.parametrize("verb", ["generate", "recover", "compare"])
+def test_undecodable_json_is_an_input_error(verb, content, tmp_path):
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out.json")
+    bad.write_bytes(content)
+    argv = {
+        "generate": ["generate", str(bad), "--N", "5", "--coverage", "full", "--out", out],
+        "recover": ["recover", str(bad), "--method", "recursive", "--out", out],
+        "compare": ["compare", str(bad), str(bad)],
+    }[verb]
+    proc = subprocess.run([sys.executable, "-m", "expanal.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 1
+    assert "error: cannot read " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestGenerate:

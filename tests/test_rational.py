@@ -19,24 +19,26 @@ from expanal import (
 )
 from expanal.errors import (
     BadParameters,
+    ConvergenceFailure,
     DegenerateFrequency,
     IllConditioned,
     NoConvergence,
     ShapeMismatch,
 )
 from expanal.linalg import sort_complex
-from expanal import recursive
 from expanal.model import TWO_PI_I, ExponentialSum
 from expanal.rational import (
+    DEFAULT_TOL,
     SAMPLE_COLLISION_TOL,
     PoleResidue,
+    _fit_lines,
     check_fit_residual,
     filter_spurious,
     pole_residue_from_samples,
 )
 
 from cases import ALL_REFERENCE, BIVARIATE_5, random_univariate, spiked_bivariate_5
-from oracles import match_complex_sets, qz_arrowhead_poles
+from oracles import depth_first_pole_tree, match_complex_sets, qz_arrowhead_poles
 
 KGRID = np.arange(-10, 11, dtype=float)
 
@@ -420,20 +422,17 @@ def _outcome(fit, values):
 
 
 def _reference_grid_lines():
-    """Every line the seven reference grids feed to the fit."""
+    """Every line the seven reference grids feed to the fit, recorded from
+    the depth-first tree of the oracle."""
     lines = []
 
     def record(values, **kwargs):
         lines.append(np.array(values))
         return pole_residue_from_samples(values, **kwargs)
 
-    original = recursive.pole_residue_from_samples
-    recursive.pole_residue_from_samples = record
-    try:
-        for case in ALL_REFERENCE:
-            recursive.recover_recursive(case.signal.synthesize(case.P, case.N, FullGrid()))
-    finally:
-        recursive.pole_residue_from_samples = original
+    for case in ALL_REFERENCE:
+        depth_first_pole_tree(case.signal.synthesize(case.P, case.N, FullGrid()),
+                              fit=record)
     return lines
 
 
@@ -496,6 +495,38 @@ class TestValidatedOncePath:
         else:
             assert failures == 0
 
+    @pytest.mark.parametrize("method", ["eig", "pencil"])
+    @pytest.mark.parametrize("source", ["reference", "random", "degenerate"])
+    def test_stacked_fit_matches_single_line_fits(self, source, method):
+        # the tree fits every line of a level in one stacked call; each line
+        # must come out as pole_residue_from_samples gives it alone
+        lines = {"reference": _reference_grid_lines, "random": _random_lines,
+                 "degenerate": _degenerate_lines}[source]()
+        by_length = {}
+        for values in lines:
+            by_length.setdefault(len(values), []).append(values)
+        stacked = 0
+        for group in by_length.values():
+            stack = np.array(group, dtype=complex)
+            fits = _outcome(lambda v: _fit_lines(v, DEFAULT_TOL, None, method), stack)
+            if isinstance(fits, Exception):
+                fits = [fits] * len(group)
+            stacked += len(group) > 1
+            for values, fit in zip(group, fits):
+                alone = _outcome(lambda v: pole_residue_from_samples(v, method=method),
+                                 values)
+                if isinstance(alone, Exception):
+                    assert type(fit) is type(alone)
+                    assert str(fit) == str(alone)
+                    continue
+                (pr, trace), (poles, residues, stacked_trace) = alone, fit
+                assert stacked_trace == trace
+                assert len(poles) == len(pr.poles)
+                assert np.abs(poles - pr.poles).max() <= 1e-13 * np.abs(pr.poles).max()
+                assert (np.abs(residues - pr.residues).max()
+                        <= 1e-13 * np.abs(pr.residues).max())
+        assert stacked >= 1
+
     @pytest.mark.parametrize("values", [np.ones((3, 3)), np.array(1.0 + 0j)])
     def test_line_must_be_one_dimensional(self, values):
         with pytest.raises(ShapeMismatch, match="1-D"):
@@ -523,3 +554,24 @@ class TestValidatedOncePath:
             pole_residue_from_samples(line, **{name: bad})
         with pytest.raises(BadParameters, match=name):
             aaa_fit(np.arange(-15, 16), line, **{name: bad})
+
+    def test_lapack_failure_is_pinned_on_its_line(self, monkeypatch):
+        # an SVD failure fails the whole stacked call; the stack is refitted
+        # line by line, so only the line whose own SVD fails carries it
+        line = BIVARIATE_5.signal.synthesize(BIVARIATE_5.P, 15, "full").axis_line(0)
+        stack = np.array([line, 1e150 * line, line[::-1]])
+        svd = np.linalg.svd
+
+        def failing(a, *args, **kwargs):
+            if np.abs(a).max() > 1e100:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        fits = _fit_lines(stack, DEFAULT_TOL, None, "eig")
+        with pytest.raises(ConvergenceFailure, match="SVD did not converge") as alone:
+            pole_residue_from_samples(stack[1])
+        assert type(fits[1]) is ConvergenceFailure and str(fits[1]) == str(alone.value)
+        for values, fit in zip(stack[::2], fits[::2]):
+            pr, trace = pole_residue_from_samples(values)
+            assert fit[2] == trace and np.array_equal(fit[0], pr.poles)

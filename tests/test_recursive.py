@@ -22,20 +22,25 @@ from expanal import (
 from expanal.errors import (
     BadParameters,
     CoverageMismatch,
+    ExpanalError,
     IllConditioned,
     NoConvergence,
     ResynthesisWarning,
     ShapeMismatch,
 )
+from expanal import recursive
 from expanal.linalg import sort_complex
 from expanal.model import TWO_PI_I
 from expanal.rational import pole_residue_from_samples
-from expanal.recursive import _merge_close
+from expanal.recursive import _merge_close, _peel
 
 from cases import (
+    ALL_REFERENCE,
     BIVARIATE_5,
+    QUADVARIATE_8,
     QUADVARIATE_9,
     TRIVARIATE_4,
+    TRIVARIATE_6,
     TRIVARIATE_8,
     random_axis_distinct,
     random_coefficients,
@@ -43,7 +48,7 @@ from cases import (
     signal_from_amplitudes,
     signal_from_poles,
 )
-from oracles import dense_amplitude_coefficients
+from oracles import dense_amplitude_coefficients, depth_first_pole_tree
 
 
 def index_pole(frequency, P):
@@ -156,6 +161,36 @@ class TestPeelDimension:
         with pytest.raises(ShapeMismatch, match="odd number"):
             peel_dimension([0.5], np.ones((4, 4)))
 
+    def test_stacked_peel_pins_a_lapack_failure(self, monkeypatch):
+        # an SVD failure fails the whole stacked peel; it is redone slice by
+        # slice, so only the slice whose own SVD fails carries the error
+        rng = np.random.default_rng(5)
+        b = np.array([[0.4 + 0.7j], [-1.3 + 0.2j], [2.2 - 0.6j]])
+        slices = rng.standard_normal((3, 9, 4)) + 0j
+        svd = np.linalg.svd
+
+        def failing(a, *args, **kwargs):
+            if np.abs(a[..., 0, 0] - 1.0 / (-4 - b[1, 0])).min() == 0.0:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        children, errors = _peel(b, slices)
+        assert list(errors) == [1] and "SVD did not converge" in str(errors[1])
+        monkeypatch.undo()
+        for i in (0, 2):
+            assert np.array_equal(children[i], peel_dimension(b[i], slices[i]))
+
+    # checked before any division, so neither names an internal argument
+    # nor warns of a division by zero
+    @pytest.mark.parametrize("poles, message", [
+        ([], "need at least one pole"),
+        ([0.5 + 0.2j, -2.0], "sample points must be disjoint from the poles"),
+    ], ids=["no-poles", "pole-on-sample"])
+    def test_poles_checked_before_dividing(self, poles, message):
+        with pytest.raises(BadParameters, match=message):
+            peel_dimension(poles, np.ones((9, 4), dtype=complex))
+
 
 class TestMergeClose:
     def test_no_close_pair_unchanged(self):
@@ -235,6 +270,182 @@ class TestBuildPoleTree:
         tree = PoleTree(roots=tuple(map(node, roots)), dimension=2)
         with pytest.raises(BadParameters, match=message):
             tree.validate()
+
+
+def _build(build, source, **kwargs):
+    """(tree or the error raised, the traces the sink received)."""
+    traces = []
+    try:
+        return build(source, trace_sink=traces, **kwargs), traces
+    except ExpanalError as exc:
+        return exc, traces
+
+
+def _shape(node_json):
+    return [_shape(child) for child in node_json["children"]]
+
+
+def assert_matches_depth_first(source, **kwargs):
+    """build_pole_tree gives the depth-first tree of the oracle: the same
+    shape, poles within 1e-13, the same traces in the same order, or the
+    same first error."""
+    tree, traces = _build(build_pole_tree, source, **kwargs)
+    ref, ref_traces = _build(depth_first_pole_tree, source, **kwargs)
+    assert [(t.iterations, t.chosen_support_order, t.converged) for t in traces] \
+        == [(t.iterations, t.chosen_support_order, t.converged) for t in ref_traces]
+    for trace, ref_trace in zip(traces, ref_traces):
+        np.testing.assert_allclose(trace.max_residual_history,
+                                   ref_trace.max_residual_history, rtol=1e-13)
+    if isinstance(ref, ExpanalError):
+        assert type(tree) is type(ref)
+        assert str(tree) == str(ref)
+        return ref
+    assert [_shape(r) for r in tree.to_json()["roots"]] \
+        == [_shape(r) for r in ref.to_json()["roots"]]
+    paths, ref_paths = tree.leaf_paths(), ref.leaf_paths()
+    assert np.abs(paths - ref_paths).max() <= 1e-13 * np.abs(ref_paths).max()
+    return ref
+
+
+def random_grids(count=24):
+    """Seeded grids, d = 2..4, M = 1..6: per-axis poles drawn from pools of
+    three, so axis values repeat; every other grid noisy, fitted at tol 1e-8."""
+    rng = np.random.default_rng(77)
+    grids = []
+    for i in range(count):
+        d, order, n_half = (int(x) for x in rng.integers((2, 1, 5), (5, 7, 9)))
+        pools = [random_poles(rng, 3, 2.5) for _ in range(d)]
+        rows = set()
+        while len(rows) < order:
+            rows.add(tuple(int(x) for x in rng.integers(0, 3, d)))
+        poles = np.array([[pools[a][r[a]] for a in range(d)] for r in sorted(rows)])
+        signal = signal_from_amplitudes(poles, random_coefficients(rng, order), 2.0)
+        grid, tol = signal.synthesize(2.0, n_half, FullGrid()).grid(), 1e-12
+        if i % 2:
+            noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            grid = grid + 10.0 ** rng.uniform(-12, -7) * np.abs(grid).max() * noise
+            tol = 1e-8
+        grids.append((CoefficientSource(d, 2.0, n_half, FullGrid(), grid), tol))
+    return grids
+
+
+class TestLevelBuild:
+    """build_pole_tree, one level at a time, against the depth-first oracle."""
+
+    @pytest.mark.parametrize("case", ALL_REFERENCE, ids=lambda c: c.name)
+    def test_reference_grids(self, case):
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        assert not isinstance(assert_matches_depth_first(src), ExpanalError)
+
+    @pytest.mark.parametrize("case", [TRIVARIATE_4, QUADVARIATE_9], ids=lambda c: c.name)
+    def test_reference_grids_pencil(self, case):
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        assert not isinstance(assert_matches_depth_first(src, method="pencil"),
+                              ExpanalError)
+
+    @pytest.mark.parametrize("method", ["eig", "pencil"])
+    def test_random_grids(self, method):
+        outcomes = [assert_matches_depth_first(src, tol=tol, method=method)
+                    for src, tol in random_grids()]
+        failed = sum(isinstance(out, ExpanalError) for out in outcomes)
+        assert 0 < failed < len(outcomes)
+
+    def test_first_error_of_two_failing_subtrees(self):
+        # the second root's slice fails on its own line at depth 2, the first
+        # root's at depth 3 below its first child: the level build meets the
+        # depth-2 failure first, yet must raise the depth-3 one that a
+        # depth-first build meets first
+        rng = np.random.default_rng(8)
+        n_half = 8
+        k = np.arange(-n_half, n_half + 1, dtype=float)
+        noise = rng.standard_normal((2, 2 * n_half + 1, 2 * n_half + 1)) * (1 + 1j)
+        first = (np.multiply.outer(1.0 / (k - (0.3 + 0.6j)), noise[0, 0])
+                 + np.multiply.outer(1.0 / (k - (1.4 - 0.5j)), 0.7 / (k - (-0.8 + 0.9j))))
+        grid = (np.multiply.outer(1.0 / (k - (-1.5 + 0.4j)), first)
+                + np.multiply.outer(1.0 / (k - (2.1 - 0.7j)), noise[1]))
+        src = CoefficientSource(3, 2.0, n_half, FullGrid(), grid)
+        ref = assert_matches_depth_first(src)
+        assert isinstance(ref, ExpanalError)
+        # the pole path of the first root's first child: (-1.5+0.4j, 0.3+0.6j)
+        assert str(ref).startswith("at pole path ((-1.5")
+        assert "), (0.3" in str(ref).split(": ")[0]
+
+    def test_nodes_after_the_first_failure_are_not_fitted(self, monkeypatch):
+        # the first root's slice fails at depth 2; the second root's child
+        # line at depth 3 comes after it depth first and is never fitted
+        rng = np.random.default_rng(3)
+        n_half = 6
+        k = np.arange(-n_half, n_half + 1, dtype=float)
+        noise = rng.standard_normal((2 * n_half + 1,) * 2) * (1 + 1j)
+        good = np.multiply.outer(1.0 / (k - (0.4 + 0.9j)), 1.0 / (k - (-1.1 + 0.3j)))
+        grid = (np.multiply.outer(1.0 / (k - (-1.5 + 0.4j)), noise)
+                + np.multiply.outer(1.0 / (k - (2.1 - 0.7j)), good))
+        src = CoefficientSource(3, 2.0, n_half, FullGrid(), grid)
+        fit, stacks = recursive._fit_lines, []
+
+        def counted(lines, *args):
+            stacks.append(len(lines))
+            return fit(lines, *args)
+
+        monkeypatch.setattr(recursive, "_fit_lines", counted)
+        assert isinstance(assert_matches_depth_first(src), ExpanalError)
+        assert stacks == [1, 2]
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol": 0.0}, "tol"), ({"method": "qz"}, "method"),
+    ])
+    def test_argument_errors_name_the_root(self, kwargs, match):
+        case = TRIVARIATE_4
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        ref = assert_matches_depth_first(src, **kwargs)
+        assert isinstance(ref, BadParameters)
+        assert str(ref).startswith("at pole path (): ") and match in str(ref)
+
+
+def _slices(tree):
+    """(depth, pole count) of every fitted slice, in depth-first pre-order."""
+    out = [(1, len(tree.roots))]
+
+    def walk(nodes, depth):
+        for node in nodes:
+            if node.children:
+                out.append((depth + 1, len(node.children)))
+                walk(node.children, depth + 1)
+
+    walk(tree.roots, 1)
+    return out
+
+
+class TestStackedCalls:
+    """The LAPACK calls of a tree grow with its levels and fit steps, not with
+    its nodes.  Depth first, trivariate-6 made 25 svd, 13 eigvals and 13
+    lstsq calls, and quadvariate-8 made 47, 24 and 24."""
+
+    @pytest.mark.parametrize("case", [TRIVARIATE_6, QUADVARIATE_8], ids=lambda c: c.name)
+    def test_call_counts(self, case, monkeypatch):
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        counts = {}
+        for name in ("svd", "eigvals", "lstsq"):
+            def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        traces = []
+        tree = build_pole_tree(src, trace_sink=traces)
+        monkeypatch.undo()
+        slices = _slices(tree)
+        depths = {depth for depth, _ in slices}
+        # (level, support size) groups of the fit, (level, pole count)
+        # groups of the peel, and the longest fit of each level
+        fit_groups = {(depth, t.iterations) for (depth, _), t in zip(slices, traces)}
+        peel_groups = {(depth, count) for depth, count in slices if depth < src.d}
+        steps = sum(max(t.iterations for (dd, _), t in zip(slices, traces) if dd == depth)
+                    for depth in depths)
+        assert counts.get("eigvals", 0) <= len(fit_groups)
+        # one svd per greedy step after the first and one per peel group
+        assert counts.get("svd", 0) <= steps - len(depths) + len(peel_groups)
+        # residues: one lstsq per fitted line
+        assert counts.get("lstsq", 0) <= len(slices)
 
 
 class TestLeavesToSum:
