@@ -7,8 +7,8 @@ The library needs no scipy: both pole engines reduce their pencil to a
 standard eigenproblem, and the pairing and the error metric share
 linear_assignment.
 
-RCOND is the package's one numerical-rank cutoff, and full_rank_svd the one
-check that a Cauchy system (pairing, slice peel, pencil) has full rank.
+RCOND is the one numerical-rank cutoff; full_rank_svd and its stacked rule
+_rank_errors (pairing; slice peel and pencil) check that a system has full rank.
 """
 
 import math
@@ -41,35 +41,24 @@ def full_rank_svd(a, what):
     its smallest singular value is at most RCOND times the largest.
     """
     u, s, v = svd(a)
-    ratio = s[-1] / s[0] if len(s) == v.shape[0] and s[0] > 0 else 0.0
-    if ratio <= RCOND:
-        raise _rank_deficiency(what, ratio)
+    errors = _rank_errors(s[None] if len(s) == v.shape[0] else np.zeros((1, 1)), what)
+    if errors:
+        raise errors[0]
     return u, s, v
 
 
-def _rank_deficiency(what, ratio):
-    """The IllConditioned of full_rank_svd for `what` at a singular value
-    ratio at most RCOND."""
-    return IllConditioned(
-        f"{what} is numerically rank deficient: singular value ratio "
-        f"{ratio:.3e} <= {RCOND:.0e}"
-    )
+def _rank_errors(s, what):
+    """full_rank_svd's rule on a (g, p) stack of descending singular values:
+    {row: IllConditioned naming `what`} for the rows it refuses."""
+    ratio = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
+    return {i: IllConditioned(f"{what} is numerically rank deficient: singular value "
+                              f"ratio {ratio[i]:.3e} <= {RCOND:.0e}")
+            for i in np.flatnonzero(ratio <= RCOND).tolist()}
 
 
 def lstsq(a, b):
-    """Minimum-norm least squares solution of a @ x = b.
-
-    Singular values below RCOND times the largest are treated as zero.
-    """
-    a = as_complex_matrix(a, "a")
-    b = as_complex_vector(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"a has {a.shape[0]} rows but b has length {b.shape[0]}")
-    try:
-        x, _, _, _ = np.linalg.lstsq(a, b, rcond=RCOND)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"least squares solve failed: {exc}") from exc
-    return x
+    """Minimum-norm least squares solution of a @ x = b (rank cutoff RCOND)."""
+    return lstsq_with_rank(a, b)[0]
 
 
 def lstsq_with_rank(a, b):
@@ -102,9 +91,9 @@ def eigh(a):
 def gen_eig(a):
     """All eigenvalues of the square matrix a.
 
-    A failed eigenvalue iteration raises ConvergenceFailure.  The name is kept
-    from the pencil version: it is a public export and the entry point the
-    benchmark tracer wraps.
+    A failed eigenvalue iteration raises ConvergenceFailure.  No module calls
+    it: it stays as a public export and an entry point the benchmark tracer
+    wraps.
     """
     a = as_complex_matrix(a, "a")
     if a.shape[0] != a.shape[1]:

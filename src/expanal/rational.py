@@ -11,7 +11,8 @@ caller repeats any of it.  It is the fit's validation boundary: it checks its
 arguments once, then runs private kernels on trusted arrays.  The kernels
 take a stack of lines, so that the pole tree fits all lines of a level in one
 call; the public fit is their one-line case.  The public steps check their
-own arguments and call the same kernels.
+own arguments and call the same kernels.  The line fit caps max_order at N;
+its pencil projects onto the first m - 1 of the fit's own m support points.
 """
 
 import functools
@@ -29,7 +30,7 @@ from .errors import (
     NoConvergence,
     ShapeMismatch,
 )
-from .model import ExponentialSum
+from .model import ExponentialSum, _positive_int
 from .validation import as_complex_vector, check_distinct
 
 DEFAULT_TOL = 1e-12
@@ -135,6 +136,7 @@ def aaa_fit(points, values, tol=DEFAULT_TOL, max_order=None):
     point of largest misfit into the support (smallest index wins ties).
     """
     pts, vals = _sample_inputs(points, values)
+    max_order = _fit_args(len(pts), tol, max_order)
     groups, traces = _greedy_fit(pts, vals[None], tol, max_order)
     _, chosen, weights, _ = groups[0]
     return BarycentricForm(pts[chosen[0]], vals[chosen[0]], weights[0]), traces[0]
@@ -149,10 +151,21 @@ def _sample_inputs(points, values):
     return check_distinct(pts, "points"), vals
 
 
-def _greedy_fit(pts, vals, tol, max_order):
-    """aaa_fit on a trusted (r, n) stack of lines sharing the points pts.
+def _fit_args(n, tol, max_order, cap=np.inf):
+    """Check a greedy fit's arguments on n samples; returns max_order."""
+    if n < 2:
+        raise BadParameters("need at least two sample points")
+    if not 0 < tol < np.inf:
+        raise BadParameters(f"tol must be finite and positive, got {tol!r}")
+    max_order = min(n // 2, 100) if max_order is None else _positive_int(max_order, "max_order")
+    if max_order > cap:
+        raise BadParameters(f"max_order must be at most N = {cap}, got {max_order}")
+    return max_order
 
-    Only the scalar arguments are checked.  Returns (groups, traces): a group
+
+def _greedy_fit(pts, vals, tol, max_order):
+    """aaa_fit on a trusted (r, n) stack of lines sharing the points pts, with
+    checked tol and max_order (_fit_args).  Returns (groups, traces): a group
     (rows, chosen, weights, converged) holds the lines that stopped with the
     same number j of support points, with their support indices and weights
     as (g, j) arrays; traces[i] is the AaaTrace of line i.  Every line still
@@ -163,16 +176,6 @@ def _greedy_fit(pts, vals, tol, max_order):
     SVD.
     """
     n = vals.shape[1]
-    if n < 2:
-        raise BadParameters("need at least two sample points")
-    if not 0 < tol < np.inf:
-        raise BadParameters(f"tol must be finite and positive, got {tol!r}")
-    if max_order is None:
-        max_order = min(n // 2, 100)
-    if (type(max_order) is bool or not isinstance(max_order, (int, np.integer))
-            or max_order < 1):
-        raise BadParameters(f"max_order must be a positive integer, got {max_order!r}")
-
     size = np.abs(vals)
     limit = tol * size.max(axis=1)
     rows = at = np.arange(len(vals))
@@ -319,15 +322,20 @@ def _arrowhead_poles(z, w):
     q2 = _deflation_basis(z.shape[1])
     outer = (q2.T @ w[..., None]) * (q2.T @ z[..., None]).transpose(0, 2, 1)
     a = (q2.T * z[:, None, :]) @ q2 - outer / sigma[:, None, None]
+    return _sorted_eigvals(a), errors
+
+
+def _sorted_eigvals(a):
+    """The eigenvalues of a (g, p, p) stack, each row sorted by (real, imag)."""
     if a.shape[1] == 1:
         # a 1 x 1 matrix is its own eigenvalue, which LAPACK returns as is
-        return a[:, :, 0], errors
+        return a[:, :, 0]
     try:
         poles = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"pencil eigenvalues failed: {exc}") from exc
     # complex sorts by (real, imag); stable, like linalg.sort_complex
-    return np.sort(poles, axis=1, kind="stable"), errors
+    return np.sort(poles, axis=1, kind="stable")
 
 
 def loewner_pencil_poles(points, values, order):
@@ -340,41 +348,51 @@ def loewner_pencil_poles(points, values, order):
     `order` support points raises IllConditioned too.
     """
     pts, vals = _sample_inputs(points, values)
-    if order < 1:
-        raise BadParameters("order must be >= 1")
+    order = _positive_int(order, "order")
     if len(pts) < 2 * order:
         raise BadParameters(f"need at least {2 * order} samples for order {order}")
-
     groups, _ = _greedy_fit(pts, vals[None], np.finfo(float).tiny, order)
-    chosen = groups[0][1][0]
-    if len(chosen) < order:
+    chosen = groups[0][1]
+    if chosen.shape[1] < order:
         raise IllConditioned(
-            f"greedy fit is exact with {len(chosen)} < {order} support points"
-        )
-    rest = np.setdiff1d(np.arange(len(pts)), chosen)
-    sup, supv = pts[chosen], vals[chosen]
-    gam, gamv = pts[rest], vals[rest]
-
-    denom = gam[:, None] - sup[None, :]
-    plain = (gamv[:, None] - supv[None, :]) / denom
-    shifted = (gam[:, None] * gamv[:, None] - sup[None, :] * supv[None, :]) / denom
-
-    u, s, v = linalg.full_rank_svd(plain, "divided-difference matrix")
-    # every s > 0, so the pencil (reduced_a, diag(s)) is a row scaling by 1/s
-    reduced_a = u.conj().T @ shifted @ v
-    return linalg.sort_complex(linalg.gen_eig(reduced_a / s[:, None]))
+            f"greedy fit is exact with {chosen.shape[1]} < {order} support points")
+    poles, errors = _pencil_poles(pts, vals[None], chosen)
+    if errors:
+        raise errors[0]
+    return poles[0]
 
 
-def _pencil_poles(points, vals, order):
-    """loewner_pencil_poles on each line of a stack: the (g, order) poles and
-    {row: ExpanalError} for the lines it refuses."""
-    poles, errors = np.zeros((len(vals), order), dtype=complex), {}
-    for i, line in enumerate(vals):
+def _pencil_poles(points, vals, chosen):
+    """loewner_pencil_poles on a trusted stack: lines vals (g, n) at points,
+    projected onto their (g, order) support indices chosen.  One SVD and one
+    eigvals call serve the stack.  Returns the (g, order) poles, each row
+    sorted by (real, imag), and {row: ExpanalError} for the lines refused
+    (rank rule of linalg.full_rank_svd, or a non-finite matrix)."""
+    order = chosen.shape[1]
+    taken = (np.arange(vals.shape[1]) == chosen[..., None]).any(axis=1)
+    rest = np.argsort(taken, axis=1, kind="stable")[:, :-order]
+    sup, supv = points[chosen], np.take_along_axis(vals, chosen, 1)
+    gam, gamv = points[rest], np.take_along_axis(vals, rest, 1)
+    denom = gam[..., None] - sup[:, None, :]
+    with np.errstate(invalid="ignore", over="ignore"):  # overflows refuse their line
+        plain = (gamv[..., None] - supv[:, None, :]) / denom
+        shifted = ((gam * gamv)[..., None] - (sup * supv)[:, None, :]) / denom
+        finite = np.isfinite(plain).all(axis=(1, 2))
+        plain[~finite] = 0.0  # an inf can stall LAPACK's SVD
         try:
-            poles[i] = loewner_pencil_poles(points, line, order)
-        except ExpanalError as exc:
-            errors[i] = exc
-    return poles, errors
+            u, s, vh = np.linalg.svd(plain, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+        errors = linalg._rank_errors(s, "divided-difference matrix")
+        # every kept s > 0, so each pencil (reduced, diag(s)) is a row scaling by 1/s
+        s[list(errors)] = 1.0
+        pencil = (u.conj().transpose(0, 2, 1) @ shifted
+                  @ vh.conj().transpose(0, 2, 1)) / s[..., None]
+    for i in np.flatnonzero(~(finite & np.isfinite(pencil).all(axis=(1, 2)))).tolist():
+        if not (finite[i] and i in errors):
+            errors[i] = BadParameters("divided-difference pencil has non-finite entries")
+    pencil[list(errors)] = 0.0  # no NaN or inf may reach the stacked eigvals
+    return _sorted_eigvals(pencil), errors
 
 
 def residues_ls(poles, points, values):
@@ -530,14 +548,16 @@ def _fit_lines(vals, tol, max_order, method):
 
     Returns one outcome per line: (poles sorted by (real, imag), residues,
     AaaTrace), or the ExpanalError that pole_residue_from_samples raises on
-    that line alone.  A bad method, tol or max_order raises.  Each step runs
-    as one stacked call per group of lines of equal size, so the number of
-    numpy calls grows with the fit steps and the groups, not with the lines.
-    A LAPACK failure fails its whole stacked call; the stack is then refitted
-    line by line, which pins the failure on its line.
+    that line alone.  A bad method, tol or max_order (an integer in 1..N)
+    raises before any work.  Each step runs as one stacked call per group of
+    lines of equal size, so the number of numpy calls grows with the fit
+    steps and the groups, not with the lines.  A LAPACK failure fails its
+    whole stacked call; the stack is then refitted line by line, which pins
+    the failure on its line.
     """
     if method not in ("eig", "pencil"):
         raise BadParameters(f"unknown pole method {method!r}")
+    max_order = _fit_args(vals.shape[1], tol, max_order, cap=vals.shape[1] // 2)
     try:
         return _fit_stack(vals, tol, max_order, method)
     except ConvergenceFailure as exc:
@@ -586,7 +606,7 @@ def _fit_group(points, vals, chosen, weights, converged, method):
     if method == "eig":
         poles, errors = _arrowhead_poles(points[chosen], weights)
     else:
-        poles, errors = _pencil_poles(points, vals, m - 1)
+        poles, errors = _pencil_poles(points, vals, chosen[:, :-1])
     if errors:
         alive, poles, vals, converged = _drop(out, alive, errors, poles, vals, converged)
     errors = _collisions(points, poles)
@@ -614,10 +634,10 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
     values is a 1-D array of an odd number 2N+1 of finite samples at
     k = -N..N; another shape or an even count raises ShapeMismatch.  Poles
     come from the arrowhead eigenproblem of the greedy fit (method="eig") or
-    from the matrix pencil with the fitted order (method="pencil").  All
-    arguments are checked before any work; the policy then runs in this order:
-    pole extraction, the sample-collision check (DegenerateFrequency), the
-    spurious-pole filter, NoConvergence when the greedy fit missed its
+    from the pencil on its first m - 1 support points (method="pencil").  All
+    arguments are checked first (max_order <= N); the policy then runs in this
+    order: pole extraction, the sample-collision check (DegenerateFrequency),
+    the spurious-pole filter, NoConvergence when the greedy fit missed its
     tolerance, and finally check_fit_residual.  This is the one-line case of
     the stacked fit that build_pole_tree runs on every line of a tree level.
 

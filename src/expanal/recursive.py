@@ -49,6 +49,7 @@ from .validation import check_nonnegative_int
 
 POLE_MERGE_RTOL = 1e-8
 RESYNTHESIS_WARN_TOL = 1e-6
+SPOT_CHECK_POINTS = 100
 
 
 @dataclass(frozen=True)
@@ -234,13 +235,8 @@ def _peel(b, slices):
         parts = [_peel(b[i, None], slices[i, None]) for i in range(g)]
         return (np.concatenate([kids for kids, _ in parts]),
                 {i: errs[0] for i, (_, errs) in enumerate(parts) if errs})
-    ratio = s[:, -1] / s[:, 0]
-    errors = {}
-    if (ratio <= linalg.RCOND).any():
-        errors = {
-            i: linalg._rank_deficiency(f"slice system for {b.shape[1]} poles", ratio[i])
-            for i in np.flatnonzero(ratio <= linalg.RCOND).tolist()
-        }
+    errors = linalg._rank_errors(s, f"slice system for {b.shape[1]} poles")
+    if errors:
         s = np.where(s > 0.0, s, 1.0)
     pinv = (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1)
     children = pinv @ slices.reshape(g, n, -1)
@@ -383,28 +379,23 @@ def leaves_to_sum(tree, source):
     return ExponentialSum.from_poles(poles, amplitudes, source.P)
 
 
-def recover_recursive(source, tol=DEFAULT_TOL, method="eig", check_points=100,
-                      seed=0, trace_sink=None):
+def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=None):
     """Recover an exponential sum from a full coefficient grid.
 
     Builds the pole tree, solves the amplitude system, and spot-checks that
-    the reconstruction reproduces the input coefficients at seeded random
-    indices; a relative residual above RESYNTHESIS_WARN_TOL there is reported
-    as a ResynthesisWarning (the usual cause is a slice function vanishing at
-    the origin, which hides one of the poles from its axis line).
-    check_points=0 skips the spot check.
+    the reconstruction reproduces the input coefficients at SPOT_CHECK_POINTS
+    indices drawn with the seed; a relative residual above
+    RESYNTHESIS_WARN_TOL there is reported as a ResynthesisWarning (the usual
+    cause is a slice function vanishing at the origin, which hides one of the
+    poles from its axis line).
 
     Returns (ExponentialSum, PoleTree).
     """
-    check_nonnegative_int(check_points, "check_points")
     check_nonnegative_int(seed, "seed")
     tree = build_pole_tree(source, tol=tol, method=method, trace_sink=trace_sink)
     signal = leaves_to_sum(tree, source)
-    if check_points == 0:
-        return signal, tree
-
     rng = np.random.default_rng(seed)
-    picks = rng.integers(-source.N, source.N + 1, size=(check_points, source.d))
+    picks = rng.integers(-source.N, source.N + 1, size=(SPOT_CHECK_POINTS, source.d))
     data = source.grid()[tuple((picks + source.N).T)]
     model = signal.fourier_coefficients(picks, source.P)
     scale = np.abs(data).max()

@@ -4,9 +4,10 @@ Each oracle takes a computational route disjoint from the implementation it
 verifies: adaptive quadrature instead of the closed coefficient formula,
 characteristic-polynomial roots instead of QZ, exhaustive permutation search
 instead of the assignment solver, explicit rank-one pseudoinverses, a dense
-least squares design instead of the separable normal system, and a
+least squares design instead of the separable normal system, a
 depth-first pole tree, one line fit and one peel per node, instead of the
-level-at-a-time build.
+level-at-a-time build, and a per-line pencil on a greedy refit instead of the
+stacked pencil on the line fit's own support points.
 """
 
 import itertools
@@ -15,9 +16,10 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from expanal.errors import CoverageMismatch, ExpanalError
+from expanal.errors import CoverageMismatch, ExpanalError, IllConditioned
+from expanal.linalg import full_rank_svd, gen_eig, sort_complex
 from expanal.model import FullGrid
-from expanal.rational import DEFAULT_TOL, pole_residue_from_samples
+from expanal.rational import DEFAULT_TOL, aaa_fit, pole_residue_from_samples
 from expanal.recursive import PoleTree, TreeNode, _merge_close, peel_dimension
 
 
@@ -224,3 +226,25 @@ def depth_first_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None
 
     roots = grow(source.grid(), ())
     return PoleTree(roots=tuple(roots), dimension=source.d).validate()
+
+
+def refit_pencil_poles(points, values, order):
+    """The pencil poles of one line by a greedy refit: an order-step fit at
+    tol = tiny picks the support points, the plain divided-difference matrix
+    must have full rank (full_rank_svd), and gen_eig solves the projected
+    pencil.  The pencil of a line fit with m support points has order m - 1.
+    """
+    pts = np.asarray(points, dtype=complex)
+    vals = np.asarray(values, dtype=complex)
+    _, trace = aaa_fit(pts, vals, tol=np.finfo(float).tiny, max_order=order)
+    chosen = list(trace.chosen_support_order)
+    if len(chosen) < order:
+        raise IllConditioned(f"greedy fit is exact with {len(chosen)} < {order} support points")
+    rest = np.setdiff1d(np.arange(len(pts)), chosen)
+    sup, supv = pts[chosen], vals[chosen]
+    gam, gamv = pts[rest], vals[rest]
+    denom = gam[:, None] - sup[None, :]
+    plain = (gamv[:, None] - supv[None, :]) / denom
+    shifted = (gam[:, None] * gamv[:, None] - sup[None, :] * supv[None, :]) / denom
+    u, s, v = full_rank_svd(plain, "divided-difference matrix")
+    return sort_complex(gen_eig((u.conj().T @ shifted @ v) / s[:, None]))

@@ -32,13 +32,19 @@ from expanal.rational import (
     SAMPLE_COLLISION_TOL,
     PoleResidue,
     _fit_lines,
+    _pencil_poles,
     check_fit_residual,
     filter_spurious,
     pole_residue_from_samples,
 )
 
 from cases import ALL_REFERENCE, BIVARIATE_5, random_univariate, spiked_bivariate_5
-from oracles import depth_first_pole_tree, match_complex_sets, qz_arrowhead_poles
+from oracles import (
+    depth_first_pole_tree,
+    match_complex_sets,
+    qz_arrowhead_poles,
+    refit_pencil_poles,
+)
 
 KGRID = np.arange(-10, 11, dtype=float)
 
@@ -217,6 +223,39 @@ class TestLoewnerPencil:
         with pytest.raises(IllConditioned, match="2 < 3 support points"):
             loewner_pencil_poles(KGRID, values, 3)
 
+    def test_refused_lines_feed_no_nan_to_eigvals(self, monkeypatch):
+        # one stacked pencil for three lines on the same support points: a
+        # one-pole line is rank deficient at order 3, and an overflowing
+        # divided difference makes a matrix non-finite; both are refused and
+        # enter the one eigvals call as zeros
+        truth = np.array([-1 + 2j, 0.5 - 0.3j, 1j])
+        good = pole_samples(KGRID, truth, [2.0, 3.0, -1.0])
+        overflow = good.copy()
+        overflow[[10, 15]] = 1.5e308, -1.5e308
+        stack = np.array([good, pole_samples(KGRID, [0.5j], [1.0]), overflow])
+        eigvals, finite = np.linalg.eigvals, []
+
+        def checked(a):
+            finite.append(bool(np.isfinite(a).all()))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", checked)
+        poles, errors = _pencil_poles(KGRID.astype(complex), stack,
+                                      np.array([[10, 0, 20]] * 3))
+        assert finite == [True]
+        assert np.abs(poles[0] - sort_complex(truth)).max() <= 1e-9
+        assert sorted(errors) == [1, 2]
+        assert type(errors[1]) is IllConditioned
+        assert "divided-difference matrix is numerically rank deficient" in str(errors[1])
+        assert type(errors[2]) is BadParameters and "non-finite" in str(errors[2])
+
+    @pytest.mark.parametrize("order", [2.0, 2.5, True, "2"])
+    def test_order_must_be_a_positive_integer(self, order):
+        # these used to fail naming max_order, and "2" with a bare TypeError
+        values = pole_samples(KGRID, [1j, -1 + 2j], [2.0, 3.0])
+        with pytest.raises(BadParameters, match="^order must be a positive integer"):
+            loewner_pencil_poles(KGRID, values, order)
+
     def test_agreement_with_eigenproblem(self):
         rng = np.random.default_rng(6)
         points = np.arange(-20, 21, dtype=float)
@@ -356,9 +395,10 @@ class TestOneLineFitPolicy:
             LINE_FITS[entry](src.axis_line(0)[1:])
 
 
-def composed_line_fit(values):
+def composed_line_fit(values, method="eig"):
     """The line fit as the composition of the public steps: the reference for
-    the validated-once path of pole_residue_from_samples."""
+    the validated-once path of pole_residue_from_samples.  The pencil poles
+    come from the per-line oracle on a greedy refit."""
     vals = np.asarray(values, dtype=complex)
     n_half = (len(vals) - 1) // 2
     points = np.arange(-n_half, n_half + 1, dtype=float)
@@ -367,7 +407,10 @@ def composed_line_fit(values):
         raise DegenerateFrequency(
             "samples are constant; no rational structure of positive order"
         )
-    poles = poles_of(form)
+    if method == "eig":
+        poles = poles_of(form)
+    else:
+        poles = refit_pencil_poles(points, vals, len(form) - 1)
     bad = np.abs(points[None, :] - poles[:, None]).min(axis=1) <= SAMPLE_COLLISION_TOL
     if bad.any():
         nearest = points[np.abs(points[None, :] - poles[bad, None]).argmin(axis=1)]
@@ -460,14 +503,47 @@ def _degenerate_lines():
             np.array([1.0 + 0j]), np.array([1.0, np.nan, 2.0])]
 
 
+LINE_SETS = {"reference": _reference_grid_lines, "random": _random_lines,
+             "degenerate": _degenerate_lines}
+
+
+def assert_stacks_match(lines, method, single):
+    """_fit_lines on each stack of the lines of one length gives, line by
+    line, what single gives on that line alone: the same error type and
+    message, or the same trace with poles and residues within 1e-13.
+    Returns the number of stacks of more than one line."""
+    by_length = {}
+    for values in lines:
+        by_length.setdefault(len(values), []).append(values)
+    stacked = 0
+    for group in by_length.values():
+        stack = np.array(group, dtype=complex)
+        fits = _outcome(lambda v: _fit_lines(v, DEFAULT_TOL, None, method), stack)
+        if isinstance(fits, Exception):
+            fits = [fits] * len(group)
+        stacked += len(group) > 1
+        for values, fit in zip(group, fits):
+            alone = _outcome(single, values)
+            if isinstance(alone, Exception):
+                assert type(fit) is type(alone)
+                assert str(fit) == str(alone)
+                continue
+            (pr, trace), (poles, residues, stacked_trace) = alone, fit
+            assert stacked_trace == trace
+            assert len(poles) == len(pr.poles)
+            assert np.abs(poles - pr.poles).max() <= 1e-13 * np.abs(pr.poles).max()
+            assert (np.abs(residues - pr.residues).max()
+                    <= 1e-13 * np.abs(pr.residues).max())
+    return stacked
+
+
 class TestValidatedOncePath:
     """pole_residue_from_samples checks its arguments once and then runs the
     private kernels; it must give what the public steps give, step by step."""
 
     @pytest.mark.parametrize("source", ["reference", "random", "degenerate"])
     def test_matches_public_step_composition(self, source):
-        lines = {"reference": _reference_grid_lines, "random": _random_lines,
-                 "degenerate": _degenerate_lines}[source]()
+        lines = LINE_SETS[source]()
         assert len(lines) >= {"reference": 85, "random": 200, "degenerate": 7}[source]
         failures = 0
         for values in lines:
@@ -500,32 +576,19 @@ class TestValidatedOncePath:
     def test_stacked_fit_matches_single_line_fits(self, source, method):
         # the tree fits every line of a level in one stacked call; each line
         # must come out as pole_residue_from_samples gives it alone
-        lines = {"reference": _reference_grid_lines, "random": _random_lines,
-                 "degenerate": _degenerate_lines}[source]()
-        by_length = {}
-        for values in lines:
-            by_length.setdefault(len(values), []).append(values)
-        stacked = 0
-        for group in by_length.values():
-            stack = np.array(group, dtype=complex)
-            fits = _outcome(lambda v: _fit_lines(v, DEFAULT_TOL, None, method), stack)
-            if isinstance(fits, Exception):
-                fits = [fits] * len(group)
-            stacked += len(group) > 1
-            for values, fit in zip(group, fits):
-                alone = _outcome(lambda v: pole_residue_from_samples(v, method=method),
-                                 values)
-                if isinstance(alone, Exception):
-                    assert type(fit) is type(alone)
-                    assert str(fit) == str(alone)
-                    continue
-                (pr, trace), (poles, residues, stacked_trace) = alone, fit
-                assert stacked_trace == trace
-                assert len(poles) == len(pr.poles)
-                assert np.abs(poles - pr.poles).max() <= 1e-13 * np.abs(pr.poles).max()
-                assert (np.abs(residues - pr.residues).max()
-                        <= 1e-13 * np.abs(pr.residues).max())
-        assert stacked >= 1
+        def alone(values):
+            return pole_residue_from_samples(values, method=method)
+
+        assert assert_stacks_match(LINE_SETS[source](), method, alone) >= 1
+
+    @pytest.mark.parametrize("source", ["reference", "random", "degenerate"])
+    def test_pencil_matches_the_refit_oracle(self, source):
+        # the pencil projects onto the first m - 1 support points of the fit
+        # that ran, which are the points a greedy refit at tol = tiny picks
+        def refit(values):
+            return composed_line_fit(values, method="pencil")
+
+        assert assert_stacks_match(LINE_SETS[source](), "pencil", refit) >= 1
 
     @pytest.mark.parametrize("values", [np.ones((3, 3)), np.array(1.0 + 0j)])
     def test_line_must_be_one_dimensional(self, values):
@@ -568,10 +631,30 @@ class TestValidatedOncePath:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", failing)
-        fits = _fit_lines(stack, DEFAULT_TOL, None, "eig")
-        with pytest.raises(ConvergenceFailure, match="SVD did not converge") as alone:
-            pole_residue_from_samples(stack[1])
-        assert type(fits[1]) is ConvergenceFailure and str(fits[1]) == str(alone.value)
-        for values, fit in zip(stack[::2], fits[::2]):
-            pr, trace = pole_residue_from_samples(values)
-            assert fit[2] == trace and np.array_equal(fit[0], pr.poles)
+        for method in ("eig", "pencil"):
+            fits = _fit_lines(stack, DEFAULT_TOL, None, method)
+            with pytest.raises(ConvergenceFailure, match="SVD did not converge") as alone:
+                pole_residue_from_samples(stack[1], method=method)
+            assert type(fits[1]) is ConvergenceFailure
+            assert str(fits[1]) == str(alone.value)
+            for values, fit in zip(stack[::2], fits[::2]):
+                pr, trace = pole_residue_from_samples(values, method=method)
+                assert fit[2] == trace and np.array_equal(fit[0], pr.poles)
+
+    @pytest.mark.parametrize("method", ["eig", "pencil"])
+    def test_max_order_is_at_most_n(self, method):
+        # N = 10: an unconverged pencil fit under the cap 15 used to end in
+        # "need at least 28 samples for order 14" where eig gave NoConvergence
+        k = np.arange(-10, 11, dtype=float)
+        poles = np.array([0.3 + 0.8j, -1.2 + 0.4j, 2.1 - 0.6j])
+        exact = pole_samples(k, poles, [1.0, -0.7, 0.4])
+        noise = np.random.default_rng(1).standard_normal(21)
+        noisy = exact + 1e-9 * np.abs(exact).max() * noise
+        for values in (exact, noisy):
+            for cap in (11, 15):
+                with pytest.raises(BadParameters, match="max_order must be at most N = 10"):
+                    pole_residue_from_samples(values, max_order=cap, method=method)
+        pr, _ = pole_residue_from_samples(exact, max_order=10, method=method)
+        assert np.abs(pr.poles - sort_complex(poles)).max() <= 1e-10
+        with pytest.raises(NoConvergence, match="within 10 steps"):
+            pole_residue_from_samples(noisy, max_order=10, method=method)
