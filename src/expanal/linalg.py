@@ -7,8 +7,9 @@ The library needs no scipy: both pole engines reduce their pencil to a
 standard eigenproblem, and the pairing and the error metric share
 linear_assignment.
 
-RCOND is the one numerical-rank cutoff; full_rank_svd and its stacked rule
-_rank_errors (pairing; slice peel and pencil) check that a system has full rank.
+RCOND is the one numerical-rank cutoff and _rank_errors its one rule, for the
+pencil engine and cauchy_lstsq, the one solver of sum_j x_j / (k - b_j) = rhs
+(the line fit's residues, the slice peel and the pairing of both methods).
 """
 
 import math
@@ -34,26 +35,46 @@ def svd(a):
     return u, s, vh.conj().T
 
 
-def full_rank_svd(a, what):
-    """svd(a) of a matrix that must have full numerical column rank.
-
-    Raises IllConditioned naming `what` when a has fewer rows than columns or
-    its smallest singular value is at most RCOND times the largest.
-    """
-    u, s, v = svd(a)
-    errors = _rank_errors(s[None] if len(s) == v.shape[0] else np.zeros((1, 1)), what)
-    if errors:
-        raise errors[0]
-    return u, s, v
-
-
 def _rank_errors(s, what):
-    """full_rank_svd's rule on a (g, p) stack of descending singular values:
-    {row: IllConditioned naming `what`} for the rows it refuses."""
+    """The rank rule on a (g, p) stack of descending singular values: {row:
+    IllConditioned naming `what`} for the rows with s[-1] <= RCOND * s[0]."""
     ratio = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
     return {i: IllConditioned(f"{what} is numerically rank deficient: singular value "
                               f"ratio {ratio[i]:.3e} <= {RCOND:.0e}")
             for i in np.flatnonzero(ratio <= RCOND).tolist()}
+
+
+def cauchy_lstsq(b, k, rhs, what):
+    """Least squares solutions x[i] of sum_j x[i, j] / (k - b[i, j]) = rhs[i]
+    for a (g, p) stack of poles b, the (n,) sample points k and (g, n, *tail)
+    right-hand sides: one SVD, each pseudo-inverse applied to all its tails in
+    one matmul.  Returns (x, {row: error naming `what`}), x (g, p, *tail).  A
+    non-finite Cauchy matrix is refused with BadParameters, and one with fewer
+    rows than poles or s[-1] <= RCOND * s[0] with IllConditioned.  A LAPACK
+    failure is pinned on its row by solving the rows one at a time.
+    """
+    g, n = rhs.shape[:2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cauchy = 1.0 / (k[:, None] - b[:, None, :])
+    finite = np.isfinite(cauchy).all(axis=(1, 2))
+    cauchy[~finite] = 0.0  # an inf can stall LAPACK's SVD
+    try:
+        u, s, vh = np.linalg.svd(cauchy, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        if g == 1:
+            return (np.zeros(b.shape + rhs.shape[2:], dtype=complex),
+                    {0: ConvergenceFailure(f"SVD did not converge: {exc}")})
+        parts = [cauchy_lstsq(b[i, None], k, rhs[i, None], what) for i in range(g)]
+        return (np.concatenate([x for x, _ in parts]),
+                {i: errs[0] for i, (_, errs) in enumerate(parts) if errs})
+    errors = _rank_errors(s if b.shape[1] <= n else np.zeros((g, 1)), what)  # wide: rank < p
+    for i in np.flatnonzero(~finite).tolist():
+        errors[i] = BadParameters(f"{what} has non-finite entries: poles must be finite, "
+                                  f"and sample points must be disjoint from the poles")
+    s[list(errors)] = 1.0  # every kept s > 0
+    pinv = (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    x = pinv @ rhs.reshape(g, n, math.prod(rhs.shape[2:]))
+    return x.reshape(b.shape + rhs.shape[2:]), errors
 
 
 def lstsq(a, b):

@@ -2,8 +2,8 @@
 
 The pipeline fits sampled values with a greedy barycentric interpolant,
 extracts poles from the deflated arrowhead matrix of the fit (or from the
-divided-difference matrix pencil), solves for residues by least squares, and
-maps pole/residue pairs back to exponential-sum parameters.
+divided-difference matrix pencil), solves for residues (linalg.cauchy_lstsq)
+and maps pole/residue pairs back to exponential-sum parameters.
 
 pole_residue_from_samples is the one line fit of both recovery methods: it
 owns the sample geometry k = -N..N and the whole acceptance policy, so no
@@ -137,7 +137,9 @@ def aaa_fit(points, values, tol=DEFAULT_TOL, max_order=None):
     """
     pts, vals = _sample_inputs(points, values)
     max_order = _fit_args(len(pts), tol, max_order)
-    groups, traces = _greedy_fit(pts, vals[None], tol, max_order)
+    groups, traces, errors = _greedy_fit(pts, vals[None], tol, max_order)
+    if errors:
+        raise errors[0]
     _, chosen, weights, _ = groups[0]
     return BarycentricForm(pts[chosen[0]], vals[chosen[0]], weights[0]), traces[0]
 
@@ -165,10 +167,12 @@ def _fit_args(n, tol, max_order, cap=np.inf):
 
 def _greedy_fit(pts, vals, tol, max_order):
     """aaa_fit on a trusted (r, n) stack of lines sharing the points pts, with
-    checked tol and max_order (_fit_args).  Returns (groups, traces): a group
-    (rows, chosen, weights, converged) holds the lines that stopped with the
-    same number j of support points, with their support indices and weights
-    as (g, j) arrays; traces[i] is the AaaTrace of line i.  Every line still
+    checked tol and max_order (_fit_args).  Returns (groups, traces, errors):
+    a group (rows, chosen, weights, converged) holds the lines that stopped
+    with the same number j of support points, with their support indices and
+    weights as (g, j) arrays; traces[i] is the AaaTrace of line i; errors maps
+    the lines whose Loewner matrix overflowed (an entry of non-finite modulus
+    stalls LAPACK) to BadParameters.  Every line still
     running at step j has j support points and n - j free ones, so their
     Loewner matrices stack to (a, n - j, j) and one SVD serves them all; each
     line stops on its own rule.  With one support point the fit is the
@@ -190,10 +194,11 @@ def _greedy_fit(pts, vals, tol, max_order):
     restv = vals[keep].reshape(len(vals), n - 1)
     # row i of history: the largest misfit of running line rows[i] per step
     history = np.empty(vals.shape)
-    groups, traces = [], [None] * len(vals)
+    groups, traces, errors = [], [None] * len(vals), {}
     j = 1
-    # a zero denominator marks a pole on a free point: its misfit counts as inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero denominator marks a pole on a free point: its misfit counts as inf;
+    # an overflowed misfit counts as inf too, and its line is refused below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while len(rows):
             chosen, sup = support[:, :j], supv[:, :j]
             if j == 1:
@@ -202,6 +207,17 @@ def _greedy_fit(pts, vals, tol, max_order):
             else:
                 cauchy = 1.0 / (pts[rest][..., None] - pts[chosen][:, None, :])
                 loewner = (restv[..., None] - sup[:, None, :]) * cauchy
+                finite = np.isfinite(np.abs(loewner).max(axis=(1, 2)))
+                if not finite.all():
+                    errors.update((i, BadParameters("Loewner matrix has non-finite entries: "
+                                                    "the samples overflow"))
+                                  for i in rows[~finite].tolist())
+                    if not finite.any():
+                        break
+                    rows, limit, support, supv, rest, restv, history, cauchy, loewner = (
+                        x[finite] for x in (rows, limit, support, supv, rest, restv,
+                                            history, cauchy, loewner))
+                    chosen, sup, at = support[:, :j], supv[:, :j], np.arange(len(rows))
                 try:
                     weights = np.linalg.svd(loewner, full_matrices=False)[2][:, -1].conj()
                 except np.linalg.LinAlgError as exc:
@@ -234,7 +250,7 @@ def _greedy_fit(pts, vals, tol, max_order):
             rest = rest[keep].reshape(len(rows), n - j - 1)
             restv = restv[keep].reshape(len(rows), n - j - 1)
             j += 1
-    return groups, traces
+    return groups, traces, errors
 
 
 def evaluate_barycentric(form, z):
@@ -343,15 +359,17 @@ def loewner_pencil_poles(points, values, order):
 
     The support partition is chosen by an order-step greedy fit; the pencil of
     plain and shifted divided-difference matrices is projected to size
-    order x order through the SVD of the plain matrix, which must have full
-    rank (linalg.full_rank_svd).  A greedy fit that is exact with fewer than
+    order x order through the SVD of the plain matrix, which must pass the
+    rank rule (linalg._rank_errors).  A greedy fit that is exact with fewer than
     `order` support points raises IllConditioned too.
     """
     pts, vals = _sample_inputs(points, values)
     order = _positive_int(order, "order")
     if len(pts) < 2 * order:
         raise BadParameters(f"need at least {2 * order} samples for order {order}")
-    groups, _ = _greedy_fit(pts, vals[None], np.finfo(float).tiny, order)
+    groups, _, errors = _greedy_fit(pts, vals[None], np.finfo(float).tiny, order)
+    if errors:
+        raise errors[0]
     chosen = groups[0][1]
     if chosen.shape[1] < order:
         raise IllConditioned(
@@ -367,7 +385,7 @@ def _pencil_poles(points, vals, chosen):
     projected onto their (g, order) support indices chosen.  One SVD and one
     eigvals call serve the stack.  Returns the (g, order) poles, each row
     sorted by (real, imag), and {row: ExpanalError} for the lines refused
-    (rank rule of linalg.full_rank_svd, or a non-finite matrix)."""
+    (rank rule of linalg._rank_errors, or a non-finite matrix)."""
     order = chosen.shape[1]
     taken = (np.arange(vals.shape[1]) == chosen[..., None]).any(axis=1)
     rest = np.argsort(taken, axis=1, kind="stable")[:, :-order]
@@ -398,7 +416,10 @@ def _pencil_poles(points, vals, chosen):
 def residues_ls(poles, points, values):
     """Residues minimizing the 2-norm misfit of sum_j a_j/(k - b_j) = values."""
     b, pts, vals = _cauchy_inputs(poles, points, values)
-    return _cauchy_lstsq(b[None], pts, vals[None])[0]
+    residues, errors = linalg.cauchy_lstsq(b[None], pts, vals[None], "residue system")
+    if errors:
+        raise errors[0]
+    return residues[0]
 
 
 def filter_spurious(poles, points, values):
@@ -419,22 +440,9 @@ def _cauchy_inputs(poles, points, values):
         raise BadParameters("need at least one pole")
     pts = as_complex_vector(points, "points")
     vals = as_complex_vector(values, "values")
-    if np.abs(pts[:, None] - b[None, :]).min() == 0.0:
-        raise BadParameters("sample points must be disjoint from the poles")
     if pts.shape != vals.shape:
         raise ShapeMismatch("points and values must have equal length")
     return b, pts, vals
-
-
-def _cauchy_lstsq(b, pts, vals):
-    """residues_ls on a trusted stack: poles b (g, p) off the points pts,
-    values vals (g, n); one np.linalg.lstsq per line."""
-    cauchy = 1.0 / (pts[:, None] - b[:, None, :])
-    try:
-        return np.array([np.linalg.lstsq(c, v, rcond=linalg.RCOND)[0]
-                         for c, v in zip(cauchy, vals)]).reshape(b.shape)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"least squares solve failed: {exc}") from exc
 
 
 def _filter_spurious(b, pts, vals):
@@ -442,17 +450,16 @@ def _filter_spurious(b, pts, vals):
 
     Returns (residues, partial): residues is the (g, p) first solve, and
     partial maps each line that does not keep every pole to its (kept poles
-    in input order, refitted residues) or to the DegenerateFrequency it fails
-    with.
+    in input order, refitted residues) or to the error it fails with (a
+    refused residue system, or DegenerateFrequency).
     """
-    residues = _cauchy_lstsq(b, pts, vals)
+    residues, partial = linalg.cauchy_lstsq(b, pts, vals, "residue system")
     size = np.abs(residues)
     top = size.max(axis=1)
     keep = size >= SPURIOUS_RESIDUE_RTOL * top[:, None]
-    partial = {}
-    if keep.all() and top.all():
-        return residues, partial
     for i in np.flatnonzero(~keep.all(axis=1) | (top == 0.0)).tolist():
+        if i in partial:
+            continue
         if top[i] == 0.0:
             partial[i] = DegenerateFrequency(
                 "samples carry no rational structure of positive order")
@@ -461,7 +468,9 @@ def _filter_spurious(b, pts, vals):
                 "all residues fall below the spurious-pole threshold")
         else:
             kept = b[i, keep[i]]
-            partial[i] = (kept, _cauchy_lstsq(kept[None], pts, vals[i, None])[0])
+            refit, errors = linalg.cauchy_lstsq(kept[None], pts, vals[i, None],
+                                                "residue system")
+            partial[i] = errors[0] if errors else (kept, refit[0])
     return residues, partial
 
 
@@ -576,7 +585,9 @@ def _fit_stack(vals, tol, max_order, method):
         for i in np.flatnonzero(~finite).tolist():
             out[i] = BadParameters("values contains non-finite entries")
         live, vals = live[finite], vals[finite]
-    groups, traces = _greedy_fit(points, vals, tol, max_order)
+    groups, traces, errors = _greedy_fit(points, vals, tol, max_order)
+    for row, exc in errors.items():
+        out[live[row]] = exc
     for rows, chosen, weights, converged in groups:
         fits = _fit_group(points, vals[rows], chosen, weights, converged, method)
         for i, row, fit in zip(live[rows].tolist(), rows.tolist(), fits):

@@ -6,13 +6,13 @@ next to peel, stacked in one array in depth-first (pre-order) order.  One
 stacked call of the line fit (the kernel of rational.pole_residue_from_samples,
 with the same policy as the line-based method; only close poles are merged
 here) finds the distinct poles on the central axis lines of all of them.  A
-Cauchy-type least squares factorization, one per slice and reused across all
-its tail indices, then splits each slice into one lower-dimensional slice per
-pole; the slices with the same pole count are split by one stacked call, and
-their children form the next level.  So the numpy calls of a tree grow with
-its levels and fit steps, not with its nodes.  The root-to-leaf paths of the
-tree are the recovered pole vectors, so pairing is automatic and repeated
-per-axis values are handled.
+Cauchy least squares solve (linalg.cauchy_lstsq), one SVD per slice reused
+across all its tail indices, then splits each slice into one lower-dimensional
+slice per pole; the slices with the same pole count are split by one stacked
+call, and their children form the next level.  So the numpy calls of a tree
+grow with its levels and fit steps, not with its nodes.  The root-to-leaf
+paths of the tree are the recovered pole vectors, so pairing is automatic and
+repeated per-axis values are handled.
 
 The amplitudes then solve one least squares system on the whole grid, whose
 design is a Khatri-Rao product of per-axis Cauchy matrices.  Each axis's
@@ -34,7 +34,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     BadParameters,
-    ConvergenceFailure,
     CoverageMismatch,
     ExpanalError,
     IllConditioned,
@@ -184,9 +183,10 @@ def peel_dimension(poles, parent_values):
 
     For every tail index the samples along the leading axis satisfy a Cauchy
     system in the child values; the system matrix depends only on the poles,
-    so its pseudo-inverse is formed once from the checked SVD and applied to
-    all tails in one matmul over the slice.  The poles must be nonempty,
-    finite and off the sample points k = -N..N.
+    so linalg.cauchy_lstsq applies its pseudo-inverse to all tails in one
+    matmul.  Poles not finite or on (or a hair off) the sample points
+    k = -N..N raise BadParameters, and more poles than samples or a rank
+    deficient system IllConditioned.
 
     Returns the (len(poles), *tail) solution array: row j is the child slice
     of poles[j].  This is the one-slice case of the stacked peel that
@@ -201,66 +201,33 @@ def peel_dimension(poles, parent_values):
         raise ShapeMismatch(f"leading axis must hold an odd number of samples, got {n}")
     if b.size == 0:
         raise BadParameters("need at least one pole")
-    if n < len(b):
-        raise BadParameters(f"{n} samples cannot determine {len(b)} pole slices")
-    if not np.isfinite(b).all():
-        raise BadParameters("poles contains non-finite entries")
-    n_half = (n - 1) // 2
-    if (np.arange(-n_half, n_half + 1)[:, None] == b).any():
-        raise BadParameters("sample points must be disjoint from the poles")
-    children, errors = _peel(b[None], vals[None])
+    children, errors = _peel_level([b], vals[None])
     if errors:
         raise errors[0]
-    return children[0]
-
-
-def _peel(b, slices):
-    """peel_dimension on a trusted stack: poles b (g, p) off the sample
-    points, slices (g, n, *tail).  One SVD and one matmul serve the stack.
-
-    Returns (children, errors): children is (g, p, *tail), and errors maps
-    the lines whose Cauchy system fails the full_rank_svd check (or whose SVD
-    fails) to that error; their children are meaningless.
-    """
-    g, n = slices.shape[:2]
-    n_half = (n - 1) // 2
-    k = np.arange(-n_half, n_half + 1, dtype=float)
-    try:
-        u, s, vh = np.linalg.svd(1.0 / (k[:, None] - b[:, None, :]), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        if g == 1:
-            failed = ConvergenceFailure(f"SVD did not converge: {exc}")
-            return np.zeros(b.shape + slices.shape[2:], dtype=complex), {0: failed}
-        # one failed line fails the stacked call: peel line by line to pin it
-        parts = [_peel(b[i, None], slices[i, None]) for i in range(g)]
-        return (np.concatenate([kids for kids, _ in parts]),
-                {i: errs[0] for i, (_, errs) in enumerate(parts) if errs})
-    errors = linalg._rank_errors(s, f"slice system for {b.shape[1]} poles")
-    if errors:
-        s = np.where(s > 0.0, s, 1.0)
-    pinv = (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    children = pinv @ slices.reshape(g, n, -1)
-    return children.reshape(b.shape + slices.shape[2:]), errors
+    return children
 
 
 def _peel_level(poles, stack):
-    """The child slices of one tree level, by one stacked peel per pole count.
+    """The child slices of one tree level, one linalg.cauchy_lstsq per pole count.
 
     poles[i] holds the poles of stack[i], or None for a failed node.  Returns
     (children, errors): the children of node i, one per pole, follow those of
     node i - 1, and errors maps the nodes whose peel fails to their error.
     """
+    n, tail = stack.shape[1], stack.shape[2:]
+    k = np.arange(-(n // 2), n // 2 + 1, dtype=float)
     groups = _by_count(poles)
-    tail = stack.shape[2:]
     # one group holding every node peels the stack as it is, without a copy
-    if [len(idx) for idx in groups.values()] == [len(poles)]:
-        children, errors = _peel(np.array(poles), stack)
-        return children.reshape((-1,) + tail), errors
+    whole = [len(idx) for idx in groups.values()] == [len(poles)]
     starts = list(itertools.accumulate((0 if row is None else len(row) for row in poles),
                                        initial=0))
-    children, errors = np.empty((starts[-1],) + tail, dtype=complex), {}
+    children, errors = None if whole else np.empty((starts[-1],) + tail, dtype=complex), {}
     for count, idx in groups.items():
-        kids, errs = _peel(np.array([poles[i] for i in idx]), stack[idx])
+        kids, errs = linalg.cauchy_lstsq(np.array([poles[i] for i in idx]), k,
+                                         stack if whole else stack[idx],
+                                         f"slice system for {count} poles")
+        if whole:
+            return kids.reshape((-1,) + tail), errs
         children[[starts[i] + j for i in idx for j in range(count)]] = kids.reshape((-1,) + tail)
         errors.update((idx[pos], exc) for pos, exc in errs.items())
     return children, errors

@@ -9,7 +9,7 @@ condition violations and chained across axes.
 
 The line geometry belongs to model.SparseLines, and every axis fit goes
 through rational.pole_residue_from_samples with its full policy; this module
-adds only the order rule across axes and the pairing.
+adds only the order rule across axes and the pairing (linalg.cauchy_lstsq).
 """
 
 from dataclasses import dataclass
@@ -98,12 +98,12 @@ def recover_axis(values, axis, tol=DEFAULT_TOL, expected_order=None, method="eig
 def pairing_system(poles_prev, poles_next, diagonal_values, tau):
     """Partial-fraction coefficients of one shifted diagonal.
 
-    Solves the stacked Cauchy-type least squares system whose first M columns
-    carry the previous-axis poles and whose last M columns carry the next-axis
-    poles shifted by 2*tau, from the one SVD that linalg.full_rank_svd checks.
-    It raises IllConditioned when the stacked matrix is numerically rank
-    deficient (the shift failed to separate the two families).  tau must be
-    a positive integer, as in SparseLines.
+    Solves the Cauchy least squares system (linalg.cauchy_lstsq) whose first
+    M columns carry the previous-axis poles and whose last M columns carry the
+    next-axis poles shifted by 2*tau.  It raises IllConditioned when that
+    matrix is numerically rank deficient (the shift failed to separate the two
+    families, or fewer than 2M samples), and BadParameters when a pole sits on
+    a sample point.  tau must be a positive integer, as in SparseLines.
     """
     prev = np.asarray(poles_prev, dtype=complex).ravel()
     nxt = np.asarray(poles_next, dtype=complex).ravel()
@@ -111,17 +111,17 @@ def pairing_system(poles_prev, poles_next, diagonal_values, tau):
     tau = SparseLines(tau).tau
     if prev.shape != nxt.shape:
         raise ShapeMismatch("pole families must have equal size")
-    m = len(prev)
+    if prev.size == 0:
+        raise BadParameters("need at least one pole")
     n = (len(vals) - 1) // 2 + tau
     k = np.arange(-n, n - 2 * tau + 1, dtype=float)
     if len(k) != len(vals):
         raise ShapeMismatch("diagonal sample count does not match any half-width")
-    if len(vals) < 2 * m:
-        raise BadParameters(f"need at least {2 * m} diagonal samples, got {len(vals)}")
-    first = 1.0 / (k[:, None] - prev[None, :])
-    second = 1.0 / (k[:, None] - (nxt[None, :] - 2 * tau))
-    u, s, v = linalg.full_rank_svd(np.hstack([first, second]), "pairing system")
-    return v @ ((u.conj().T @ vals) / s)
+    poles = np.concatenate([prev, nxt - 2 * tau])
+    c, errors = linalg.cauchy_lstsq(poles[None], k, vals[None], "pairing system")
+    if errors:
+        raise errors[0]
+    return c[0]
 
 
 def _score_matrix(c, coeffs_prev, poles_prev, poles_next, tau):

@@ -17,7 +17,7 @@ import scipy.integrate
 import scipy.linalg
 
 from expanal.errors import CoverageMismatch, ExpanalError, IllConditioned
-from expanal.linalg import full_rank_svd, gen_eig, sort_complex
+from expanal.linalg import _rank_errors, gen_eig, sort_complex, svd
 from expanal.model import FullGrid
 from expanal.rational import DEFAULT_TOL, aaa_fit, pole_residue_from_samples
 from expanal.recursive import PoleTree, TreeNode, _merge_close, peel_dimension
@@ -231,8 +231,9 @@ def depth_first_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None
 def refit_pencil_poles(points, values, order):
     """The pencil poles of one line by a greedy refit: an order-step fit at
     tol = tiny picks the support points, the plain divided-difference matrix
-    must have full rank (full_rank_svd), and gen_eig solves the projected
-    pencil.  The pencil of a line fit with m support points has order m - 1.
+    must pass the rank rule (svd, then _rank_errors), and gen_eig solves the
+    projected pencil.  The pencil of a line fit with m support points has
+    order m - 1.
     """
     pts = np.asarray(points, dtype=complex)
     vals = np.asarray(values, dtype=complex)
@@ -246,5 +247,8 @@ def refit_pencil_poles(points, values, order):
     denom = gam[:, None] - sup[None, :]
     plain = (gamv[:, None] - supv[None, :]) / denom
     shifted = (gam[:, None] * gamv[:, None] - sup[None, :] * supv[None, :]) / denom
-    u, s, v = full_rank_svd(plain, "divided-difference matrix")
+    u, s, v = svd(plain)
+    errors = _rank_errors(s[None], "divided-difference matrix")
+    if errors:
+        raise errors[0]
     return sort_complex(gen_eig((u.conj().T @ shifted @ v) / s[:, None]))

@@ -26,11 +26,12 @@ REMOVED = {
     "expanal": ("plan", "SparseGridPlan", "SliceValues", "distinct_poles"),
     "expanal.sparse": ("plan", "SparseGridPlan", "HUNGARIAN_LIMIT", "_greedy_assignment"),
     "expanal.recursive": ("_line_poles", "SliceValues", "distinct_poles",
-                          "TreeNode.leaf_multiplicity", "PoleTree._leaves"),
+                          "TreeNode.leaf_multiplicity", "PoleTree._leaves", "_peel"),
+    "expanal.rational": ("_cauchy_lstsq",),
     "expanal.validation": ("check_positive_int", "check_rcond"),
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices"),
     "expanal.errors": ("RankDeficient", "OrderMismatch"),
-    "expanal.linalg": ("DEFAULT_RCOND",),
+    "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd"),
 }
 
 # Thresholds are module constants, each with one owner (linalg.RCOND,

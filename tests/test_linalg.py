@@ -1,6 +1,8 @@
 """Tests for the dense linear-algebra contracts."""
 
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +11,14 @@ from scipy.optimize import linear_sum_assignment
 from expanal import gen_eig, lstsq, svd
 from expanal.errors import BadParameters, IllConditioned, ShapeMismatch
 from expanal.linalg import (
+    cauchy_lstsq,
     eigh,
-    full_rank_svd,
     linear_assignment,
     lstsq_with_rank,
     sort_complex,
 )
 
+from cases import random_poles
 from oracles import characteristic_roots, match_complex_sets, rank_one_pseudoinverse
 
 
@@ -108,21 +111,63 @@ class TestLstsq:
         assert rank == 1
 
 
-class TestFullRankSvd:
-    # a missing or zero singular value reads as the ratio 0
-    @pytest.mark.parametrize("a, ratio", [
-        (np.ones((2, 3)), r"0\.000e\+00"),
-        (np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]), r"\d\.\d{3}e-\d\d"),
-        (np.zeros((3, 2)), r"0\.000e\+00"),
-    ], ids=["wide", "dependent-columns", "zero"])
-    def test_rank_deficient_raises(self, a, ratio):
-        with pytest.raises(IllConditioned, match=f"test matrix .*ratio {ratio} <= 1e-13"):
-            full_rank_svd(a, "test matrix")
+class TestCauchyLstsq:
+    """The one solver of sum_j x_j / (k - b_j) = rhs: the line fit's residues,
+    the slice peel and the pairing of a shifted diagonal."""
 
-    def test_full_rank_returns_svd(self):
-        a = random_complex(np.random.default_rng(11), (6, 4))
-        for got, want in zip(full_rank_svd(a, "test matrix"), svd(a)):
-            assert got.tobytes() == want.tobytes()
+    # fewer equations than poles reads as the ratio 0
+    @pytest.mark.parametrize("poles, ratio", [
+        (0.3 + 0.5j + 0.7 * np.arange(16), r"0\.000e\+00"),
+        (np.array([0.5j, 0.5j + 1e-15]), r"\d\.\d{3}e-\d\d"),
+    ], ids=["wide", "close-poles"])
+    def test_rank_deficient_refused(self, poles, ratio):
+        k = np.arange(-6, 7, dtype=float)
+        _, errors = cauchy_lstsq(poles[None], k, np.ones((1, 13), complex), "test system")
+        assert list(errors) == [0] and isinstance(errors[0], IllConditioned)
+        assert re.search(f"test system .*ratio {ratio} <= 1e-13", str(errors[0]))
+
+    @pytest.mark.parametrize("tail", [(), (3,), (4, 2), "pairing"],
+                             ids=["residues", "slices", "slices-2d", "pairing"])
+    def test_matches_numpy_lstsq(self, tail):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            g, p = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            half = int(rng.integers(p, p + 8))
+            if tail == "pairing":
+                # the previous axis's poles and the next axis's shifted by 2 tau,
+                # on the diagonal's points k = -half..half - 2 tau
+                tau = int(rng.integers(2, 6))
+                k = np.arange(-half - tau, half - tau + 1, dtype=float)
+                b = np.array([np.concatenate([random_poles(rng, p, tau / 2),
+                                              random_poles(rng, p, tau / 2) - 2 * tau])
+                              for _ in range(g)])
+                shape = ()
+            else:
+                k = np.arange(-half, half + 1, dtype=float)
+                b = np.array([random_poles(rng, p, half / 2) for _ in range(g)])
+                shape = tail
+            rhs = random_complex(rng, (g, len(k)) + shape)
+            x, errors = cauchy_lstsq(b, k, rhs, "test system")
+            assert errors == {} and x.shape == b.shape + shape
+            for row, poles, values in zip(x, b, rhs):
+                oracle = np.linalg.lstsq(1.0 / (k[:, None] - poles), values.reshape(len(k), -1),
+                                         rcond=None)[0].reshape(row.shape)
+                assert np.abs(row - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_refused_rows_leave_the_others_exact(self):
+        # 1/(0 - 1e-320j) overflows: that row is refused before the SVD, and
+        # with no RuntimeWarning; the close pair fails the rank rule
+        k = np.arange(-3, 4, dtype=float)
+        b = np.array([[1e-320j, 1.5 + 0.2j], [0.5j, 0.5j + 1e-15], [0.4 + 0.7j, -1.3 + 0.2j]])
+        rhs = random_complex(np.random.default_rng(3), (3, 7, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, errors = cauchy_lstsq(b, k, rhs, "test system")
+        assert sorted(errors) == [0, 1]
+        assert isinstance(errors[0], BadParameters)
+        assert "test system has non-finite entries" in str(errors[0])
+        assert isinstance(errors[1], IllConditioned)
+        assert np.array_equal(x[2], cauchy_lstsq(b[2:], k, rhs[2:], "test system")[0][0])
 
 
 class TestEigh:

@@ -25,6 +25,7 @@ from expanal.errors import (
     NoConvergence,
     ShapeMismatch,
 )
+from expanal import rational
 from expanal.linalg import sort_complex
 from expanal.model import TWO_PI_I, ExponentialSum
 from expanal.rational import (
@@ -303,6 +304,23 @@ class TestResidues:
     def test_no_poles_rejected(self, call):
         with pytest.raises(BadParameters, match="pole"):
             call([], np.arange(-2, 3.0), np.ones(5))
+
+    # a pair 1e-15 apart used to split the residue 1 into [0.5, 0.5], and 16
+    # poles on 13 points gave a minimum-norm answer
+    @pytest.mark.parametrize("poles", [[0.5j, 0.5j + 1e-15], 0.3 + 0.5j + 0.7 * np.arange(16)],
+                             ids=["close-pair", "wide"])
+    def test_rank_deficient_system_refused(self, poles):
+        k = np.arange(-6, 7, dtype=float)
+        with pytest.raises(IllConditioned, match="residue system is numerically rank deficient"):
+            residues_ls(poles, k, pole_samples(k, [0.5j], [1.0]))
+
+    @pytest.mark.parametrize("call", [residues_ls, filter_spurious])
+    def test_pole_a_hair_off_a_sample_refused(self, call, capfd):
+        # 1/(0 - 1e-320j) overflows; LAPACK used to report an illegal value
+        # and the solve ended in ConvergenceFailure
+        with pytest.raises(BadParameters, match="residue system has non-finite entries"):
+            call([1e-320j, 1.5 + 0.2j], np.arange(-3, 4, dtype=float), np.ones(7))
+        assert "illegal value" not in "".join(capfd.readouterr())
 
     def test_reference_axis_coefficients(self):
         # the axis-0 residues equal the term amplitudes divided by the
@@ -640,6 +658,36 @@ class TestValidatedOncePath:
             for values, fit in zip(stack[::2], fits[::2]):
                 pr, trace = pole_residue_from_samples(values, method=method)
                 assert fit[2] == trace and np.array_equal(fit[0], pr.poles)
+
+    @pytest.mark.parametrize("method", ["eig", "pencil"])
+    def test_overflowing_line_refused_alone(self, method, monkeypatch):
+        # samples alternating +-1.5e308 overflow the Loewner matrix; its SVD
+        # used to fail the whole stack (and a draw of this kind hung LAPACK),
+        # so that every line was refitted alone
+        k = np.arange(-5, 6, dtype=float)
+        good = pole_samples(k, [0.3 + 0.8j, -1.2 + 0.4j], [1.0, -0.7])
+        big = 1.5e308 * (-1.0) ** np.arange(11)
+        stack = np.array([good, big, 2.0 * good])
+        calls = []
+        fit_lines = rational._fit_lines
+
+        def counted(*args):
+            calls.append(args)
+            return fit_lines(*args)
+
+        monkeypatch.setattr(rational, "_fit_lines", counted)
+        fits = rational._fit_lines(stack, DEFAULT_TOL, None, method)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert type(fits[1]) is BadParameters
+        assert "Loewner matrix has non-finite entries" in str(fits[1])
+        with pytest.raises(BadParameters, match="Loewner matrix has non-finite entries"):
+            pole_residue_from_samples(big, method=method)
+        with pytest.raises(BadParameters, match="Loewner matrix has non-finite entries"):
+            aaa_fit(k, big)
+        for values, fit in zip(stack[::2], fits[::2]):
+            pr, trace = pole_residue_from_samples(values, method=method)
+            assert fit[2] == trace and np.array_equal(fit[0], pr.poles)
 
     @pytest.mark.parametrize("method", ["eig", "pencil"])
     def test_max_order_is_at_most_n(self, method):

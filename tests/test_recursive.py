@@ -32,7 +32,8 @@ from expanal import recursive
 from expanal.linalg import sort_complex
 from expanal.model import TWO_PI_I
 from expanal.rational import pole_residue_from_samples
-from expanal.recursive import _merge_close, _peel
+from expanal.linalg import cauchy_lstsq
+from expanal.recursive import _merge_close
 
 from cases import (
     ALL_REFERENCE,
@@ -175,7 +176,8 @@ class TestPeelDimension:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", failing)
-        children, errors = _peel(b, slices)
+        children, errors = cauchy_lstsq(b, np.arange(-4, 5, dtype=float), slices,
+                                        "slice system")
         assert list(errors) == [1] and "SVD did not converge" in str(errors[1])
         monkeypatch.undo()
         for i in (0, 2):
@@ -190,6 +192,22 @@ class TestPeelDimension:
     def test_poles_checked_before_dividing(self, poles, message):
         with pytest.raises(BadParameters, match=message):
             peel_dimension(poles, np.ones((9, 4), dtype=complex))
+
+    def test_pole_a_hair_off_a_sample_refused(self):
+        # 1/(0 - 1e-320j) overflows: the Cauchy matrix is refused before its
+        # SVD, without a RuntimeWarning, instead of giving NaN children
+        with pytest.raises(BadParameters, match="slice system for 2 poles has non-finite"):
+            peel_dimension([1e-320j, 1.5 + 0.2j], np.ones((7, 3)))
+
+    def test_more_poles_than_samples_refused(self):
+        with pytest.raises(IllConditioned, match=r"slice system for 4 poles .*ratio 0\.000e\+00"):
+            peel_dimension([0.5j, 1.5j, -0.5j, 0.3 + 0.2j], np.ones((3, 2)))
+
+    def test_close_poles_refused(self):
+        k = np.arange(-6, 7, dtype=float)
+        slice_ = (1.0 / (k - 0.5j))[:, None] * np.ones(3)
+        with pytest.raises(IllConditioned, match="slice system for 2 poles is numerically"):
+            peel_dimension([0.5j, 0.5j + 1e-15], slice_)
 
 
 class TestMergeClose:
@@ -422,7 +440,11 @@ class TestStackedCalls:
     lstsq calls, and quadvariate-8 made 47, 24 and 24.  The pencil adds at
     most one svd and one eigvals per (level, support size) group; when it
     refitted each line, trivariate-6 made 28 svd and 13 eigvals, and
-    quadvariate-8 46 and 24."""
+    quadvariate-8 46 and 24.  With one lstsq per line for the residues,
+    trivariate-6 made 10 svd, 1 eigvals and 13 lstsq calls, and quadvariate-8
+    15, 2 and 24; with the residues on linalg.cauchy_lstsq they make 13 svd,
+    1 eigvals and no lstsq, and 20, 2 and 0 (the pencil engine 16 and 25
+    svd)."""
 
     @pytest.mark.parametrize("case, method", [
         pytest.param(case, method, id=case.name + ("" if method == "eig" else "-pencil"))
@@ -448,12 +470,16 @@ class TestStackedCalls:
         steps = sum(max(t.iterations for (dd, _), t in zip(slices, traces) if dd == depth)
                     for depth in depths)
         assert counts.get("eigvals", 0) <= len(fit_groups)
-        # one svd per greedy step after the first and one per peel group,
-        # and the pencil's one per fit group
-        svd_bound = steps - len(depths) + len(peel_groups)
+        # lines whose fit kept fewer poles than its m support points give m - 1:
+        # the spurious filter may have refitted their residues
+        refits = sum(count < t.iterations - 1 for (_, count), t in zip(slices, traces))
+        # one svd per greedy step after the first and one per peel group, one
+        # per fit group for the residues and one per spurious refit, and the
+        # pencil's one per fit group
+        svd_bound = steps - len(depths) + len(peel_groups) + len(fit_groups) + refits
         assert counts.get("svd", 0) <= svd_bound + (method == "pencil") * len(fit_groups)
-        # residues: one lstsq per fitted line
-        assert counts.get("lstsq", 0) <= len(slices)
+        # every Cauchy system goes through the one stacked SVD solve
+        assert counts.get("lstsq", 0) == 0
 
 
 class TestLeavesToSum:

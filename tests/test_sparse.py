@@ -154,6 +154,15 @@ class TestPairingSystem:
         with pytest.raises(IllConditioned):
             pairing_system(prev, nxt, diag, tau)
 
+    def test_fewer_samples_than_poles_ill_conditioned(self):
+        # 4 columns on 3 samples: the rank rule's wide case, ratio 0
+        with pytest.raises(IllConditioned, match=r"pairing system .*ratio 0\.000e\+00"):
+            pairing_system([0.5 + 0.5j, -1.0 + 0.8j], [0.3 - 0.4j, 1.2 + 0.7j], np.ones(3), 2)
+
+    def test_no_poles_rejected(self):
+        with pytest.raises(BadParameters, match="need at least one pole"):
+            pairing_system([], [], np.ones(9), 2)
+
 
 class TestMatchPairs:
     def test_single_term_identity(self):
