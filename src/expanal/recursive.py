@@ -184,9 +184,9 @@ def peel_dimension(poles, parent_values):
     For every tail index the samples along the leading axis satisfy a Cauchy
     system in the child values; the system matrix depends only on the poles,
     so linalg.cauchy_lstsq applies its pseudo-inverse to all tails in one
-    matmul.  Poles not finite or on (or a hair off) the sample points
-    k = -N..N raise BadParameters, and more poles than samples or a rank
-    deficient system IllConditioned.
+    matmul.  Non-finite parent values, and poles not finite or on (or a hair
+    off) the sample points k = -N..N, raise BadParameters; more poles than
+    samples or a rank deficient system raise IllConditioned.
 
     Returns the (len(poles), *tail) solution array: row j is the child slice
     of poles[j].  This is the one-slice case of the stacked peel that
@@ -201,6 +201,8 @@ def peel_dimension(poles, parent_values):
         raise ShapeMismatch(f"leading axis must hold an odd number of samples, got {n}")
     if b.size == 0:
         raise BadParameters("need at least one pole")
+    if not np.isfinite(vals).all():
+        raise BadParameters("parent_values contains non-finite entries")
     children, errors = _peel_level([b], vals[None])
     if errors:
         raise errors[0]

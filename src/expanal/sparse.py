@@ -1,15 +1,13 @@
 """Line-sampled recovery of multivariate exponential sums.
 
-Frequencies are recovered per coordinate axis from the d axis lines, then the
-d-1 shifted diagonal lines pin down which axis poles belong to the same term.
-Each diagonal admits a two-family partial fraction decomposition whose
-coefficients satisfy a sign condition and a coefficient identity exactly for
-the correct pairing; matching is solved as a global assignment over those
-condition violations and chained across axes.
-
-The line geometry belongs to model.SparseLines, and every axis fit goes
-through rational.pole_residue_from_samples with its full policy; this module
-adds only the order rule across axes and the pairing (linalg.cauchy_lstsq).
+Two line fits (rational._fit_lines, the kernel of pole_residue_from_samples)
+give the poles of the d axis lines for any d: axis 0, which fixes the order,
+then the other axes stacked.  Each of the d-1 shifted diagonals admits a
+two-family partial fraction decomposition whose coefficients satisfy a sign
+condition and a coefficient identity exactly for the correct pairing; one
+pairing solve (linalg.cauchy_lstsq) gives them for all diagonals, and matching
+is a global assignment over the condition violations, chained across axes.
+The line geometry belongs to model.SparseLines.
 """
 
 from dataclasses import dataclass
@@ -22,12 +20,13 @@ from .errors import (
     AxisOrderMismatch,
     BadParameters,
     CoverageMismatch,
+    ExpanalError,
     NoConvergence,
     ShapeMismatch,
     TauViolation,
 )
 from .model import ExponentialSum, SparseLines
-from .rational import DEFAULT_TOL, pole_residue_from_samples
+from .rational import DEFAULT_TOL, _fit_lines, pole_residue_from_samples
 from .validation import as_complex_vector
 
 PAIRING_SCORE_TOL = 1e-6
@@ -67,31 +66,17 @@ class PairingCertificate:
                 raise BadParameters(f"stage permutation {p} is not a bijection")
 
 
-def recover_axis(values, axis, tol=DEFAULT_TOL, expected_order=None, method="eig"):
+def recover_axis(values, axis, tol=DEFAULT_TOL, method="eig"):
     """Fit one axis line on k = -N..N; poles sorted by (real, imag).
 
-    The fit and its policy are pole_residue_from_samples.  With expected_order
-    set, the fit is capped at that order plus one, and an unconverged fit or
-    any other recovered order raises AxisOrderMismatch (a shared axis value in
-    the data shows up as a drop in the fitted order).
+    The fit and its policy are pole_residue_from_samples; NoConvergence names
+    the axis.  recover_sparse fits axis 0 with it, which fixes the order, then
+    the other axes in one stacked fit, and solves the pairing once.
     """
-    cap = None if expected_order is None else expected_order + 1
     try:
-        pr, trace = pole_residue_from_samples(
-            values, tol=tol, max_order=cap, method=method
-        )
+        pr, trace = pole_residue_from_samples(values, tol=tol, method=method)
     except NoConvergence as exc:
-        if expected_order is None:
-            raise NoConvergence(f"axis {axis}: {exc}") from exc
-        raise AxisOrderMismatch(
-            f"axis {axis}: unconverged fit ({exc}) where axis 0 fixed order "
-            f"{expected_order}; axiswise-distinct assumption violated"
-        ) from exc
-    if expected_order is not None and len(pr.poles) != expected_order:
-        raise AxisOrderMismatch(
-            f"axis {axis} recovered order {len(pr.poles)} but axis 0 fixed order "
-            f"{expected_order}; axiswise-distinct assumption violated"
-        )
+        raise NoConvergence(f"axis {axis}: {exc}") from exc
     return AxisRecovery(axis=axis, poles=pr.poles, coefficients=pr.residues, trace=trace)
 
 
@@ -113,15 +98,22 @@ def pairing_system(poles_prev, poles_next, diagonal_values, tau):
         raise ShapeMismatch("pole families must have equal size")
     if prev.size == 0:
         raise BadParameters("need at least one pole")
-    n = (len(vals) - 1) // 2 + tau
-    k = np.arange(-n, n - 2 * tau + 1, dtype=float)
-    if len(k) != len(vals):
+    if len(vals) % 2 == 0:
         raise ShapeMismatch("diagonal sample count does not match any half-width")
-    poles = np.concatenate([prev, nxt - 2 * tau])
-    c, errors = linalg.cauchy_lstsq(poles[None], k, vals[None], "pairing system")
+    c, errors = _pairing_solve(np.array([prev, nxt]), vals[None], tau)
     if errors:
         raise errors[0]
     return c[0]
+
+
+def _pairing_solve(poles, diagonals, tau):
+    """(c (g, 2M), {row: error}) of the pairing systems of g + 1 chained axes
+    with poles (g + 1, M): row i has the poles of axis i, those of axis i + 1
+    shifted by -2*tau, and diagonals[i] sampled at k = -N..N-2*tau."""
+    n = diagonals.shape[1] // 2 + tau
+    k = np.arange(-n, n - 2 * tau + 1, dtype=float)
+    return linalg.cauchy_lstsq(np.concatenate([poles[:-1], poles[1:] - 2 * tau], axis=1),
+                               k, diagonals, "pairing system")
 
 
 def _score_matrix(c, coeffs_prev, poles_prev, poles_next, tau):
@@ -161,19 +153,16 @@ def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau):
         raise ShapeMismatch("pairing inputs are dimension-inconsistent")
 
     scores = _score_matrix(c, coeffs_prev, prev, nxt, tau)
-    rows, cols = linalg.linear_assignment(scores)
-    perm = np.empty(m, dtype=int)
-    perm[rows] = cols
-
+    # a square cost assigns every row, in order
+    perm = linalg.linear_assignment(scores)[1]
     matched = scores[np.arange(m), perm]
     for j in range(m):
         row = np.sort(scores[j])
         runner_up = row[1] if m > 1 else np.inf
         if matched[j] > PAIRING_SCORE_TOL or runner_up < PAIRING_MARGIN * matched[j]:
             raise AmbiguousPairing(
-                f"term {j}: best candidate scores {row[0]:.3e}, runner-up "
-                f"{row[1] if m > 1 else np.inf:.3e}; no pairing satisfies both "
-                f"conditions with a clear margin"
+                f"term {j}: best candidate scores {row[0]:.3e}, runner-up {runner_up:.3e}; "
+                f"no pairing satisfies both conditions with a clear margin"
             )
     return perm, matched
 
@@ -181,9 +170,9 @@ def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau):
 def recover_sparse(source, tol=DEFAULT_TOL, method="eig"):
     """Recover an exponential sum from sparse-lines coefficient coverage.
 
-    Runs the per-axis fits (axis 0 fixes the order), solves one pairing stage
-    per diagonal, assembles the pole matrix, validates the shift contract and
-    maps poles back to frequencies and coefficients.
+    Fits axis 0, which fixes the order M, then the other axes in one stacked
+    fit capped at M + 1 support points; solves all pairing systems at once,
+    chains the pairing, validates the shift contract and maps the poles back.
 
     Returns (ExponentialSum, PairingCertificate).
     """
@@ -192,29 +181,38 @@ def recover_sparse(source, tol=DEFAULT_TOL, method="eig"):
     tau = source.coverage.tau
     d = source.d
 
-    first = recover_axis(source.axis_line(0), 0, tol=tol, method=method)
+    lines = np.array([source.axis_line(axis) for axis in range(d)])
+    first = recover_axis(lines[0], 0, tol=tol, method=method)
     order = first.order
-    axes = [first]
-    for axis in range(1, d):
-        axes.append(
-            recover_axis(source.axis_line(axis), axis, tol=tol,
-                         expected_order=order, method=method)
-        )
+    fits = [(first.poles, first.coefficients, first.trace)] + _fit_lines(
+        lines[1:], tol, order + 1, method)
+    rule = f"axis 0 fixed order {order}; axiswise-distinct assumption violated"
+    for axis, fit in enumerate(fits):
+        if isinstance(fit, NoConvergence):
+            raise AxisOrderMismatch(f"axis {axis}: unconverged fit ({fit}) where {rule}") from fit
+        if isinstance(fit, ExpanalError):
+            raise fit
+        if len(fit[0]) != order:
+            raise AxisOrderMismatch(f"axis {axis} recovered order {len(fit[0])} but {rule}")
+    fitted, residues, traces = zip(*fits)
 
-    aligned = [first.poles]
-    prev_coeffs = first.coefficients
-    perms, stage_cs, stage_scores = [], [], []
-    for axis in range(1, d):
-        diag = source.diagonal_line(axis)
-        c = pairing_system(aligned[-1], axes[axis].poles, diag, tau)
-        perm, scores = match_pairs(c, prev_coeffs, aligned[-1], axes[axis].poles, tau)
-        aligned.append(axes[axis].poles[perm])
-        prev_coeffs = axes[axis].coefficients[perm]
-        perms.append(tuple(int(p) for p in perm))
-        stage_cs.append(tuple(complex(z) for z in c))
-        stage_scores.append(tuple(float(s) for s in scores))
+    diagonals = np.array([source.diagonal_line(axis) for axis in range(1, d)])
+    c, errors = _pairing_solve(np.array(fitted),
+                               diagonals.reshape(d - 1, 2 * (source.N - tau) + 1), tau)
+    # perms[a] puts the poles of axis a in term order; the solve is permutation-
+    # equivariant, so the first half of row a takes the order of perms[a] too
+    perms, stage_scores = [np.arange(order)], []
+    for stage in range(d - 1):
+        if stage in errors:
+            raise errors[stage]
+        prev = perms[stage]
+        c[stage, :order] = c[stage, :order][prev]
+        perm, scores = match_pairs(c[stage], residues[stage][prev], fitted[stage][prev],
+                                   fitted[stage + 1], tau)
+        perms.append(perm)
+        stage_scores.append(tuple(scores.tolist()))
 
-    poles = np.column_stack(aligned)
+    poles = np.column_stack([axis[perm] for axis, perm in zip(fitted, perms)])
     worst = np.abs(poles.real).max()
     if worst >= tau:
         raise TauViolation(
@@ -224,9 +222,9 @@ def recover_sparse(source, tol=DEFAULT_TOL, method="eig"):
 
     amplitudes = first.coefficients * np.prod(-poles[:, 1:], axis=1)
     certificate = PairingCertificate(
-        permutations=tuple(perms),
-        stage_coefficients=tuple(stage_cs),
+        permutations=tuple(tuple(perm.tolist()) for perm in perms[1:]),
+        stage_coefficients=tuple(map(tuple, c.tolist())),
         match_scores=tuple(stage_scores),
-        axis_traces=tuple(a.trace for a in axes),
+        axis_traces=traces,
     )
     return ExponentialSum.from_poles(poles, amplitudes, source.P), certificate

@@ -6,8 +6,10 @@ characteristic-polynomial roots instead of QZ, exhaustive permutation search
 instead of the assignment solver, explicit rank-one pseudoinverses, a dense
 least squares design instead of the separable normal system, a
 depth-first pole tree, one line fit and one peel per node, instead of the
-level-at-a-time build, and a per-line pencil on a greedy refit instead of the
-stacked pencil on the line fit's own support points.
+level-at-a-time build, a per-line pencil on a greedy refit instead of the
+stacked pencil on the line fit's own support points, and the sparse method
+with one line fit per axis and one pairing solve per diagonal instead of the
+stacked fit and the stacked solve.
 """
 
 import itertools
@@ -16,11 +18,25 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from expanal.errors import CoverageMismatch, ExpanalError, IllConditioned
+from expanal.errors import (
+    AxisOrderMismatch,
+    CoverageMismatch,
+    ExpanalError,
+    IllConditioned,
+    NoConvergence,
+    TauViolation,
+)
 from expanal.linalg import _rank_errors, gen_eig, sort_complex, svd
-from expanal.model import FullGrid
+from expanal.model import ExponentialSum, FullGrid, SparseLines
 from expanal.rational import DEFAULT_TOL, aaa_fit, pole_residue_from_samples
 from expanal.recursive import PoleTree, TreeNode, _merge_close, peel_dimension
+from expanal.sparse import (
+    AxisRecovery,
+    PairingCertificate,
+    match_pairs,
+    pairing_system,
+    recover_axis,
+)
 
 
 def box_quadrature_coefficient(signal, k, P):
@@ -252,3 +268,53 @@ def refit_pencil_poles(points, values, order):
     if errors:
         raise errors[0]
     return sort_complex(gen_eig((u.conj().T @ shifted @ v) / s[:, None]))
+
+
+def per_axis_sparse_recovery(source, tol=DEFAULT_TOL, method="eig"):
+    """The sparse method one line at a time: one pole_residue_from_samples
+    call per axis (axis 0 fixes the order M, the others are capped at M + 1
+    support points) and one pairing_system call per diagonal, on the
+    previous axis's poles in paired order.  Returns what recover_sparse
+    returns, and raises its errors with its messages.
+    """
+    if not isinstance(source.coverage, SparseLines):
+        raise CoverageMismatch("line-based recovery needs sparse-lines coverage")
+    tau = source.coverage.tau
+    first = recover_axis(source.axis_line(0), 0, tol=tol, method=method)
+    order = first.order
+    axes = [first]
+    for axis in range(1, source.d):
+        try:
+            pr, trace = pole_residue_from_samples(
+                source.axis_line(axis), tol=tol, max_order=order + 1, method=method)
+        except NoConvergence as exc:
+            raise AxisOrderMismatch(
+                f"axis {axis}: unconverged fit ({exc}) where axis 0 fixed order "
+                f"{order}; axiswise-distinct assumption violated") from exc
+        if len(pr.poles) != order:
+            raise AxisOrderMismatch(
+                f"axis {axis} recovered order {len(pr.poles)} but axis 0 fixed order "
+                f"{order}; axiswise-distinct assumption violated")
+        axes.append(AxisRecovery(axis, pr.poles, pr.residues, trace))
+
+    aligned, prev_coeffs = [first.poles], first.coefficients
+    perms, stage_cs, stage_scores = [], [], []
+    for axis in range(1, source.d):
+        c = pairing_system(aligned[-1], axes[axis].poles, source.diagonal_line(axis), tau)
+        perm, scores = match_pairs(c, prev_coeffs, aligned[-1], axes[axis].poles, tau)
+        aligned.append(axes[axis].poles[perm])
+        prev_coeffs = axes[axis].coefficients[perm]
+        perms.append(tuple(int(p) for p in perm))
+        stage_cs.append(tuple(complex(z) for z in c))
+        stage_scores.append(tuple(float(s) for s in scores))
+
+    poles = np.column_stack(aligned)
+    worst = np.abs(poles.real).max()
+    if worst >= tau:
+        raise TauViolation(
+            f"recovered pole real part {worst:.6g} >= tau={tau}; the shift "
+            f"parameter does not cover the data")
+    amplitudes = first.coefficients * np.prod(-poles[:, 1:], axis=1)
+    certificate = PairingCertificate(tuple(perms), tuple(stage_cs), tuple(stage_scores),
+                                     tuple(a.trace for a in axes))
+    return ExponentialSum.from_poles(poles, amplitudes, source.P), certificate

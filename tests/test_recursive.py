@@ -193,6 +193,14 @@ class TestPeelDimension:
         with pytest.raises(BadParameters, match=message):
             peel_dimension(poles, np.ones((9, 4), dtype=complex))
 
+    def test_non_finite_parent_refused(self):
+        # the tree reads a CoefficientSource, which refuses non-finite values;
+        # the public peel checks its own, instead of giving a NaN child
+        values = np.ones((7, 3), dtype=complex)
+        values[2, 1] = np.nan
+        with pytest.raises(BadParameters, match="parent_values contains non-finite"):
+            peel_dimension([0.5j], values)
+
     def test_pole_a_hair_off_a_sample_refused(self):
         # 1/(0 - 1e-320j) overflows: the Cauchy matrix is refused before its
         # SVD, without a RuntimeWarning, instead of giving NaN children

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from expanal import linalg, rational, sparse
 from expanal import (
     CoefficientSource,
     SparseLines,
@@ -18,6 +19,7 @@ from expanal.errors import (
     BadParameters,
     CoverageMismatch,
     DegenerateFrequency,
+    ExpanalError,
     IllConditioned,
     TauViolation,
 )
@@ -26,13 +28,14 @@ from expanal.model import TWO_PI_I
 
 from cases import (
     BIVARIATE_5,
+    TRIVARIATE_6,
     random_axis_distinct,
     random_coefficients,
     random_poles,
     signal_from_poles,
     spiked_bivariate_5,
 )
-from oracles import brute_force_pairing
+from oracles import brute_force_pairing, per_axis_sparse_recovery
 
 
 class TestPlan:
@@ -84,8 +87,19 @@ class TestRecoverAxis:
         sig = signal_from_poles(poles, random_coefficients(rng, 2), 2.0)
         src = sig.synthesize(2.0, 8, SparseLines(3))
         with pytest.raises(AxisOrderMismatch):
-            recover_axis(src.axis_line(1), 1, expected_order=2)
-        with pytest.raises(AxisOrderMismatch):
+            recover_sparse(src)
+
+    def test_unconverged_axis_names_it(self):
+        # every term shares its axis-0 and axis-1 values, so axis 0 fixes
+        # order 1; axis 2 holds three distinct poles and cannot converge on
+        # the cap of two support points
+        rng = np.random.default_rng(0)
+        poles = np.column_stack([[0.7 + 0.9j] * 3, [-1.1 + 0.4j] * 3,
+                                 random_poles(rng, 3, 2.5)])
+        sig = signal_from_poles(poles, random_coefficients(rng, 3), 2.0)
+        src = sig.synthesize(2.0, 8, SparseLines(3))
+        with pytest.raises(AxisOrderMismatch,
+                           match=r"^axis 2: unconverged fit .* axis 0 fixed order 1;"):
             recover_sparse(src)
 
 
@@ -339,6 +353,100 @@ class TestRecoverSparse:
                 report = relative_errors(sig, rec)
                 assert report.frequency_error <= 1e-8, (d, order)
                 assert report.coefficient_error <= 1e-8, (d, order)
+
+
+def _outcome(recover, src, method):
+    try:
+        return recover(src, method=method)
+    except ExpanalError as exc:
+        return exc
+
+
+class TestStackedKernels:
+    """recover_sparse runs two line fits and one pairing solve for any d."""
+
+    @pytest.mark.parametrize("method", ["eig", "pencil"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_per_axis_oracle(self, d, method):
+        # N = M + 4 with tau = 3 leaves some draws of each d failing: an
+        # axis fit of another order, an ambiguous pairing or a rank
+        # deficient pairing system
+        rng = np.random.default_rng(100 + d)
+        failed = 0
+        for order in range(2, 11):
+            for _ in range(2):
+                sig, _ = random_axis_distinct(rng, order, d, tau=3)
+                src = sig.synthesize(2.0, order + 4, SparseLines(3))
+                got = _outcome(recover_sparse, src, method)
+                ref = _outcome(per_axis_sparse_recovery, src, method)
+                if isinstance(ref, ExpanalError):
+                    failed += 1
+                    assert type(got) is type(ref) and str(got) == str(ref)
+                    continue
+                rec, cert = got
+                assert np.array_equal(rec.frequencies, ref[0].frequencies)
+                assert np.array_equal(rec.coefficients, ref[0].coefficients)
+                assert cert.permutations == ref[1].permutations
+                assert cert.axis_traces == ref[1].axis_traces
+                for stage, expected in zip(cert.stage_coefficients,
+                                           ref[1].stage_coefficients):
+                    stage, expected = np.array(stage), np.array(expected)
+                    assert np.abs(stage - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert 0 < failed < 18
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_two_fits_and_one_pairing_solve(self, d, monkeypatch):
+        calls = {"fit": 0, "pairing": 0}
+        fit, solve = rational._fit_lines, linalg.cauchy_lstsq
+
+        def counted_fit(*args):
+            calls["fit"] += 1
+            return fit(*args)
+
+        def counted_solve(b, k, rhs, what):
+            calls["pairing"] += what == "pairing system"
+            return solve(b, k, rhs, what)
+
+        for module in (rational, sparse):
+            monkeypatch.setattr(module, "_fit_lines", counted_fit)
+        monkeypatch.setattr(linalg, "cauchy_lstsq", counted_solve)
+        sig, _ = random_axis_distinct(np.random.default_rng(d), 3, d, tau=3)
+        rec, _ = recover_sparse(sig.synthesize(2.0, 10, SparseLines(3)))
+        assert rec.d == d
+        assert calls == {"fit": 2, "pairing": 1}
+
+    def test_trivariate_lapack_calls(self, monkeypatch):
+        # one line fit per axis and one pairing solve per diagonal made 23
+        # svd and 3 eigvals calls here
+        case = TRIVARIATE_6
+        src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
+        counts = {}
+        for name in ("svd", "eigvals"):
+            def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        recover_sparse(src)
+        monkeypatch.undo()
+        assert counts["svd"] <= 15 and counts["eigvals"] <= 2
+
+    def test_stages_fail_in_order(self):
+        # axis 2 repeats axis 1 shifted by 2*tau, so the pairing system of
+        # diagonal 2 is rank deficient; a spike on diagonal 1 then makes
+        # stage 1 ambiguous, and that earlier stage's error is the one raised
+        rng = np.random.default_rng(0)
+        tau, n_half = 3, 10
+        col1 = np.array([-2.0 + 0.6j, 1.0 - 0.4j])
+        poles = np.column_stack([random_poles(rng, 2, 2.5), col1, col1 + 2 * tau])
+        sig = signal_from_poles(poles, random_coefficients(rng, 2), 2.0)
+        coverage = SparseLines(tau)
+        src = sig.synthesize(2.0, n_half, coverage)
+        with pytest.raises(IllConditioned, match="pairing system"):
+            recover_sparse(src)
+        values = np.array(src.values)
+        values[coverage.layout(3, n_half)[1][("diagonal", 1)][3]] *= 1.5
+        with pytest.raises(AmbiguousPairing):
+            recover_sparse(CoefficientSource(3, 2.0, n_half, coverage, values))
 
 
 def _diag_indices(d, n, tau, axis):
