@@ -44,6 +44,12 @@ def _rank_errors(s, what):
             for i in np.flatnonzero(ratio <= RCOND).tolist()}
 
 
+def _non_finite_cauchy(what):
+    """The error for a Cauchy system `what` with a non-finite entry."""
+    return BadParameters(f"{what} has non-finite entries: poles must be finite, "
+                         f"and sample points must be disjoint from the poles")
+
+
 def cauchy_lstsq(b, k, rhs, what):
     """Least squares solutions x[i] of sum_j x[i, j] / (k - b[i, j]) = rhs[i]
     for a (g, p) stack of poles b, the (n,) sample points k and (g, n, *tail)
@@ -69,8 +75,7 @@ def cauchy_lstsq(b, k, rhs, what):
                 {i: errs[0] for i, (_, errs) in enumerate(parts) if errs})
     errors = _rank_errors(s if b.shape[1] <= n else np.zeros((g, 1)), what)  # wide: rank < p
     for i in np.flatnonzero(~finite).tolist():
-        errors[i] = BadParameters(f"{what} has non-finite entries: poles must be finite, "
-                                  f"and sample points must be disjoint from the poles")
+        errors[i] = _non_finite_cauchy(what)
     s[list(errors)] = 1.0  # every kept s > 0
     pinv = (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1)
     x = pinv @ rhs.reshape(g, n, math.prod(rhs.shape[2:]))

@@ -18,16 +18,19 @@ The amplitudes then solve one least squares system on the whole grid, whose
 design is a Khatri-Rao product of per-axis Cauchy matrices.  Each axis's
 Cauchy columns span at most as many directions as that axis has distinct
 poles, so the grid is first compressed onto those per-axis bases (a Tucker
-core, read off the grid in one pass); the residual outside them is the same
-for every amplitude vector, so the least squares solution on the core is
-exactly the one on the grid.  The core system is solved through its M x M
-normal system without forming the design.
+core); the residual outside them is the same for every amplitude vector, so
+the least squares solution on the core is exactly the one on the grid.  The
+core is built from the root peel's children, not from the grid: the axis-0
+basis is that of the root poles, and the peel has already applied its
+pseudo-inverse.  So a recovery reads the grid with one product, the root
+peel's, which build_pole_tree hands on in the tree.  The core system is
+solved through its M x M normal system without forming the design.
 """
 
 import bisect
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,10 +74,19 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class PoleTree:
-    """Rooted forest of per-dimension poles; paths are pole vectors."""
+    """Rooted forest of per-dimension poles; paths are pole vectors.
+
+    build_pole_tree also keeps the result of its root peel in the private
+    _root_peel, the pair (grid, children): the grid array it read and the
+    per-root child slices.  leaves_to_sum builds its core from those children
+    when it is handed the same grid array, so the grid is read once per
+    recovery.  The pair takes no part in comparison, repr or JSON, and
+    recover_recursive returns its tree without it.
+    """
 
     roots: tuple
     dimension: int
+    _root_peel: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def order(self):
@@ -255,7 +267,7 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
     n_half = source.N
     stack, keys, paths = source.grid()[None], [()], [()]
-    levels, traced, failures = [], [], []
+    levels, traced, failures, root_peel = [], [], [], None
     while keys:
         lines = stack[(slice(None), slice(None)) + (n_half,) * (stack.ndim - 2)]
         try:
@@ -275,6 +287,8 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
         if stack.ndim == 2:
             break
         stack, errors = _peel_level(poles, stack)
+        if root_peel is None:
+            root_peel = (source.grid(), stack)
         failures += [(keys[i], paths[i], exc) for i, exc in errors.items()]
         keys = [key + (j,) for key, row in zip(keys, poles) if row is not None
                 for j in range(len(row))]
@@ -297,7 +311,7 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
     for rows in reversed(levels):
         below = iter([tuple(TreeNode(pole=pole, children=next(below)) for pole in row.tolist())
                       for row in rows])
-    return PoleTree(roots=next(below), dimension=source.d).validate()
+    return PoleTree(roots=next(below), dimension=source.d, _root_peel=root_peel).validate()
 
 
 def leaves_to_sum(tree, source):
@@ -311,25 +325,57 @@ def leaves_to_sum(tree, source):
     the span of Q_a, the reduced QR basis of the Cauchy matrix of those poles.
     The design A then lies in the span of the Kronecker product of the Q_a,
     and ||grid - A x||^2 = ||z - D x||^2 + const: the core z is the grid with
-    each Q_a^H applied along its axis (one pass over the grid, the rest on the
-    small result), D has the tables Q_a^H C_a, and the constant is the part
-    of the grid outside the bases.  The least squares solution on z is thus
-    exactly the one on the grid, and its solve is unchanged: the M x M normal
-    system G x = D^H z, G the elementwise product of the per-axis Grams; rank
-    deficient when the smallest eigenvalue of G is at most linalg.RCOND times
-    the largest; one step of iterative refinement.  No design and no
-    grid-sized array is formed.  The amplitudes then map to the signal
-    coefficients.
+    each Q_a^H applied along its axis, D has the tables Q_a^H C_a, and the
+    constant is the part of the grid outside the bases.  The least squares
+    solution on z is thus exactly the one on the grid.
+
+    The grid is not contracted itself.  The distinct axis-0 poles are the
+    root poles, and Q_0 R_0 is the QR of their Cauchy matrix in root order,
+    so Q_0^H grid = R_0 X with X the root peel's children, one row per root.
+    X is the tree's own root peel when the tree was built on this source's
+    grid array, and is peeled here otherwise.  Its other axes are contracted
+    one matmul each, and R_0 is applied last, on the small core.
+
+    The solve on z is the M x M normal system G x = D^H z, G the elementwise
+    product of the per-axis Grams; rank deficient when the smallest
+    eigenvalue of G is at most linalg.RCOND times the largest; one step of
+    iterative refinement.  No design and no grid-sized array is formed.  The
+    amplitudes then map to the signal coefficients.
+
+    A tree whose dimension is not the source's raises ShapeMismatch; a pole
+    that is not finite, or on (or a hair off) a sample point k = -N..N,
+    raises BadParameters before anything is solved.
     """
-    poles = tree.leaf_paths()
+    if tree.dimension != source.d:
+        raise ShapeMismatch(
+            f"pole tree of dimension {tree.dimension} does not match a "
+            f"{source.d}-dimensional source"
+        )
+    grid, poles = source.grid(), tree.leaf_paths()
     k = np.arange(-source.N, source.N + 1, dtype=float)
-    core, tables = source.grid(), []
-    # each product contracts the leading axis and appends its core axis
-    # last, so after d of them the core is in grid axis order (flattened)
-    for column in poles.T:
-        basis = np.linalg.qr(1.0 / (k[:, None] - np.unique(column)))[0]
-        core = core.reshape(len(k), -1).T @ basis.conj()
-        tables.append(basis.conj().T @ (1.0 / (k[:, None] - column)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cauchy = 1.0 / (k[:, None] - poles.T[:, None, :])  # (d, n, M)
+    if not (np.isfinite(poles).all() and np.isfinite(cauchy).all()):
+        raise linalg._non_finite_cauchy("amplitude system")
+    roots = np.array([root.pole for root in tree.roots], dtype=complex)
+    if tree._root_peel is not None and tree._root_peel[0] is grid:
+        children = tree._root_peel[1]
+    else:
+        children, errors = _peel_level([roots], grid[None])
+        if errors:
+            raise errors[0]
+    # (Q_a, R_a) per axis; axis 0 in root order, so that R_0's columns
+    # match the rows of X
+    bases = [np.linalg.qr(1.0 / (k[:, None] - roots))]
+    bases += [np.linalg.qr(1.0 / (k[:, None] - np.unique(column))) for column in poles.T[1:]]
+    tables = [q.conj().T @ c for (q, _), c in zip(bases, cauchy)]
+    # each product contracts the last axis and puts its core axis first; R_0
+    # then brings the root axis from last to first, so the core ends in grid
+    # axis order (flattened)
+    core = children
+    for q, _ in reversed(bases[1:]):
+        core = q.conj().T @ core.reshape(-1, len(k)).T
+    core = bases[0][1] @ core.reshape(-1, len(roots)).T
     design = _SeparableSum(tables)
 
     eigenvalues, eigenvectors = linalg.eigh(design.gram())
@@ -356,13 +402,15 @@ def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=
     indices drawn with the seed; a relative residual above
     RESYNTHESIS_WARN_TOL there is reported as a ResynthesisWarning (the usual
     cause is a slice function vanishing at the origin, which hides one of the
-    poles from its axis line).
+    poles from its axis line).  The tree's root peel feeds the amplitude
+    solve, so the grid is read by one product.
 
-    Returns (ExponentialSum, PoleTree).
+    Returns (ExponentialSum, PoleTree); the tree does not keep the root peel.
     """
     check_nonnegative_int(seed, "seed")
     tree = build_pole_tree(source, tol=tol, method=method, trace_sink=trace_sink)
     signal = leaves_to_sum(tree, source)
+    tree = PoleTree(roots=tree.roots, dimension=tree.dimension)
     rng = np.random.default_rng(seed)
     picks = rng.integers(-source.N, source.N + 1, size=(SPOT_CHECK_POINTS, source.d))
     data = source.grid()[tuple((picks + source.N).T)]

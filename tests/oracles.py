@@ -4,7 +4,8 @@ Each oracle takes a computational route disjoint from the implementation it
 verifies: adaptive quadrature instead of the closed coefficient formula,
 characteristic-polynomial roots instead of QZ, exhaustive permutation search
 instead of the assignment solver, explicit rank-one pseudoinverses, a dense
-least squares design instead of the separable normal system, a
+least squares design instead of the separable normal system, the amplitude
+core contracted from the grid itself instead of from the root peel, a
 depth-first pole tree, one line fit and one peel per node, instead of the
 level-at-a-time build, a per-line pencil on a greedy refit instead of the
 stacked pencil on the line fit's own support points, and the sparse method
@@ -26,8 +27,8 @@ from expanal.errors import (
     NoConvergence,
     TauViolation,
 )
-from expanal.linalg import _rank_errors, gen_eig, sort_complex, svd
-from expanal.model import ExponentialSum, FullGrid, SparseLines
+from expanal.linalg import RCOND, _rank_errors, eigh, gen_eig, sort_complex, svd
+from expanal.model import ExponentialSum, FullGrid, SparseLines, _SeparableSum
 from expanal.rational import DEFAULT_TOL, aaa_fit, pole_residue_from_samples
 from expanal.recursive import PoleTree, TreeNode, _merge_close, peel_dimension
 from expanal.sparse import (
@@ -118,6 +119,42 @@ def dense_amplitude_coefficients(poles, grid, P):
     amplitudes = np.linalg.lstsq(design, np.ravel(grid), rcond=None)[0]
     frequencies = 2j * np.pi * poles / P
     return amplitudes * (2j * np.pi) ** d / np.prod(1.0 - np.exp(frequencies * P), axis=1)
+
+
+def grid_contracting_leaves_to_sum(tree, source):
+    """The amplitude solve of leaves_to_sum on a core contracted from the grid.
+
+    Each axis's Q_a^H, Q_a the reduced QR basis of the Cauchy matrix of that
+    axis's distinct poles (axis 0 included, in sorted order), is applied
+    along its axis of the grid itself, the first product over the whole
+    grid; the normal system, its rank rule and its refinement step are those
+    of leaves_to_sum.
+    """
+    poles = tree.leaf_paths()
+    k = np.arange(-source.N, source.N + 1, dtype=float)
+    core, tables = source.grid(), []
+    # each product contracts the leading axis and appends its core axis
+    # last, so after d of them the core is in grid axis order (flattened)
+    for column in poles.T:
+        basis = np.linalg.qr(1.0 / (k[:, None] - np.unique(column)))[0]
+        core = core.reshape(len(k), -1).T @ basis.conj()
+        tables.append(basis.conj().T @ (1.0 / (k[:, None] - column)))
+    design = _SeparableSum(tables)
+
+    eigenvalues, eigenvectors = eigh(design.gram())
+    if not eigenvalues[0] > RCOND * eigenvalues[-1]:
+        raise IllConditioned(
+            f"amplitude system is numerically rank deficient: Gram eigenvalue "
+            f"ratio {eigenvalues[0] / eigenvalues[-1]:.3e} <= {RCOND:.0e}"
+        )
+
+    def solve(values):
+        rhs = design.adjoint(values)
+        return eigenvectors @ ((eigenvectors.conj().T @ rhs) / eigenvalues)
+
+    amplitudes = solve(core)
+    amplitudes = amplitudes + solve(core - design.apply(amplitudes).reshape(core.shape))
+    return ExponentialSum.from_poles(poles, amplitudes, source.P)
 
 
 def characteristic_roots(a):

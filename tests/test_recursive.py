@@ -49,7 +49,11 @@ from cases import (
     signal_from_amplitudes,
     signal_from_poles,
 )
-from oracles import dense_amplitude_coefficients, depth_first_pole_tree
+from oracles import (
+    dense_amplitude_coefficients,
+    depth_first_pole_tree,
+    grid_contracting_leaves_to_sum,
+)
 
 
 def index_pole(frequency, P):
@@ -75,6 +79,32 @@ def peak_grids(call, *args, grid):
         return tracemalloc.get_traced_memory()[1] / grid.nbytes
     finally:
         tracemalloc.stop()
+
+
+def noisy_repeated_axis_grid(clean):
+    """The repeated-axis grid with relative noise 1e-3, seeded."""
+    rng = np.random.default_rng(30)
+    noise = rng.standard_normal(clean.grid().shape) + 1j * rng.standard_normal(clean.grid().shape)
+    return CoefficientSource(3, 2.0, 10, FullGrid(),
+                             clean.grid() + 1e-3 * np.abs(clean.grid()).max() * noise)
+
+
+def hand_tree(paths, d):
+    """A validated tree with one root-to-leaf path per row of paths."""
+
+    def node(path):
+        below = (node(path[1:]),) if len(path) > 1 else ()
+        return TreeNode(pole=complex(path[0]), children=below)
+
+    return PoleTree(roots=tuple(node(path) for path in paths), dimension=d).validate()
+
+
+def carrying_root_peel(tree, source):
+    """tree with the root peel of source's grid attached, as build_pole_tree
+    attaches the peel of the grid it read."""
+    roots = [root.pole for root in tree.roots]
+    return PoleTree(roots=tree.roots, dimension=tree.dimension,
+                    _root_peel=(source.grid(), peel_dimension(roots, source.grid())))
 
 
 def root_poles(source):
@@ -527,15 +557,16 @@ class TestLeavesToSum:
 
     def test_repeated_axis_pole_matches_dense_lstsq(self):
         # the shared root pole is one column of the axis-0 basis, and the
-        # noise leaves a residual outside the compressed core
+        # noise leaves a residual outside the compressed core; the tree
+        # carries the clean grid's root peel, which must not stand in for
+        # the noisy grid's
         clean = repeated_axis_signal().synthesize(2.0, 10, FullGrid())
         tree = build_pole_tree(clean)
         assert len(tree.roots) == 3 and tree.order == 4
-        rng = np.random.default_rng(30)
-        noise = rng.standard_normal(clean.grid().shape) + 1j * rng.standard_normal(clean.grid().shape)
-        noisy = clean.grid() + 1e-3 * np.abs(clean.grid()).max() * noise
-        rec = leaves_to_sum(tree, CoefficientSource(3, 2.0, 10, FullGrid(), noisy))
-        oracle = dense_amplitude_coefficients(tree.leaf_paths(), noisy, 2.0)
+        assert tree._root_peel[0] is clean.grid()
+        noisy = noisy_repeated_axis_grid(clean)
+        rec = leaves_to_sum(tree, noisy)
+        oracle = dense_amplitude_coefficients(tree.leaf_paths(), noisy.grid(), 2.0)
         assert np.abs(rec.coefficients - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_quadvariate_9_matches_dense_lstsq(self):
@@ -560,6 +591,67 @@ class TestLeavesToSum:
         tree = PoleTree(roots=(path(poles[0]), path(poles[0] + 1e-9)), dimension=2)
         with pytest.raises(IllConditioned):
             leaves_to_sum(tree.validate(), src)
+
+    @pytest.mark.parametrize("case", ALL_REFERENCE + ("univariate", "noisy-repeated-axis",
+                                                      "unsorted-roots"),
+                             ids=lambda c: getattr(c, "name", c))
+    def test_carried_one_call_and_grid_contracting_agree(self, case):
+        # the core from the tree's own root peel, from a peel of an equal
+        # grid held by another source, and from the grid itself
+        if case == "univariate":
+            sig, _ = random_axis_distinct(np.random.default_rng(40), 4, 1, tau=3)
+            src = sig.synthesize(2.0, 8, FullGrid())
+            tree = build_pole_tree(src)
+        elif case == "noisy-repeated-axis":
+            clean = repeated_axis_signal().synthesize(2.0, 10, FullGrid())
+            src = noisy_repeated_axis_grid(clean)
+            tree = carrying_root_peel(build_pole_tree(clean), src)
+        elif case == "unsorted-roots":
+            # R_0 must follow the root order of X's rows, not sorted order
+            src = TRIVARIATE_6.signal.synthesize(TRIVARIATE_6.P, TRIVARIATE_6.N, FullGrid())
+            built = build_pole_tree(src)
+            tree = carrying_root_peel(PoleTree(roots=built.roots[::-1], dimension=3), src)
+        else:
+            src = case.signal.synthesize(case.P, case.N, FullGrid())
+            tree = build_pole_tree(src)
+            assert tree._root_peel[0] is src.grid()
+        twin = CoefficientSource(src.d, src.P, src.N, FullGrid(), src.grid())
+        assert twin.grid() is not src.grid()
+        carried = leaves_to_sum(tree, src).coefficients
+        one_call = leaves_to_sum(tree, twin).coefficients
+        oracle = grid_contracting_leaves_to_sum(tree, src).coefficients
+        scale = np.abs(oracle).max()
+        assert np.abs(carried - oracle).max() <= 1e-13 * scale
+        assert np.abs(one_call - oracle).max() <= 1e-13 * scale
+
+    # bivariate-5 grid, hand-built validated trees; checked before anything
+    # is solved, so no RuntimeWarning and no error from inside a solver
+    @pytest.mark.parametrize("paths", [
+        [[2.0, 1.1 - 0.4j], [-1.2 + 0.5j, 0.4 + 0.3j]],
+        [[0.3 + 0.2j, -3.0], [-1.2 + 0.5j, 0.4 + 0.3j]],
+        [[2.0 + 1e-320j, 1.1 - 0.4j], [-1.2 + 0.5j, 0.4 + 0.3j]],
+        [[0.3 + 0.2j, -3.0 + 1e-320j], [-1.2 + 0.5j, 0.4 + 0.3j]],
+        [[complex(np.nan, 0.0), 1.1 - 0.4j], [-1.2 + 0.5j, 0.4 + 0.3j]],
+        [[0.3 + 0.2j, complex(np.inf, 0.0)], [-1.2 + 0.5j, 0.4 + 0.3j]],
+    ], ids=["root-on-sample", "leaf-on-sample", "root-a-hair-off", "leaf-a-hair-off",
+            "nan-root", "infinite-leaf"])
+    def test_bad_poles_refused(self, paths):
+        case = BIVARIATE_5
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        with pytest.raises(BadParameters, match="amplitude system has non-finite entries: "
+                                                "poles must be finite, and sample points"):
+            leaves_to_sum(hand_tree(paths, 2), src)
+
+    @pytest.mark.parametrize("paths, grid_d", [
+        ([[0.3 + 0.2j, 1.1 - 0.4j, 0.5 + 0.5j]], 2),
+        ([[0.3 + 0.2j, 1.1 - 0.4j], [-1.2 + 0.5j, 0.4 + 0.3j]], 3),
+    ], ids=["3-tree-on-2-grid", "2-tree-on-3-grid"])
+    def test_dimension_mismatch_refused(self, paths, grid_d):
+        case = BIVARIATE_5 if grid_d == 2 else TRIVARIATE_4
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        with pytest.raises(ShapeMismatch, match=f"pole tree of dimension {len(paths[0])} "
+                                                f"does not match a {grid_d}-dimensional"):
+            leaves_to_sum(hand_tree(paths, len(paths[0])), src)
 
 
 class TestRecoverRecursive:
@@ -604,6 +696,16 @@ class TestRecoverRecursive:
         with pytest.raises(BadParameters, match="seed"):
             recover_recursive(src, seed=seed)
 
+    def test_returned_tree_drops_the_root_peel(self):
+        case = TRIVARIATE_8
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        _, tree = recover_recursive(src)
+        assert tree._root_peel is None
+        built = build_pole_tree(src)
+        assert built._root_peel is not None
+        assert tree == built
+        assert tree.to_json() == built.to_json()
+
     def test_pencil_engine(self):
         case = TRIVARIATE_4
         src = case.signal.synthesize(case.P, case.N, FullGrid())
@@ -621,8 +723,9 @@ class TestRecoverRecursive:
 
 
 class TestGridPasses:
-    """The amplitude solve and the root peel each read the grid once and
-    allocate well under one grid's worth of memory."""
+    """A recovery reads the grid with one product, the root peel's; the
+    amplitude solve builds its core from the peel's children, and each of
+    the two allocates well under one grid's worth of memory."""
 
     @pytest.fixture(scope="class")
     def trivariate_8(self):
@@ -638,3 +741,30 @@ class TestGridPasses:
         src, tree = trivariate_8
         roots = [root.pole for root in tree.roots]
         assert peak_grids(peel_dimension, roots, src.grid(), grid=src.grid()) < 0.4
+
+    def test_amplitude_solve_on_the_carried_peel_peak_allocation(self, trivariate_8):
+        # the core comes from the root peel's children, not from the grid
+        src, tree = trivariate_8
+        assert tree._root_peel[0] is src.grid()
+        assert peak_grids(leaves_to_sum, tree, src, grid=src.grid()) < 0.2
+
+    def test_recovery_makes_one_grid_sized_product(self):
+        case = TRIVARIATE_8
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        size, products = src.grid().size, []
+
+        class CountingGrid(np.ndarray):
+            """Grid values that count the matmuls with a grid-sized operand;
+            every ufunc runs on plain arrays and returns plain arrays."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                plain = [x.view(np.ndarray) if isinstance(x, CountingGrid) else x
+                         for x in inputs]
+                if ufunc is np.matmul and any(x.size == size for x in plain
+                                              if isinstance(x, np.ndarray)):
+                    products.append(ufunc)
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        src.values = src.grid().view(CountingGrid)
+        recover_recursive(src)
+        assert len(products) == 1
