@@ -39,6 +39,11 @@ _DEGENERATE_BRANCH_RTOL = 1e-14
 # (or numerically at) a sampled index.
 _DEGENERATE_GUARD_TOL = 1e-9
 
+# the lattice of relative_errors' signal error (subsampled beyond the cap)
+SIGNAL_BOX = (-10.0, 10.0)
+SIGNAL_POINTS_PER_AXIS = 51
+MAX_SIGNAL_POINTS = 2_000_000
+
 
 @dataclass(frozen=True)
 class ExponentialSum:
@@ -98,6 +103,8 @@ class ExponentialSum:
     def evaluate(self, t):
         """Evaluate the signal at a point (d,) or an array of points (n, d)."""
         pts = np.asarray(t, dtype=float)
+        if pts.ndim > 2:
+            raise ShapeMismatch(f"points must be 1-D or 2-D, got ndim={pts.ndim}")
         scalar = pts.ndim == 1
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.d:
@@ -494,15 +501,14 @@ def _match_rows(truth_freq, rec_freq):
     return perm
 
 
-def relative_errors(truth, recovered, box=(-10.0, 10.0), points_per_axis=51,
-                    max_signal_points=2_000_000, seed=0):
+def relative_errors(truth, recovered, seed=0):
     """Relative errors between a reference signal and a reconstruction.
 
     Rows are matched first by an optimal assignment on the frequency-row
     distances, so the metrics are invariant under row permutations of either
-    input.  The signal error is the sup-norm misfit over an equispaced lattice
-    in the given box, subsampled (seeded) when the lattice exceeds
-    max_signal_points.
+    input.  The signal error is the sup-norm misfit over the equispaced
+    lattice of SIGNAL_POINTS_PER_AXIS points per axis in SIGNAL_BOX,
+    subsampled (seeded) when the lattice exceeds MAX_SIGNAL_POINTS.
     """
     check_nonnegative_int(seed, "seed")
     if truth.d != recovered.d:
@@ -512,47 +518,41 @@ def relative_errors(truth, recovered, box=(-10.0, 10.0), points_per_axis=51,
     ti = np.array([i for i, _ in matched], dtype=int)
     rj = np.array([j for _, j in matched], dtype=int)
 
-    freq_err = 0.0
-    for axis in range(truth.d):
-        num = np.abs(truth.frequencies[ti, axis] - recovered.frequencies[rj, axis]).max()
-        den = np.abs(truth.frequencies[:, axis]).max()
-        freq_err = max(freq_err, num / den if den > 0 else (0.0 if num == 0 else num))
-
-    num = np.abs(truth.coefficients[ti] - recovered.coefficients[rj]).max()
-    den = np.abs(truth.coefficients).max()
-    coef_err = num / den if den > 0 else (0.0 if num == 0 else num)
-
-    f, g = _lattice_values((truth, recovered), box, points_per_axis,
-                           max_signal_points, seed)
-    scale = np.abs(f).max()
-    diff = np.abs(f - g).max()
-    sig_err = diff / scale if scale > 0 else (0.0 if diff == 0 else diff)
-
+    t, r = truth.frequencies, recovered.frequencies
+    f, g = _lattice_values((truth, recovered), seed)
     return ErrorReport(
-        frequency_error=float(freq_err),
-        coefficient_error=float(coef_err),
-        signal_error=float(sig_err),
+        frequency_error=max(_relative(t[ti, a] - r[rj, a], t[:, a]) for a in range(truth.d)),
+        coefficient_error=_relative(truth.coefficients[ti] - recovered.coefficients[rj],
+                                    truth.coefficients),
+        signal_error=_relative(f - g, f),
         matched_permutation=tuple(perm),
         truth_order=truth.order,
         recovered_order=recovered.order,
     )
 
 
-def _lattice_values(signals, box, points_per_axis, max_points, seed):
+def _relative(error, reference):
+    """max|error| / max|reference|, or max|error| against a zero reference."""
+    num, den = np.abs(error).max(), np.abs(reference).max()
+    return float(num / den if den > 0 else num)
+
+
+def _lattice_values(signals, seed):
     """Each signal's values on the equispaced lattice, or on its seeded subsample.
 
     exp(<row_j, t>) factors over the axes, so each signal is a separable sum
     over one exp table per axis on the 1-D lattice axis.
     """
-    axis = np.linspace(box[0], box[1], points_per_axis)
+    axis = np.linspace(*SIGNAL_BOX, SIGNAL_POINTS_PER_AXIS)
     d = signals[0].d
     terms = [
         _SeparableSum([np.exp(axis[:, None] * s.frequencies[None, :, a]) for a in range(d)])
         for s in signals
     ]
-    if points_per_axis ** d <= max_points:
+    if SIGNAL_POINTS_PER_AXIS ** d <= MAX_SIGNAL_POINTS:
         return [t.grid(s.coefficients) for t, s in zip(terms, signals)]
-    picks = np.random.default_rng(seed).integers(0, points_per_axis, size=(max_points, d))
+    picks = np.random.default_rng(seed).integers(0, SIGNAL_POINTS_PER_AXIS,
+                                                 size=(MAX_SIGNAL_POINTS, d))
     return [t.at(picks, s.coefficients) for t, s in zip(terms, signals)]
 
 

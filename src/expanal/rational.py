@@ -13,6 +13,8 @@ take a stack of lines, so that the pole tree fits all lines of a level in one
 call; the public fit is their one-line case.  The public steps check their
 own arguments and call the same kernels.  The line fit caps max_order at N;
 its pencil projects onto the first m - 1 of the fit's own m support points.
+The greedy fit scales each line by an exact power of two, so that no kernel
+overflows, and the acceptance step scales the residues back.
 """
 
 import functools
@@ -137,20 +139,24 @@ def aaa_fit(points, values, tol=DEFAULT_TOL, max_order=None):
     """
     pts, vals = _sample_inputs(points, values)
     max_order = _fit_args(len(pts), tol, max_order)
-    groups, traces, errors = _greedy_fit(pts, vals[None], tol, max_order)
-    if errors:
-        raise errors[0]
+    groups, traces, _, _ = _greedy_fit(pts, vals[None], tol, max_order)
     _, chosen, weights, _ = groups[0]
     return BarycentricForm(pts[chosen[0]], vals[chosen[0]], weights[0]), traces[0]
 
 
 def _sample_inputs(points, values):
-    """The checked samples of aaa_fit and loewner_pencil_poles."""
+    """The checked samples of aaa_fit and loewner_pencil_poles.  Each point
+    difference must be finite and above 8 / (largest float): then every divided
+    difference of the scaled samples is finite, and no inf or NaN stalls LAPACK."""
     pts = as_complex_vector(points, "points")
     vals = as_complex_vector(values, "values")
     if pts.shape != vals.shape:
         raise ShapeMismatch("points and values must have equal length")
-    return check_distinct(pts, "points"), vals
+    with np.errstate(over="ignore"):  # the identity fills the diagonal's zero gaps
+        gaps = np.abs(check_distinct(pts, "points")[:, None] - pts) + np.eye(len(pts))
+    if not ((gaps > 8.0 / np.finfo(float).max) & (gaps < np.inf)).all():
+        raise BadParameters("points must differ by a finite amount above 8 / (largest float)")
+    return pts, vals
 
 
 def _fit_args(n, tol, max_order, cap=np.inf):
@@ -166,19 +172,22 @@ def _fit_args(n, tol, max_order, cap=np.inf):
 
 
 def _greedy_fit(pts, vals, tol, max_order):
-    """aaa_fit on a trusted (r, n) stack of lines sharing the points pts, with
-    checked tol and max_order (_fit_args).  Returns (groups, traces, errors):
-    a group (rows, chosen, weights, converged) holds the lines that stopped
-    with the same number j of support points, with their support indices and
-    weights as (g, j) arrays; traces[i] is the AaaTrace of line i; errors maps
-    the lines whose Loewner matrix overflowed (an entry of non-finite modulus
-    stalls LAPACK) to BadParameters.  Every line still
-    running at step j has j support points and n - j free ones, so their
-    Loewner matrices stack to (a, n - j, j) and one SVD serves them all; each
-    line stops on its own rule.  With one support point the fit is the
-    constant at that point whatever its weight, so the first step needs no
-    SVD.
+    """aaa_fit on a trusted (r, n) stack of finite lines sharing the points pts,
+    with checked tol and max_order (_fit_args), run on line i times 2^-e[i],
+    e[i] the exponent of its largest real or imaginary part (a modulus can
+    overflow).  Returns (groups, traces, scaled lines, e): a group (rows,
+    chosen, weights, converged) holds the lines that stopped with the same
+    number j of support points, with their support indices and weights as
+    (g, j) arrays; traces[i] is the AaaTrace of line i, its history mapped
+    back by 2^e[i].  Every line still running at step j has j support points
+    and n - j free ones, so their Loewner matrices stack to (a, n - j, j) and
+    one SVD serves them all; each line stops on its own rule.  With one
+    support point the fit is the constant at that point whatever its weight,
+    so the first step needs no SVD.
     """
+    vals = np.ascontiguousarray(vals)
+    e = np.frexp(np.abs(vals.view(float)).max(axis=1))[1]
+    vals = _ldexp(vals, -e)
     n = vals.shape[1]
     size = np.abs(vals)
     limit = tol * size.max(axis=1)
@@ -194,10 +203,9 @@ def _greedy_fit(pts, vals, tol, max_order):
     restv = vals[keep].reshape(len(vals), n - 1)
     # row i of history: the largest misfit of running line rows[i] per step
     history = np.empty(vals.shape)
-    groups, traces, errors = [], [None] * len(vals), {}
+    groups, traces = [], [None] * len(vals)
     j = 1
-    # a zero denominator marks a pole on a free point: its misfit counts as inf;
-    # an overflowed misfit counts as inf too, and its line is refused below
+    # a zero or overflowed denominator (a pole on a free point) counts as inf misfit
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while len(rows):
             chosen, sup = support[:, :j], supv[:, :j]
@@ -207,17 +215,6 @@ def _greedy_fit(pts, vals, tol, max_order):
             else:
                 cauchy = 1.0 / (pts[rest][..., None] - pts[chosen][:, None, :])
                 loewner = (restv[..., None] - sup[:, None, :]) * cauchy
-                finite = np.isfinite(np.abs(loewner).max(axis=(1, 2)))
-                if not finite.all():
-                    errors.update((i, BadParameters("Loewner matrix has non-finite entries: "
-                                                    "the samples overflow"))
-                                  for i in rows[~finite].tolist())
-                    if not finite.any():
-                        break
-                    rows, limit, support, supv, rest, restv, history, cauchy, loewner = (
-                        x[finite] for x in (rows, limit, support, supv, rest, restv,
-                                            history, cauchy, loewner))
-                    chosen, sup, at = support[:, :j], supv[:, :j], np.arange(len(rows))
                 try:
                     weights = np.linalg.svd(loewner, full_matrices=False)[2][:, -1].conj()
                 except np.linalg.LinAlgError as exc:
@@ -234,8 +231,8 @@ def _greedy_fit(pts, vals, tol, max_order):
                 done = slice(None) if last else stop
                 groups.append((rows[done], chosen[done], weights[done], converged[done]))
                 for i, indices, ok, steps in zip(
-                        rows[done].tolist(), chosen[done].tolist(),
-                        converged[done].tolist(), history[done, :j].tolist()):
+                        rows[done].tolist(), chosen[done].tolist(), converged[done].tolist(),
+                        np.ldexp(history[done, :j], e[rows[done], None]).tolist()):
                     traces[i] = AaaTrace(j, tuple(steps), tuple(indices), ok)
                 if last:
                     break
@@ -250,7 +247,12 @@ def _greedy_fit(pts, vals, tol, max_order):
             rest = rest[keep].reshape(len(rows), n - j - 1)
             restv = restv[keep].reshape(len(rows), n - j - 1)
             j += 1
-    return groups, traces, errors
+    return groups, traces, vals, e
+
+
+def _ldexp(z, e):
+    """Row i of a complex (r, n) stack times 2^e[i], exact in range (2^1074 is no float)."""
+    return np.ldexp(np.ascontiguousarray(z).view(float), e[:, None]).view(complex)
 
 
 def evaluate_barycentric(form, z):
@@ -367,14 +369,12 @@ def loewner_pencil_poles(points, values, order):
     order = _positive_int(order, "order")
     if len(pts) < 2 * order:
         raise BadParameters(f"need at least {2 * order} samples for order {order}")
-    groups, _, errors = _greedy_fit(pts, vals[None], np.finfo(float).tiny, order)
-    if errors:
-        raise errors[0]
+    groups, _, scaled, _ = _greedy_fit(pts, vals[None], np.finfo(float).tiny, order)
     chosen = groups[0][1]
     if chosen.shape[1] < order:
         raise IllConditioned(
             f"greedy fit is exact with {chosen.shape[1]} < {order} support points")
-    poles, errors = _pencil_poles(pts, vals[None], chosen)
+    poles, errors = _pencil_poles(pts, scaled, chosen)
     if errors:
         raise errors[0]
     return poles[0]
@@ -385,7 +385,7 @@ def _pencil_poles(points, vals, chosen):
     projected onto their (g, order) support indices chosen.  One SVD and one
     eigvals call serve the stack.  Returns the (g, order) poles, each row
     sorted by (real, imag), and {row: ExpanalError} for the lines refused
-    (rank rule of linalg._rank_errors, or a non-finite matrix)."""
+    (rank rule of linalg._rank_errors, or a non-finite pencil)."""
     order = chosen.shape[1]
     taken = (np.arange(vals.shape[1]) == chosen[..., None]).any(axis=1)
     rest = np.argsort(taken, axis=1, kind="stable")[:, :-order]
@@ -395,8 +395,6 @@ def _pencil_poles(points, vals, chosen):
     with np.errstate(invalid="ignore", over="ignore"):  # overflows refuse their line
         plain = (gamv[..., None] - supv[:, None, :]) / denom
         shifted = ((gam * gamv)[..., None] - (sup * supv)[:, None, :]) / denom
-        finite = np.isfinite(plain).all(axis=(1, 2))
-        plain[~finite] = 0.0  # an inf can stall LAPACK's SVD
         try:
             u, s, vh = np.linalg.svd(plain, full_matrices=False)
         except np.linalg.LinAlgError as exc:
@@ -406,9 +404,8 @@ def _pencil_poles(points, vals, chosen):
         s[list(errors)] = 1.0
         pencil = (u.conj().transpose(0, 2, 1) @ shifted
                   @ vh.conj().transpose(0, 2, 1)) / s[..., None]
-    for i in np.flatnonzero(~(finite & np.isfinite(pencil).all(axis=(1, 2)))).tolist():
-        if not (finite[i] and i in errors):
-            errors[i] = BadParameters("divided-difference pencil has non-finite entries")
+    for i in np.flatnonzero(~np.isfinite(pencil).all(axis=(1, 2))).tolist():
+        errors.setdefault(i, BadParameters("divided-difference pencil has non-finite entries"))
     pencil[list(errors)] = 0.0  # no NaN or inf may reach the stacked eigvals
     return _sorted_eigvals(pencil), errors
 
@@ -480,27 +477,17 @@ def check_fit_residual(pole_residue, points, values):
 
     A small number of isolated misfits while the rest of the samples agree is
     the signature of a frequency of the form 2*pi*i*k/P (constant coefficient
-    branch), which rational recovery cannot represent.
+    branch), which rational recovery cannot represent.  This is the misfit
+    rule of the line fit (_accept), on one line.
     """
-    scale = np.abs(values).max()
-    if scale == 0.0:
+    vals = np.asarray(values, dtype=complex).ravel()
+    if np.abs(vals).max() == 0.0:
         return
-    resid = np.abs(pole_residue(np.asarray(points, complex)) - values) / scale
-    count = int((resid > ISOLATED_MISFIT_TOL).sum())
-    if count:
-        raise _misfit_error(resid, count)
-
-
-def _misfit_error(resid, count):
-    """The error of check_fit_residual for relative misfits resid, count of
-    them above ISOLATED_MISFIT_TOL."""
-    if count / len(resid) <= 0.1:
-        worst = int(np.argmax(resid))
-        return DegenerateFrequency(
-            f"fit converged except at {count} isolated sample(s); worst "
-            f"relative misfit {resid[worst]:.3e} at point index {worst}"
-        )
-    return NoConvergence(f"fitted model misses {count} of {len(resid)} samples")
+    outcome = _accept(pole_residue.poles[None], pole_residue.residues[None],
+                      np.asarray(points, dtype=complex).ravel(), vals[None],
+                      np.ones(1, bool), 0, np.zeros(1, int))[0]
+    if isinstance(outcome, ExpanalError):
+        raise outcome
 
 
 def _collisions(points, poles):
@@ -521,10 +508,11 @@ def _collisions(points, poles):
     return errors
 
 
-def _accept(poles, residues, points, vals, converged, steps):
-    """The checks after the spurious filter on a stack of lines with equal
-    pole counts, in order: distinct poles and nonzero residues (PoleResidue),
-    NoConvergence, then check_fit_residual.  {row: error} for the failures.
+def _accept(poles, residues, points, vals, converged, steps, e):
+    """The checks after the spurious filter on a stack of lines scaled by 2^-e
+    with equal pole counts, in order: distinct poles and nonzero residues
+    (PoleResidue), NoConvergence, the misfit rule (check_fit_residual), and
+    residues * 2^e in range.  Per line, its first error or (poles, residues * 2^e).
 
     A line's samples are never all zero here: such a line stops on its first
     support point and fails as constant."""
@@ -533,23 +521,32 @@ def _accept(poles, residues, points, vals, converged, steps):
     bad = resid > ISOLATED_MISFIT_TOL
     # sorted poles: equal ones are neighbours
     repeated = poles[:, 1:] == poles[:, :-1]
-    errors = {}
-    if converged.all() and not (bad.any() or repeated.any() or (residues == 0).any()):
-        return errors
-    counts = bad.sum(axis=1).tolist()
-    for i, (dup, zero, done) in enumerate(zip(repeated.any(axis=1).tolist(),
-                                              (residues == 0).any(axis=1).tolist(),
-                                              converged.tolist())):
+    with np.errstate(over="ignore"):
+        unscaled = _ldexp(residues, e)
+    finite = np.isfinite(unscaled).all(axis=1)
+    out = list(zip(poles, unscaled))
+    if (converged.all() and finite.all()
+            and not (bad.any() or repeated.any() or (residues == 0).any())):
+        return out
+    for i, (count, dup, zero, done, ok) in enumerate(zip(
+            bad.sum(axis=1).tolist(), repeated.any(axis=1).tolist(),
+            (residues == 0).any(axis=1).tolist(), converged.tolist(), finite.tolist())):
         if dup:
-            errors[i] = BadParameters("poles must be pairwise distinct")
+            out[i] = BadParameters("poles must be pairwise distinct")
         elif zero:
-            errors[i] = BadParameters("residues must be nonzero")
+            out[i] = BadParameters("residues must be nonzero")
         elif not done:
-            errors[i] = NoConvergence(
-                f"greedy fit did not reach tolerance within {steps} steps")
-        elif counts[i]:
-            errors[i] = _misfit_error(resid[i], counts[i])
-    return errors
+            out[i] = NoConvergence(f"greedy fit did not reach tolerance within {steps} steps")
+        elif count and count / len(points) <= 0.1:
+            worst = int(np.argmax(resid[i]))
+            out[i] = DegenerateFrequency(
+                f"fit converged except at {count} isolated sample(s); worst "
+                f"relative misfit {resid[i, worst]:.3e} at point index {worst}")
+        elif count:
+            out[i] = NoConvergence(f"fitted model misses {count} of {len(points)} samples")
+        elif not ok:
+            out[i] = BadParameters("residues overflow: the samples are too large")
+    return out
 
 
 def _fit_lines(vals, tol, max_order, method):
@@ -585,11 +582,9 @@ def _fit_stack(vals, tol, max_order, method):
         for i in np.flatnonzero(~finite).tolist():
             out[i] = BadParameters("values contains non-finite entries")
         live, vals = live[finite], vals[finite]
-    groups, traces, errors = _greedy_fit(points, vals, tol, max_order)
-    for row, exc in errors.items():
-        out[live[row]] = exc
+    groups, traces, vals, e = _greedy_fit(points, vals, tol, max_order)
     for rows, chosen, weights, converged in groups:
-        fits = _fit_group(points, vals[rows], chosen, weights, converged, method)
+        fits = _fit_group(points, vals[rows], e[rows], chosen, weights, converged, method)
         for i, row, fit in zip(live[rows].tolist(), rows.tolist(), fits):
             out[i] = fit if isinstance(fit, ExpanalError) else fit + (traces[row],)
     return out
@@ -605,9 +600,9 @@ def _drop(out, alive, settled, *arrays):
     return [alive[keep]] + [array[keep] for array in arrays]
 
 
-def _fit_group(points, vals, chosen, weights, converged, method):
-    """The policy after the greedy fit, for lines with the same number of
-    support points: per line (poles, residues) or its ExpanalError."""
+def _fit_group(points, vals, e, chosen, weights, converged, method):
+    """The policy after the greedy fit, for lines scaled by 2^-e with the same
+    number of support points: per line (poles, residues * 2^e) or its error."""
     g, m = chosen.shape
     if m < 2:
         return [DegenerateFrequency(
@@ -618,9 +613,8 @@ def _fit_group(points, vals, chosen, weights, converged, method):
         poles, errors = _arrowhead_poles(points[chosen], weights)
     else:
         poles, errors = _pencil_poles(points, vals, chosen[:, :-1])
-    if errors:
-        alive, poles, vals, converged = _drop(out, alive, errors, poles, vals, converged)
-    errors = _collisions(points, poles)
+    # a line refused by its engine keeps that error, whatever its poles
+    errors = {**_collisions(points, poles), **errors}
     if errors:
         alive, poles, vals, converged = _drop(out, alive, errors, poles, vals, converged)
     # both engines sort their poles and the filter keeps their order
@@ -630,12 +624,12 @@ def _fit_group(points, vals, chosen, weights, converged, method):
             if not isinstance(fit, ExpanalError):
                 kept, refit = fit
                 partial[pos] = _accept(kept[None], refit[None], points, vals[pos, None],
-                                       converged[pos, None], m).get(0, fit)
+                                       converged[pos, None], m, e[alive[pos], None])[0]
         alive, poles, residues, vals, converged = _drop(
             out, alive, partial, poles, residues, vals, converged)
-    errors = _accept(poles, residues, points, vals, converged, m)
-    for pos, line in enumerate(alive.tolist()):
-        out[line] = errors.get(pos, (poles[pos], residues[pos]))
+    accepted = _accept(poles, residues, points, vals, converged, m, e[alive])
+    for line, outcome in zip(alive.tolist(), accepted):
+        out[line] = outcome
     return out
 
 
@@ -649,8 +643,9 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
     arguments are checked first (max_order <= N); the policy then runs in this
     order: pole extraction, the sample-collision check (DegenerateFrequency),
     the spurious-pole filter, NoConvergence when the greedy fit missed its
-    tolerance, and finally check_fit_residual.  This is the one-line case of
-    the stacked fit that build_pole_tree runs on every line of a tree level.
+    tolerance, the misfit rule (check_fit_residual), and residues beyond the
+    float range (BadParameters).  This is the one-line case of the stacked fit
+    that build_pole_tree runs on every line of a tree level.
 
     Returns (PoleResidue with poles sorted by (real, imag), AaaTrace).
     """
@@ -661,8 +656,6 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
         raise ShapeMismatch(
             f"line must hold an odd number of samples, k = -N..N; got {len(vals)}"
         )
-    if not np.isfinite(vals).all():
-        raise BadParameters("values contains non-finite entries")
     fit = _fit_lines(vals[None], tol, max_order, method)[0]
     if isinstance(fit, ExpanalError):
         raise fit

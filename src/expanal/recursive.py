@@ -39,14 +39,14 @@ from .errors import (
     BadParameters,
     CoverageMismatch,
     ExpanalError,
-    IllConditioned,
     ResynthesisWarning,
     ShapeMismatch,
 )
 from .model import ExponentialSum, FullGrid, _SeparableSum
 # pole_residue_from_samples stays bound here: bench/test_bench.py checks that
 # the tracer wraps this binding of the line fit
-from .rational import DEFAULT_TOL, _fit_lines, pole_residue_from_samples  # noqa: F401
+from .rational import (DEFAULT_TOL, _fit_lines, _sample_points,  # noqa: F401
+                       pole_residue_from_samples)
 from .validation import check_nonnegative_int
 
 POLE_MERGE_RTOL = 1e-8
@@ -117,7 +117,9 @@ class PoleTree:
         return np.array(paths, dtype=complex).reshape(-1, self.dimension)
 
     def validate(self):
-        """Check that roots and siblings are distinct and leaves sit at depth d."""
+        """Check that roots exist, roots and siblings are distinct, leaves at depth d."""
+        if not self.roots:
+            raise BadParameters("a pole tree needs at least one root")
 
         def walk(nodes, depth):
             if len({node.pole for node in nodes}) != len(nodes):
@@ -207,6 +209,8 @@ def peel_dimension(poles, parent_values):
     vals = np.asarray(parent_values, dtype=complex)
     if vals.ndim < 2:
         raise ShapeMismatch("parent slice must have at least two dimensions")
+    if vals.size == 0:
+        raise ShapeMismatch(f"parent slice must be nonempty, got shape {vals.shape}")
     b = np.asarray(poles, dtype=complex).ravel()
     n = vals.shape[0]
     if n % 2 == 0:
@@ -229,7 +233,7 @@ def _peel_level(poles, stack):
     node i - 1, and errors maps the nodes whose peel fails to their error.
     """
     n, tail = stack.shape[1], stack.shape[2:]
-    k = np.arange(-(n // 2), n // 2 + 1, dtype=float)
+    k = _sample_points(n)
     groups = _by_count(poles)
     # one group holding every node peels the stack as it is, without a copy
     whole = [len(idx) for idx in groups.values()] == [len(poles)]
@@ -311,7 +315,7 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
     for rows in reversed(levels):
         below = iter([tuple(TreeNode(pole=pole, children=next(below)) for pole in row.tolist())
                       for row in rows])
-    return PoleTree(roots=next(below), dimension=source.d, _root_peel=root_peel).validate()
+    return PoleTree(roots=next(below), dimension=source.d, _root_peel=root_peel)
 
 
 def leaves_to_sum(tree, source):
@@ -337,22 +341,22 @@ def leaves_to_sum(tree, source):
     one matmul each, and R_0 is applied last, on the small core.
 
     The solve on z is the M x M normal system G x = D^H z, G the elementwise
-    product of the per-axis Grams; rank deficient when the smallest
-    eigenvalue of G is at most linalg.RCOND times the largest; one step of
-    iterative refinement.  No design and no grid-sized array is formed.  The
-    amplitudes then map to the signal coefficients.
+    product of the per-axis Grams, refused by the rank rule (linalg._rank_errors)
+    on its eigenvalues, which are its singular values; one step of iterative
+    refinement.  No design and no grid-sized array is formed.  The amplitudes
+    then map to the signal coefficients.
 
-    A tree whose dimension is not the source's raises ShapeMismatch; a pole
-    that is not finite, or on (or a hair off) a sample point k = -N..N,
-    raises BadParameters before anything is solved.
+    A tree whose dimension is not the source's raises ShapeMismatch; a
+    malformed tree (PoleTree.validate), or a pole not finite or on (or a hair
+    off) a sample point k = -N..N, raises BadParameters before any solve.
     """
     if tree.dimension != source.d:
         raise ShapeMismatch(
             f"pole tree of dimension {tree.dimension} does not match a "
             f"{source.d}-dimensional source"
         )
-    grid, poles = source.grid(), tree.leaf_paths()
-    k = np.arange(-source.N, source.N + 1, dtype=float)
+    grid, poles = source.grid(), tree.validate().leaf_paths()
+    k = _sample_points(2 * source.N + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cauchy = 1.0 / (k[:, None] - poles.T[:, None, :])  # (d, n, M)
     if not (np.isfinite(poles).all() and np.isfinite(cauchy).all()):
@@ -379,11 +383,9 @@ def leaves_to_sum(tree, source):
     design = _SeparableSum(tables)
 
     eigenvalues, eigenvectors = linalg.eigh(design.gram())
-    if not eigenvalues[0] > linalg.RCOND * eigenvalues[-1]:
-        raise IllConditioned(
-            f"amplitude system is numerically rank deficient: Gram eigenvalue "
-            f"ratio {eigenvalues[0] / eigenvalues[-1]:.3e} <= {linalg.RCOND:.0e}"
-        )
+    errors = linalg._rank_errors(eigenvalues[None, ::-1], "amplitude system")
+    if errors:
+        raise errors[0]
 
     def solve(values):
         rhs = design.adjoint(values)

@@ -26,7 +26,7 @@ from .errors import (
     TauViolation,
 )
 from .model import ExponentialSum, SparseLines
-from .rational import DEFAULT_TOL, _fit_lines, pole_residue_from_samples
+from .rational import DEFAULT_TOL, _fit_lines, _sample_points, pole_residue_from_samples
 from .validation import as_complex_vector
 
 PAIRING_SCORE_TOL = 1e-6
@@ -111,7 +111,7 @@ def _pairing_solve(poles, diagonals, tau):
     with poles (g + 1, M): row i has the poles of axis i, those of axis i + 1
     shifted by -2*tau, and diagonals[i] sampled at k = -N..N-2*tau."""
     n = diagonals.shape[1] // 2 + tau
-    k = np.arange(-n, n - 2 * tau + 1, dtype=float)
+    k = _sample_points(2 * n + 1)[:diagonals.shape[1]]
     return linalg.cauchy_lstsq(np.concatenate([poles[:-1], poles[1:] - 2 * tau], axis=1),
                                k, diagonals, "pairing system")
 
@@ -140,7 +140,7 @@ def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau):
     total score.  The assignment is accepted only when every matched score is
     below PAIRING_SCORE_TOL and each row's runner-up is at least
     PAIRING_MARGIN times worse; otherwise AmbiguousPairing reports the two
-    best candidates.
+    best candidates.  No poles, or a zero next-axis pole, raise BadParameters.
 
     Returns (permutation, matched_scores).
     """
@@ -151,6 +151,10 @@ def match_pairs(c, coeffs_prev, poles_prev, poles_next, tau):
     m = len(prev)
     if not (len(nxt) == m and len(coeffs_prev) == m and len(c) == 2 * m):
         raise ShapeMismatch("pairing inputs are dimension-inconsistent")
+    if m == 0:
+        raise BadParameters("need at least one pole")
+    if (nxt == 0).any():
+        raise BadParameters("next-axis poles must be nonzero")
 
     scores = _score_matrix(c, coeffs_prev, prev, nxt, tau)
     # a square cost assigns every row, in order

@@ -27,7 +27,7 @@ REMOVED = {
     "expanal.sparse": ("plan", "SparseGridPlan", "HUNGARIAN_LIMIT", "_greedy_assignment"),
     "expanal.recursive": ("_line_poles", "SliceValues", "distinct_poles",
                           "TreeNode.leaf_multiplicity", "PoleTree._leaves", "_peel"),
-    "expanal.rational": ("_cauchy_lstsq",),
+    "expanal.rational": ("_cauchy_lstsq", "_misfit_error"),
     "expanal.validation": ("check_positive_int", "check_rcond"),
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices"),
     "expanal.errors": ("RankDeficient", "OrderMismatch"),
@@ -35,10 +35,12 @@ REMOVED = {
 }
 
 # Thresholds are module constants, each with one owner (linalg.RCOND,
-# rational.SPURIOUS_RESIDUE_RTOL, sparse.PAIRING_SCORE_TOL, ...), not
-# keyword arguments handed down through every call.
+# rational.SPURIOUS_RESIDUE_RTOL, sparse.PAIRING_SCORE_TOL,
+# model.SIGNAL_BOX, ...), not keyword arguments handed down through every
+# call.
 THRESHOLD_KNOBS = {"rcond", "rank_tol", "rtol", "score_tol", "margin",
-                   "pairing_tol", "pairing_margin", "resynthesis_tol"}
+                   "pairing_tol", "pairing_margin", "resynthesis_tol",
+                   "box", "points_per_axis", "max_signal_points"}
 
 
 def _tracing():
@@ -70,7 +72,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
 
 
 @pytest.mark.parametrize("module", ["rational", "sparse", "recursive", "linalg",
-                                    "estimators"])
+                                    "estimators", "model"])
 def test_no_threshold_knobs(module):
     mod = importlib.import_module(f"expanal.{module}")
     knobs = {

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from expanal import model
 from expanal import (
     CoefficientSource,
     ExponentialSum,
@@ -215,13 +216,15 @@ class TestRelativeErrors:
         with pytest.raises(BadParameters, match="seed"):
             relative_errors(sig, sig, seed=seed)
 
-    def test_grid_override(self):
+    def test_grid_override(self, monkeypatch):
         # the subsampled estimate normalizes by its own sup, so it tracks the
         # full-lattice value only up to a modest factor
         sig = BIVARIATE_5.signal
         other = ExponentialSum(sig.frequencies * (1 + 1e-10), sig.coefficients)
-        full = relative_errors(sig, other, points_per_axis=21)
-        sub = relative_errors(sig, other, points_per_axis=21, max_signal_points=50)
+        monkeypatch.setattr(model, "SIGNAL_POINTS_PER_AXIS", 21)
+        full = relative_errors(sig, other)
+        monkeypatch.setattr(model, "MAX_SIGNAL_POINTS", 50)
+        sub = relative_errors(sig, other)
         assert full.signal_error > 0.0
         assert 0.1 * full.signal_error <= sub.signal_error <= 10.0 * full.signal_error
 
@@ -231,7 +234,7 @@ class TestRelativeErrors:
         [(BIVARIATE_5.signal, 51, 2_000_000), (QUADVARIATE_9.signal, 21, 20_000)],
         ids=["full-lattice-d2", "subsample-d4"],
     )
-    def test_signal_error_matches_evaluate(self, sig, points, cap):
+    def test_signal_error_matches_evaluate(self, sig, points, cap, monkeypatch):
         other = ExponentialSum(sig.frequencies * (1 + 1e-9), sig.coefficients * (1 - 1e-9))
         axis = np.linspace(-10.0, 10.0, points)
         if points ** sig.d <= cap:
@@ -241,7 +244,9 @@ class TestRelativeErrors:
             pts = axis[np.random.default_rng(0).integers(0, points, size=(cap, sig.d))]
         f, g = sig.evaluate(pts), other.evaluate(pts)
         expected = np.abs(f - g).max() / np.abs(f).max()
-        report = relative_errors(sig, other, points_per_axis=points, max_signal_points=cap)
+        monkeypatch.setattr(model, "SIGNAL_POINTS_PER_AXIS", points)
+        monkeypatch.setattr(model, "MAX_SIGNAL_POINTS", cap)
+        report = relative_errors(sig, other)
         assert expected > 0.0
         assert abs(report.signal_error - expected) <= 1e-13
 

@@ -1,10 +1,14 @@
-"""Tests for the shared input checks."""
+"""Tests for the shared input checks and the typed errors of public entry points."""
 
 import numpy as np
 import pytest
 
-from expanal.errors import BadParameters
+from expanal import FullGrid, PoleTree, TreeNode, leaves_to_sum, peel_dimension
+from expanal.errors import BadParameters, ShapeMismatch
+from expanal.sparse import match_pairs
 from expanal.validation import check_distinct
+
+from cases import BIVARIATE_5
 
 
 def distinct_by_loop(values):
@@ -45,3 +49,43 @@ class TestCheckDistinct:
             except BadParameters:
                 ok = False
             assert ok == distinct_by_loop(values)
+
+
+def _tree(*roots):
+    """An unvalidated 2-dimensional PoleTree from (pole, [child poles]) pairs."""
+    def node(pole, children=()):
+        return TreeNode(pole=pole, children=tuple(node(child) for child in children))
+
+    return PoleTree(roots=tuple(node(*root) for root in roots), dimension=2)
+
+
+def _leaves_to_sum(tree):
+    case = BIVARIATE_5
+    return leaves_to_sum(tree, case.signal.synthesize(case.P, case.N, FullGrid()))
+
+
+# public entry points that used to end in a bare numpy error, a RuntimeWarning
+# or a misleading solver error on these inputs
+BOUNDARY_CASES = {
+    "match-pairs-no-poles": (lambda: match_pairs([], [], [], [], 3),
+                             BadParameters, "need at least one pole"),
+    "match-pairs-zero-next-pole": (lambda: match_pairs([1.0, 1.0], [1.0], [0.5j], [0.0], 3),
+                                   BadParameters, "next-axis poles must be nonzero"),
+    "peel-empty-tail": (lambda: peel_dimension([0.5j], np.ones((11, 0))),
+                        ShapeMismatch, "parent slice must be nonempty"),
+    "evaluate-3d-points": (lambda: BIVARIATE_5.signal.evaluate(np.ones((2, 2, 2))),
+                           ShapeMismatch, "points must be 1-D or 2-D"),
+    "ragged-tree": (lambda: _leaves_to_sum(_tree((1j, []), (2j, [3j]))),
+                    BadParameters, "leaf at depth 1"),
+    "empty-tree": (lambda: _leaves_to_sum(_tree()),
+                   BadParameters, "a pole tree needs at least one root"),
+    "duplicate-roots": (lambda: _leaves_to_sum(_tree((1j, [2j]), (1j, [3j]))),
+                        BadParameters, "root poles must be pairwise distinct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_public_boundaries_raise_typed_errors(case):
+    call, error, message = BOUNDARY_CASES[case]
+    with pytest.raises(error, match=message):
+        call()
