@@ -55,30 +55,39 @@ def cauchy_lstsq(b, k, rhs, what):
     for a (g, p) stack of poles b, the (n,) sample points k and (g, n, *tail)
     right-hand sides: one SVD, each pseudo-inverse applied to all its tails in
     one matmul.  Returns (x, {row: error naming `what`}), x (g, p, *tail).  A
-    non-finite Cauchy matrix is refused with BadParameters, and one with fewer
-    rows than poles or s[-1] <= RCOND * s[0] with IllConditioned.  A LAPACK
-    failure is pinned on its row by solving the rows one at a time.
+    non-finite Cauchy matrix, or a solution outside the float range, is
+    refused with BadParameters, and one with fewer rows than poles or
+    s[-1] <= RCOND * s[0] with IllConditioned.  A LAPACK failure is pinned on
+    its row by solving the rows one at a time.
     """
     g, n = rhs.shape[:2]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # an overflow below is read from this thread's floating-point status, so x
+    # gets no pass unless one happened (an overflow in a BLAS worker thread
+    # goes unseen)
+    overflowed = []
+    with np.errstate(divide="ignore", over="call", invalid="ignore",
+                     call=lambda *_: overflowed.append(True)):
         cauchy = 1.0 / (k[:, None] - b[:, None, :])
-    finite = np.isfinite(cauchy).all(axis=(1, 2))
-    cauchy[~finite] = 0.0  # an inf can stall LAPACK's SVD
-    try:
-        u, s, vh = np.linalg.svd(cauchy, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        if g == 1:
-            return (np.zeros(b.shape + rhs.shape[2:], dtype=complex),
-                    {0: ConvergenceFailure(f"SVD did not converge: {exc}")})
-        parts = [cauchy_lstsq(b[i, None], k, rhs[i, None], what) for i in range(g)]
-        return (np.concatenate([x for x, _ in parts]),
-                {i: errs[0] for i, (_, errs) in enumerate(parts) if errs})
-    errors = _rank_errors(s if b.shape[1] <= n else np.zeros((g, 1)), what)  # wide: rank < p
-    for i in np.flatnonzero(~finite).tolist():
-        errors[i] = _non_finite_cauchy(what)
-    s[list(errors)] = 1.0  # every kept s > 0
-    pinv = (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    x = pinv @ rhs.reshape(g, n, math.prod(rhs.shape[2:]))
+        finite = np.isfinite(cauchy).all(axis=(1, 2))
+        cauchy[~finite] = 0.0  # an inf can stall LAPACK's SVD
+        try:
+            u, s, vh = np.linalg.svd(cauchy, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            if g == 1:
+                return (np.zeros(b.shape + rhs.shape[2:], dtype=complex),
+                        {0: ConvergenceFailure(f"SVD did not converge: {exc}")})
+            parts = [cauchy_lstsq(b[i, None], k, rhs[i, None], what) for i in range(g)]
+            return (np.concatenate([x for x, _ in parts]),
+                    {i: errs[0] for i, (_, errs) in enumerate(parts) if errs})
+        errors = _rank_errors(s if b.shape[1] <= n else np.zeros((g, 1)), what)  # wide: rank < p
+        for i in np.flatnonzero(~finite).tolist():
+            errors[i] = _non_finite_cauchy(what)
+        s[list(errors)] = 1.0  # every kept s > 0
+        pinv = (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1)
+        x = pinv @ rhs.reshape(g, n, math.prod(rhs.shape[2:]))
+    if overflowed:
+        for i in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))).tolist():
+            errors.setdefault(i, BadParameters(f"{what} has a solution outside the float range"))
     return x.reshape(b.shape + rhs.shape[2:]), errors
 
 

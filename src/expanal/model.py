@@ -16,6 +16,7 @@ cost O(size of the grid) time and memory and never form a (grid x M) array.
 """
 
 from dataclasses import dataclass
+import functools
 import numpy as np
 
 from .errors import (
@@ -29,7 +30,9 @@ from .validation import check_nonnegative_int, check_period
 
 TWO_PI_I = 2j * np.pi
 
-_EVAL_CHUNK = 1 << 17
+# rows per block of evaluate and _SeparableSum.at: small enough that a
+# block's (rows x M) arrays stay in cache
+_EVAL_CHUNK = 1 << 12
 
 # |frequency*P - 2*pi*i*k| below this (relative) uses the constant branch of
 # the coefficient formula; see fourier_coefficient.
@@ -86,10 +89,13 @@ class ExponentialSum:
         (M, d) matrix of index-domain poles."""
         poles = np.asarray(poles, dtype=complex)
         frequencies = TWO_PI_I * poles / P
-        coefficients = (
-            amplitudes * TWO_PI_I ** poles.shape[1]
-            / np.prod(1.0 - np.exp(frequencies * P), axis=1)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            coefficients = (
+                amplitudes * TWO_PI_I ** poles.shape[1]
+                / np.prod(1.0 - np.exp(frequencies * P), axis=1)
+            )
+        if not np.isfinite(coefficients).all():
+            raise BadParameters("the coefficients of these amplitudes do not fit in a float")
         return cls(frequencies, coefficients)
 
     @property
@@ -197,9 +203,6 @@ class ExponentialSum:
         return out
 
 
-_AXIS_LETTERS = "abcdefghijklmnopqrstuvwxy"
-
-
 class _SeparableSum:
     """A sum of M separable terms on a product index set.
 
@@ -207,7 +210,8 @@ class _SeparableSum:
 
     Each axis holds one (n_a, M) factor table.  Read as a design matrix,
     A[k, j] = prod_a tables[a][k_a, j] is the Khatri-Rao product of the tables
-    (axis 0 slowest); no method forms it, or any other (grid x M) array.
+    (axis 0 slowest); each method works through the products of two halves
+    of the axes (_halves), and none forms A or any other (grid x M) array.
     The index set need not be a coefficient grid: the amplitude solve of
     recursive.leaves_to_sum runs on a compressed core whose table on axis a
     has one row per basis vector of that axis (one per distinct pole, at most
@@ -218,24 +222,26 @@ class _SeparableSum:
         self.tables = tables
 
     def grid(self, weights):
-        """F on the whole product grid, shape (n_0, ..., n_{d-1}).
-
-        One plain einsum (no optimize): each entry is the same product over
-        the axes and sum over the terms whatever the table sizes, so one-row
-        tables, or rows gathered by `at`, give bitwise-identical values.
-        """
-        axes = _AXIS_LETTERS[:len(self.tables)]
-        spec = ",".join(a + "z" for a in axes) + ",z->" + axes
-        return np.einsum(spec, *self.tables, weights)
+        """F on the whole product grid, shape (n_0, ..., n_{d-1}), by one
+        two-operand einsum of the weighted halves: unlike a matmul, it sums
+        each entry's terms in order, so `at` matches it bitwise."""
+        tables, weights = _with_two_terms(self.tables, weights)
+        left, right = _halves(tables)
+        shape = tuple(table.shape[0] for table in tables)
+        return np.einsum("xz,yz->xy", left * weights, right).reshape(shape)
 
     def at(self, rows, weights):
-        """F at the rows of an (n, d) array of table row numbers, in bounded blocks."""
-        spec = ",".join("iz" for _ in self.tables) + ",z->i"
+        """F at the rows of an (n, d) array of table row numbers, in bounded
+        blocks: each row's halves, multiplied in _halves' order, as in `grid`."""
+        tables, weights = _with_two_terms(self.tables, weights)
+        split = len(tables) // 2
         out = np.empty(rows.shape[0], dtype=complex)
         for start in range(0, rows.shape[0], _EVAL_CHUNK):
             block = rows[start:start + _EVAL_CHUNK]
-            gathered = [table[block[:, axis]] for axis, table in enumerate(self.tables)]
-            out[start:start + _EVAL_CHUNK] = np.einsum(spec, *gathered, weights)
+            gathered = [table[block[:, axis]] for axis, table in enumerate(tables)]
+            left = functools.reduce(_multiply_into, gathered[:split] + [weights])
+            right = functools.reduce(_multiply_into, gathered[split:])
+            out[start:start + _EVAL_CHUNK] = np.einsum("...z,...z->...", left, right)
         return out
 
     def gram(self):
@@ -247,22 +253,36 @@ class _SeparableSum:
 
     def adjoint(self, values):
         """A^H y for y on the product grid: one matmul and one row-wise dot."""
-        left, right = self._halves()
+        left, right = _halves(self.tables)
         partial = values.reshape(left.shape[0], right.shape[0]) @ right.conj()
         return np.sum(left.conj() * partial, axis=0)
 
     def apply(self, weights):
         """A w on the product grid (F through one matmul; not bitwise `grid`)."""
-        left, right = self._halves()
+        left, right = _halves(self.tables)
         shape = tuple(table.shape[0] for table in self.tables)
         return ((left * weights) @ right.T).reshape(shape)
 
-    def _halves(self):
-        """Khatri-Rao products of the leading and the trailing half of the axes."""
-        split = len(self.tables) // 2
-        terms = self.tables[0].shape[1]
-        return (_khatri_rao(self.tables[:split], terms),
-                _khatri_rao(self.tables[split:], terms))
+
+def _halves(tables):
+    """Khatri-Rao products of the leading and the trailing half of the axes."""
+    split = len(tables) // 2
+    terms = tables[0].shape[1]
+    return _khatri_rao(tables[:split], terms), _khatri_rao(tables[split:], terms)
+
+
+def _with_two_terms(tables, weights):
+    """The tables and weights, a zero term after a lone one: numpy's complex
+    multiply rounds apart on its SIMD and plain loops, and only a term axis of
+    length 2 or more puts every product of `grid` and `at` on the same loop."""
+    if len(weights) > 1:
+        return tables, weights
+    return [np.pad(table, ((0, 0), (0, 1))) for table in tables], np.append(weights, 0)
+
+
+def _multiply_into(product, factor):
+    """product *= factor; `at` builds its row products in its fresh gathers."""
+    return np.multiply(product, factor, out=product)
 
 
 def _khatri_rao(tables, terms):

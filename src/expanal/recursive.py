@@ -45,7 +45,7 @@ from .errors import (
 from .model import ExponentialSum, FullGrid, _SeparableSum
 # pole_residue_from_samples stays bound here: bench/test_bench.py checks that
 # the tracer wraps this binding of the line fit
-from .rational import (DEFAULT_TOL, _fit_lines, _sample_points,  # noqa: F401
+from .rational import (DEFAULT_TOL, _fit_lines, _ldexp, _sample_points,  # noqa: F401
                        pole_residue_from_samples)
 from .validation import check_nonnegative_int
 
@@ -190,6 +190,13 @@ def _merge_rows(rows):
         if close.any():
             for pos in np.flatnonzero(close).tolist():
                 rows[idx[pos]] = _merge_close(rows[idx[pos]])
+
+
+def _distinct(values):
+    """np.unique of a complex vector, without the masked-array import that
+    np.unique costs on first use."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 def peel_dimension(poles, parent_values):
@@ -344,7 +351,9 @@ def leaves_to_sum(tree, source):
     product of the per-axis Grams, refused by the rank rule (linalg._rank_errors)
     on its eigenvalues, which are its singular values; one step of iterative
     refinement.  No design and no grid-sized array is formed.  The amplitudes
-    then map to the signal coefficients.
+    then map to the signal coefficients; the solve runs on the core scaled by
+    an exact power of two, so only coefficients that do not fit in a float
+    fail, with BadParameters.
 
     A tree whose dimension is not the source's raises ShapeMismatch; a
     malformed tree (PoleTree.validate), or a pole not finite or on (or a hair
@@ -371,7 +380,7 @@ def leaves_to_sum(tree, source):
     # (Q_a, R_a) per axis; axis 0 in root order, so that R_0's columns
     # match the rows of X
     bases = [np.linalg.qr(1.0 / (k[:, None] - roots))]
-    bases += [np.linalg.qr(1.0 / (k[:, None] - np.unique(column))) for column in poles.T[1:]]
+    bases += [np.linalg.qr(1.0 / (k[:, None] - _distinct(column))) for column in poles.T[1:]]
     tables = [q.conj().T @ c for (q, _), c in zip(bases, cauchy)]
     # each product contracts the last axis and puts its core axis first; R_0
     # then brings the root axis from last to first, so the core ends in grid
@@ -380,6 +389,10 @@ def leaves_to_sum(tree, source):
     for q, _ in reversed(bases[1:]):
         core = q.conj().T @ core.reshape(-1, len(k)).T
     core = bases[0][1] @ core.reshape(-1, len(roots)).T
+    # the core times 2^-e, e the exponent of its largest part (the line fit's
+    # rule): the solve cannot overflow, and the amplitudes scale back exactly
+    e = np.frexp([np.abs(core.view(float)).max()])[1]
+    core = _ldexp(core, -e)
     design = _SeparableSum(tables)
 
     eigenvalues, eigenvectors = linalg.eigh(design.gram())
@@ -393,6 +406,8 @@ def leaves_to_sum(tree, source):
 
     amplitudes = solve(core)
     amplitudes = amplitudes + solve(core - design.apply(amplitudes).reshape(core.shape))
+    with np.errstate(over="ignore"):
+        amplitudes = _ldexp(amplitudes[None], e)[0]
     return ExponentialSum.from_poles(poles, amplitudes, source.P)
 
 

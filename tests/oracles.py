@@ -1,7 +1,9 @@
 """Independent oracles the tests check the library against.
 
 Each oracle takes a computational route disjoint from the implementation it
-verifies: adaptive quadrature instead of the closed coefficient formula,
+verifies: adaptive quadrature instead of the closed coefficient formula, one
+(d+1)-operand einsum of the factor tables instead of the two-operand
+contraction of their Khatri-Rao halves,
 characteristic-polynomial roots instead of QZ, exhaustive permutation search
 instead of the assignment solver, explicit rank-one pseudoinverses, a dense
 least squares design instead of the separable normal system, the amplitude
@@ -99,6 +101,15 @@ def factor_quadrature_coefficient(signal, k, P):
             product *= complex(re, im) / P
         total += product
     return total
+
+
+def einsum_full_grid(signal, P, N):
+    """The full coefficient grid on [-N, N]^d by one plain einsum over the
+    signal's d factor tables and its coefficients."""
+    tables = signal._coefficient_terms(P, [np.arange(-N, N + 1)] * signal.d).tables
+    axes = "abcdefghijklmnopqrstuvwxy"[:signal.d]
+    spec = ",".join(a + "z" for a in axes) + ",z->" + axes
+    return np.einsum(spec, *tables, signal.coefficients)
 
 
 def dense_amplitude_coefficients(poles, grid, P):

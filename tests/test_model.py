@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expanal import model
 from expanal import (
@@ -28,13 +29,14 @@ from expanal.errors import (
 )
 
 from cases import (
+    ALL_REFERENCE,
     BIVARIATE_5,
     QUADVARIATE_9,
     TRIVARIATE_6,
     random_axis_distinct,
     random_univariate,
 )
-from oracles import box_quadrature_coefficient, factor_quadrature_coefficient
+from oracles import box_quadrature_coefficient, einsum_full_grid, factor_quadrature_coefficient
 
 
 class TestExponentialSum:
@@ -152,6 +154,13 @@ class TestSynthesize:
         for k, value in zip(picks[:20], batch):
             assert value == case.signal.fourier_coefficient(k, case.P)
 
+    @pytest.mark.parametrize("case", ALL_REFERENCE, ids=lambda case: case.name)
+    def test_full_grid_matches_plain_einsum(self, case):
+        # the two contractions sum each entry's terms in different orders
+        grid = case.signal.synthesize(case.P, case.N, FullGrid()).grid()
+        oracle = einsum_full_grid(case.signal, case.P, case.N)
+        assert np.abs(grid - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
     def test_axis_and_diagonal_slices(self):
         case = BIVARIATE_5
         src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
@@ -169,6 +178,24 @@ class TestSynthesize:
         src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
         with pytest.raises(KeyError):
             src.value([1, 1])
+
+
+class TestSeparableSum:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           terms=st.integers(1, 10), count=st.integers(1, 40), chunk=st.integers(1, 7))
+    def test_lookup_matches_grid_bitwise(self, seed, lengths, terms, count, chunk):
+        rng = np.random.default_rng(seed)
+        tables = [rng.standard_normal((n, terms)) + 1j * rng.standard_normal((n, terms))
+                  for n in lengths]
+        weights = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+        rows = np.column_stack([rng.integers(0, n, count) for n in lengths])
+        separable = model._SeparableSum(tables)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_EVAL_CHUNK", chunk)
+            values = separable.at(rows, weights)
+        assert np.array_equal(values, separable.grid(weights)[tuple(rows.T)])
 
 
 class TestRelativeErrors:

@@ -3,12 +3,24 @@
 import numpy as np
 import pytest
 
-from expanal import FullGrid, PoleTree, TreeNode, leaves_to_sum, peel_dimension
-from expanal.errors import BadParameters, ShapeMismatch
-from expanal.sparse import match_pairs
+from expanal import (
+    CoefficientSource,
+    ExponentialSum,
+    FullGrid,
+    PoleTree,
+    SparseLines,
+    TreeNode,
+    leaves_to_sum,
+    peel_dimension,
+    recover_recursive,
+    recover_sparse,
+    relative_errors,
+)
+from expanal.errors import BadParameters, ExpanalError, ShapeMismatch
+from expanal.sparse import match_pairs, pairing_system
 from expanal.validation import check_distinct
 
-from cases import BIVARIATE_5
+from cases import BIVARIATE_5, TRIVARIATE_6
 
 
 def distinct_by_loop(values):
@@ -81,6 +93,12 @@ BOUNDARY_CASES = {
                    BadParameters, "a pole tree needs at least one root"),
     "duplicate-roots": (lambda: _leaves_to_sum(_tree((1j, [2j]), (1j, [3j]))),
                         BadParameters, "root poles must be pairwise distinct"),
+    "peel-solution-overflow": (lambda: peel_dimension([50j], 1.5e308 * np.ones((11, 3))),
+                               BadParameters, "solution outside the float range"),
+    "pairing-solution-overflow": (
+        lambda: pairing_system([50j, 1 + 0.3j], [0.2 + 40j, -0.7j],
+                               1.5e308 * np.cos(np.arange(-10, 7)), 2),
+        BadParameters, "solution outside the float range"),
 }
 
 
@@ -89,3 +107,31 @@ def test_public_boundaries_raise_typed_errors(case):
     call, error, message = BOUNDARY_CASES[case]
     with pytest.raises(error, match=message):
         call()
+
+
+# (case, coverage, largest coefficient) near the float limit: the grids'
+# amplitude solves must not overflow, and the sparse signal's coefficients
+# (about 1e309) do not fit in a float
+NEAR_LIMIT = {
+    "bivariate-5-full-1e307": (BIVARIATE_5, FullGrid(), 1e307),
+    "trivariate-6-full-1e306": (TRIVARIATE_6, FullGrid(), 1e306),
+    "bivariate-5-sparse-1e308": (BIVARIATE_5, SparseLines(BIVARIATE_5.tau), 1e308),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_LIMIT))
+def test_near_limit_amplitudes_end_in_a_result_or_a_typed_error(name):
+    # RuntimeWarning is an error in this suite (pyproject.toml)
+    case, coverage, top = NEAR_LIMIT[name]
+    clean = case.signal.synthesize(case.P, case.N, coverage)
+    scale = top / np.abs(clean.values).max()
+    source = CoefficientSource(clean.d, case.P, case.N, coverage, clean.values * scale)
+    recover = recover_recursive if isinstance(coverage, FullGrid) else recover_sparse
+    try:
+        signal = recover(source)[0]
+    except ExpanalError:
+        return
+    report = relative_errors(case.signal,
+                             ExponentialSum(signal.frequencies, signal.coefficients / scale))
+    assert not report.order_mismatch
+    assert report.frequency_error <= 1e-8 and report.coefficient_error <= 1e-8
