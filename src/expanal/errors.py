@@ -14,7 +14,8 @@ class BadParameters(ExpanalError):
 
 
 class ConvergenceFailure(ExpanalError):
-    """A dense linear-algebra backend iteration failed to converge."""
+    """A dense linear-algebra backend iteration failed to converge (raised by
+    linalg._lapack alone)."""
 
 
 class NoConvergence(ExpanalError):
@@ -50,6 +51,6 @@ class NotFitted(ExpanalError):
     """An estimator method that needs a fitted model was called before fit."""
 
 
-class ResynthesisWarning(UserWarning):
+class ResynthesisMismatch(ExpanalError):
     """Recovered parameters do not reproduce the input coefficients; the data
     may hide a pole (e.g. a slice function vanishing at the origin)."""

@@ -10,6 +10,9 @@ linear_assignment.
 RCOND is the one numerical-rank cutoff and _rank_errors its one rule, for the
 pencil engine and cauchy_lstsq, the one solver of sum_j x_j / (k - b_j) = rhs
 (the line fit's residues, the slice peel and the pairing of both methods).
+_lapack is the one conversion of a LAPACK failure to ConvergenceFailure, and
+_pow2_scale the one exact power-of-two scaling of a stack of lines (the line
+fit's and the amplitude core's).
 """
 
 import math
@@ -28,11 +31,31 @@ def svd(a):
     Returns (u, s, v) where the columns of u and v are orthonormal.
     """
     a = as_complex_matrix(a, "a")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    u, s, vh = _lapack("SVD", np.linalg.svd, a, full_matrices=False)
     return u, s, vh.conj().T
+
+
+def _lapack(what, call, *args, **kwargs):
+    """call(*args, **kwargs), a LAPACK failure raised as ConvergenceFailure
+    naming `what`: the one place the package converts LinAlgError."""
+    try:
+        return call(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"{what} did not converge: {exc}") from exc
+
+
+def _pow2_scale(rows):
+    """(rows * 2^-e, e) for a complex (r, n) stack, e[i] the exponent of the
+    largest real or imaginary part of row i (a modulus can overflow): every
+    scaled part lies below 1, exactly, and _ldexp scales back."""
+    rows = np.ascontiguousarray(rows)
+    e = np.frexp(np.abs(rows.view(float)).max(axis=1))[1]
+    return _ldexp(rows, -e), e
+
+
+def _ldexp(z, e):
+    """Row i of a complex (r, n) stack times 2^e[i], exact in range (2^1074 is no float)."""
+    return np.ldexp(np.ascontiguousarray(z).view(float), e[:, None]).view(complex)
 
 
 def _rank_errors(s, what):
@@ -61,21 +84,15 @@ def cauchy_lstsq(b, k, rhs, what):
     its row by solving the rows one at a time.
     """
     g, n = rhs.shape[:2]
-    # an overflow below is read from this thread's floating-point status, so x
-    # gets no pass unless one happened (an overflow in a BLAS worker thread
-    # goes unseen)
-    overflowed = []
-    with np.errstate(divide="ignore", over="call", invalid="ignore",
-                     call=lambda *_: overflowed.append(True)):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cauchy = 1.0 / (k[:, None] - b[:, None, :])
         finite = np.isfinite(cauchy).all(axis=(1, 2))
         cauchy[~finite] = 0.0  # an inf can stall LAPACK's SVD
         try:
-            u, s, vh = np.linalg.svd(cauchy, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
+            u, s, vh = _lapack("SVD", np.linalg.svd, cauchy, full_matrices=False)
+        except ConvergenceFailure as exc:
             if g == 1:
-                return (np.zeros(b.shape + rhs.shape[2:], dtype=complex),
-                        {0: ConvergenceFailure(f"SVD did not converge: {exc}")})
+                return np.zeros(b.shape + rhs.shape[2:], dtype=complex), {0: exc}
             parts = [cauchy_lstsq(b[i, None], k, rhs[i, None], what) for i in range(g)]
             return (np.concatenate([x for x, _ in parts]),
                     {i: errs[0] for i, (_, errs) in enumerate(parts) if errs})
@@ -85,8 +102,10 @@ def cauchy_lstsq(b, k, rhs, what):
         s[list(errors)] = 1.0  # every kept s > 0
         pinv = (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1)
         x = pinv @ rhs.reshape(g, n, math.prod(rhs.shape[2:]))
-    if overflowed:
-        for i in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))).tolist():
+    # an overflow is read from the values, so it is found in any BLAS thread
+    ok = np.isfinite(x.view(float))
+    if not ok.all():
+        for i in np.flatnonzero(~ok.all(axis=(1, 2))).tolist():
             errors.setdefault(i, BadParameters(f"{what} has a solution outside the float range"))
     return x.reshape(b.shape + rhs.shape[2:]), errors
 
@@ -102,10 +121,7 @@ def lstsq_with_rank(a, b):
     b = as_complex_vector(b, "b")
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"a has {a.shape[0]} rows but b has length {b.shape[0]}")
-    try:
-        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RCOND)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"least squares solve failed: {exc}") from exc
+    x, _, rank, _ = _lapack("least squares solve", np.linalg.lstsq, a, b, rcond=RCOND)
     return x, int(rank)
 
 
@@ -117,10 +133,7 @@ def eigh(a):
     a = as_complex_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"matrix must be square, got {a.shape}")
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"Hermitian eigensolver did not converge: {exc}") from exc
+    return _lapack("Hermitian eigensolver", np.linalg.eigh, a)
 
 
 def gen_eig(a):
@@ -133,10 +146,7 @@ def gen_eig(a):
     a = as_complex_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"matrix must be square, got {a.shape}")
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigenvalues failed: {exc}") from exc
+    return _lapack("eigenvalue iteration", np.linalg.eigvals, a)
 
 
 def linear_assignment(cost):

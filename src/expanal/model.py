@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import linear_assignment
-from .validation import check_nonnegative_int, check_period
+from .validation import _positive_int, check_nonnegative_int, check_period
 
 TWO_PI_I = 2j * np.pi
 
@@ -317,13 +317,6 @@ def diagonal_line_indices(d, N, tau, axis):
     line[:, axis - 1] = k
     line[:, axis] = k + 2 * tau
     return line
-
-
-def _positive_int(value, name):
-    """value as an int; BadParameters unless it is an integer >= 1 (no bool)."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
-        raise BadParameters(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from .errors import (
     NoConvergence,
     ShapeMismatch,
 )
-from .model import ExponentialSum, _positive_int
-from .validation import as_complex_vector, check_distinct
+from .model import ExponentialSum
+from .validation import _positive_int, as_complex_vector, check_distinct
 
 DEFAULT_TOL = 1e-12
 SPURIOUS_RESIDUE_RTOL = 1e-12
@@ -173,10 +173,9 @@ def _fit_args(n, tol, max_order, cap=np.inf):
 
 def _greedy_fit(pts, vals, tol, max_order):
     """aaa_fit on a trusted (r, n) stack of finite lines sharing the points pts,
-    with checked tol and max_order (_fit_args), run on line i times 2^-e[i],
-    e[i] the exponent of its largest real or imaginary part (a modulus can
-    overflow).  Returns (groups, traces, scaled lines, e): a group (rows,
-    chosen, weights, converged) holds the lines that stopped with the same
+    with checked tol and max_order (_fit_args), run on line i times 2^-e[i]
+    (linalg._pow2_scale).  Returns (groups, traces, scaled lines, e): a group
+    (rows, chosen, weights, converged) holds the lines that stopped with the same
     number j of support points, with their support indices and weights as
     (g, j) arrays; traces[i] is the AaaTrace of line i, its history mapped
     back by 2^e[i].  Every line still running at step j has j support points
@@ -185,9 +184,7 @@ def _greedy_fit(pts, vals, tol, max_order):
     support point the fit is the constant at that point whatever its weight,
     so the first step needs no SVD.
     """
-    vals = np.ascontiguousarray(vals)
-    e = np.frexp(np.abs(vals.view(float)).max(axis=1))[1]
-    vals = _ldexp(vals, -e)
+    vals, e = linalg._pow2_scale(vals)
     n = vals.shape[1]
     size = np.abs(vals)
     limit = tol * size.max(axis=1)
@@ -215,10 +212,8 @@ def _greedy_fit(pts, vals, tol, max_order):
             else:
                 cauchy = 1.0 / (pts[rest][..., None] - pts[chosen][:, None, :])
                 loewner = (restv[..., None] - sup[:, None, :]) * cauchy
-                try:
-                    weights = np.linalg.svd(loewner, full_matrices=False)[2][:, -1].conj()
-                except np.linalg.LinAlgError as exc:
-                    raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+                weights = linalg._lapack("SVD", np.linalg.svd, loewner,
+                                         full_matrices=False)[2][:, -1].conj()
                 resid = np.abs(restv - (cauchy @ (weights * sup)[..., None])[..., 0]
                                / (cauchy @ weights[..., None])[..., 0])
                 resid[np.isnan(resid)] = np.inf
@@ -248,11 +243,6 @@ def _greedy_fit(pts, vals, tol, max_order):
             restv = restv[keep].reshape(len(rows), n - j - 1)
             j += 1
     return groups, traces, vals, e
-
-
-def _ldexp(z, e):
-    """Row i of a complex (r, n) stack times 2^e[i], exact in range (2^1074 is no float)."""
-    return np.ldexp(np.ascontiguousarray(z).view(float), e[:, None]).view(complex)
 
 
 def evaluate_barycentric(form, z):
@@ -348,10 +338,7 @@ def _sorted_eigvals(a):
     if a.shape[1] == 1:
         # a 1 x 1 matrix is its own eigenvalue, which LAPACK returns as is
         return a[:, :, 0]
-    try:
-        poles = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"pencil eigenvalues failed: {exc}") from exc
+    poles = linalg._lapack("pencil eigenvalue iteration", np.linalg.eigvals, a)
     # complex sorts by (real, imag); stable, like linalg.sort_complex
     return np.sort(poles, axis=1, kind="stable")
 
@@ -395,10 +382,7 @@ def _pencil_poles(points, vals, chosen):
     with np.errstate(invalid="ignore", over="ignore"):  # overflows refuse their line
         plain = (gamv[..., None] - supv[:, None, :]) / denom
         shifted = ((gam * gamv)[..., None] - (sup * supv)[:, None, :]) / denom
-        try:
-            u, s, vh = np.linalg.svd(plain, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+        u, s, vh = linalg._lapack("SVD", np.linalg.svd, plain, full_matrices=False)
         errors = linalg._rank_errors(s, "divided-difference matrix")
         # every kept s > 0, so each pencil (reduced, diag(s)) is a row scaling by 1/s
         s[list(errors)] = 1.0
@@ -522,7 +506,7 @@ def _accept(poles, residues, points, vals, converged, steps, e):
     # sorted poles: equal ones are neighbours
     repeated = poles[:, 1:] == poles[:, :-1]
     with np.errstate(over="ignore"):
-        unscaled = _ldexp(residues, e)
+        unscaled = linalg._ldexp(residues, e)
     finite = np.isfinite(unscaled).all(axis=1)
     out = list(zip(poles, unscaled))
     if (converged.all() and finite.all()

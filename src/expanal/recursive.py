@@ -29,7 +29,6 @@ solved through its M x M normal system without forming the design.
 
 import bisect
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,18 +38,18 @@ from .errors import (
     BadParameters,
     CoverageMismatch,
     ExpanalError,
-    ResynthesisWarning,
+    ResynthesisMismatch,
     ShapeMismatch,
 )
 from .model import ExponentialSum, FullGrid, _SeparableSum
 # pole_residue_from_samples stays bound here: bench/test_bench.py checks that
 # the tracer wraps this binding of the line fit
-from .rational import (DEFAULT_TOL, _fit_lines, _ldexp, _sample_points,  # noqa: F401
+from .rational import (DEFAULT_TOL, _fit_lines, _sample_points,  # noqa: F401
                        pole_residue_from_samples)
 from .validation import check_nonnegative_int
 
 POLE_MERGE_RTOL = 1e-8
-RESYNTHESIS_WARN_TOL = 1e-6
+RESYNTHESIS_TOL = 1e-6
 SPOT_CHECK_POINTS = 100
 
 
@@ -389,10 +388,10 @@ def leaves_to_sum(tree, source):
     for q, _ in reversed(bases[1:]):
         core = q.conj().T @ core.reshape(-1, len(k)).T
     core = bases[0][1] @ core.reshape(-1, len(roots)).T
-    # the core times 2^-e, e the exponent of its largest part (the line fit's
-    # rule): the solve cannot overflow, and the amplitudes scale back exactly
-    e = np.frexp([np.abs(core.view(float)).max()])[1]
-    core = _ldexp(core, -e)
+    # the core times 2^-e by the line fit's rule, as one row: the solve cannot
+    # overflow, and the amplitudes scale back exactly
+    core, e = linalg._pow2_scale(core.reshape(1, -1))
+    core = core.reshape(len(roots), -1)
     design = _SeparableSum(tables)
 
     eigenvalues, eigenvectors = linalg.eigh(design.gram())
@@ -407,7 +406,7 @@ def leaves_to_sum(tree, source):
     amplitudes = solve(core)
     amplitudes = amplitudes + solve(core - design.apply(amplitudes).reshape(core.shape))
     with np.errstate(over="ignore"):
-        amplitudes = _ldexp(amplitudes[None], e)[0]
+        amplitudes = linalg._ldexp(amplitudes[None], e)[0]
     return ExponentialSum.from_poles(poles, amplitudes, source.P)
 
 
@@ -416,11 +415,11 @@ def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=
 
     Builds the pole tree, solves the amplitude system, and spot-checks that
     the reconstruction reproduces the input coefficients at SPOT_CHECK_POINTS
-    indices drawn with the seed; a relative residual above
-    RESYNTHESIS_WARN_TOL there is reported as a ResynthesisWarning (the usual
-    cause is a slice function vanishing at the origin, which hides one of the
-    poles from its axis line).  The tree's root peel feeds the amplitude
-    solve, so the grid is read by one product.
+    indices drawn with the seed; a relative residual above RESYNTHESIS_TOL
+    there raises ResynthesisMismatch (the usual cause is a slice function
+    vanishing at the origin, which hides one of the poles from its axis line).
+    The tree's root peel feeds the amplitude solve, so the grid is read by one
+    product.
 
     Returns (ExponentialSum, PoleTree); the tree does not keep the root peel.
     """
@@ -435,11 +434,9 @@ def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=
     scale = np.abs(data).max()
     if scale > 0:
         residual = np.abs(model - data).max() / scale
-        if residual > RESYNTHESIS_WARN_TOL:
-            warnings.warn(
-                ResynthesisWarning(
-                    f"reconstruction misses the input coefficients by a relative "
-                    f"{residual:.3e}; the data may hide a pole"
-                )
-            )
+        if residual > RESYNTHESIS_TOL:
+            raise ResynthesisMismatch(
+                f"reconstruction misses the input coefficients by a relative "
+                f"{residual:.3e} > RESYNTHESIS_TOL = {RESYNTHESIS_TOL:.0e}; the data "
+                f"may hide a pole")
     return signal, tree

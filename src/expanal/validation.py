@@ -27,10 +27,22 @@ def as_complex_vector(a, name="vector"):
     return arr
 
 
+def _is_int(value):
+    """The one integer test: Python and numpy integers, booleans not."""
+    return type(value) is not bool and isinstance(value, (int, np.integer))
+
+
 def check_nonnegative_int(value, name):
-    """Require a non-negative integer (numpy integers included, booleans not)."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 0:
+    """Require a non-negative integer (_is_int)."""
+    if not _is_int(value) or value < 0:
         raise BadParameters(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _positive_int(value, name):
+    """value as an int; BadParameters unless it is an integer (_is_int) >= 1."""
+    if not _is_int(value) or value < 1:
+        raise BadParameters(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def check_period(P):

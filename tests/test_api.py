@@ -26,11 +26,12 @@ REMOVED = {
     "expanal": ("plan", "SparseGridPlan", "SliceValues", "distinct_poles"),
     "expanal.sparse": ("plan", "SparseGridPlan", "HUNGARIAN_LIMIT", "_greedy_assignment"),
     "expanal.recursive": ("_line_poles", "SliceValues", "distinct_poles",
-                          "TreeNode.leaf_multiplicity", "PoleTree._leaves", "_peel"),
+                          "TreeNode.leaf_multiplicity", "PoleTree._leaves", "_peel",
+                          "RESYNTHESIS_WARN_TOL"),
     "expanal.rational": ("_cauchy_lstsq", "_misfit_error"),
     "expanal.validation": ("check_positive_int", "check_rcond"),
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices"),
-    "expanal.errors": ("RankDeficient", "OrderMismatch"),
+    "expanal.errors": ("RankDeficient", "OrderMismatch", "ResynthesisWarning"),
     "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd"),
 }
 

@@ -12,7 +12,7 @@ import pytest
 from expanal import SparseLines, relative_errors, signal_from_json, signal_to_json
 from expanal.cli import main
 
-from cases import BIVARIATE_5, QUADVARIATE_9, signal_from_poles
+from cases import BIVARIATE_5, QUADVARIATE_9, signal_from_amplitudes, signal_from_poles
 
 
 @pytest.fixture()
@@ -177,6 +177,26 @@ class TestRecover:
         assert code == 3
         payload = json.loads(open(result).read())
         assert payload["error"] == "TauViolation"
+
+    def test_hidden_pole_is_a_recovery_failure(self, tmp_path, capsys):
+        # the second term's amplitude cancels the first one's slice on its
+        # central line, so the tree misses a pole; the resynthesis spot check
+        # must end the verb on exit 3, not exit 0 with the wrong signal
+        poles = np.array([[0.3 + 0.2j, 1.4 - 0.1j], [0.3 + 0.2j, -2.2 + 0.3j],
+                          [-1.7 - 0.25j, 0.9 + 0.15j]])
+        amplitudes = [1.0, -poles[1, 1] / poles[0, 1], 0.7]
+        spec = tmp_path / "sig.json"
+        spec.write_text(json.dumps(signal_to_json(
+            signal_from_amplitudes(poles, amplitudes, 2 * np.pi), 2 * np.pi)))
+        grid = str(tmp_path / "grid.json")
+        assert run("generate", str(spec), "--N", "12", "--coverage", "full",
+                   "--out", grid) == 0
+        result = str(tmp_path / "r.json")
+        assert run("recover", grid, "--method", "recursive", "--out", result) == 3
+        payload = json.loads(open(result).read())
+        assert payload["error"] == "ResynthesisMismatch"
+        assert "RESYNTHESIS_TOL" in payload["message"]
+        assert "ResynthesisMismatch" in capsys.readouterr().err
 
     def test_per_entry_full_grid_rejected(self, spec_file, tmp_path):
         grid = tmp_path / "grid.json"

@@ -1,5 +1,9 @@
 """Tests for the full-grid recursive dimension-reduction pipeline."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,7 +29,7 @@ from expanal.errors import (
     ExpanalError,
     IllConditioned,
     NoConvergence,
-    ResynthesisWarning,
+    ResynthesisMismatch,
     ShapeMismatch,
 )
 from expanal import recursive
@@ -236,6 +240,31 @@ class TestPeelDimension:
         # SVD, without a RuntimeWarning, instead of giving NaN children
         with pytest.raises(BadParameters, match="slice system for 2 poles has non-finite"):
             peel_dimension([1e-320j, 1.5 + 0.2j], np.ones((7, 3)))
+
+    # an overflowing solution is found by its values: a floating-point status
+    # flag set inside a BLAS worker thread is not seen by the calling thread
+    _OVERFLOW_PROBE = """
+import numpy as np
+from expanal.errors import BadParameters
+from expanal.recursive import peel_dimension
+values = np.ones((11, 60000), dtype=complex)
+values[:, -1] = 1.5e308
+try:
+    peel_dimension([50j, 3 + 1j, -2 + 0.5j], values)
+except BadParameters as exc:
+    print(exc)
+"""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_children_refused_in_any_blas_thread(self, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                               self._OVERFLOW_PROBE],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ("slice system for 3 poles has a solution "
+                                       "outside the float range")
 
     def test_more_poles_than_samples_refused(self):
         with pytest.raises(IllConditioned, match=r"slice system for 4 poles .*ratio 0\.000e\+00"):
@@ -676,7 +705,7 @@ class TestRecoverRecursive:
 
     def test_hidden_pole_reported(self):
         # amplitudes tuned so one root's slice vanishes at the origin: the
-        # axis line cannot see that root, and the spot check must say so
+        # axis line cannot see that root, and the spot check must refuse
         b_shared, b_other = 0.5 + 0.7j, -1.1 + 0.9j
         tails = np.array([0.3 + 0.6j, -0.7 - 0.8j, 1.4 + 0.5j])
         a1 = 1.0 + 0.5j
@@ -686,7 +715,8 @@ class TestRecoverRecursive:
         gamma = amps * TWO_PI_I ** 2 / np.prod(1 - np.exp(freqs * 2.0), axis=1)
         sig = ExponentialSum(freqs, gamma)
         src = sig.synthesize(2.0, 10, FullGrid())
-        with pytest.warns(ResynthesisWarning):
+        with pytest.raises(ResynthesisMismatch,
+                           match=r"relative \d\.\d{3}e-01 > RESYNTHESIS_TOL = 1e-06"):
             recover_recursive(src)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
