@@ -12,6 +12,7 @@ import inspect
 import numpy as np
 
 from .errors import NotFitted
+from .rational import DEFAULT_TOL
 from .recursive import recover_recursive
 from .sparse import recover_sparse
 
@@ -66,7 +67,7 @@ class SparseGridRecovery(_BaseRecovery):
     shift is taken from the coverage descriptor.
     """
 
-    def __init__(self, tol=1e-12, method="eig"):
+    def __init__(self, tol=DEFAULT_TOL, method="eig"):
         self.tol = tol
         self.method = method
 
@@ -79,7 +80,7 @@ class SparseGridRecovery(_BaseRecovery):
 class RecursiveRecovery(_BaseRecovery):
     """Full-grid recursive dimension-reduction estimator."""
 
-    def __init__(self, tol=1e-12, method="eig", seed=0):
+    def __init__(self, tol=DEFAULT_TOL, method="eig", seed=0):
         self.tol = tol
         self.method = method
         self.seed = seed

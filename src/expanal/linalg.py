@@ -12,7 +12,7 @@ pencil engine and cauchy_lstsq, the one solver of sum_j x_j / (k - b_j) = rhs
 (the line fit's residues, the slice peel and the pairing of both methods).
 _lapack is the one conversion of a LAPACK failure to ConvergenceFailure, and
 _pow2_scale the one exact power-of-two scaling of a stack of lines (the line
-fit's and the amplitude core's).
+fit's).
 """
 
 import math
@@ -129,6 +129,8 @@ def eigh(a):
     """Eigendecomposition a = v @ diag(w) @ v.conj().T of a Hermitian matrix.
 
     Reads the lower triangle; eigenvalues ascending, columns of v orthonormal.
+    No module calls it: the recursive method takes its amplitudes from the
+    leaf fits, and only the tests' reference amplitude solve uses it.
     """
     a = as_complex_matrix(a, "a")
     if a.shape[0] != a.shape[1]:

@@ -11,8 +11,8 @@ each line's values sit in that array.
 Both the signal and its coefficients are sums of M separable terms: term j is
 a weight times a product of one univariate factor per axis.  _SeparableSum
 holds one factor table per axis and contracts those tables against the term
-weights, so grid synthesis, the full-grid amplitude solve and the signal error
-cost O(size of the grid) time and memory and never form a (grid x M) array.
+weights, so grid synthesis and the signal error cost O(size of the grid) time
+and memory and never form a (grid x M) array.
 """
 
 from dataclasses import dataclass
@@ -210,12 +210,10 @@ class _SeparableSum:
 
     Each axis holds one (n_a, M) factor table.  Read as a design matrix,
     A[k, j] = prod_a tables[a][k_a, j] is the Khatri-Rao product of the tables
-    (axis 0 slowest); each method works through the products of two halves
-    of the axes (_halves), and none forms A or any other (grid x M) array.
-    The index set need not be a coefficient grid: the amplitude solve of
-    recursive.leaves_to_sum runs on a compressed core whose table on axis a
-    has one row per basis vector of that axis (one per distinct pole, at most
-    2N+1), not one per index.
+    (axis 0 slowest).  Both methods work through the products of two halves
+    of the axes (_halves): `grid` on the whole product index set (coefficient
+    synthesis), `at` on chosen rows (coefficient lookup, the lattice of the
+    signal error).  Neither forms A or any other (grid x M) array.
     """
 
     def __init__(self, tables):
@@ -243,25 +241,6 @@ class _SeparableSum:
             right = functools.reduce(_multiply_into, gathered[split:])
             out[start:start + _EVAL_CHUNK] = np.einsum("...z,...z->...", left, right)
         return out
-
-    def gram(self):
-        """A^H A: the elementwise product of the per-axis Grams T_a^H T_a."""
-        out = 1.0
-        for table in self.tables:
-            out = out * (table.conj().T @ table)
-        return out
-
-    def adjoint(self, values):
-        """A^H y for y on the product grid: one matmul and one row-wise dot."""
-        left, right = _halves(self.tables)
-        partial = values.reshape(left.shape[0], right.shape[0]) @ right.conj()
-        return np.sum(left.conj() * partial, axis=0)
-
-    def apply(self, weights):
-        """A w on the product grid (F through one matmul; not bitwise `grid`)."""
-        left, right = _halves(self.tables)
-        shape = tuple(table.shape[0] for table in self.tables)
-        return ((left * weights) @ right.T).reshape(shape)
 
 
 def _halves(tables):

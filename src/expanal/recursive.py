@@ -14,22 +14,15 @@ grow with its levels and fit steps, not with its nodes.  The root-to-leaf
 paths of the tree are the recovered pole vectors, so pairing is automatic and
 repeated per-axis values are handled.
 
-The amplitudes then solve one least squares system on the whole grid, whose
-design is a Khatri-Rao product of per-axis Cauchy matrices.  Each axis's
-Cauchy columns span at most as many directions as that axis has distinct
-poles, so the grid is first compressed onto those per-axis bases (a Tucker
-core); the residual outside them is the same for every amplitude vector, so
-the least squares solution on the core is exactly the one on the grid.  The
-core is built from the root peel's children, not from the grid: the axis-0
-basis is that of the root poles, and the peel has already applied its
-pseudo-inverse.  So a recovery reads the grid with one product, the root
-peel's, which build_pole_tree hands on in the tree.  The core system is
-solved through its M x M normal system without forming the design.
+A slice of the last level is a single line, and the residues of its fit are
+the amplitudes of the terms below it: a recovery solves no separate amplitude
+system, and reads the grid with one product, the root peel's.  leaves_to_sum
+replays the same peels for a given tree and grid.
 """
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +34,7 @@ from .errors import (
     ResynthesisMismatch,
     ShapeMismatch,
 )
-from .model import ExponentialSum, FullGrid, _SeparableSum
+from .model import ExponentialSum, FullGrid
 # pole_residue_from_samples stays bound here: bench/test_bench.py checks that
 # the tracer wraps this binding of the line fit
 from .rational import (DEFAULT_TOL, _fit_lines, _sample_points,  # noqa: F401
@@ -73,19 +66,10 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class PoleTree:
-    """Rooted forest of per-dimension poles; paths are pole vectors.
-
-    build_pole_tree also keeps the result of its root peel in the private
-    _root_peel, the pair (grid, children): the grid array it read and the
-    per-root child slices.  leaves_to_sum builds its core from those children
-    when it is handed the same grid array, so the grid is read once per
-    recovery.  The pair takes no part in comparison, repr or JSON, and
-    recover_recursive returns its tree without it.
-    """
+    """Rooted forest of per-dimension poles; paths are pole vectors."""
 
     roots: tuple
     dimension: int
-    _root_peel: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def order(self):
@@ -177,7 +161,9 @@ def _by_count(rows):
 def _merge_rows(rows):
     """_merge_close, in place, on each sorted pole array of rows (None entries
     skipped); one stacked test per pole count finds the arrays that hold a
-    close pair, and the others are already what _merge_close returns."""
+    close pair, and the others are already what _merge_close returns.
+    Returns the indices of the arrays it replaced."""
+    merged = []
     for count, idx in _by_count(rows).items():
         if count == 1:
             continue
@@ -189,13 +175,8 @@ def _merge_rows(rows):
         if close.any():
             for pos in np.flatnonzero(close).tolist():
                 rows[idx[pos]] = _merge_close(rows[idx[pos]])
-
-
-def _distinct(values):
-    """np.unique of a complex vector, without the masked-array import that
-    np.unique costs on first use."""
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+                merged.append(idx[pos])
+    return merged
 
 
 def peel_dimension(poles, parent_values):
@@ -273,11 +254,19 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
     raised as "at pole path {path}: ...".  trace_sink receives the AaaTrace
     of every fit in depth-first pre-order.
     """
+    return _build(source, tol, method, trace_sink)[0]
+
+
+def _build(source, tol, method, trace_sink):
+    """build_pole_tree, and the amplitudes: (tree, amplitudes in depth-first
+    leaf order).  A leaf-level slice is a line, so the residues of its fit
+    are the amplitudes of the leaves below it; a leaf row whose close poles
+    were merged has its residues solved again on the merged poles."""
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
     n_half = source.N
     stack, keys, paths = source.grid()[None], [()], [()]
-    levels, traced, failures, root_peel = [], [], [], None
+    levels, traced, failures = [], [], []
     while keys:
         lines = stack[(slice(None), slice(None)) + (n_half,) * (stack.ndim - 2)]
         try:
@@ -285,20 +274,21 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
         except ExpanalError as exc:
             # tol and method fail on the first line fitted, the root
             raise type(exc)(f"at pole path (): {exc}") from exc
-        poles = [None] * len(fits)
+        poles, residues = [None] * len(fits), [None] * len(fits)
         for i, fit in enumerate(fits):
             if isinstance(fit, ExpanalError):
                 failures.append((keys[i], paths[i], fit))
             else:
-                poles[i] = fit[0]
+                poles[i], residues[i] = fit[0], fit[1]
                 traced.append((keys[i], fit[2]))
-        _merge_rows(poles)
+        merged = _merge_rows(poles)
         levels.append(poles)
         if stack.ndim == 2:
+            for i in merged:
+                residues[i], errors = _peel_level([poles[i]], stack[i, None])
+                failures += [(keys[i], paths[i], exc) for exc in errors.values()]
             break
         stack, errors = _peel_level(poles, stack)
-        if root_peel is None:
-            root_peel = (source.grid(), stack)
         failures += [(keys[i], paths[i], exc) for i, exc in errors.items()]
         keys = [key + (j,) for key, row in zip(keys, poles) if row is not None
                 for j in range(len(row))]
@@ -321,112 +311,64 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
     for rows in reversed(levels):
         below = iter([tuple(TreeNode(pole=pole, children=next(below)) for pole in row.tolist())
                       for row in rows])
-    return PoleTree(roots=next(below), dimension=source.d, _root_peel=root_peel)
+    return PoleTree(roots=next(below), dimension=source.d), np.concatenate(residues)
 
 
 def leaves_to_sum(tree, source):
     """Signal parameters from a pole tree and its full-grid source.
 
-    The root-to-leaf pole paths give the frequency rows.  The amplitudes x
-    solve the least squares system on every grid index,
-    grid[k] = sum_j x_j prod_a C_a[k_a, j] with C_a[k, j] = 1/(k - b_ja).
-
-    The columns of C_a take only the distinct poles of axis a, so they lie in
-    the span of Q_a, the reduced QR basis of the Cauchy matrix of those poles.
-    The design A then lies in the span of the Kronecker product of the Q_a,
-    and ||grid - A x||^2 = ||z - D x||^2 + const: the core z is the grid with
-    each Q_a^H applied along its axis, D has the tables Q_a^H C_a, and the
-    constant is the part of the grid outside the bases.  The least squares
-    solution on z is thus exactly the one on the grid.
-
-    The grid is not contracted itself.  The distinct axis-0 poles are the
-    root poles, and Q_0 R_0 is the QR of their Cauchy matrix in root order,
-    so Q_0^H grid = R_0 X with X the root peel's children, one row per root.
-    X is the tree's own root peel when the tree was built on this source's
-    grid array, and is peeled here otherwise.  Its other axes are contracted
-    one matmul each, and R_0 is applied last, on the small core.
-
-    The solve on z is the M x M normal system G x = D^H z, G the elementwise
-    product of the per-axis Grams, refused by the rank rule (linalg._rank_errors)
-    on its eigenvalues, which are its singular values; one step of iterative
-    refinement.  No design and no grid-sized array is formed.  The amplitudes
-    then map to the signal coefficients; the solve runs on the core scaled by
-    an exact power of two, so only coefficients that do not fit in a float
-    fail, with BadParameters.
+    The root-to-leaf pole paths give the frequency rows.  The amplitudes
+    replay the tree's peels on the source's grid: one stacked peel per level
+    (_peel_level), each node's slice split on its children's poles, from the
+    roots on the grid down to the leaves.  A leaf-level slice is a line, so
+    its last peel gives the amplitudes of its leaves, in depth-first leaf
+    order.  On the source a tree was built from, these are the residues that
+    recover_recursive takes from the leaf fits.  Each level solves its own
+    least squares system, so on noisy data the amplitudes are not the least
+    squares fit of the whole grid by the tree's terms.
 
     A tree whose dimension is not the source's raises ShapeMismatch; a
     malformed tree (PoleTree.validate), or a pole not finite or on (or a hair
-    off) a sample point k = -N..N, raises BadParameters before any solve.
+    off) a sample point k = -N..N, raises BadParameters before any peel.  A
+    refused peel raises the error of the first node it fails on.
     """
     if tree.dimension != source.d:
         raise ShapeMismatch(
             f"pole tree of dimension {tree.dimension} does not match a "
             f"{source.d}-dimensional source"
         )
-    grid, poles = source.grid(), tree.validate().leaf_paths()
+    poles = tree.validate().leaf_paths()
     k = _sample_points(2 * source.N + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cauchy = 1.0 / (k[:, None] - poles.T[:, None, :])  # (d, n, M)
     if not (np.isfinite(poles).all() and np.isfinite(cauchy).all()):
         raise linalg._non_finite_cauchy("amplitude system")
-    roots = np.array([root.pole for root in tree.roots], dtype=complex)
-    if tree._root_peel is not None and tree._root_peel[0] is grid:
-        children = tree._root_peel[1]
-    else:
-        children, errors = _peel_level([roots], grid[None])
+    stack, siblings = source.grid()[None], [tree.roots]
+    for _ in range(tree.dimension):
+        stack, errors = _peel_level(
+            [np.array([node.pole for node in group], dtype=complex) for group in siblings], stack)
         if errors:
-            raise errors[0]
-    # (Q_a, R_a) per axis; axis 0 in root order, so that R_0's columns
-    # match the rows of X
-    bases = [np.linalg.qr(1.0 / (k[:, None] - roots))]
-    bases += [np.linalg.qr(1.0 / (k[:, None] - _distinct(column))) for column in poles.T[1:]]
-    tables = [q.conj().T @ c for (q, _), c in zip(bases, cauchy)]
-    # each product contracts the last axis and puts its core axis first; R_0
-    # then brings the root axis from last to first, so the core ends in grid
-    # axis order (flattened)
-    core = children
-    for q, _ in reversed(bases[1:]):
-        core = q.conj().T @ core.reshape(-1, len(k)).T
-    core = bases[0][1] @ core.reshape(-1, len(roots)).T
-    # the core times 2^-e by the line fit's rule, as one row: the solve cannot
-    # overflow, and the amplitudes scale back exactly
-    core, e = linalg._pow2_scale(core.reshape(1, -1))
-    core = core.reshape(len(roots), -1)
-    design = _SeparableSum(tables)
-
-    eigenvalues, eigenvectors = linalg.eigh(design.gram())
-    errors = linalg._rank_errors(eigenvalues[None, ::-1], "amplitude system")
-    if errors:
-        raise errors[0]
-
-    def solve(values):
-        rhs = design.adjoint(values)
-        return eigenvectors @ ((eigenvectors.conj().T @ rhs) / eigenvalues)
-
-    amplitudes = solve(core)
-    amplitudes = amplitudes + solve(core - design.apply(amplitudes).reshape(core.shape))
-    with np.errstate(over="ignore"):
-        amplitudes = linalg._ldexp(amplitudes[None], e)[0]
-    return ExponentialSum.from_poles(poles, amplitudes, source.P)
+            raise errors[min(errors)]
+        siblings = [node.children for group in siblings for node in group]
+    return ExponentialSum.from_poles(poles, stack, source.P)
 
 
 def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=None):
     """Recover an exponential sum from a full coefficient grid.
 
-    Builds the pole tree, solves the amplitude system, and spot-checks that
-    the reconstruction reproduces the input coefficients at SPOT_CHECK_POINTS
-    indices drawn with the seed; a relative residual above RESYNTHESIS_TOL
-    there raises ResynthesisMismatch (the usual cause is a slice function
-    vanishing at the origin, which hides one of the poles from its axis line).
-    The tree's root peel feeds the amplitude solve, so the grid is read by one
-    product.
+    Builds the pole tree; the amplitudes are the residues of its leaf fits
+    (see leaves_to_sum, which replays the same peels).  The spot check then
+    draws SPOT_CHECK_POINTS indices with the seed: a reconstruction that
+    misses the input coefficients there by a relative residual above
+    RESYNTHESIS_TOL raises ResynthesisMismatch (the usual cause is a slice
+    function vanishing at the origin, which hides one of the poles from its
+    axis line).  The grid is read by one product, the root peel's.
 
-    Returns (ExponentialSum, PoleTree); the tree does not keep the root peel.
+    Returns (ExponentialSum, PoleTree).
     """
     check_nonnegative_int(seed, "seed")
-    tree = build_pole_tree(source, tol=tol, method=method, trace_sink=trace_sink)
-    signal = leaves_to_sum(tree, source)
-    tree = PoleTree(roots=tree.roots, dimension=tree.dimension)
+    tree, amplitudes = _build(source, tol, method, trace_sink)
+    signal = ExponentialSum.from_poles(tree.leaf_paths(), amplitudes, source.P)
     rng = np.random.default_rng(seed)
     picks = rng.integers(-source.N, source.N + 1, size=(SPOT_CHECK_POINTS, source.d))
     data = source.grid()[tuple((picks + source.N).T)]

@@ -5,9 +5,10 @@ verifies: adaptive quadrature instead of the closed coefficient formula, one
 (d+1)-operand einsum of the factor tables instead of the two-operand
 contraction of their Khatri-Rao halves,
 characteristic-polynomial roots instead of QZ, exhaustive permutation search
-instead of the assignment solver, explicit rank-one pseudoinverses, a dense
-least squares design instead of the separable normal system, the amplitude
-core contracted from the grid itself instead of from the root peel, a
+instead of the assignment solver, explicit rank-one pseudoinverses, the
+global least squares fit of the amplitudes (a dense design, or the normal
+system on a core contracted from the grid) and one peel per node instead of
+the leaf fits' residues and the level-at-a-time peels, a
 depth-first pole tree, one line fit and one peel per node, instead of the
 level-at-a-time build, a per-line pencil on a greedy refit instead of the
 stacked pencil on the line fit's own support points, and the sparse method
@@ -30,7 +31,7 @@ from expanal.errors import (
     TauViolation,
 )
 from expanal.linalg import RCOND, _rank_errors, eigh, gen_eig, sort_complex, svd
-from expanal.model import ExponentialSum, FullGrid, SparseLines, _SeparableSum
+from expanal.model import ExponentialSum, FullGrid, SparseLines
 from expanal.rational import DEFAULT_TOL, aaa_fit, pole_residue_from_samples
 from expanal.recursive import PoleTree, TreeNode, _merge_close, peel_dimension
 from expanal.sparse import (
@@ -133,13 +134,16 @@ def dense_amplitude_coefficients(poles, grid, P):
 
 
 def grid_contracting_leaves_to_sum(tree, source):
-    """The amplitude solve of leaves_to_sum on a core contracted from the grid.
+    """The global least squares fit of the amplitudes, on a core contracted
+    from the grid.
 
     Each axis's Q_a^H, Q_a the reduced QR basis of the Cauchy matrix of that
-    axis's distinct poles (axis 0 included, in sorted order), is applied
-    along its axis of the grid itself, the first product over the whole
-    grid; the normal system, its rank rule and its refinement step are those
-    of leaves_to_sum.
+    axis's distinct poles, is applied along its axis of the grid, the first
+    product over the whole grid.  The design lies in the Kronecker product of
+    the bases, so least squares on the core is least squares on the grid.  The
+    core system is solved through its M x M normal system (the elementwise
+    product of the per-axis Grams), refused when its eigenvalue ratio is at
+    most RCOND, with one step of iterative refinement.
     """
     poles = tree.leaf_paths()
     k = np.arange(-source.N, source.N + 1, dtype=float)
@@ -150,9 +154,11 @@ def grid_contracting_leaves_to_sum(tree, source):
         basis = np.linalg.qr(1.0 / (k[:, None] - np.unique(column)))[0]
         core = core.reshape(len(k), -1).T @ basis.conj()
         tables.append(basis.conj().T @ (1.0 / (k[:, None] - column)))
-    design = _SeparableSum(tables)
+    core = core.ravel()
+    design = _khatri_rao_design(tables)
+    gram = np.prod([table.conj().T @ table for table in tables], axis=0)
 
-    eigenvalues, eigenvectors = eigh(design.gram())
+    eigenvalues, eigenvectors = eigh(gram)
     if not eigenvalues[0] > RCOND * eigenvalues[-1]:
         raise IllConditioned(
             f"amplitude system is numerically rank deficient: Gram eigenvalue "
@@ -160,12 +166,37 @@ def grid_contracting_leaves_to_sum(tree, source):
         )
 
     def solve(values):
-        rhs = design.adjoint(values)
+        rhs = design.conj().T @ values
         return eigenvectors @ ((eigenvectors.conj().T @ rhs) / eigenvalues)
 
     amplitudes = solve(core)
-    amplitudes = amplitudes + solve(core - design.apply(amplitudes).reshape(core.shape))
+    amplitudes = amplitudes + solve(core - design @ amplitudes)
     return ExponentialSum.from_poles(poles, amplitudes, source.P)
+
+
+def _khatri_rao_design(tables):
+    """The dense design of per-axis (n_a, M) tables: row k is the product of
+    the tables' rows k_a, axis 0 slowest."""
+    design = np.ones((1, tables[0].shape[1]), dtype=complex)
+    for table in tables:
+        design = (design[:, None, :] * table[None, :, :]).reshape(-1, table.shape[1])
+    return design
+
+
+def per_node_peel_leaves_to_sum(tree, source):
+    """The amplitudes of a pole tree by one peel_dimension call per node,
+    depth first: a node's slice splits on its children's poles, and a leaf's
+    line (its parent's child slice) on the leaf poles gives their amplitudes."""
+
+    def amplitudes(nodes, values):
+        if values.ndim == 1:
+            return peel_dimension([node.pole for node in nodes], values[:, None])[:, 0].tolist()
+        children = peel_dimension([node.pole for node in nodes], values)
+        return [a for node, child in zip(nodes, children)
+                for a in amplitudes(node.children, child)]
+
+    return ExponentialSum.from_poles(tree.leaf_paths(),
+                                     np.array(amplitudes(tree.roots, source.grid())), source.P)
 
 
 def characteristic_roots(a):

@@ -27,10 +27,11 @@ REMOVED = {
     "expanal.sparse": ("plan", "SparseGridPlan", "HUNGARIAN_LIMIT", "_greedy_assignment"),
     "expanal.recursive": ("_line_poles", "SliceValues", "distinct_poles",
                           "TreeNode.leaf_multiplicity", "PoleTree._leaves", "_peel",
-                          "RESYNTHESIS_WARN_TOL"),
+                          "RESYNTHESIS_WARN_TOL", "PoleTree._root_peel", "_distinct"),
     "expanal.rational": ("_cauchy_lstsq", "_misfit_error"),
     "expanal.validation": ("check_positive_int", "check_rcond"),
-    "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices"),
+    "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices",
+                      "_SeparableSum.gram", "_SeparableSum.adjoint", "_SeparableSum.apply"),
     "expanal.errors": ("RankDeficient", "OrderMismatch", "ResynthesisWarning"),
     "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd"),
 }
@@ -117,7 +118,10 @@ def _bindings():
 
 def test_tracer_hooks_read_live_names():
     # the result hooks read PoleTree.level_sizes, PoleTree.order and
-    # CoefficientSource.grid; uninstall must restore every patched binding
+    # CoefficientSource.grid; uninstall must restore every patched binding.
+    # recover_recursive runs the tree build's kernel and solves no amplitude
+    # system, so the hooked build_pole_tree and leaves_to_sum are called here
+    # by name
     from cases import BIVARIATE_5, TRIVARIATE_4
 
     tracing = _tracing()
@@ -131,7 +135,9 @@ def test_tracer_hooks_read_live_names():
     tracer.install()
     try:
         case = TRIVARIATE_4
-        recursive.recover_recursive(case.signal.synthesize(case.P, case.N, FullGrid()))
+        source = case.signal.synthesize(case.P, case.N, FullGrid())
+        recursive.recover_recursive(source)
+        recursive.leaves_to_sum(recursive.build_pole_tree(source), source)
         case = BIVARIATE_5
         sparse.recover_sparse(case.signal.synthesize(case.P, case.N, SparseLines(case.tau)))
     finally:

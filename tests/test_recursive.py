@@ -57,6 +57,7 @@ from oracles import (
     dense_amplitude_coefficients,
     depth_first_pole_tree,
     grid_contracting_leaves_to_sum,
+    per_node_peel_leaves_to_sum,
 )
 
 
@@ -85,12 +86,12 @@ def peak_grids(call, *args, grid):
         tracemalloc.stop()
 
 
-def noisy_repeated_axis_grid(clean):
-    """The repeated-axis grid with relative noise 1e-3, seeded."""
+def noisy_repeated_axis_grid(clean, level=1e-3):
+    """The repeated-axis grid with relative noise `level`, seeded."""
     rng = np.random.default_rng(30)
     noise = rng.standard_normal(clean.grid().shape) + 1j * rng.standard_normal(clean.grid().shape)
     return CoefficientSource(3, 2.0, 10, FullGrid(),
-                             clean.grid() + 1e-3 * np.abs(clean.grid()).max() * noise)
+                             clean.grid() + level * np.abs(clean.grid()).max() * noise)
 
 
 def hand_tree(paths, d):
@@ -101,14 +102,6 @@ def hand_tree(paths, d):
         return TreeNode(pole=complex(path[0]), children=below)
 
     return PoleTree(roots=tuple(node(path) for path in paths), dimension=d).validate()
-
-
-def carrying_root_peel(tree, source):
-    """tree with the root peel of source's grid attached, as build_pole_tree
-    attaches the peel of the grid it read."""
-    roots = [root.pole for root in tree.roots]
-    return PoleTree(roots=tree.roots, dimension=tree.dimension,
-                    _root_peel=(source.grid(), peel_dimension(roots, source.grid())))
 
 
 def root_poles(source):
@@ -561,46 +554,51 @@ class TestLeavesToSum:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_dense_lstsq(self, d):
-        # noise leaves a nonzero least squares residual, so the normal-system
-        # solve must reproduce the dense solution, not just interpolate
+        # on the clean grid the peels interpolate, so they give the global
+        # least squares amplitudes; noise leaves a residual, and each level
+        # then solves its own least squares system, as one peel per node does
         rng = np.random.default_rng(20 + d)
         sig, _ = random_axis_distinct(rng, 4, d, tau=3)
         clean = sig.synthesize(2.0, 6, FullGrid())
         tree = build_pole_tree(clean)
+        rec = leaves_to_sum(tree, clean)
+        oracle = dense_amplitude_coefficients(tree.leaf_paths(), clean.grid(), 2.0)
+        assert np.abs(rec.coefficients - oracle).max() <= 1e-12 * np.abs(oracle).max()
         noise = rng.standard_normal(clean.grid().shape) + 1j * rng.standard_normal(clean.grid().shape)
         noisy = clean.grid() + 1e-3 * np.abs(clean.grid()).max() * noise
         src = CoefficientSource(d, 2.0, 6, FullGrid(), noisy)
         rec = leaves_to_sum(tree, src)
-        oracle = dense_amplitude_coefficients(tree.leaf_paths(), noisy, 2.0)
-        assert np.abs(rec.coefficients - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        oracle = per_node_peel_leaves_to_sum(tree, src).coefficients
+        assert np.abs(rec.coefficients - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("case", [BIVARIATE_5, TRIVARIATE_8], ids=lambda c: c.name)
     def test_refined_reference_grids_match_dense_lstsq(self, case):
-        # the normal system alone lands 4e-14 to 9e-14 from the dense
-        # solution here; its one refinement step brings it to about 1e-15
+        # the global solve the tests take as reference: its normal system
+        # alone lands 4e-14 to 9e-14 from the dense solution here, and its
+        # one refinement step brings it to about 1e-15
         src = case.signal.synthesize(case.P, case.N, FullGrid())
         tree = build_pole_tree(src)
-        rec = leaves_to_sum(tree, src)
+        rec = grid_contracting_leaves_to_sum(tree, src)
         oracle = dense_amplitude_coefficients(tree.leaf_paths(), src.grid(), case.P)
         assert np.abs(rec.coefficients - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     def test_repeated_axis_pole_matches_dense_lstsq(self):
-        # the shared root pole is one column of the axis-0 basis, and the
-        # noise leaves a residual outside the compressed core; the tree
-        # carries the clean grid's root peel, which must not stand in for
-        # the noisy grid's
+        # the shared root pole splits its slice into one child per leaf pole
+        # below it; on the noisy grid the amplitudes are the level-wise fit
         clean = repeated_axis_signal().synthesize(2.0, 10, FullGrid())
         tree = build_pole_tree(clean)
         assert len(tree.roots) == 3 and tree.order == 4
-        assert tree._root_peel[0] is clean.grid()
+        rec = leaves_to_sum(tree, clean)
+        oracle = dense_amplitude_coefficients(tree.leaf_paths(), clean.grid(), 2.0)
+        assert np.abs(rec.coefficients - oracle).max() <= 1e-12 * np.abs(oracle).max()
         noisy = noisy_repeated_axis_grid(clean)
         rec = leaves_to_sum(tree, noisy)
-        oracle = dense_amplitude_coefficients(tree.leaf_paths(), noisy.grid(), 2.0)
-        assert np.abs(rec.coefficients - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        oracle = per_node_peel_leaves_to_sum(tree, noisy).coefficients
+        assert np.abs(rec.coefficients - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_quadvariate_9_matches_dense_lstsq(self):
-        # the worst-conditioned reference grid: its solve lands about 1e-13
-        # from the dense solution, too far for the 1e-14 above
+        # the worst-conditioned reference grid: the level-wise fit lands
+        # 1.6e-13 from the dense solution
         case = QUADVARIATE_9
         src = case.signal.synthesize(case.P, case.N, FullGrid())
         tree = build_pole_tree(src)
@@ -608,7 +606,10 @@ class TestLeavesToSum:
         oracle = dense_amplitude_coefficients(tree.leaf_paths(), src.grid(), case.P)
         assert np.abs(rec.coefficients - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
-    def test_near_duplicate_paths_ill_conditioned(self):
+    @staticmethod
+    def _near_duplicate_roots(gap):
+        """A one-term bivariate grid and a tree with its root pole twice, the
+        second copy `gap` away, each above the term's leaf pole."""
         rng = np.random.default_rng(12)
         sig, poles = random_axis_distinct(rng, 1, 2, tau=3)
         src = sig.synthesize(2.0, 8, FullGrid())
@@ -617,16 +618,34 @@ class TestLeavesToSum:
             leaf = TreeNode(pole=complex(p[1]), children=())
             return TreeNode(pole=complex(p[0]), children=(leaf,))
 
-        tree = PoleTree(roots=(path(poles[0]), path(poles[0] + 1e-9)), dimension=2)
-        with pytest.raises(IllConditioned):
-            leaves_to_sum(tree.validate(), src)
+        tree = PoleTree(roots=(path(poles[0]), path(poles[0] + gap)), dimension=2)
+        return sig, src, tree.validate()
+
+    def test_near_duplicate_paths_ill_conditioned(self):
+        # the root peel's Cauchy matrix has a singular value ratio of about
+        # 1.8e-15 for roots 1e-14 apart, below the rank rule's RCOND
+        _, src, tree = self._near_duplicate_roots(1e-14)
+        with pytest.raises(IllConditioned, match="slice system for 2 poles is numerically"):
+            leaves_to_sum(tree, src)
+
+    def test_near_duplicate_paths_1e9_apart_solved(self):
+        # 1e-9 apart the ratio is about 1.7e-10, above RCOND: the root peel
+        # puts the term on the first copy (1.5e-7 off, relative) and next to
+        # nothing (8e-8 of it) on the second
+        sig, src, tree = self._near_duplicate_roots(1e-9)
+        rec = leaves_to_sum(tree, src)
+        truth = sig.coefficients[0]
+        assert abs(rec.coefficients[0] - truth) <= 1e-6 * abs(truth)
+        assert abs(rec.coefficients[1]) <= 1e-6 * abs(truth)
 
     @pytest.mark.parametrize("case", ALL_REFERENCE + ("univariate", "noisy-repeated-axis",
                                                       "unsorted-roots"),
                              ids=lambda c: getattr(c, "name", c))
     def test_carried_one_call_and_grid_contracting_agree(self, case):
-        # the core from the tree's own root peel, from a peel of an equal
-        # grid held by another source, and from the grid itself
+        # the replay reads the grid through the source alone, so an equal
+        # grid held by another source gives the same amplitudes; they are the
+        # level-wise fit of one peel per node, and on clean grids they are
+        # within 1e-12 of the global fit (quadvariate-9 lands 1.6e-13 away)
         if case == "univariate":
             sig, _ = random_axis_distinct(np.random.default_rng(40), 4, 1, tau=3)
             src = sig.synthesize(2.0, 8, FullGrid())
@@ -634,24 +653,23 @@ class TestLeavesToSum:
         elif case == "noisy-repeated-axis":
             clean = repeated_axis_signal().synthesize(2.0, 10, FullGrid())
             src = noisy_repeated_axis_grid(clean)
-            tree = carrying_root_peel(build_pole_tree(clean), src)
+            tree = build_pole_tree(clean)
         elif case == "unsorted-roots":
-            # R_0 must follow the root order of X's rows, not sorted order
+            # the peels follow the tree's root order, not sorted order
             src = TRIVARIATE_6.signal.synthesize(TRIVARIATE_6.P, TRIVARIATE_6.N, FullGrid())
             built = build_pole_tree(src)
-            tree = carrying_root_peel(PoleTree(roots=built.roots[::-1], dimension=3), src)
+            tree = PoleTree(roots=built.roots[::-1], dimension=3)
         else:
             src = case.signal.synthesize(case.P, case.N, FullGrid())
             tree = build_pole_tree(src)
-            assert tree._root_peel[0] is src.grid()
-        twin = CoefficientSource(src.d, src.P, src.N, FullGrid(), src.grid())
-        assert twin.grid() is not src.grid()
-        carried = leaves_to_sum(tree, src).coefficients
-        one_call = leaves_to_sum(tree, twin).coefficients
-        oracle = grid_contracting_leaves_to_sum(tree, src).coefficients
-        scale = np.abs(oracle).max()
-        assert np.abs(carried - oracle).max() <= 1e-13 * scale
-        assert np.abs(one_call - oracle).max() <= 1e-13 * scale
+        twin = CoefficientSource(src.d, src.P, src.N, FullGrid(), src.grid().copy())
+        rec = leaves_to_sum(tree, src).coefficients
+        assert np.array_equal(leaves_to_sum(tree, twin).coefficients, rec)
+        oracle = per_node_peel_leaves_to_sum(tree, src).coefficients
+        assert np.abs(rec - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        if case != "noisy-repeated-axis":
+            oracle = grid_contracting_leaves_to_sum(tree, src).coefficients
+            assert np.abs(rec - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     # bivariate-5 grid, hand-built validated trees; checked before anything
     # is solved, so no RuntimeWarning and no error from inside a solver
@@ -726,16 +744,6 @@ class TestRecoverRecursive:
         with pytest.raises(BadParameters, match="seed"):
             recover_recursive(src, seed=seed)
 
-    def test_returned_tree_drops_the_root_peel(self):
-        case = TRIVARIATE_8
-        src = case.signal.synthesize(case.P, case.N, FullGrid())
-        _, tree = recover_recursive(src)
-        assert tree._root_peel is None
-        built = build_pole_tree(src)
-        assert built._root_peel is not None
-        assert tree == built
-        assert tree.to_json() == built.to_json()
-
     def test_pencil_engine(self):
         case = TRIVARIATE_4
         src = case.signal.synthesize(case.P, case.N, FullGrid())
@@ -752,10 +760,74 @@ class TestRecoverRecursive:
         assert cross.frequency_error <= 1e-8
 
 
+class TestLeafResidues:
+    """recover_recursive takes the amplitudes from the residues of the leaf
+    fits, in depth-first leaf order, instead of solving for them again."""
+
+    @pytest.mark.parametrize("case", ALL_REFERENCE + ("repeated-axis",),
+                             ids=lambda c: getattr(c, "name", c))
+    def test_match_the_replay_and_the_dense_fit(self, case):
+        if case == "repeated-axis":
+            P, src = 2.0, repeated_axis_signal().synthesize(2.0, 10, FullGrid())
+        else:
+            P, src = case.P, case.signal.synthesize(case.P, case.N, FullGrid())
+        rec, tree = recover_recursive(src)
+        assert tree == build_pole_tree(src)
+        replay = leaves_to_sum(tree, src)
+        assert np.array_equal(replay.frequencies, rec.frequencies)
+        scale = np.abs(replay.coefficients).max()
+        assert np.abs(rec.coefficients - replay.coefficients).max() <= 1e-13 * scale
+        dense = dense_amplitude_coefficients(tree.leaf_paths(), src.grid(), P)
+        assert np.abs(rec.coefficients - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_merged_leaf_poles_are_solved_again(self, monkeypatch):
+        # the leaf fit of the first root's line reports its first pole twice,
+        # 1e-10 apart (relative), with the residue split between the copies:
+        # the merge keeps their mean, whose residue is solved again on the line
+        case = BIVARIATE_5
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        fit, stacks = recursive._fit_lines, []
+
+        def split_first_leaf_pole(lines, *args):
+            fits = fit(lines, *args)
+            stacks.append(len(lines))
+            if len(stacks) == 2:
+                poles, residues, trace = fits[0]
+                near = poles[0] + 1e-10 * np.abs(poles).max()
+                fits[0] = (np.append(poles, near),
+                           np.append(residues, residues[0] / 2) * np.r_[0.5, np.ones(len(poles))],
+                           trace)
+            return fits
+
+        monkeypatch.setattr(recursive, "_fit_lines", split_first_leaf_pole)
+        rec, tree = recover_recursive(src)
+        monkeypatch.undo()
+        assert stacks == [1, len(tree.roots)]
+        assert tree.order == case.signal.order
+        replay = leaves_to_sum(tree, src).coefficients
+        assert np.abs(rec.coefficients - replay).max() <= 1e-13 * np.abs(replay).max()
+        report = relative_errors(case.signal, rec)
+        assert report.frequency_error <= 1e-9 and report.coefficient_error <= 1e-8
+
+    def test_noisy_repeated_axis_within_3x_of_the_global_fit(self):
+        # the repeated-axis tree is no full tensor product, so the level-wise
+        # fit is not the global least squares fit: at noise 1e-12 its
+        # coefficient error is about twice the global fit's
+        sig = repeated_axis_signal()
+        src = noisy_repeated_axis_grid(sig.synthesize(2.0, 10, FullGrid()), level=1e-12)
+        rec, tree = recover_recursive(src, tol=1e-8)
+        assert tree.order == sig.order
+        dense = dense_amplitude_coefficients(tree.leaf_paths(), src.grid(), 2.0)
+        level_wise = relative_errors(sig, rec).coefficient_error
+        global_fit = relative_errors(sig, ExponentialSum(rec.frequencies, dense)).coefficient_error
+        assert level_wise <= 3 * global_fit
+
+
 class TestGridPasses:
-    """A recovery reads the grid with one product, the root peel's; the
-    amplitude solve builds its core from the peel's children, and each of
-    the two allocates well under one grid's worth of memory."""
+    """A recovery reads the grid with one product, the root peel's, and the
+    amplitudes come from the leaf fits; the root peel and the replay of the
+    peels in leaves_to_sum each allocate well under one grid's worth of
+    memory."""
 
     @pytest.fixture(scope="class")
     def trivariate_8(self):
@@ -771,12 +843,6 @@ class TestGridPasses:
         src, tree = trivariate_8
         roots = [root.pole for root in tree.roots]
         assert peak_grids(peel_dimension, roots, src.grid(), grid=src.grid()) < 0.4
-
-    def test_amplitude_solve_on_the_carried_peel_peak_allocation(self, trivariate_8):
-        # the core comes from the root peel's children, not from the grid
-        src, tree = trivariate_8
-        assert tree._root_peel[0] is src.grid()
-        assert peak_grids(leaves_to_sum, tree, src, grid=src.grid()) < 0.2
 
     def test_recovery_makes_one_grid_sized_product(self):
         case = TRIVARIATE_8
