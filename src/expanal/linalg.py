@@ -1,8 +1,8 @@
 """Dense complex linear algebra behind the recovery pipelines.
 
 Thin, contract-checked wrappers around LAPACK via numpy alone: SVD,
-truncated-SVD least squares, Hermitian eigendecomposition, the eigenvalues of
-one square matrix, and one least-cost assignment (shortest augmenting paths).
+truncated-SVD least squares, the eigenvalues of one square matrix, and one
+least-cost assignment (shortest augmenting paths).
 The library needs no scipy: both pole engines reduce their pencil to a
 standard eigenproblem, and the pairing and the error metric share
 linear_assignment.
@@ -123,19 +123,6 @@ def lstsq_with_rank(a, b):
         raise ShapeMismatch(f"a has {a.shape[0]} rows but b has length {b.shape[0]}")
     x, _, rank, _ = _lapack("least squares solve", np.linalg.lstsq, a, b, rcond=RCOND)
     return x, int(rank)
-
-
-def eigh(a):
-    """Eigendecomposition a = v @ diag(w) @ v.conj().T of a Hermitian matrix.
-
-    Reads the lower triangle; eigenvalues ascending, columns of v orthonormal.
-    No module calls it: the recursive method takes its amplitudes from the
-    leaf fits, and only the tests' reference amplitude solve uses it.
-    """
-    a = as_complex_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"matrix must be square, got {a.shape}")
-    return _lapack("Hermitian eigensolver", np.linalg.eigh, a)
 
 
 def gen_eig(a):

@@ -9,12 +9,14 @@ pole_residue_from_samples is the one line fit of both recovery methods: it
 owns the sample geometry k = -N..N and the whole acceptance policy, so no
 caller repeats any of it.  It is the fit's validation boundary: it checks its
 arguments once, then runs private kernels on trusted arrays.  The kernels
-take a stack of lines, so that the pole tree fits all lines of a level in one
-call; the public fit is their one-line case.  The public steps check their
-own arguments and call the same kernels.  The line fit caps max_order at N;
-its pencil projects onto the first m - 1 of the fit's own m support points.
-The greedy fit scales each line by an exact power of two, so that no kernel
-overflows, and the acceptance step scales the residues back.
+fit the central line of each slice of a stack, so that the pole tree fits a
+level in one call, and one Cauchy solve on the whole slice gives both the
+line's residues and the slice's children; the public fit is their one-line
+case.  The public steps check their own arguments and call the same kernels.
+The line fit caps max_order at N; its pencil projects onto the first m - 1
+of the fit's own m support points.  The greedy fit scales each line by an
+exact power of two, so that no kernel overflows, and the filter and the
+acceptance step read the residues scaled the same way.
 """
 
 import functools
@@ -407,7 +409,7 @@ def filter_spurious(poles, points, values):
     """Drop poles whose residue is below SPURIOUS_RESIDUE_RTOL of the largest
     (Froissart doublets) and refit the rest."""
     b, pts, vals = _cauchy_inputs(poles, points, values)
-    residues, partial = _filter_spurious(b[None], pts, vals[None])
+    residues, partial = _filter_spurious(b[None], pts, vals[None], np.zeros(1, int))
     result = partial.get(0, (b, residues[0]))
     if isinstance(result, ExpanalError):
         raise result
@@ -426,16 +428,25 @@ def _cauchy_inputs(poles, points, values):
     return b, pts, vals
 
 
-def _filter_spurious(b, pts, vals):
-    """filter_spurious on a trusted stack of lines with equal pole counts.
+def _central_residues(children, e):
+    """The central column of a (g, p, *tail) stack of children, row i times
+    2^-e[i]: the residues of the central lines, scaled as the fit scaled them."""
+    mid = (children.shape[-1] // 2,) * (children.ndim - 2)
+    return linalg._ldexp(children[(slice(None), slice(None)) + mid], -e)
 
-    Returns (residues, partial): residues is the (g, p) first solve, and
-    partial maps each line that does not keep every pole to its (kept poles
-    in input order, refitted residues) or to the error it fails with (a
-    refused residue system, or DegenerateFrequency).
+
+def _filter_spurious(b, pts, slices, e):
+    """filter_spurious on a trusted (g, n, *tail) stack of slices with equal
+    pole counts, on the residues of their central lines scaled by 2^-e.
+
+    Returns (children, partial): children (g, p, *tail) is the first solve,
+    on the whole slices, and partial maps each slice that does not keep every
+    pole to its (kept poles in input order, children solved again on them) or
+    to the error it fails with (a refused residue system, or
+    DegenerateFrequency).
     """
-    residues, partial = linalg.cauchy_lstsq(b, pts, vals, "residue system")
-    size = np.abs(residues)
+    children, partial = linalg.cauchy_lstsq(b, pts, slices, "residue system")
+    size = np.abs(_central_residues(children, e))
     top = size.max(axis=1)
     keep = size >= SPURIOUS_RESIDUE_RTOL * top[:, None]
     for i in np.flatnonzero(~keep.all(axis=1) | (top == 0.0)).tolist():
@@ -449,10 +460,10 @@ def _filter_spurious(b, pts, vals):
                 "all residues fall below the spurious-pole threshold")
         else:
             kept = b[i, keep[i]]
-            refit, errors = linalg.cauchy_lstsq(kept[None], pts, vals[i, None],
+            refit, errors = linalg.cauchy_lstsq(kept[None], pts, slices[i, None],
                                                 "residue system")
             partial[i] = errors[0] if errors else (kept, refit[0])
-    return residues, partial
+    return children, partial
 
 
 def check_fit_residual(pole_residue, points, values):
@@ -467,11 +478,11 @@ def check_fit_residual(pole_residue, points, values):
     vals = np.asarray(values, dtype=complex).ravel()
     if np.abs(vals).max() == 0.0:
         return
-    outcome = _accept(pole_residue.poles[None], pole_residue.residues[None],
-                      np.asarray(points, dtype=complex).ravel(), vals[None],
-                      np.ones(1, bool), 0, np.zeros(1, int))[0]
-    if isinstance(outcome, ExpanalError):
-        raise outcome
+    errors = _accept(pole_residue.poles[None], pole_residue.residues[None],
+                     np.asarray(points, dtype=complex).ravel(), vals[None],
+                     np.ones(1, bool), 0, np.zeros(1, int))
+    if errors:
+        raise errors[0]
 
 
 def _collisions(points, poles):
@@ -492,75 +503,75 @@ def _collisions(points, poles):
     return errors
 
 
-def _accept(poles, residues, points, vals, converged, steps, e):
-    """The checks after the spurious filter on a stack of lines scaled by 2^-e
-    with equal pole counts, in order: distinct poles and nonzero residues
-    (PoleResidue), NoConvergence, the misfit rule (check_fit_residual), and
-    residues * 2^e in range.  Per line, its first error or (poles, residues * 2^e).
+def _accept(poles, children, points, vals, converged, steps, e):
+    """The checks after the spurious filter on a stack of slices with equal
+    pole counts, on their central lines vals and residues scaled by 2^-e, in
+    order: distinct poles and nonzero residues (PoleResidue), NoConvergence,
+    and the misfit rule (check_fit_residual).  Returns {row: first error}.
 
     A line's samples are never all zero here: such a line stops on its first
     support point and fails as constant."""
+    residues = _central_residues(children, e)
     model = (residues[:, None, :] / (points[:, None] - poles[:, None, :])).sum(axis=-1)
     resid = np.abs(model - vals) / np.abs(vals).max(axis=1)[:, None]
     bad = resid > ISOLATED_MISFIT_TOL
     # sorted poles: equal ones are neighbours
     repeated = poles[:, 1:] == poles[:, :-1]
-    with np.errstate(over="ignore"):
-        unscaled = linalg._ldexp(residues, e)
-    finite = np.isfinite(unscaled).all(axis=1)
-    out = list(zip(poles, unscaled))
-    if (converged.all() and finite.all()
-            and not (bad.any() or repeated.any() or (residues == 0).any())):
-        return out
-    for i, (count, dup, zero, done, ok) in enumerate(zip(
+    zero = residues == 0
+    errors = {}
+    if converged.all() and not (bad.any() or repeated.any() or zero.any()):
+        return errors
+    for i, (count, dup, nil, done) in enumerate(zip(
             bad.sum(axis=1).tolist(), repeated.any(axis=1).tolist(),
-            (residues == 0).any(axis=1).tolist(), converged.tolist(), finite.tolist())):
+            zero.any(axis=1).tolist(), converged.tolist())):
         if dup:
-            out[i] = BadParameters("poles must be pairwise distinct")
-        elif zero:
-            out[i] = BadParameters("residues must be nonzero")
+            errors[i] = BadParameters("poles must be pairwise distinct")
+        elif nil:
+            errors[i] = BadParameters("residues must be nonzero")
         elif not done:
-            out[i] = NoConvergence(f"greedy fit did not reach tolerance within {steps} steps")
+            errors[i] = NoConvergence(f"greedy fit did not reach tolerance within {steps} steps")
         elif count and count / len(points) <= 0.1:
             worst = int(np.argmax(resid[i]))
-            out[i] = DegenerateFrequency(
+            errors[i] = DegenerateFrequency(
                 f"fit converged except at {count} isolated sample(s); worst "
                 f"relative misfit {resid[i, worst]:.3e} at point index {worst}")
         elif count:
-            out[i] = NoConvergence(f"fitted model misses {count} of {len(points)} samples")
-        elif not ok:
-            out[i] = BadParameters("residues overflow: the samples are too large")
-    return out
+            errors[i] = NoConvergence(f"fitted model misses {count} of {len(points)} samples")
+    return errors
 
 
-def _fit_lines(vals, tol, max_order, method):
-    """The line fit on a trusted (r, 2N+1) stack of samples at k = -N..N.
+def _fit_lines(slices, tol, max_order, method):
+    """The line fit on a trusted (r, 2N+1, *tail) stack of slices, on each
+    slice's central line (samples at k = -N..N, the tail at its centre).
 
-    Returns one outcome per line: (poles sorted by (real, imag), residues,
+    Returns one outcome per slice: (poles sorted by (real, imag), children,
     AaaTrace), or the ExpanalError that pole_residue_from_samples raises on
-    that line alone.  A bad method, tol or max_order (an integer in 1..N)
-    raises before any work.  Each step runs as one stacked call per group of
-    lines of equal size, so the number of numpy calls grows with the fit
-    steps and the groups, not with the lines.  A LAPACK failure fails its
-    whole stacked call; the stack is then refitted line by line, which pins
-    the failure on its line.
+    that line alone.  The children (len(poles), *tail) solve the Cauchy
+    system of the poles on the whole slice: their central column is the
+    line's residues, and a line's children are its residues.  A bad method,
+    tol or max_order (an integer in 1..N) raises before any work.  Each step
+    runs as one stacked call per group of slices of equal size, so the number
+    of numpy calls grows with the fit steps and the groups, not with the
+    slices.  A LAPACK failure fails its whole stacked call; the stack is then
+    refitted slice by slice, which pins the failure on its slice.
     """
     if method not in ("eig", "pencil"):
         raise BadParameters(f"unknown pole method {method!r}")
-    max_order = _fit_args(vals.shape[1], tol, max_order, cap=vals.shape[1] // 2)
+    max_order = _fit_args(slices.shape[1], tol, max_order, cap=slices.shape[1] // 2)
     try:
-        return _fit_stack(vals, tol, max_order, method)
+        return _fit_stack(slices, tol, max_order, method)
     except ConvergenceFailure as exc:
-        if len(vals) == 1:
+        if len(slices) == 1:
             return [exc]
-        return [_fit_lines(line[None], tol, max_order, method)[0] for line in vals]
+        return [_fit_lines(one[None], tol, max_order, method)[0] for one in slices]
 
 
-def _fit_stack(vals, tol, max_order, method):
+def _fit_stack(slices, tol, max_order, method):
     """_fit_lines without the refit on a LAPACK failure."""
-    points = _sample_points(vals.shape[1])
-    out = [None] * len(vals)
-    live = np.arange(len(vals))
+    points = _sample_points(slices.shape[1])
+    vals = slices[(slice(None), slice(None)) + (len(points) // 2,) * (slices.ndim - 2)]
+    out = [None] * len(slices)
+    live = np.arange(len(slices))
     if not np.isfinite(vals).all():
         finite = np.isfinite(vals).all(axis=1)
         for i in np.flatnonzero(~finite).tolist():
@@ -568,7 +579,9 @@ def _fit_stack(vals, tol, max_order, method):
         live, vals = live[finite], vals[finite]
     groups, traces, vals, e = _greedy_fit(points, vals, tol, max_order)
     for rows, chosen, weights, converged in groups:
-        fits = _fit_group(points, vals[rows], e[rows], chosen, weights, converged, method)
+        # a group of every slice (the root) is solved in place, not copied
+        group = slices if len(rows) == len(slices) else slices[live[rows]]
+        fits = _fit_group(points, group, vals[rows], e[rows], chosen, weights, converged, method)
         for i, row, fit in zip(live[rows].tolist(), rows.tolist(), fits):
             out[i] = fit if isinstance(fit, ExpanalError) else fit + (traces[row],)
     return out
@@ -584,9 +597,10 @@ def _drop(out, alive, settled, *arrays):
     return [alive[keep]] + [array[keep] for array in arrays]
 
 
-def _fit_group(points, vals, e, chosen, weights, converged, method):
-    """The policy after the greedy fit, for lines scaled by 2^-e with the same
-    number of support points: per line (poles, residues * 2^e) or its error."""
+def _fit_group(points, slices, vals, e, chosen, weights, converged, method):
+    """The policy after the greedy fit, for slices whose central lines vals,
+    scaled by 2^-e, have the same number of support points: per slice
+    (poles, children) or its error."""
     g, m = chosen.shape
     if m < 2:
         return [DegenerateFrequency(
@@ -600,20 +614,21 @@ def _fit_group(points, vals, e, chosen, weights, converged, method):
     # a line refused by its engine keeps that error, whatever its poles
     errors = {**_collisions(points, poles), **errors}
     if errors:
-        alive, poles, vals, converged = _drop(out, alive, errors, poles, vals, converged)
+        alive, poles, slices, vals, e, converged = _drop(
+            out, alive, errors, poles, slices, vals, e, converged)
     # both engines sort their poles and the filter keeps their order
-    residues, partial = _filter_spurious(poles, points, vals)
+    children, partial = _filter_spurious(poles, points, slices, e)
     if partial:
         for pos, fit in partial.items():
             if not isinstance(fit, ExpanalError):
                 kept, refit = fit
                 partial[pos] = _accept(kept[None], refit[None], points, vals[pos, None],
-                                       converged[pos, None], m, e[alive[pos], None])[0]
-        alive, poles, residues, vals, converged = _drop(
-            out, alive, partial, poles, residues, vals, converged)
-    accepted = _accept(poles, residues, points, vals, converged, m, e[alive])
-    for line, outcome in zip(alive.tolist(), accepted):
-        out[line] = outcome
+                                       converged[pos, None], m, e[pos, None]).get(0, fit)
+        alive, poles, children, vals, e, converged = _drop(
+            out, alive, partial, poles, children, vals, e, converged)
+    errors = _accept(poles, children, points, vals, converged, m, e)
+    for pos, line in enumerate(alive.tolist()):
+        out[line] = errors.get(pos, (poles[pos], children[pos]))
     return out
 
 
@@ -626,10 +641,10 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
     from the pencil on its first m - 1 support points (method="pencil").  All
     arguments are checked first (max_order <= N); the policy then runs in this
     order: pole extraction, the sample-collision check (DegenerateFrequency),
-    the spurious-pole filter, NoConvergence when the greedy fit missed its
-    tolerance, the misfit rule (check_fit_residual), and residues beyond the
-    float range (BadParameters).  This is the one-line case of the stacked fit
-    that build_pole_tree runs on every line of a tree level.
+    the residue solve (BadParameters beyond the float range), the spurious
+    filter, NoConvergence when the greedy fit missed its tolerance, and the
+    misfit rule (check_fit_residual).  This is the one-line case of the
+    stacked fit that build_pole_tree runs on the slices of a tree level.
 
     Returns (PoleResidue with poles sorted by (real, imag), AaaTrace).
     """

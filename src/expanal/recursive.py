@@ -5,19 +5,20 @@ One coordinate is peeled at a time, and the pole tree is built one level
 next to peel, stacked in one array in depth-first (pre-order) order.  One
 stacked call of the line fit (the kernel of rational.pole_residue_from_samples,
 with the same policy as the line-based method; only close poles are merged
-here) finds the distinct poles on the central axis lines of all of them.  A
-Cauchy least squares solve (linalg.cauchy_lstsq), one SVD per slice reused
-across all its tail indices, then splits each slice into one lower-dimensional
-slice per pole; the slices with the same pole count are split by one stacked
-call, and their children form the next level.  So the numpy calls of a tree
-grow with its levels and fit steps, not with its nodes.  The root-to-leaf
-paths of the tree are the recovered pole vectors, so pairing is automatic and
-repeated per-axis values are handled.
+here) finds the distinct poles on the central axis lines of all of them.  Its
+residue solve, a Cauchy least squares solve (linalg.cauchy_lstsq) with one SVD
+per slice reused across all its tail indices, runs on the whole slice, so one
+solve per slice gives both the line's residues and one lower-dimensional
+child per pole; the children form the next level, and only a slice whose
+close poles were merged is solved again.  So the numpy calls of a tree grow
+with its levels and fit steps, not with its nodes.  The root-to-leaf paths of
+the tree are the recovered pole vectors, so pairing is automatic and repeated
+per-axis values are handled.
 
-A slice of the last level is a single line, and the residues of its fit are
-the amplitudes of the terms below it: a recovery solves no separate amplitude
-system, and reads the grid with one product, the root peel's.  leaves_to_sum
-replays the same peels for a given tree and grid.
+A slice of the last level is a single line, and its children are the
+amplitudes of the terms below it: a recovery solves no separate amplitude
+system, and reads the grid with one product, the root fit's solve.
+leaves_to_sum replays the same splits for a given tree and grid.
 """
 
 import bisect
@@ -190,8 +191,8 @@ def peel_dimension(poles, parent_values):
     samples or a rank deficient system raise IllConditioned.
 
     Returns the (len(poles), *tail) solution array: row j is the child slice
-    of poles[j].  This is the one-slice case of the stacked peel that
-    build_pole_tree runs on each tree level.
+    of poles[j]: the children of a tree slice's residue solve, as the
+    stacked peel of leaves_to_sum replays them on each tree level.
     """
     vals = np.asarray(parent_values, dtype=complex)
     if vals.ndim < 2:
@@ -244,9 +245,9 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
     A level holds the slices whose leading axis is the next to peel, stacked
     in depth-first (pre-order) order.  One stacked line fit finds the poles
     on the central axis lines of all of them (at most source.N per line;
-    close poles merged), and one stacked peel per pole count splits them into
-    the per-pole child slices that form the next level; the last dimension's
-    poles become leaves.
+    close poles merged), and its residue solve on each whole slice splits it
+    into the per-pole child slices that form the next level; the last
+    dimension's poles become leaves.
 
     Result and errors are those of a depth-first build.  A failing node is
     recorded with its depth-first key, the nodes whose key sorts after the
@@ -259,37 +260,33 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
 
 def _build(source, tol, method, trace_sink):
     """build_pole_tree, and the amplitudes: (tree, amplitudes in depth-first
-    leaf order).  A leaf-level slice is a line, so the residues of its fit
-    are the amplitudes of the leaves below it; a leaf row whose close poles
-    were merged has its residues solved again on the merged poles."""
+    leaf order).  The children of each slice's fit (solved again for merged
+    poles) form the next level; a leaf-level slice is a line, so its children
+    are the amplitudes of the leaves below it."""
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
     n_half = source.N
     stack, keys, paths = source.grid()[None], [()], [()]
     levels, traced, failures = [], [], []
-    while keys:
-        lines = stack[(slice(None), slice(None)) + (n_half,) * (stack.ndim - 2)]
+    while keys and stack.ndim > 1:
         try:
-            fits = _fit_lines(lines, tol, n_half, method)
+            fits = _fit_lines(stack, tol, n_half, method)
         except ExpanalError as exc:
             # tol and method fail on the first line fitted, the root
             raise type(exc)(f"at pole path (): {exc}") from exc
-        poles, residues = [None] * len(fits), [None] * len(fits)
+        poles, children = [None] * len(fits), [stack[:0, 0]] * len(fits)
         for i, fit in enumerate(fits):
             if isinstance(fit, ExpanalError):
                 failures.append((keys[i], paths[i], fit))
             else:
-                poles[i], residues[i] = fit[0], fit[1]
+                poles[i], children[i] = fit[0], fit[1]
                 traced.append((keys[i], fit[2]))
-        merged = _merge_rows(poles)
+        for i in _merge_rows(poles):
+            children[i], errors = _peel_level([poles[i]], stack[i, None])
+            failures += [(keys[i], paths[i], exc) for exc in errors.values()]
         levels.append(poles)
-        if stack.ndim == 2:
-            for i in merged:
-                residues[i], errors = _peel_level([poles[i]], stack[i, None])
-                failures += [(keys[i], paths[i], exc) for exc in errors.values()]
-            break
-        stack, errors = _peel_level(poles, stack)
-        failures += [(keys[i], paths[i], exc) for i, exc in errors.items()]
+        # the root's children are its solve's array, not a copy
+        stack = children[0] if len(children) == 1 else np.concatenate(children)
         keys = [key + (j,) for key, row in zip(keys, poles) if row is not None
                 for j in range(len(row))]
         paths = [path + (pole,) for path, row in zip(paths, poles) if row is not None
@@ -311,7 +308,7 @@ def _build(source, tol, method, trace_sink):
     for rows in reversed(levels):
         below = iter([tuple(TreeNode(pole=pole, children=next(below)) for pole in row.tolist())
                       for row in rows])
-    return PoleTree(roots=next(below), dimension=source.d), np.concatenate(residues)
+    return PoleTree(roots=next(below), dimension=source.d), stack
 
 
 def leaves_to_sum(tree, source):
@@ -357,12 +354,12 @@ def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=
     """Recover an exponential sum from a full coefficient grid.
 
     Builds the pole tree; the amplitudes are the residues of its leaf fits
-    (see leaves_to_sum, which replays the same peels).  The spot check then
+    (see leaves_to_sum, which replays the same splits).  The spot check then
     draws SPOT_CHECK_POINTS indices with the seed: a reconstruction that
     misses the input coefficients there by a relative residual above
     RESYNTHESIS_TOL raises ResynthesisMismatch (the usual cause is a slice
     function vanishing at the origin, which hides one of the poles from its
-    axis line).  The grid is read by one product, the root peel's.
+    axis line).  The grid is read by one product, the root fit's solve.
 
     Returns (ExponentialSum, PoleTree).
     """

@@ -30,7 +30,7 @@ from expanal.errors import (
     NoConvergence,
     TauViolation,
 )
-from expanal.linalg import RCOND, _rank_errors, eigh, gen_eig, sort_complex, svd
+from expanal.linalg import RCOND, _rank_errors, gen_eig, sort_complex, svd
 from expanal.model import ExponentialSum, FullGrid, SparseLines
 from expanal.rational import DEFAULT_TOL, aaa_fit, pole_residue_from_samples
 from expanal.recursive import PoleTree, TreeNode, _merge_close, peel_dimension
@@ -158,7 +158,7 @@ def grid_contracting_leaves_to_sum(tree, source):
     design = _khatri_rao_design(tables)
     gram = np.prod([table.conj().T @ table for table in tables], axis=0)
 
-    eigenvalues, eigenvectors = eigh(gram)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
     if not eigenvalues[0] > RCOND * eigenvalues[-1]:
         raise IllConditioned(
             f"amplitude system is numerically rank deficient: Gram eigenvalue "

@@ -33,7 +33,7 @@ REMOVED = {
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices",
                       "_SeparableSum.gram", "_SeparableSum.adjoint", "_SeparableSum.apply"),
     "expanal.errors": ("RankDeficient", "OrderMismatch", "ResynthesisWarning"),
-    "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd"),
+    "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd", "eigh"),
 }
 
 # Thresholds are module constants, each with one owner (linalg.RCOND,

@@ -12,7 +12,6 @@ from expanal import gen_eig, lstsq, svd
 from expanal.errors import BadParameters, IllConditioned, ShapeMismatch
 from expanal.linalg import (
     cauchy_lstsq,
-    eigh,
     linear_assignment,
     lstsq_with_rank,
     sort_complex,
@@ -168,20 +167,6 @@ class TestCauchyLstsq:
         assert "test system has non-finite entries" in str(errors[0])
         assert isinstance(errors[1], IllConditioned)
         assert np.array_equal(x[2], cauchy_lstsq(b[2:], k, rhs[2:], "test system")[0][0])
-
-
-class TestEigh:
-    def test_reconstruction_ascending(self):
-        rng = np.random.default_rng(8)
-        b = random_complex(rng, (5, 5))
-        a = b.conj().T @ b
-        w, v = eigh(a)
-        assert np.all(np.diff(w) >= 0)
-        assert np.abs(v @ np.diag(w) @ v.conj().T - a).max() <= 1e-12 * np.abs(a).max()
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ShapeMismatch):
-            eigh(np.ones((2, 3)))
 
 
 class TestGenEig:
