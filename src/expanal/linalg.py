@@ -9,10 +9,12 @@ linear_assignment.
 
 RCOND is the one numerical-rank cutoff and _rank_errors its one rule, for the
 pencil engine and cauchy_lstsq, the one solver of sum_j x_j / (k - b_j) = rhs
-(the line fit's residues, the slice peel and the pairing of both methods).
-_lapack is the one conversion of a LAPACK failure to ConvergenceFailure, and
-_pow2_scale the one exact power-of-two scaling of a stack of lines (the line
-fit's).
+(the line fit's residues, the slice peel and the pairing of both methods);
+_cauchy_pinv forms its pseudo-inverses, which the pole tree also carries down
+its leading levels.  _out_of_range is the one check of a solution against the
+float range, _lapack the one conversion of a LAPACK failure to
+ConvergenceFailure, and _pow2_scale the one exact power-of-two scaling of a
+stack of lines (the line fit's).
 """
 
 import math
@@ -83,7 +85,27 @@ def cauchy_lstsq(b, k, rhs, what):
     s[-1] <= RCOND * s[0] with IllConditioned.  A LAPACK failure is pinned on
     its row by solving the rows one at a time.
     """
+    x, errors, _ = _cauchy_solve(b, k, rhs, what)
+    return x, errors
+
+
+def _cauchy_solve(b, k, rhs, what):
+    """cauchy_lstsq, and the (g, p, n) pseudo-inverses it applied."""
     g, n = rhs.shape[:2]
+    pinv, errors = _cauchy_pinv(b, k, what)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = pinv @ rhs.reshape(g, n, math.prod(rhs.shape[2:]))
+    for i, exc in _out_of_range(x, what).items():
+        errors.setdefault(i, exc)
+    return x.reshape(b.shape + rhs.shape[2:]), errors, pinv
+
+
+def _cauchy_pinv(b, k, what):
+    """The (g, p, n) pseudo-inverses of the Cauchy matrices 1 / (k - b[i]) of
+    a (g, p) stack of poles, one SVD for the stack, and {row: error naming
+    `what`} for the rows cauchy_lstsq refuses before solving (the rank rule,
+    a non-finite matrix, a LAPACK failure); a refused row's pseudo-inverse is
+    finite and meaningless."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cauchy = 1.0 / (k[:, None] - b[:, None, :])
         finite = np.isfinite(cauchy).all(axis=(1, 2))
@@ -91,23 +113,28 @@ def cauchy_lstsq(b, k, rhs, what):
         try:
             u, s, vh = _lapack("SVD", np.linalg.svd, cauchy, full_matrices=False)
         except ConvergenceFailure as exc:
-            if g == 1:
-                return np.zeros(b.shape + rhs.shape[2:], dtype=complex), {0: exc}
-            parts = [cauchy_lstsq(b[i, None], k, rhs[i, None], what) for i in range(g)]
-            return (np.concatenate([x for x, _ in parts]),
+            if len(b) == 1:
+                return np.zeros((1, b.shape[1], len(k)), dtype=complex), {0: exc}
+            parts = [_cauchy_pinv(row[None], k, what) for row in b]
+            return (np.concatenate([pinv for pinv, _ in parts]),
                     {i: errs[0] for i, (_, errs) in enumerate(parts) if errs})
-        errors = _rank_errors(s if b.shape[1] <= n else np.zeros((g, 1)), what)  # wide: rank < p
+        # wide: rank < p
+        errors = _rank_errors(s if b.shape[1] <= len(k) else np.zeros((len(b), 1)), what)
         for i in np.flatnonzero(~finite).tolist():
             errors[i] = _non_finite_cauchy(what)
         s[list(errors)] = 1.0  # every kept s > 0
-        pinv = (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1)
-        x = pinv @ rhs.reshape(g, n, math.prod(rhs.shape[2:]))
-    # an overflow is read from the values, so it is found in any BLAS thread
+        return (vh.conj().transpose(0, 2, 1) / s[:, None, :]) @ u.conj().transpose(0, 2, 1), errors
+
+
+def _out_of_range(x, what):
+    """{row: BadParameters naming `what`} for the rows of a (g, ...) stack of
+    solutions with an entry outside the float range.  The overflow is read
+    from the values, so it is found in any BLAS thread."""
     ok = np.isfinite(x.view(float))
-    if not ok.all():
-        for i in np.flatnonzero(~ok.all(axis=(1, 2))).tolist():
-            errors.setdefault(i, BadParameters(f"{what} has a solution outside the float range"))
-    return x.reshape(b.shape + rhs.shape[2:]), errors
+    if ok.all():
+        return {}
+    return {i: BadParameters(f"{what} has a solution outside the float range")
+            for i in np.flatnonzero(~ok.reshape(len(x), -1).all(axis=1)).tolist()}
 
 
 def lstsq(a, b):

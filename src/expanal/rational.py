@@ -11,12 +11,14 @@ caller repeats any of it.  It is the fit's validation boundary: it checks its
 arguments once, then runs private kernels on trusted arrays.  The kernels
 fit the central line of each slice of a stack, so that the pole tree fits a
 level in one call, and one Cauchy solve on the whole slice gives both the
-line's residues and the slice's children; the public fit is their one-line
-case.  The public steps check their own arguments and call the same kernels.
-The line fit caps max_order at N; its pencil projects onto the first m - 1
-of the fit's own m support points.  The greedy fit scales each line by an
-exact power of two, so that no kernel overflows, and the filter and the
-acceptance step read the residues scaled the same way.
+line's residues and the slice's children; they also hand back the solve's
+pseudo-inverse, with which the tree splits slices it never formed.  The
+public fit is their one-line case.  The public steps check their own
+arguments and call the same kernels.  The line fit caps max_order at N; its
+pencil projects onto the first m - 1 of the fit's own m support points.  The
+greedy fit scales each line by an exact power of two, so that no kernel
+overflows, and the filter and the acceptance step read the residues scaled
+the same way.
 """
 
 import functools
@@ -35,7 +37,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .model import ExponentialSum
-from .validation import _positive_int, as_complex_vector, check_distinct
+from .validation import _is_real, _positive_int, as_complex_vector, check_distinct
 
 DEFAULT_TOL = 1e-12
 SPURIOUS_RESIDUE_RTOL = 1e-12
@@ -165,8 +167,8 @@ def _fit_args(n, tol, max_order, cap=np.inf):
     """Check a greedy fit's arguments on n samples; returns max_order."""
     if n < 2:
         raise BadParameters("need at least two sample points")
-    if not 0 < tol < np.inf:
-        raise BadParameters(f"tol must be finite and positive, got {tol!r}")
+    if not (_is_real(tol) and tol > 0):
+        raise BadParameters(f"tol must be a finite positive real number, got {tol!r}")
     max_order = min(n // 2, 100) if max_order is None else _positive_int(max_order, "max_order")
     if max_order > cap:
         raise BadParameters(f"max_order must be at most N = {cap}, got {max_order}")
@@ -409,11 +411,11 @@ def filter_spurious(poles, points, values):
     """Drop poles whose residue is below SPURIOUS_RESIDUE_RTOL of the largest
     (Froissart doublets) and refit the rest."""
     b, pts, vals = _cauchy_inputs(poles, points, values)
-    residues, partial = _filter_spurious(b[None], pts, vals[None], np.zeros(1, int))
+    residues, _, partial = _filter_spurious(b[None], pts, vals[None], np.zeros(1, int))
     result = partial.get(0, (b, residues[0]))
     if isinstance(result, ExpanalError):
         raise result
-    return PoleResidue(*result)
+    return PoleResidue(*result[:2])
 
 
 def _cauchy_inputs(poles, points, values):
@@ -439,13 +441,14 @@ def _filter_spurious(b, pts, slices, e):
     """filter_spurious on a trusted (g, n, *tail) stack of slices with equal
     pole counts, on the residues of their central lines scaled by 2^-e.
 
-    Returns (children, partial): children (g, p, *tail) is the first solve,
-    on the whole slices, and partial maps each slice that does not keep every
-    pole to its (kept poles in input order, children solved again on them) or
-    to the error it fails with (a refused residue system, or
+    Returns (children, pinv, partial): children (g, p, *tail) is the first
+    solve, on the whole slices, with the (g, p, n) pseudo-inverses pinv it
+    applied, and partial maps each slice that does not keep every pole to its
+    (kept poles in input order, children and pseudo-inverse solved again on
+    them) or to the error it fails with (a refused residue system, or
     DegenerateFrequency).
     """
-    children, partial = linalg.cauchy_lstsq(b, pts, slices, "residue system")
+    children, partial, pinv = linalg._cauchy_solve(b, pts, slices, "residue system")
     size = np.abs(_central_residues(children, e))
     top = size.max(axis=1)
     keep = size >= SPURIOUS_RESIDUE_RTOL * top[:, None]
@@ -460,10 +463,10 @@ def _filter_spurious(b, pts, slices, e):
                 "all residues fall below the spurious-pole threshold")
         else:
             kept = b[i, keep[i]]
-            refit, errors = linalg.cauchy_lstsq(kept[None], pts, slices[i, None],
-                                                "residue system")
-            partial[i] = errors[0] if errors else (kept, refit[0])
-    return children, partial
+            refit, errors, refit_pinv = linalg._cauchy_solve(kept[None], pts, slices[i, None],
+                                                             "residue system")
+            partial[i] = errors[0] if errors else (kept, refit[0], refit_pinv[0])
+    return children, pinv, partial
 
 
 def check_fit_residual(pole_residue, points, values):
@@ -545,10 +548,13 @@ def _fit_lines(slices, tol, max_order, method):
     slice's central line (samples at k = -N..N, the tail at its centre).
 
     Returns one outcome per slice: (poles sorted by (real, imag), children,
-    AaaTrace), or the ExpanalError that pole_residue_from_samples raises on
-    that line alone.  The children (len(poles), *tail) solve the Cauchy
-    system of the poles on the whole slice: their central column is the
-    line's residues, and a line's children are its residues.  A bad method,
+    AaaTrace, pseudo-inverse), or the ExpanalError that
+    pole_residue_from_samples raises on that line alone.  The children
+    (len(poles), *tail) solve the Cauchy system of the poles on the whole
+    slice: their central column is the line's residues, and a line's
+    children are its residues.  The (len(poles), 2N+1) pseudo-inverse of
+    that system is the one the solve applied, so a caller that holds only
+    the line can split a slice it has not formed.  A bad method,
     tol or max_order (an integer in 1..N) raises before any work.  Each step
     runs as one stacked call per group of slices of equal size, so the number
     of numpy calls grows with the fit steps and the groups, not with the
@@ -579,11 +585,15 @@ def _fit_stack(slices, tol, max_order, method):
         live, vals = live[finite], vals[finite]
     groups, traces, vals, e = _greedy_fit(points, vals, tol, max_order)
     for rows, chosen, weights, converged in groups:
-        # a group of every slice (the root) is solved in place, not copied
+        # a group of every slice is solved in place, not copied
         group = slices if len(rows) == len(slices) else slices[live[rows]]
         fits = _fit_group(points, group, vals[rows], e[rows], chosen, weights, converged, method)
         for i, row, fit in zip(live[rows].tolist(), rows.tolist(), fits):
-            out[i] = fit if isinstance(fit, ExpanalError) else fit + (traces[row],)
+            if isinstance(fit, ExpanalError):
+                out[i] = fit
+            else:
+                poles, children, pinv = fit
+                out[i] = (poles, children, traces[row], pinv)
     return out
 
 
@@ -600,12 +610,14 @@ def _drop(out, alive, settled, *arrays):
 def _fit_group(points, slices, vals, e, chosen, weights, converged, method):
     """The policy after the greedy fit, for slices whose central lines vals,
     scaled by 2^-e, have the same number of support points: per slice
-    (poles, children) or its error."""
+    (poles, children, pseudo-inverse of the residue solve) or its error."""
     g, m = chosen.shape
     if m < 2:
-        return [DegenerateFrequency(
-            "samples are constant; no rational structure of positive order"
-        ) for _ in range(g)]
+        # one support point: the fit is the constant at that point
+        return [DegenerateFrequency("samples are constant; no rational structure of "
+                                    "positive order") if ok else
+                NoConvergence("greedy fit did not reach tolerance within 1 steps")
+                for ok in converged.tolist()]
     out, alive = [None] * g, np.arange(g)
     if method == "eig":
         poles, errors = _arrowhead_poles(points[chosen], weights)
@@ -617,18 +629,18 @@ def _fit_group(points, slices, vals, e, chosen, weights, converged, method):
         alive, poles, slices, vals, e, converged = _drop(
             out, alive, errors, poles, slices, vals, e, converged)
     # both engines sort their poles and the filter keeps their order
-    children, partial = _filter_spurious(poles, points, slices, e)
+    children, pinv, partial = _filter_spurious(poles, points, slices, e)
     if partial:
         for pos, fit in partial.items():
             if not isinstance(fit, ExpanalError):
-                kept, refit = fit
+                kept, refit, _ = fit
                 partial[pos] = _accept(kept[None], refit[None], points, vals[pos, None],
                                        converged[pos, None], m, e[pos, None]).get(0, fit)
-        alive, poles, children, vals, e, converged = _drop(
-            out, alive, partial, poles, children, vals, e, converged)
+        alive, poles, children, pinv, vals, e, converged = _drop(
+            out, alive, partial, poles, children, pinv, vals, e, converged)
     errors = _accept(poles, children, points, vals, converged, m, e)
     for pos, line in enumerate(alive.tolist()):
-        out[line] = errors.get(pos, (poles[pos], children[pos]))
+        out[line] = errors.get(pos, (poles[pos], children[pos], pinv[pos]))
     return out
 
 
@@ -658,7 +670,7 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
     fit = _fit_lines(vals[None], tol, max_order, method)[0]
     if isinstance(fit, ExpanalError):
         raise fit
-    poles, residues, trace = fit
+    poles, residues, trace, _ = fit
     return PoleResidue(poles, residues), trace
 
 

@@ -1,24 +1,27 @@
 """Full-grid recovery by recursive dimension reduction.
 
 One coordinate is peeled at a time, and the pole tree is built one level
-(one axis) at a time.  A level holds every slice whose leading axis is the
-next to peel, stacked in one array in depth-first (pre-order) order.  One
-stacked call of the line fit (the kernel of rational.pole_residue_from_samples,
-with the same policy as the line-based method; only close poles are merged
-here) finds the distinct poles on the central axis lines of all of them.  Its
-residue solve, a Cauchy least squares solve (linalg.cauchy_lstsq) with one SVD
-per slice reused across all its tail indices, runs on the whole slice, so one
-solve per slice gives both the line's residues and one lower-dimensional
-child per pole; the children form the next level, and only a slice whose
-close poles were merged is solved again.  So the numpy calls of a tree grow
-with its levels and fit steps, not with its nodes.  The root-to-leaf paths of
-the tree are the recovered pole vectors, so pairing is automatic and repeated
-per-axis values are handled.
+(one axis) at a time.  A level holds every node whose axis is the next to
+peel, in depth-first (pre-order) order.  One stacked call of the line fit
+(the kernel of rational.pole_residue_from_samples, with the same policy as
+the line-based method; only close poles are merged here) finds the distinct
+poles on the central axis lines of all of them.  Its residue solve is a
+Cauchy least squares solve (linalg.cauchy_lstsq) with one SVD per node.  So
+the numpy calls of a tree grow with its levels and fit steps, not with its
+nodes.  The root-to-leaf paths of the tree are the recovered pole vectors, so
+pairing is automatic and repeated per-axis values are handled.
 
-A slice of the last level is a single line, and its children are the
-amplitudes of the terms below it: a recovery solves no separate amplitude
-system, and reads the grid with one product, the root fit's solve.
-leaves_to_sum replays the same splits for a given tree and grid.
+The grid is read once, through its two halves, as model._halves writes it.
+In the leading h = d // 2 levels a node is its central line alone: the
+Kronecker product of the pseudo-inverses that the residue solves along its
+path formed, applied to a sub-grid of the first axes.  One product of those
+rows with the grid, seen as an (n^h, n^(d-h)) matrix, then gives the depth-h
+slices.  Each trailing level's residue solve runs on the whole slices, so it
+gives both the lines' residues and one lower-dimensional child per pole; only
+a node whose close poles were merged is solved again.  A slice of the last
+level is a single line, and its children are the amplitudes of the terms
+below it: a recovery solves no separate amplitude system.  leaves_to_sum
+replays the same splits for a given tree and grid.
 """
 
 import bisect
@@ -239,15 +242,62 @@ def _peel_level(poles, stack):
     return children, errors
 
 
+def _level_pinvs(poles, n):
+    """The (len(row), n) pseudo-inverses of the slice systems of one tree
+    level, one linalg._cauchy_pinv per pole count: (pinvs, {node: error}),
+    poles[i] None (a failed node) giving None."""
+    k = _sample_points(n)
+    pinvs, errors = [None] * len(poles), {}
+    for count, idx in _by_count(poles).items():
+        pinv, errs = linalg._cauchy_pinv(np.array([poles[i] for i in idx]), k,
+                                         f"slice system for {count} poles")
+        for pos, i in enumerate(idx):
+            pinvs[i] = pinv[pos]
+        errors.update((idx[pos], exc) for pos, exc in errs.items())
+    return pinvs, errors
+
+
+def _descend(weights, pinvs):
+    """One split in the leading half of the axes, on weights alone.
+
+    Row i of weights (r, n, ..., n), one axis per split so far, is what node
+    i of a level applies to the leading axes of the grid: the Kronecker
+    product, the first axis slowest, of the pseudo-inverse rows along its
+    path (None for the root).  Returns the children's weights: the row of
+    child j of node i is weights[i] times pinvs[i][j] on a new last axis,
+    and pinvs[i] None (a failed node) has no children.
+    """
+    rows = np.concatenate([pinv for pinv in pinvs if pinv is not None])
+    if weights is None:
+        return rows
+    parent = [i for i, pinv in enumerate(pinvs) if pinv is not None for _ in range(len(pinv))]
+    shape = (len(rows),) + (1,) * (weights.ndim - 1) + rows.shape[1:]
+    return weights[parent][..., None] * rows.reshape(shape)
+
+
+def _read(grid, weights, free):
+    """The slices of the nodes that weights (_descend) describe, by one
+    product with the grid: the leading axes contracted with the weights, the
+    next `free` axes kept and the others at their centre.  Returns
+    (len(weights), n, ..., n) with `free` axes; a slice outside the float
+    range is left as it is, for the caller to refuse."""
+    lead = weights.ndim - 1
+    part = grid[(slice(None),) * (lead + free) + (grid.shape[0] // 2,) * (grid.ndim - lead - free)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = weights.reshape(len(weights), -1) @ part.reshape(weights[0].size, -1)
+    return product.reshape((len(weights),) + part.shape[lead:])
+
+
 def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
     """Pole tree of a full-grid coefficient source, built one level at a time.
 
-    A level holds the slices whose leading axis is the next to peel, stacked
-    in depth-first (pre-order) order.  One stacked line fit finds the poles
-    on the central axis lines of all of them (at most source.N per line;
-    close poles merged), and its residue solve on each whole slice splits it
-    into the per-pole child slices that form the next level; the last
-    dimension's poles become leaves.
+    A level holds the nodes whose axis is the next to peel, in depth-first
+    (pre-order) order.  One stacked line fit finds the poles on the central
+    axis lines of all of them (at most source.N per line; close poles
+    merged).  In the leading half of the axes (the first d // 2) a node is
+    its central line alone, read from the grid through the pseudo-inverses
+    of the fits above it; the trailing half splits whole slices, one per
+    pole; the last dimension's poles become leaves.
 
     Result and errors are those of a depth-first build.  A failing node is
     recorded with its depth-first key, the nodes whose key sorts after the
@@ -260,74 +310,104 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
 
 def _build(source, tol, method, trace_sink):
     """build_pole_tree, and the amplitudes: (tree, amplitudes in depth-first
-    leaf order).  The children of each slice's fit (solved again for merged
-    poles) form the next level; a leaf-level slice is a line, so its children
-    are the amplitudes of the leaves below it."""
+    leaf order).
+
+    The grid is read through its two halves, as model._halves writes it.  A
+    node in the leading h = d // 2 levels is its central line, read from the
+    grid by the Kronecker product of the pseudo-inverses along its path
+    (_descend, _read); its fit hands back the pseudo-inverse its residue
+    solve formed (solved again for merged poles).  After level h - 1 one
+    product of those weights with the grid, seen as (n^h, n^(d-h)), gives the
+    depth-h slices, and each trailing level splits its slices by the
+    children of their fits, as peel_dimension does.  A leaf-level slice is a
+    line, so its children are the amplitudes of the leaves below it.  A
+    product row outside the float range fails the node whose split produced
+    it.
+    """
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
-    n_half = source.N
-    stack, keys, paths = source.grid()[None], [()], [()]
-    levels, traced, failures = [], [], []
-    while keys and stack.ndim > 1:
+    n_half, d, grid = source.N, source.d, source.grid()
+    lead = d // 2
+    stack = grid[(slice(None),) + (n_half,) * (d - 1)][None]
+    weights, keys, paths = None, [()], [()]
+    levels, traced, failures = [], [], {}
+    for level in range(d):
         try:
             fits = _fit_lines(stack, tol, n_half, method)
         except ExpanalError as exc:
             # tol and method fail on the first line fitted, the root
             raise type(exc)(f"at pole path (): {exc}") from exc
-        poles, children = [None] * len(fits), [stack[:0, 0]] * len(fits)
+        poles, children, pinvs = [None] * len(fits), [stack[:0, 0]] * len(fits), [None] * len(fits)
         for i, fit in enumerate(fits):
             if isinstance(fit, ExpanalError):
-                failures.append((keys[i], paths[i], fit))
+                failures[keys[i]] = (paths[i], fit)
             else:
-                poles[i], children[i] = fit[0], fit[1]
+                poles[i], children[i], pinvs[i] = fit[0], fit[1], fit[3]
                 traced.append((keys[i], fit[2]))
         for i in _merge_rows(poles):
-            children[i], errors = _peel_level([poles[i]], stack[i, None])
-            failures += [(keys[i], paths[i], exc) for exc in errors.values()]
+            if level < lead:
+                (pinvs[i],), errors = _level_pinvs([poles[i]], stack.shape[1])
+            else:
+                children[i], errors = _peel_level([poles[i]], stack[i, None])
+            failures.update((keys[i], (paths[i], exc)) for exc in errors.values())
         levels.append(poles)
-        # the root's children are its solve's array, not a copy
-        stack = children[0] if len(children) == 1 else np.concatenate(children)
         keys = [key + (j,) for key, row in zip(keys, poles) if row is not None
                 for j in range(len(row))]
         paths = [path + (pole,) for path, row in zip(paths, poles) if row is not None
                  for pole in row.tolist()]
+        if not keys:
+            break
+        if level >= lead:
+            stack = np.concatenate(children)
+        else:
+            weights = _descend(weights, pinvs)
+            stack = _read(grid, weights, 1 if level + 1 < lead else d - lead)
+            # a row of the product is a child: its split was its parent's
+            for row, exc in linalg._out_of_range(stack, "residue system").items():
+                failures.setdefault(keys[row][:-1], (paths[row][:-1], exc))
         if failures:
-            # keys are unique, so min never compares the errors
-            cut = bisect.bisect_left(keys, min(failures)[0])
+            cut = bisect.bisect_left(keys, min(failures))
             stack, keys, paths = stack[:cut], keys[:cut], paths[:cut]
+            if level < lead:
+                weights = weights[:cut]
+        if not keys:
+            break
 
-    first = min(failures)[0] if failures else None
+    first = min(failures) if failures else None
     if trace_sink is not None:
         for key, trace in sorted(traced, key=lambda pair: pair[0]):
             if first is None or key <= first:
                 trace_sink.append(trace)
     if failures:
-        _, path, exc = min(failures)
+        path, exc = failures[first]
         raise type(exc)(f"at pole path {path}: {exc}") from exc
     below = itertools.repeat(())
     for rows in reversed(levels):
         below = iter([tuple(TreeNode(pole=pole, children=next(below)) for pole in row.tolist())
                       for row in rows])
-    return PoleTree(roots=next(below), dimension=source.d), stack
+    return PoleTree(roots=next(below), dimension=d), stack
 
 
 def leaves_to_sum(tree, source):
     """Signal parameters from a pole tree and its full-grid source.
 
     The root-to-leaf pole paths give the frequency rows.  The amplitudes
-    replay the tree's peels on the source's grid: one stacked peel per level
-    (_peel_level), each node's slice split on its children's poles, from the
-    roots on the grid down to the leaves.  A leaf-level slice is a line, so
-    its last peel gives the amplitudes of its leaves, in depth-first leaf
-    order.  On the source a tree was built from, these are the residues that
-    recover_recursive takes from the leaf fits.  Each level solves its own
-    least squares system, so on noisy data the amplitudes are not the least
-    squares fit of the whole grid by the tree's terms.
+    replay the splits of the tree's build on the source's grid: in the
+    leading half of the axes, one pseudo-inverse per node and level
+    (_level_pinvs), carried down as weights (_descend) and read from the
+    grid by one product (_read); then one stacked peel per trailing level
+    (_peel_level), each node's slice split on its children's poles.  A
+    leaf-level slice is a line, so its last peel gives the amplitudes of its
+    leaves, in depth-first leaf order.  On the source a tree was built from,
+    these are the residues that recover_recursive takes from the leaf fits.
+    Each level solves its own least squares system, so on noisy data the
+    amplitudes are not the least squares fit of the whole grid by the tree's
+    terms.
 
     A tree whose dimension is not the source's raises ShapeMismatch; a
     malformed tree (PoleTree.validate), or a pole not finite or on (or a hair
     off) a sample point k = -N..N, raises BadParameters before any peel.  A
-    refused peel raises the error of the first node it fails on.
+    refused split raises the error of the first node it fails on.
     """
     if tree.dimension != source.d:
         raise ShapeMismatch(
@@ -335,18 +415,27 @@ def leaves_to_sum(tree, source):
             f"{source.d}-dimensional source"
         )
     poles = tree.validate().leaf_paths()
-    k = _sample_points(2 * source.N + 1)
+    n, d = 2 * source.N + 1, tree.dimension
+    k = _sample_points(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cauchy = 1.0 / (k[:, None] - poles.T[:, None, :])  # (d, n, M)
     if not (np.isfinite(poles).all() and np.isfinite(cauchy).all()):
         raise linalg._non_finite_cauchy("amplitude system")
-    stack, siblings = source.grid()[None], [tree.roots]
-    for _ in range(tree.dimension):
-        stack, errors = _peel_level(
-            [np.array([node.pole for node in group], dtype=complex) for group in siblings], stack)
+    grid, lead = source.grid(), d // 2
+    stack, weights, siblings = grid[None], None, [tree.roots]
+    for level in range(d):
+        rows = [np.array([node.pole for node in group], dtype=complex) for group in siblings]
+        siblings = [node.children for group in siblings for node in group]
+        if level < lead:
+            pinvs, errors = _level_pinvs(rows, n)
+            weights = _descend(weights, pinvs)
+            if level + 1 == lead and not errors:
+                stack = _read(grid, weights, d - lead)
+                errors = linalg._out_of_range(stack, "slice system")
+        else:
+            stack, errors = _peel_level(rows, stack)
         if errors:
             raise errors[min(errors)]
-        siblings = [node.children for group in siblings for node in group]
     return ExponentialSum.from_poles(poles, stack, source.P)
 
 
@@ -359,7 +448,8 @@ def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=
     misses the input coefficients there by a relative residual above
     RESYNTHESIS_TOL raises ResynthesisMismatch (the usual cause is a slice
     function vanishing at the origin, which hides one of the poles from its
-    axis line).  The grid is read by one product, the root fit's solve.
+    axis line).  The grid is read by one product, of the Kronecker rows of
+    the leading half's pseudo-inverses with the grid (see _build).
 
     Returns (ExponentialSum, PoleTree).
     """

@@ -198,7 +198,7 @@ def recover_sparse(source, tol=DEFAULT_TOL, method="eig"):
             raise fit
         if len(fit[0]) != order:
             raise AxisOrderMismatch(f"axis {axis} recovered order {len(fit[0])} but {rule}")
-    fitted, residues, traces = zip(*fits)
+    fitted, residues, traces = zip(*(fit[:3] for fit in fits))
 
     diagonals = np.array([source.diagonal_line(axis) for axis in range(1, d)])
     c, errors = _pairing_solve(np.array(fitted),

@@ -32,6 +32,14 @@ def _is_int(value):
     return type(value) is not bool and isinstance(value, (int, np.integer))
 
 
+def _is_real(value):
+    """The one real-number test: finite Python and numpy real numbers,
+    booleans not."""
+    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return _is_int(value) or bool(np.isfinite(value))
+
+
 def check_nonnegative_int(value, name):
     """Require a non-negative integer (_is_int)."""
     if not _is_int(value) or value < 0:
@@ -46,9 +54,9 @@ def _positive_int(value, name):
 
 
 def check_period(P):
-    """Require a finite positive period."""
-    if not (np.isfinite(P) and P > 0):
-        raise BadParameters(f"period P must be finite and positive, got {P!r}")
+    """Require a finite positive real period (_is_real)."""
+    if not (_is_real(P) and P > 0):
+        raise BadParameters(f"period P must be a finite positive real number, got {P!r}")
 
 
 def check_distinct(values, name="values"):

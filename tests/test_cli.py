@@ -178,6 +178,15 @@ class TestRecover:
         payload = json.loads(open(result).read())
         assert payload["error"] == "TauViolation"
 
+    def test_one_sample_per_side_is_a_recovery_failure(self, spec_file, tmp_path):
+        # N = 1 caps the root line's fit at one support point
+        grid, result = str(tmp_path / "grid.json"), str(tmp_path / "r.json")
+        assert run("generate", spec_file, "--N", "1", "--coverage", "full", "--out", grid) == 0
+        assert run("recover", grid, "--method", "recursive", "--out", result) == 3
+        payload = json.loads(open(result).read())
+        assert payload["error"] == "NoConvergence"
+        assert payload["message"].endswith("within 1 steps")
+
     def test_hidden_pole_is_a_recovery_failure(self, tmp_path, capsys):
         # the second term's amplitude cancels the first one's slice on its
         # central line, so the tree misses a pole; the resynthesis spot check

@@ -451,6 +451,8 @@ def composed_line_fit(values, method="eig"):
     n_half = (len(vals) - 1) // 2
     points = np.arange(-n_half, n_half + 1, dtype=float)
     form, trace = aaa_fit(points, vals)
+    if len(form) < 2 and not trace.converged:
+        raise NoConvergence("greedy fit did not reach tolerance within 1 steps")
     if len(form) < 2:
         raise DegenerateFrequency(
             "samples are constant; no rational structure of positive order"
@@ -576,8 +578,11 @@ def assert_stacks_match(lines, method, single):
                 assert type(fit) is type(alone)
                 assert str(fit) == str(alone)
                 continue
-            (pr, trace), (poles, residues, stacked_trace) = alone, fit
+            (pr, trace), (poles, residues, stacked_trace, pinv) = alone, fit
             assert stacked_trace == trace
+            # the pseudo-inverse handed back is the one the residue solve applied
+            assert (np.abs(pinv @ values - residues).max()
+                    <= 1e-13 * np.abs(residues).max())
             assert len(poles) == len(pr.poles)
             assert np.abs(poles - pr.poles).max() <= 1e-13 * np.abs(pr.poles).max()
             assert (np.abs(residues - pr.residues).max()
@@ -654,9 +659,12 @@ class TestValidatedOncePath:
             pole_residue_from_samples(np.full(11, 2.0), **kwargs)
 
     # nan tol used to end in NoConvergence and inf tol in "samples are
-    # constant"; a nan max_order meant no cap, 2.5 and True were taken as is
+    # constant"; a nan max_order meant no cap, 2.5 and True were taken as is;
+    # a str, None or complex tol ended in an untyped TypeError, and True was
+    # read as 1.0
     @pytest.mark.parametrize("name, bad", [
         ("tol", np.nan), ("tol", np.inf), ("tol", -1.0),
+        ("tol", "1e-8"), ("tol", None), ("tol", 1e-8 + 0j), ("tol", True),
         ("max_order", 2.5), ("max_order", True), ("max_order", np.nan),
     ])
     def test_tol_and_max_order_checked(self, name, bad):
@@ -722,6 +730,21 @@ class TestValidatedOncePath:
             assert fit[2] == trace and np.array_equal(fit[0], pr.poles)
 
     @pytest.mark.parametrize("method", ["eig", "pencil"])
+    def test_one_support_point(self, method):
+        # a fit that stopped at one support point is constant: converged, the
+        # samples are; stopped by the cap (max_order 1, or N = 1), the fit
+        # did not converge, as with any other cap
+        k = np.arange(-5, 6, dtype=float)
+        line = pole_samples(k, [0.3 + 0.8j, -1.2 + 0.4j, 2.1 - 0.6j], [1.0, -0.7, 0.4])
+        for values, cap in ((line, 1), ([1.0, 2.0, 5.0], None)):
+            with pytest.raises(NoConvergence,
+                               match="^greedy fit did not reach tolerance within 1 steps$"):
+                pole_residue_from_samples(values, max_order=cap, method=method)
+        for cap in (1, None):
+            with pytest.raises(DegenerateFrequency, match="^samples are constant"):
+                pole_residue_from_samples(np.full(11, 2.0 - 1j), max_order=cap, method=method)
+
+    @pytest.mark.parametrize("method", ["eig", "pencil"])
     def test_max_order_is_at_most_n(self, method):
         # N = 10: an unconverged pencil fit under the cap 15 used to end in
         # "need at least 28 samples for order 14" where eig gave NoConvergence
@@ -761,7 +784,7 @@ class TestScaledFit:
     @pytest.mark.parametrize("method", ["eig", "pencil"])
     def test_fit_is_scale_equivariant(self, method):
         for line in _axis_lines():
-            poles, residues, trace = _fit_lines(line[None], DEFAULT_TOL, None, method)[0]
+            poles, residues, trace, _ = _fit_lines(line[None], DEFAULT_TOL, None, method)[0]
             for k in (-900, -1, 1, 900):
                 scaled = line * 2.0 ** k
                 parts = np.abs(scaled.view(float))

@@ -8,6 +8,7 @@ from expanal import (
     ExponentialSum,
     FullGrid,
     PoleTree,
+    RecursiveRecovery,
     SparseLines,
     TreeNode,
     leaves_to_sum,
@@ -71,9 +72,13 @@ def _tree(*roots):
     return PoleTree(roots=tuple(node(*root) for root in roots), dimension=2)
 
 
-def _leaves_to_sum(tree):
+def _bivariate_5(coverage):
     case = BIVARIATE_5
-    return leaves_to_sum(tree, case.signal.synthesize(case.P, case.N, FullGrid()))
+    return case.signal.synthesize(case.P, case.N, coverage)
+
+
+def _leaves_to_sum(tree):
+    return leaves_to_sum(tree, _bivariate_5(FullGrid()))
 
 
 # public entry points that used to end in a bare numpy error, a RuntimeWarning
@@ -95,6 +100,17 @@ BOUNDARY_CASES = {
                         BadParameters, "root poles must be pairwise distinct"),
     "peel-solution-overflow": (lambda: peel_dimension([50j], 1.5e308 * np.ones((11, 3))),
                                BadParameters, "solution outside the float range"),
+    "recursive-str-tol": (lambda: recover_recursive(_bivariate_5(FullGrid()), tol="1e-8"),
+                          BadParameters, "tol must be a finite positive real number"),
+    "sparse-none-tol": (lambda: recover_sparse(_bivariate_5(SparseLines(7)), tol=None),
+                        BadParameters, "tol must be a finite positive real number"),
+    "estimator-complex-tol": (
+        lambda: RecursiveRecovery(tol=1e-8 + 0j).fit(_bivariate_5(FullGrid())),
+        BadParameters, "tol must be a finite positive real number"),
+    "str-period": (lambda: CoefficientSource(1, "2.0", 1, FullGrid(), np.ones(3)),
+                   BadParameters, "period P must be a finite positive real number"),
+    "bool-period": (lambda: BIVARIATE_5.signal.synthesize(True, 3, FullGrid()),
+                    BadParameters, "period P must be a finite positive real number"),
     "pairing-solution-overflow": (
         lambda: pairing_system([50j, 1 + 0.3j], [0.2 + 40j, -0.7j],
                                1.5e308 * np.cos(np.arange(-10, 7)), 2),
