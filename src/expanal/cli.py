@@ -41,9 +41,18 @@ def _apply_thread_cap():
 
 
 def _write_atomic(path, text):
+    """Write text to path through a temporary file in the same directory.
+
+    mkstemp creates the temporary file with mode 0600, so it is given the
+    mode open() would give a new file, 0666 less the umask, before it
+    replaces path.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".expanal-", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -202,7 +211,7 @@ def cmd_compare(args):
     if args.seed < 0:
         return _fail(f"--seed must be non-negative, got {args.seed}", EXIT_INPUT)
     from . import model
-    from .errors import BadParameters, ShapeMismatch
+    from .errors import BadParameters, ExpanalError
 
     try:
         truth, _ = model.signal_from_json(_load_json(args.truth))
@@ -214,7 +223,7 @@ def cmd_compare(args):
         return _fail(f"cannot read inputs: {exc}", EXIT_INPUT)
     try:
         report = model.relative_errors(truth, recovered, seed=args.seed)
-    except ShapeMismatch as exc:
+    except ExpanalError as exc:
         return _fail(str(exc), EXIT_INPUT)
 
     print(f"{'e(frequency)':>14} {'e(coefficient)':>15} {'e(signal)':>12}")

@@ -30,8 +30,9 @@ from .validation import _positive_int, check_nonnegative_int, check_period
 
 TWO_PI_I = 2j * np.pi
 
-# rows per block of evaluate and _SeparableSum.at: small enough that a
-# block's (rows x M) arrays stay in cache
+# rows per block of evaluate and _SeparableSum.at, small enough that a
+# block's (rows x M) arrays stay in cache; also the values per block that
+# _wire_values converts
 _EVAL_CHUNK = 1 << 12
 
 # |frequency*P - 2*pi*i*k| below this (relative) uses the constant branch of
@@ -169,7 +170,9 @@ class ExponentialSum:
 
         Refuses signals with a frequency satisfying f = 2*pi*i*k/P for some
         sampled |k| <= N: such coefficients lose their rational structure and
-        are outside the recovery scope.
+        are outside the recovery scope.  The values are computed into one
+        fresh array, which the returned source keeps (read-only) without a
+        copy: a full grid costs one grid of memory, not two.
         """
         check_period(P)
         if N < 1:
@@ -190,7 +193,7 @@ class ExponentialSum:
             values = self.fourier_coefficients(coverage.unique_indices(self.d, N), P)
         else:
             raise BadParameters(f"unknown coverage {coverage!r}")
-        return CoefficientSource(self.d, P, N, coverage, values)
+        return CoefficientSource._owning(self.d, P, N, coverage, values)
 
     def degenerate_components(self, P, N):
         """(term, axis, index) triples where a frequency hits a sampled index."""
@@ -222,11 +225,18 @@ class _SeparableSum:
     def grid(self, weights):
         """F on the whole product grid, shape (n_0, ..., n_{d-1}), by one
         two-operand einsum of the weighted halves: unlike a matmul, it sums
-        each entry's terms in order, so `at` matches it bitwise."""
+        each entry's terms in order, so `at` matches it bitwise.
+
+        The einsum writes into a 2-D view of the result, which is allocated
+        once in its final shape; the caller owns it, and no other reference
+        to it exists.
+        """
         tables, weights = _with_two_terms(self.tables, weights)
         left, right = _halves(tables)
-        shape = tuple(table.shape[0] for table in tables)
-        return np.einsum("xz,yz->xy", left * weights, right).reshape(shape)
+        out = np.empty(tuple(table.shape[0] for table in tables), dtype=complex)
+        np.einsum("xz,yz->xy", left * weights, right,
+                  out=out.reshape(left.shape[0], right.shape[0]))
+        return out
 
     def at(self, rows, weights):
         """F at the rows of an (n, d) array of table row numbers, in bounded
@@ -384,9 +394,26 @@ class CoefficientSource:
     index order whatever the coverage: the dense (2N+1)^d grid for FullGrid
     (index k at position k+N on each axis), or a flat array over the covered
     indices of SparseLines, each index once (SparseLines.layout).
+
+    The source owns `values`.  The constructor copies the caller's array, so
+    later changes to it do not reach the source; ExponentialSum.synthesize
+    and source_from_json build a fresh array and hand it over uncopied.
     """
 
     def __init__(self, d, P, N, coverage, values):
+        self._store(d, P, N, coverage, np.array(values, dtype=complex))
+
+    @classmethod
+    def _owning(cls, d, P, N, coverage, values):
+        """A source that keeps `values`, a fresh complex array that no one
+        else holds, instead of a copy of it."""
+        source = cls.__new__(cls)
+        source._store(d, P, N, coverage, values)
+        return source
+
+    def _store(self, d, P, N, coverage, values):
+        """Check the parameters and the complex `values` against each other,
+        then keep `values`, made read-only."""
         check_period(P)
         self.d = _positive_int(d, "dimension d")
         self.P = float(P)
@@ -400,7 +427,6 @@ class CoefficientSource:
             shape = (len(self._rows),)
         else:
             raise BadParameters(f"unknown coverage {coverage!r}")
-        values = np.array(values, dtype=complex)
         if values.shape != shape:
             raise ShapeMismatch(
                 f"values of shape {values.shape} do not match {coverage.descriptor()} "
@@ -512,6 +538,12 @@ def relative_errors(truth, recovered, seed=0):
 
     t, r = truth.frequencies, recovered.frequencies
     f, g = _lattice_values((truth, recovered), seed)
+    for name, values in (("truth", f), ("recovered", g)):
+        if not np.isfinite(values).all():
+            raise BadParameters(
+                f"the {name} signal overflows a float on the error lattice "
+                f"over SIGNAL_BOX = {SIGNAL_BOX} per axis"
+            )
     return ErrorReport(
         frequency_error=max(_relative(t[ti, a] - r[rj, a], t[:, a]) for a in range(truth.d)),
         coefficient_error=_relative(truth.coefficients[ti] - recovered.coefficients[rj],
@@ -533,19 +565,21 @@ def _lattice_values(signals, seed):
     """Each signal's values on the equispaced lattice, or on its seeded subsample.
 
     exp(<row_j, t>) factors over the axes, so each signal is a separable sum
-    over one exp table per axis on the 1-D lattice axis.
+    over one exp table per axis on the 1-D lattice axis.  A signal that
+    overflows there gets values that are not finite, without a warning.
     """
     axis = np.linspace(*SIGNAL_BOX, SIGNAL_POINTS_PER_AXIS)
     d = signals[0].d
-    terms = [
-        _SeparableSum([np.exp(axis[:, None] * s.frequencies[None, :, a]) for a in range(d)])
-        for s in signals
-    ]
-    if SIGNAL_POINTS_PER_AXIS ** d <= MAX_SIGNAL_POINTS:
-        return [t.grid(s.coefficients) for t, s in zip(terms, signals)]
-    picks = np.random.default_rng(seed).integers(0, SIGNAL_POINTS_PER_AXIS,
-                                                 size=(MAX_SIGNAL_POINTS, d))
-    return [t.at(picks, s.coefficients) for t, s in zip(terms, signals)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [
+            _SeparableSum([np.exp(axis[:, None] * s.frequencies[None, :, a]) for a in range(d)])
+            for s in signals
+        ]
+        if SIGNAL_POINTS_PER_AXIS ** d <= MAX_SIGNAL_POINTS:
+            return [t.grid(s.coefficients) for t, s in zip(terms, signals)]
+        picks = np.random.default_rng(seed).integers(0, SIGNAL_POINTS_PER_AXIS,
+                                                     size=(MAX_SIGNAL_POINTS, d))
+        return [t.at(picks, s.coefficients) for t, s in zip(terms, signals)]
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +656,7 @@ def source_from_json(obj):
         raise BadParameters(f"coefficient grid object has no {exc} field") from exc
     except (TypeError, ValueError, IndexError) as exc:
         raise BadParameters(f"malformed coefficient grid object: {exc}") from exc
-    return CoefficientSource(d, P, N, coverage, _wire_values(d, N, coverage, *parts))
+    return CoefficientSource._owning(d, P, N, coverage, _wire_values(d, N, coverage, *parts))
 
 
 def _wire_values(d, N, coverage, re, im):
@@ -632,7 +666,8 @@ def _wire_values(d, N, coverage, re, im):
     indices of its axis lines, so a shorter "re" is refused before any work
     sized by d and N.  Every token must be a JSON number: numpy would read a
     boolean mixed into numbers as 0.0 or 1.0, so the token types are checked
-    before conversion.
+    before conversion.  The result is one fresh array in the stored shape,
+    which source_from_json's source keeps.
     """
     if d < 1 or N < 1:
         raise BadParameters(f"need d >= 1 and N >= 1, got d={d}, N={N}")
@@ -652,9 +687,14 @@ def _wire_values(d, N, coverage, re, im):
             raise BadParameters(
                 f'"{name}" must be a flat array of {wanted} JSON numbers for {where}'
             )
-    values = np.empty(count, dtype=complex)
+    values = np.empty((2 * N + 1,) * d if full else count, dtype=complex)
+    flat = values.reshape(-1)  # a view: the parts are written into values
     try:
-        values.real, values.imag = re, im
+        # numpy converts a list to a whole temporary array before it assigns
+        # it, so the parts go in by blocks
+        for start in range(0, count, _EVAL_CHUNK):
+            block = slice(start, start + _EVAL_CHUNK)
+            flat.real[block], flat.imag[block] = re[block], im[block]
     except OverflowError as exc:
         raise BadParameters(f"coefficient grid has an out-of-range number: {exc}") from exc
-    return values.reshape((2 * N + 1,) * d) if full else values
+    return values

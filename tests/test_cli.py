@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -53,6 +54,26 @@ def test_undecodable_json_is_an_input_error(verb, content, tmp_path):
     assert proc.returncode == 1
     assert "error: cannot read " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# every verb writes its output through a temporary file, which must end with
+# the mode open() gives a new file: 0666 less the umask
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_output_files_get_the_umask_mode(umask, mode, spec_file, tmp_path):
+    grid, result = str(tmp_path / "grid.json"), str(tmp_path / "result.json")
+    report, csv = str(tmp_path / "report.json"), str(tmp_path / "grid.csv")
+    for argv in (
+        ["generate", spec_file, "--N", "15", "--coverage", "sparse:7", "--out", grid],
+        ["recover", grid, "--method", "sparse", "--out", result],
+        ["compare", spec_file, result, "--json", report],
+        ["plot-grid", "--d", "2", "--N", "5", "--tau", "2", "--out", csv],
+    ):
+        proc = subprocess.run([sys.executable, "-m", "expanal.cli", *argv],
+                              capture_output=True, text=True, umask=umask,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+    for path in (grid, result, report, csv):
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
 class TestGenerate:
@@ -343,6 +364,23 @@ class TestCompare:
         assert run("compare", spec_file, spec_file, "--json", out) == 0
         report = json.loads(open(out).read())
         assert report["e_frequency"] == 0.0
+
+    def test_overflowing_signal_is_an_input_error(self, tmp_path):
+        # generate accepts this signal, but exp(100 * 10) overflows the
+        # error lattice
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"d": 1, "P": 1.0, "gamma": [[1, 0], [2, 0]],
+                                    "lambda": [[[100, 1]], [[-2, 3]]]}))
+        proc = subprocess.run([sys.executable, "-m", "expanal.cli", "compare",
+                               str(path), str(path)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: the truth signal overflows a float on the error lattice over "
+            "SIGNAL_BOX = (-10.0, 10.0) per axis"
+        ]
 
 
 class TestPlotGrid:

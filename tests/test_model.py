@@ -31,6 +31,7 @@ from expanal.errors import (
 from cases import (
     ALL_REFERENCE,
     BIVARIATE_5,
+    QUADVARIATE_8,
     QUADVARIATE_9,
     TRIVARIATE_6,
     random_axis_distinct,
@@ -180,6 +181,58 @@ class TestSynthesize:
             src.value([1, 1])
 
 
+def peak_allocation(call, *args):
+    """call(*args) and its peak traced allocation in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneGrid:
+    """Synthesis and the wire reader build one array that the source keeps;
+    the constructor keeps a copy of the caller's array."""
+
+    def test_synthesis_peak_allocation(self):
+        # a reshaped einsum result copied by the constructor made 2.06 grids
+        case = QUADVARIATE_8
+        src, peak = peak_allocation(case.signal.synthesize, case.P, case.N, FullGrid())
+        assert peak <= 1.1 * src.values.nbytes
+
+    def test_wire_read_peak_allocation(self):
+        # a whole-list conversion, then the constructor's copy, made 2.07 grids
+        case = QUADVARIATE_9
+        obj = source_to_json(case.signal.synthesize(case.P, case.N, FullGrid()))
+        src, peak = peak_allocation(source_from_json, obj)
+        assert peak <= 1.1 * src.values.nbytes
+
+    @pytest.mark.parametrize("coverage", [FullGrid(), SparseLines(2)], ids=["full", "sparse"])
+    def test_constructor_copies(self, coverage):
+        case = BIVARIATE_5
+        values = case.signal.synthesize(case.P, 6, coverage).values.copy()
+        src = CoefficientSource(2, case.P, 6, coverage, values)
+        before = src.values.copy()
+        values[(0,) * values.ndim] = 7.0
+        assert np.array_equal(src.values, before)
+
+    @pytest.mark.parametrize("path", ["constructor", "synthesize-full", "synthesize-sparse",
+                                      "wire-full", "wire-sparse"])
+    def test_values_read_only(self, path):
+        case = BIVARIATE_5
+        coverage = SparseLines(2) if path.endswith("sparse") else FullGrid()
+        src = case.signal.synthesize(case.P, 6, coverage)
+        if path == "constructor":
+            src = CoefficientSource(2, case.P, 6, coverage, src.values.tolist())
+        elif path.startswith("wire"):
+            src = source_from_json(source_to_json(src))
+        # the array owns its buffer, so no writable base reaches it either
+        assert src.values.base is None
+        assert not src.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            src.values[(0,) * src.values.ndim] = 1.0
+
+
 class TestSeparableSum:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -276,6 +329,19 @@ class TestRelativeErrors:
         report = relative_errors(sig, other)
         assert expected > 0.0
         assert abs(report.signal_error - expected) <= 1e-13
+
+    # exp(100 * 10) overflows on the lattice; the refusal comes without a
+    # RuntimeWarning (tier-1 turns one into an error), as the one-grid
+    # lattice of d = 1 and as the subsample of d = 4
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("which", ["truth", "recovered"])
+    def test_overflowing_signal_refused(self, d, which):
+        big = ExponentialSum(np.array([[100 + 1j] + [0] * (d - 1), [-2 + 3j] + [1] * (d - 1)]),
+                             np.array([1.0, 2.0]))
+        small = ExponentialSum(big.frequencies / 100, big.coefficients)
+        pair = (big, small) if which == "truth" else (small, big)
+        with pytest.raises(BadParameters, match=rf"the {which} signal .*SIGNAL_BOX"):
+            relative_errors(*pair)
 
 
 class TestJson:
