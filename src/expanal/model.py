@@ -15,6 +15,7 @@ weights, so grid synthesis and the signal error cost O(size of the grid) time
 and memory and never form a (grid x M) array.
 """
 
+import base64
 from dataclasses import dataclass
 import functools
 import numpy as np
@@ -31,9 +32,13 @@ from .validation import _positive_int, check_nonnegative_int, check_period
 TWO_PI_I = 2j * np.pi
 
 # rows per block of evaluate and _SeparableSum.at, small enough that a
-# block's (rows x M) arrays stay in cache; also the values per block that
-# _wire_values converts
+# block's (rows x M) arrays stay in cache
 _EVAL_CHUNK = 1 << 12
+
+# the wire format's values: little-endian complex128 bytes in base64, which
+# _wire_values decodes _EVAL_CHUNK base64 quads (3 bytes each) at a time
+_WIRE_DTYPE = "<c16"
+_WIRE_BLOCK = 3 * _EVAL_CHUNK
 
 # |frequency*P - 2*pi*i*k| below this (relative) uses the constant branch of
 # the coefficient formula; see fourier_coefficient.
@@ -538,17 +543,25 @@ def relative_errors(truth, recovered, seed=0):
 
     t, r = truth.frequencies, recovered.frequencies
     f, g = _lattice_values((truth, recovered), seed)
-    for name, values in (("truth", f), ("recovered", g)):
+    # |f| and |f - g| are inf, without a warning, where they exceed a float
+    with np.errstate(over="ignore", invalid="ignore"):
+        size, misfit = np.abs(f), np.abs(f - g)
+    for name, values in (("truth", size), ("recovered", g)):
         if not np.isfinite(values).all():
             raise BadParameters(
                 f"the {name} signal overflows a float on the error lattice "
                 f"over SIGNAL_BOX = {SIGNAL_BOX} per axis"
             )
+    if not np.isfinite(misfit).all():
+        raise BadParameters(
+            "the truth and recovered signals differ by more than a float holds on the "
+            f"error lattice over SIGNAL_BOX = {SIGNAL_BOX} per axis"
+        )
     return ErrorReport(
         frequency_error=max(_relative(t[ti, a] - r[rj, a], t[:, a]) for a in range(truth.d)),
         coefficient_error=_relative(truth.coefficients[ti] - recovered.coefficients[rj],
                                     truth.coefficients),
-        signal_error=_relative(f - g, f),
+        signal_error=_relative(misfit, size),
         matched_permutation=tuple(perm),
         truth_order=truth.order,
         recovered_order=recovered.order,
@@ -583,7 +596,7 @@ def _lattice_values(signals, seed):
 
 
 # ---------------------------------------------------------------------------
-# JSON wire formats (complex numbers as [re, im] pairs throughout)
+# JSON wire formats (signals take complex numbers as [re, im] pairs)
 
 
 def _pair(z):
@@ -627,74 +640,72 @@ def signal_from_json(obj):
 
 
 def source_to_json(source):
-    """The wire object of a coefficient source: flat "re" and "im" arrays of
-    its values in lexicographic index order.
-
-    A full grid is in C order over [-N..N]^d (axis 0 slowest, index k at
-    position k+N); sparse lines list each covered index once
-    (SparseLines.unique_indices).
+    """The wire object of a coefficient source.  "values" is the base64 text
+    of its values' little-endian complex128 bytes ("dtype": "<c16"), which
+    round-trips them bitwise, in lexicographic index order: C order over
+    [-N..N]^d for a full grid (axis 0 slowest, index k at position k+N),
+    each covered index once for sparse lines (SparseLines.unique_indices).
     """
-    flat = source.values.ravel()
     return {
         "d": source.d,
         "P": source.P,
         "N": source.N,
         "coverage": source.coverage.descriptor(),
-        "re": flat.real.tolist(),
-        "im": flat.imag.tolist(),
+        "dtype": _WIRE_DTYPE,
+        "values": base64.b64encode(
+            np.ascontiguousarray(source.values, dtype=_WIRE_DTYPE)).decode("ascii"),
     }
 
 
 def source_from_json(obj):
+    """The coefficient source of a wire object in source_to_json's layout;
+    any other object, one in an earlier layout too, raises BadParameters."""
     try:
         d = _json_number(obj["d"], "d", integral=True)
         P = _json_number(obj["P"], "P")
         N = _json_number(obj["N"], "N", integral=True)
         coverage = parse_coverage(obj["coverage"])
-        parts = obj["re"], obj["im"]
+        dtype, text = obj["dtype"], obj["values"]
     except KeyError as exc:
         raise BadParameters(f"coefficient grid object has no {exc} field") from exc
     except (TypeError, ValueError, IndexError) as exc:
         raise BadParameters(f"malformed coefficient grid object: {exc}") from exc
-    return CoefficientSource._owning(d, P, N, coverage, _wire_values(d, N, coverage, *parts))
+    return CoefficientSource._owning(d, P, N, coverage, _wire_values(d, N, coverage, dtype, text))
 
 
-def _wire_values(d, N, coverage, re, im):
-    """The stored values from their flat real and imaginary parts (JSON lists).
+def _wire_values(d, N, coverage, dtype, text):
+    """The stored values from the base64 text of their complex128 bytes.
 
     The count comes from the coverage.  Every coverage stores the 2dN+1
-    indices of its axis lines, so a shorter "re" is refused before any work
-    sized by d and N.  Every token must be a JSON number: numpy would read a
-    boolean mixed into numbers as 0.0 or 1.0, so the token types are checked
-    before conversion.  The result is one fresh array in the stored shape,
-    which source_from_json's source keeps.
+    indices of its axis lines, so a shorter text is refused before any work
+    sized by d and N.  The text is decoded by blocks into one fresh array in
+    the stored shape, which source_from_json's source keeps (and checks for
+    shape and finiteness).
     """
+    if dtype != _WIRE_DTYPE:
+        raise BadParameters(f'"dtype" must be "{_WIRE_DTYPE}", got {dtype!r}')
     if d < 1 or N < 1:
         raise BadParameters(f"need d >= 1 and N >= 1, got d={d}, N={N}")
     where = f"{coverage.descriptor()} coverage with N={N}, d={d}"
-    if not isinstance(re, list) or len(re) < 2 * d * N + 1:
-        raise BadParameters(
-            f'"re" must be a flat array of at least {2 * d * N + 1} JSON numbers '
-            f"for {where}"
-        )
+    # base64 takes 64 characters per 3 values
+    if not isinstance(text, str) or 3 * len(text) < 64 * (2 * d * N + 1):
+        raise BadParameters(f'"values" must be a JSON string, the base64 text of at least '
+                            f"{2 * d * N + 1} values for {where}")
     full = isinstance(coverage, FullGrid)
     count = (2 * N + 1) ** d if full else len(coverage.unique_indices(d, N))
-    # (2N+1)^d may have more digits than Python prints
-    wanted = f"{2 * N + 1}^{d}" if full else str(count)
-    for name, part in (("re", re), ("im", im)):
-        if (not isinstance(part, list) or len(part) != count
-                or not set(map(type, part)) <= {int, float}):
-            raise BadParameters(
-                f'"{name}" must be a flat array of {wanted} JSON numbers for {where}'
-            )
-    values = np.empty((2 * N + 1,) * d if full else count, dtype=complex)
-    flat = values.reshape(-1)  # a view: the parts are written into values
-    try:
-        # numpy converts a list to a whole temporary array before it assigns
-        # it, so the parts go in by blocks
-        for start in range(0, count, _EVAL_CHUNK):
-            block = slice(start, start + _EVAL_CHUNK)
-            flat.real[block], flat.imag[block] = re[block], im[block]
-    except OverflowError as exc:
-        raise BadParameters(f"coefficient grid has an out-of-range number: {exc}") from exc
+    if len(text) != -(-16 * count // 3) * 4:
+        # (2N+1)^d may have more digits than Python prints
+        wanted = f"{2 * N + 1}^{d}" if full else str(count)
+        raise BadParameters(f'"values" must be the base64 text of {wanted} values for {where}')
+    values = np.empty((2 * N + 1,) * d if full else count, dtype=_WIRE_DTYPE)
+    raw = values.reshape(-1).view(np.uint8)  # a view: the bytes go into values
+    for start in range(0, raw.size, _WIRE_BLOCK):
+        try:
+            block = base64.b64decode(text[start // 3 * 4:(start + _WIRE_BLOCK) // 3 * 4],
+                                     validate=True)
+        except ValueError as exc:
+            raise BadParameters(f'"values" is not base64 text: {exc}') from exc
+        if len(block) != raw[start:start + _WIRE_BLOCK].size:
+            raise BadParameters(f'"values" does not decode to whole values for {where}')
+        raw[start:start + _WIRE_BLOCK] = np.frombuffer(block, dtype=np.uint8)
     return values

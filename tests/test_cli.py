@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import base64
 import json
 import os
 import pathlib
@@ -25,6 +26,15 @@ def spec_file(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def read_json(path):
+    return json.loads(pathlib.Path(path).read_text())
+
+
+def wire_values(obj):
+    """The coefficient values of a grid file's object, decoded."""
+    return np.frombuffer(base64.b64decode(obj["values"]), dtype="<c16")
 
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -82,12 +92,12 @@ class TestGenerate:
         code = run("generate", spec_file, "--N", "15", "--coverage", "sparse:7",
                    "--out", out)
         assert code == 0
-        obj = json.loads(open(out).read())
+        obj = read_json(out)
         assert obj["coverage"] == "sparse:7"
         # 79 samples counted per line; the origin and the two points where
         # the diagonal crosses the axes are stored once each
-        assert sorted(obj) == ["N", "P", "coverage", "d", "im", "re"]
-        assert len(obj["re"]) == len(obj["im"]) == 76
+        assert sorted(obj) == ["N", "P", "coverage", "d", "dtype", "values"]
+        assert len(wire_values(obj)) == 76
 
     def test_degenerate_signal(self, tmp_path):
         sig = signal_from_poles(np.array([[1.0 + 0.0j, 0.4 + 0.5j]]),
@@ -109,7 +119,7 @@ class TestGenerate:
         out = str(tmp_path / "grid.json")
         assert run("generate", spec_file, "--P", "3.0", "--N", "6",
                    "--coverage", "full", "--out", out) == 0
-        assert json.loads(open(out).read())["P"] == 3.0
+        assert read_json(out)["P"] == 3.0
 
     @pytest.mark.parametrize("period", ["nan", "inf"])
     def test_nonfinite_period(self, spec_file, tmp_path, period):
@@ -126,8 +136,8 @@ class TestGenerate:
         out = str(tmp_path / "grid4.json")
         assert run("generate", str(path), "--N", "10", "--coverage", "full",
                    "--out", out) == 0
-        obj = json.loads(open(out).read())
-        assert len(obj["re"]) == len(obj["im"]) == 21 ** 4
+        obj = read_json(out)
+        assert len(wire_values(obj)) == 21 ** 4
 
 
 class TestRecover:
@@ -139,7 +149,7 @@ class TestRecover:
         code = run("recover", grid, "--method", "sparse", "--truth", spec_file,
                    "--out", result)
         assert code == 0
-        payload = json.loads(open(result).read())
+        payload = read_json(result)
         assert payload["method"] == "sparse"
         assert payload["errors"]["e_frequency"] <= 1e-8
         assert payload["diagnostics"]["pairing"]["permutations"][0] is not None
@@ -152,7 +162,7 @@ class TestRecover:
             "--out", grid)
         run("recover", grid, "--method", "sparse", "--truth", spec_file,
             "--out", result)
-        payload = json.loads(open(result).read())
+        payload = read_json(result)
         recovered, _ = signal_from_json(payload["recovered"])
         report = relative_errors(BIVARIATE_5.signal, recovered, seed=0)
         assert report.signal_error == payload["errors"]["e_signal"]
@@ -164,7 +174,7 @@ class TestRecover:
         code = run("recover", grid, "--method", "recursive", "--truth", spec_file,
                    "--out", result)
         assert code == 0
-        payload = json.loads(open(result).read())
+        payload = read_json(result)
         assert payload["errors"]["e_frequency"] <= 1e-8
         assert len(payload["diagnostics"]["pole_tree"]["roots"]) == 5
 
@@ -196,7 +206,7 @@ class TestRecover:
         result = str(tmp_path / "r.json")
         code = run("recover", grid, "--method", "sparse", "--out", result)
         assert code == 3
-        payload = json.loads(open(result).read())
+        payload = read_json(result)
         assert payload["error"] == "TauViolation"
 
     def test_one_sample_per_side_is_a_recovery_failure(self, spec_file, tmp_path):
@@ -204,7 +214,7 @@ class TestRecover:
         grid, result = str(tmp_path / "grid.json"), str(tmp_path / "r.json")
         assert run("generate", spec_file, "--N", "1", "--coverage", "full", "--out", grid) == 0
         assert run("recover", grid, "--method", "recursive", "--out", result) == 3
-        payload = json.loads(open(result).read())
+        payload = read_json(result)
         assert payload["error"] == "NoConvergence"
         assert payload["message"].endswith("within 1 steps")
 
@@ -223,7 +233,7 @@ class TestRecover:
                    "--out", grid) == 0
         result = str(tmp_path / "r.json")
         assert run("recover", grid, "--method", "recursive", "--out", result) == 3
-        payload = json.loads(open(result).read())
+        payload = read_json(result)
         assert payload["error"] == "ResynthesisMismatch"
         assert "RESYNTHESIS_TOL" in payload["message"]
         assert "ResynthesisMismatch" in capsys.readouterr().err
@@ -239,15 +249,34 @@ class TestRecover:
         assert code == 1
 
     def test_boolean_in_dense_grid_rejected(self, spec_file, tmp_path):
-        # numpy would read the true as 1.0; a boolean is not a JSON number
         grid = tmp_path / "grid.json"
         run("generate", spec_file, "--N", "3", "--coverage", "full", "--out", str(grid))
         obj = json.loads(grid.read_text())
-        obj["re"][5] = True
+        obj["values"] = True
         grid.write_text(json.dumps(obj))
         result = tmp_path / "r.json"
         code = run("recover", str(grid), "--method", "recursive", "--out", str(result))
         assert code == 1
+        assert not result.exists()
+
+    @pytest.mark.parametrize("coverage", ["full", "sparse:7"])
+    def test_re_im_file_rejected(self, spec_file, tmp_path, capsys, coverage):
+        # the layout of earlier versions: "re" and "im" lists of JSON numbers
+        grid = tmp_path / "grid.json"
+        run("generate", spec_file, "--N", "15", "--coverage", coverage, "--out", str(grid))
+        obj = json.loads(grid.read_text())
+        values = wire_values(obj)
+        del obj["dtype"], obj["values"]
+        obj["re"], obj["im"] = values.real.tolist(), values.imag.tolist()
+        grid.write_text(json.dumps(obj))
+        capsys.readouterr()
+        result = tmp_path / "r.json"
+        method = "recursive" if coverage == "full" else "sparse"
+        code = run("recover", str(grid), "--method", method, "--out", str(result))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot read coefficient grid: coefficient grid object has no 'dtype' field"
+        ]
         assert not result.exists()
 
     def test_nonfinite_period_in_grid_rejected(self, spec_file, tmp_path):
@@ -280,8 +309,9 @@ class TestRecover:
         run("generate", spec_file, "--N", "15", "--coverage", "sparse:7", "--out", str(grid))
         obj = json.loads(grid.read_text())
         rows = SparseLines(7).unique_indices(2, 15).tolist()
-        obj["entries"] = [{"k": k, "c": [re, im]}
-                          for k, re, im in zip(rows, obj.pop("re"), obj.pop("im"))]
+        values = wire_values(obj).tolist()
+        del obj["dtype"], obj["values"]
+        obj["entries"] = [{"k": k, "c": [z.real, z.imag]} for k, z in zip(rows, values)]
         grid.write_text(json.dumps(obj))
         result = tmp_path / "r.json"
         code = run("recover", str(grid), "--method", "sparse", "--out", str(result))
@@ -362,7 +392,7 @@ class TestCompare:
     def test_json_report(self, spec_file, tmp_path):
         out = str(tmp_path / "report.json")
         assert run("compare", spec_file, spec_file, "--json", out) == 0
-        report = json.loads(open(out).read())
+        report = read_json(out)
         assert report["e_frequency"] == 0.0
 
     def test_overflowing_signal_is_an_input_error(self, tmp_path):
@@ -382,13 +412,31 @@ class TestCompare:
             "SIGNAL_BOX = (-10.0, 10.0) per axis"
         ]
 
+    def test_overflowing_difference_is_an_input_error(self, tmp_path):
+        # each signal peaks at 1e308 on the lattice, their difference at 2e308
+        rate = np.log(1e307) / 10
+        paths = []
+        for sign in (1, -1):
+            paths.append(tmp_path / f"big{sign}.json")
+            paths[-1].write_text(json.dumps({"d": 1, "P": 1.0, "gamma": [[10 * sign, 0]],
+                                             "lambda": [[[rate, 0]]]}))
+        proc = subprocess.run([sys.executable, "-m", "expanal.cli", "compare", *map(str, paths)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: the truth and recovered signals differ by more than a float holds on the "
+            "error lattice over SIGNAL_BOX = (-10.0, 10.0) per axis"
+        ]
+
 
 class TestPlotGrid:
     def test_bivariate_count(self, tmp_path):
         out = str(tmp_path / "grid.csv")
         assert run("plot-grid", "--d", "2", "--N", "15", "--tau", "7",
                    "--out", out) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = pathlib.Path(out).read_text().strip().splitlines()
         assert lines[0] == "k1,k2,category"
         assert len(lines) - 1 == 79
 
@@ -396,7 +444,7 @@ class TestPlotGrid:
         out = str(tmp_path / "grid.csv")
         assert run("plot-grid", "--d", "3", "--N", "15", "--tau", "4",
                    "--out", out) == 0
-        lines = open(out).read().strip().splitlines()[1:]
+        lines = pathlib.Path(out).read_text().strip().splitlines()[1:]
         axis_rows = [l for l in lines if l.endswith(",axis")]
         diag_rows = [l for l in lines if l.endswith(",diagonal")]
         assert len(axis_rows) == 3 * 31
@@ -412,7 +460,7 @@ class TestDeterminism:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         run("generate", spec_file, "--N", "10", "--coverage", "sparse:4", "--out", a)
         run("generate", spec_file, "--N", "10", "--coverage", "sparse:4", "--out", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
 
     def test_recover_bytes_modulo_wall_time(self, spec_file, tmp_path):
         grid = str(tmp_path / "grid.json")
@@ -423,7 +471,7 @@ class TestDeterminism:
             path = str(tmp_path / name)
             run("recover", grid, "--method", "sparse", "--truth", spec_file,
                 "--out", path)
-            payload = json.loads(open(path).read())
+            payload = read_json(path)
             payload["wall_time"] = None
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
@@ -432,7 +480,7 @@ class TestDeterminism:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         run("compare", spec_file, spec_file, "--json", a)
         run("compare", spec_file, spec_file, "--json", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
 
 
 def test_thread_cap_applied(monkeypatch, tmp_path):

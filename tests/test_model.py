@@ -1,5 +1,6 @@
 """Tests for the signal model, coefficient synthesis and error metrics."""
 
+import base64
 import json
 import tracemalloc
 import warnings
@@ -181,6 +182,22 @@ class TestSynthesize:
             src.value([1, 1])
 
 
+def wire_text(values):
+    """The base64 text of values, as the wire format stores them."""
+    return base64.b64encode(np.asarray(values, dtype="<c16")).decode("ascii")
+
+
+def wire_values(obj):
+    """The values of a wire object, decoded."""
+    return np.frombuffer(base64.b64decode(obj["values"]), dtype="<c16").copy()
+
+
+def wire_object(N, text, dtype="<c16"):
+    """The JSON text of a d = 1 full-grid wire object."""
+    return json.dumps({"d": 1, "P": 1.0, "N": N, "coverage": "full", "dtype": dtype,
+                       "values": text})
+
+
 def peak_allocation(call, *args):
     """call(*args) and its peak traced allocation in bytes."""
     tracemalloc.start()
@@ -206,6 +223,14 @@ class TestOneGrid:
         obj = source_to_json(case.signal.synthesize(case.P, case.N, FullGrid()))
         src, peak = peak_allocation(source_from_json, obj)
         assert peak <= 1.1 * src.values.nbytes
+
+    def test_wire_write_peak_allocation(self):
+        # the base64 bytes and their text are 4/3 grid each; the re/im lists
+        # of Python floats made 4.00 grids
+        case = QUADVARIATE_9
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        _, peak = peak_allocation(source_to_json, src)
+        assert peak <= 3 * src.values.nbytes
 
     @pytest.mark.parametrize("coverage", [FullGrid(), SparseLines(2)], ids=["full", "sparse"])
     def test_constructor_copies(self, coverage):
@@ -343,6 +368,23 @@ class TestRelativeErrors:
         with pytest.raises(BadParameters, match=rf"the {which} signal .*SIGNAL_BOX"):
             relative_errors(*pair)
 
+    def test_overflowing_difference_refused(self):
+        # each signal peaks at 1e308 on the lattice, their difference at 2e308
+        rate = np.log(1e307) / 10
+        truth = ExponentialSum(np.array([[rate]]), np.array([10.0]))
+        recovered = ExponentialSum(np.array([[rate]]), np.array([-10.0]))
+        with pytest.raises(BadParameters, match=r"the truth and recovered signals .*SIGNAL_BOX"):
+            relative_errors(truth, recovered)
+
+    def test_overflowing_magnitude_refused(self):
+        # the truth's parts peak at 1.5e308 on the lattice, its modulus at
+        # 2.1e308, which made a signal error of 0 against a 1e-3 misfit
+        rate = np.log(1.5e307) / 10
+        truth = ExponentialSum(np.array([[rate]]), np.array([10 + 10j]))
+        recovered = ExponentialSum(np.array([[rate]]), np.array([(10 + 10j) * (1 + 1e-3)]))
+        with pytest.raises(BadParameters, match=r"the truth signal .*SIGNAL_BOX"):
+            relative_errors(truth, recovered)
+
 
 class TestJson:
     def test_signal_roundtrip(self):
@@ -380,18 +422,22 @@ class TestJson:
         grid.flat[1] = complex(0.25, -0.0)
         src = CoefficientSource(d, 1.5, N, FullGrid(), grid)
         obj = json.loads(json.dumps(source_to_json(src)))
-        assert sorted(obj) == ["N", "P", "coverage", "d", "im", "re"]
-        # C order over [-N..N]^d: index k at position k+N, axis 0 slowest
+        assert sorted(obj) == ["N", "P", "coverage", "d", "dtype", "values"]
+        assert obj["dtype"] == "<c16"
+        # C order over [-N..N]^d: index k at position k+N, axis 0 slowest,
+        # whatever the memory order of the stored array
         k = np.arange(d) % (2 * N + 1) - N
         position = int(np.ravel_multi_index(tuple(k + N), shape))
-        assert complex(obj["re"][position], obj["im"][position]) == src.value(k)
+        assert wire_values(obj)[position] == src.value(k)
+        fortran = CoefficientSource(d, 1.5, N, FullGrid(), np.asfortranarray(grid))
+        assert source_to_json(fortran) == source_to_json(src)
         back = source_from_json(obj)
         assert back.grid().tobytes() == src.grid().tobytes()
         assert np.signbit(back.grid().flat[1].imag)
 
     def test_sparse_wire_layout_unchanged(self):
-        # pins the sparse layout: re/im over the covered indices, each once,
-        # in lexicographic order
+        # pins the sparse layout: the values of the covered indices, each
+        # once, in lexicographic order
         case = BIVARIATE_5
         src = case.signal.synthesize(case.P, 15, SparseLines(7))
         rows = sorted({tuple(row) for _, line in SparseLines(7).line_indices(2, 15)
@@ -399,10 +445,12 @@ class TestJson:
         values = [case.signal.fourier_coefficient(k, case.P) for k in rows]
         assert len(rows) == 76
         assert source_to_json(src) == {
-            "d": 2, "P": case.P, "N": 15, "coverage": "sparse:7",
-            "re": [z.real for z in values], "im": [z.imag for z in values],
+            "d": 2, "P": case.P, "N": 15, "coverage": "sparse:7", "dtype": "<c16",
+            "values": wire_text(values),
         }
 
+    # objects in the earlier layouts (re/im number lists, per-entry), which
+    # are no longer read, then malformed objects in the current one
     @pytest.mark.parametrize("text", [
         '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, 2, 3]}',
         '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "re": [1, 2, 3], "im": [0, 0]}',
@@ -416,15 +464,34 @@ class TestJson:
         '"im": [0, 0, 0]}',
         '{"d": 1, "P": 1.0, "N": 1, "coverage": "full", "entries": ['
         '{"k": [-1], "c": [1, 0]}, {"k": [0], "c": [1, 0]}, {"k": [1], "c": [1, 0]}]}',
+        *(wire_object(1, text, dtype) for dtype, text in [
+            ("<c8", wire_text([1, 2, 3])),
+            (">c16", wire_text([1, 2, 3])),
+            ("<c16", None),
+            ("<c16", [wire_text([1, 2, 3])]),
+            ("<c16", wire_text([1, 2, 3])[:-1] + "!"),
+            ("<c16", wire_text([1, 2, 3])[:-1] + "é"),
+            ("<c16", wire_text([1, 2, 3])[:-4]),
+            ("<c16", wire_text([1, 2, 3, 4])),
+            ("<c16", wire_text([1, 2, np.inf])),
+            ("<c16", wire_text([1, complex(0, np.nan), 3])),
+        ]),
+        # N = 2: 5 values are 80 bytes, so the text ends in one "=" of
+        # padding; a data character there would decode to 81 bytes
+        wire_object(2, wire_text([1, 2, 3, 4, 5])[:-1] + "A"),
     ], ids=["missing-im", "wrong-length", "nan", "strings", "bool-in-re", "bool-in-im",
-            "null", "nested", "huge-int", "per-entry"])
+            "null", "nested", "huge-int", "per-entry",
+            "dtype-c8", "dtype-big-endian", "values-null", "values-list", "not-base64",
+            "not-ascii", "short-text", "long-text", "inf-value", "nan-value",
+            "data-in-padding"])
     def test_malformed_full_grid(self, text):
         with pytest.raises(BadParameters):
             source_from_json(json.loads(text))
 
-    # one bad token per wire field of a sparse-lines file: P and each value c
-    # (a token of re) take JSON numbers only, d and N JSON integers only; the
-    # refusal must come from the type check, not from a later mismatch
+    # one bad token per wire field of a sparse-lines file: P takes JSON
+    # numbers only, d and N JSON integers only, and the values c a JSON
+    # string; the refusal must come from the type check, not from a later
+    # mismatch
     @pytest.mark.parametrize("field, token", [
         ("d", True), ("d", "2"), ("d", 2.5),
         ("N", True), ("N", "6"), ("N", 6.9),
@@ -435,7 +502,7 @@ class TestJson:
         case = BIVARIATE_5
         obj = source_to_json(case.signal.synthesize(case.P, 6, SparseLines(2)))
         if field == "c":
-            obj["re"][1] = token
+            obj["values"] = token
         else:
             obj[field] = token
         with pytest.raises(BadParameters, match="JSON"):
@@ -451,11 +518,11 @@ class TestJson:
         (1000, 2, "sparse:1", 0),
     ], ids=["full-empty", "full-axis-lines", "sparse-empty"])
     def test_impossible_d_and_N_refused_cheaply(self, d, N, coverage, count):
-        obj = {"d": d, "P": 1.0, "N": N, "coverage": coverage,
-               "re": [0.0] * count, "im": [0.0] * count}
+        obj = {"d": d, "P": 1.0, "N": N, "coverage": coverage, "dtype": "<c16",
+               "values": wire_text(np.zeros(count))}
         tracemalloc.start()
         try:
-            with pytest.raises(BadParameters, match="JSON numbers"):
+            with pytest.raises(BadParameters, match="the base64 text of"):
                 source_from_json(obj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -503,8 +570,8 @@ class TestSparseStore:
         values[0] = complex(0.25, -0.0)
         src = CoefficientSource(d, 1.5, N, coverage, values)
         obj = json.loads(json.dumps(source_to_json(src)))
-        assert sorted(obj) == ["N", "P", "coverage", "d", "im", "re"]
-        assert len(obj["re"]) == len(obj["im"]) == n
+        assert sorted(obj) == ["N", "P", "coverage", "d", "dtype", "values"]
+        assert len(wire_values(obj)) == n
         back = source_from_json(obj)
         assert back.coverage == coverage
         assert back.values.tobytes() == src.values.tobytes()
@@ -577,30 +644,29 @@ class TestSparseStore:
             src.diagonal_line(0)
 
     @pytest.mark.parametrize("edit", [
-        "short-re", "long-im", "bool-in-re", "bool-in-im", "string-in-re", "nan-in-im",
-        "per-entry",
+        "short-values", "long-values", "nan-in-im", "re-im", "per-entry",
     ])
     def test_malformed_sparse_object(self, edit):
         case = BIVARIATE_5
         obj = json.loads(json.dumps(
             source_to_json(case.signal.synthesize(case.P, 6, SparseLines(2)))
         ))
-        if edit == "short-re":
-            obj["re"].pop()
-        elif edit == "long-im":
-            obj["im"].append(0.0)
-        elif edit == "bool-in-re":
-            obj["re"][3] = True
-        elif edit == "bool-in-im":
-            obj["im"][3] = False
-        elif edit == "string-in-re":
-            obj["re"][3] = "1.0"
+        values = wire_values(obj)
+        if edit == "short-values":
+            obj["values"] = wire_text(values[:-1])
+        elif edit == "long-values":
+            obj["values"] = wire_text(np.append(values, 0))
         elif edit == "nan-in-im":
-            obj["im"][3] = float("nan")
+            values[3] = complex(values[3].real, np.nan)
+            obj["values"] = wire_text(values)
         else:
-            rows = SparseLines(2).unique_indices(2, 6).tolist()
-            obj["entries"] = [{"k": k, "c": [re, im]}
-                              for k, re, im in zip(rows, obj.pop("re"), obj.pop("im"))]
+            del obj["dtype"], obj["values"]
+            if edit == "re-im":
+                obj["re"], obj["im"] = values.real.tolist(), values.imag.tolist()
+            else:
+                rows = SparseLines(2).unique_indices(2, 6).tolist()
+                obj["entries"] = [{"k": k, "c": [z.real, z.imag]}
+                                  for k, z in zip(rows, values.tolist())]
         with pytest.raises(BadParameters):
             source_from_json(obj)
 
