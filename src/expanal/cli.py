@@ -140,7 +140,10 @@ def cmd_recover(args):
         return _fail("--method sparse needs sparse-lines coverage", EXIT_MISMATCH)
     if args.method == "recursive" and not isinstance(source.coverage, model.FullGrid):
         return _fail("--method recursive needs full-grid coverage", EXIT_MISMATCH)
-    if args.tau is not None and is_sparse and args.tau != source.coverage.tau:
+    if args.tau is not None and not is_sparse:
+        return _fail("--tau needs sparse-lines coverage: a full grid has no diagonal shift",
+                     EXIT_MISMATCH)
+    if args.tau is not None and args.tau != source.coverage.tau:
         return _fail(
             f"--tau {args.tau} contradicts the grid's tau={source.coverage.tau}",
             EXIT_MISMATCH,
@@ -216,6 +219,10 @@ def cmd_compare(args):
     try:
         truth, _ = model.signal_from_json(_load_json(args.truth))
         payload = _load_json(args.result)
+        if isinstance(payload, dict) and "error" in payload:
+            # the file recover writes when a recovery fails
+            return _fail(f"the result file records a failed recovery: "
+                         f"{payload['error']}: {payload.get('message')}", EXIT_INPUT)
         if isinstance(payload, dict) and "recovered" in payload:
             payload = payload["recovered"]
         recovered, _ = model.signal_from_json(payload)
@@ -280,7 +287,7 @@ def build_parser():
     rec.add_argument("--method", choices=("sparse", "recursive"), required=True)
     rec.add_argument("--tol", type=float, default=1e-12)
     rec.add_argument("--tau", type=int, default=None,
-                     help="cross-check against the grid's diagonal shift")
+                     help="cross-check against the grid's diagonal shift (sparse-lines only)")
     rec.add_argument("--truth", default=None, help="signal JSON to score against")
     rec.add_argument("--seed", type=int, default=0)
     rec.add_argument("--out", required=True)

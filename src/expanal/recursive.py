@@ -18,10 +18,11 @@ path formed, applied to a sub-grid of the first axes.  One product of those
 rows with the grid, seen as an (n^h, n^(d-h)) matrix, then gives the depth-h
 slices.  Each trailing level's residue solve runs on the whole slices, so it
 gives both the lines' residues and one lower-dimensional child per pole; only
-a node whose close poles were merged is solved again.  A slice of the last
-level is a single line, and its children are the amplitudes of the terms
-below it: a recovery solves no separate amplitude system.  leaves_to_sum
-replays the same splits for a given tree and grid.
+a node whose close poles were merged is split again (_split).  A slice of the
+last level is a single line, and its children are the amplitudes of the terms
+below it: a recovery solves no separate amplitude system.  leaves_to_sum runs
+the same level walk (_build) on a given tree, each level split by _split on
+the tree's poles instead of fitted ones.
 """
 
 import bisect
@@ -194,8 +195,8 @@ def peel_dimension(poles, parent_values):
     samples or a rank deficient system raise IllConditioned.
 
     Returns the (len(poles), *tail) solution array: row j is the child slice
-    of poles[j]: the children of a tree slice's residue solve, as the
-    stacked peel of leaves_to_sum replays them on each tree level.
+    of poles[j].  It is the split (_split) a trailing tree level makes of
+    each slice, in a build and in the replay of leaves_to_sum.
     """
     vals = np.asarray(parent_values, dtype=complex)
     if vals.ndim < 2:
@@ -210,51 +211,38 @@ def peel_dimension(poles, parent_values):
         raise BadParameters("need at least one pole")
     if not np.isfinite(vals).all():
         raise BadParameters("parent_values contains non-finite entries")
-    children, errors = _peel_level([b], vals[None])
+    (children,), errors = _split([b], vals[None], leading=False)
     if errors:
         raise errors[0]
     return children
 
 
-def _peel_level(poles, stack):
-    """The child slices of one tree level, one linalg.cauchy_lstsq per pole count.
+def _split(poles, stack, leading):
+    """The splits of one tree level on given poles, one Cauchy solve per pole
+    count.
 
-    poles[i] holds the poles of stack[i], or None for a failed node.  Returns
-    (children, errors): the children of node i, one per pole, follow those of
-    node i - 1, and errors maps the nodes whose peel fails to their error.
+    poles[i] holds the poles of stack[i], or None for a node not to split.
+    In the leading half of the axes (leading true) node i's part is the
+    (len(poles[i]), n) pseudo-inverse of its slice system (linalg._cauchy_pinv),
+    which its children read the grid through (_descend); in the trailing
+    half it is the (len(poles[i]), *tail) children of stack[i]
+    (linalg.cauchy_lstsq).  Returns (parts, {node: error}), parts[i] None for
+    a node not split.
     """
-    n, tail = stack.shape[1], stack.shape[2:]
-    k = _sample_points(n)
-    groups = _by_count(poles)
-    # one group holding every node peels the stack as it is, without a copy
-    whole = [len(idx) for idx in groups.values()] == [len(poles)]
-    starts = list(itertools.accumulate((0 if row is None else len(row) for row in poles),
-                                       initial=0))
-    children, errors = None if whole else np.empty((starts[-1],) + tail, dtype=complex), {}
-    for count, idx in groups.items():
-        kids, errs = linalg.cauchy_lstsq(np.array([poles[i] for i in idx]), k,
-                                         stack if whole else stack[idx],
-                                         f"slice system for {count} poles")
-        if whole:
-            return kids.reshape((-1,) + tail), errs
-        children[[starts[i] + j for i in idx for j in range(count)]] = kids.reshape((-1,) + tail)
-        errors.update((idx[pos], exc) for pos, exc in errs.items())
-    return children, errors
-
-
-def _level_pinvs(poles, n):
-    """The (len(row), n) pseudo-inverses of the slice systems of one tree
-    level, one linalg._cauchy_pinv per pole count: (pinvs, {node: error}),
-    poles[i] None (a failed node) giving None."""
-    k = _sample_points(n)
-    pinvs, errors = [None] * len(poles), {}
+    k = _sample_points(stack.shape[1])
+    parts, errors = [None] * len(poles), {}
     for count, idx in _by_count(poles).items():
-        pinv, errs = linalg._cauchy_pinv(np.array([poles[i] for i in idx]), k,
-                                         f"slice system for {count} poles")
+        b, what = np.array([poles[i] for i in idx]), f"slice system for {count} poles"
+        if leading:
+            rows, errs = linalg._cauchy_pinv(b, k, what)
+        else:
+            # one group holding every node splits the stack as it is, without a copy
+            rows, errs = linalg.cauchy_lstsq(b, k, stack if len(idx) == len(stack) else stack[idx],
+                                             what)
         for pos, i in enumerate(idx):
-            pinvs[i] = pinv[pos]
+            parts[i] = rows[pos]
         errors.update((idx[pos], exc) for pos, exc in errs.items())
-    return pinvs, errors
+    return parts, errors
 
 
 def _descend(weights, pinvs):
@@ -308,18 +296,21 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
     return _build(source, tol, method, trace_sink)[0]
 
 
-def _build(source, tol, method, trace_sink):
+def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
     """build_pole_tree, and the amplitudes: (tree, amplitudes in depth-first
-    leaf order).
+    leaf order).  The one level walk of the module: given a tree, a level
+    takes its poles from the tree instead of fitting them (the replay of
+    leaves_to_sum), and tol, method and trace_sink go unused.
 
     The grid is read through its two halves, as model._halves writes it.  A
     node in the leading h = d // 2 levels is its central line, read from the
     grid by the Kronecker product of the pseudo-inverses along its path
     (_descend, _read); its fit hands back the pseudo-inverse its residue
-    solve formed (solved again for merged poles).  After level h - 1 one
-    product of those weights with the grid, seen as (n^h, n^(d-h)), gives the
-    depth-h slices, and each trailing level splits its slices by the
-    children of their fits, as peel_dimension does.  A leaf-level slice is a
+    solve formed.  After level h - 1 one product of those weights with the
+    grid, seen as (n^h, n^(d-h)), gives the depth-h slices, and each
+    trailing level splits its slices by the children of their fits, as
+    peel_dimension does.  A node whose close poles were merged, and every
+    node of a replay, is split by _split instead.  A leaf-level slice is a
     line, so its children are the amplitudes of the leaves below it.  A
     product row outside the float range fails the node whose split produced
     it.
@@ -331,25 +322,33 @@ def _build(source, tol, method, trace_sink):
     stack = grid[(slice(None),) + (n_half,) * (d - 1)][None]
     weights, keys, paths = None, [()], [()]
     levels, traced, failures = [], [], {}
+    # in a replay, the tree's nodes below each node of the level
+    groups = [] if tree is None else [tree.roots]
     for level in range(d):
-        try:
-            fits = _fit_lines(stack, tol, n_half, method)
-        except ExpanalError as exc:
-            # tol and method fail on the first line fitted, the root
-            raise type(exc)(f"at pole path (): {exc}") from exc
-        poles, children, pinvs = [None] * len(fits), [stack[:0, 0]] * len(fits), [None] * len(fits)
-        for i, fit in enumerate(fits):
-            if isinstance(fit, ExpanalError):
-                failures[keys[i]] = (paths[i], fit)
-            else:
-                poles[i], children[i], pinvs[i] = fit[0], fit[1], fit[3]
-                traced.append((keys[i], fit[2]))
-        for i in _merge_rows(poles):
-            if level < lead:
-                (pinvs[i],), errors = _level_pinvs([poles[i]], stack.shape[1])
-            else:
-                children[i], errors = _peel_level([poles[i]], stack[i, None])
-            failures.update((keys[i], (paths[i], exc)) for exc in errors.values())
+        leading = level < lead
+        if tree is None:
+            try:
+                fits = _fit_lines(stack, tol, n_half, method)
+            except ExpanalError as exc:
+                # tol and method fail on the first line fitted, the root
+                raise type(exc)(f"at pole path (): {exc}") from exc
+            poles, parts = [None] * len(fits), [None] * len(fits)
+            for i, fit in enumerate(fits):
+                if isinstance(fit, ExpanalError):
+                    failures[keys[i]] = (paths[i], fit)
+                else:
+                    poles[i], parts[i] = fit[0], fit[3] if leading else fit[1]
+                    traced.append((keys[i], fit[2]))
+            merged = set(_merge_rows(poles))
+            to_split = [row if i in merged else None for i, row in enumerate(poles)]
+        else:
+            to_split = poles = [np.array([node.pole for node in group], dtype=complex)
+                                for group in groups]
+            parts = [None] * len(poles)
+            groups = [node.children for group in groups for node in group]
+        split, errors = _split(to_split, stack, leading)
+        parts = [part if new is None else new for part, new in zip(parts, split)]
+        failures.update((keys[i], (paths[i], exc)) for i, exc in errors.items())
         levels.append(poles)
         keys = [key + (j,) for key, row in zip(keys, poles) if row is not None
                 for j in range(len(row))]
@@ -357,18 +356,18 @@ def _build(source, tol, method, trace_sink):
                  for pole in row.tolist()]
         if not keys:
             break
-        if level >= lead:
-            stack = np.concatenate(children)
-        else:
-            weights = _descend(weights, pinvs)
+        if leading:
+            weights = _descend(weights, parts)
             stack = _read(grid, weights, 1 if level + 1 < lead else d - lead)
             # a row of the product is a child: its split was its parent's
             for row, exc in linalg._out_of_range(stack, "residue system").items():
                 failures.setdefault(keys[row][:-1], (paths[row][:-1], exc))
+        else:
+            stack = np.concatenate([part for part in parts if part is not None])
         if failures:
             cut = bisect.bisect_left(keys, min(failures))
-            stack, keys, paths = stack[:cut], keys[:cut], paths[:cut]
-            if level < lead:
+            stack, keys, paths, groups = stack[:cut], keys[:cut], paths[:cut], groups[:cut]
+            if leading:
                 weights = weights[:cut]
         if not keys:
             break
@@ -392,22 +391,23 @@ def leaves_to_sum(tree, source):
     """Signal parameters from a pole tree and its full-grid source.
 
     The root-to-leaf pole paths give the frequency rows.  The amplitudes
-    replay the splits of the tree's build on the source's grid: in the
-    leading half of the axes, one pseudo-inverse per node and level
-    (_level_pinvs), carried down as weights (_descend) and read from the
-    grid by one product (_read); then one stacked peel per trailing level
-    (_peel_level), each node's slice split on its children's poles.  A
-    leaf-level slice is a line, so its last peel gives the amplitudes of its
-    leaves, in depth-first leaf order.  On the source a tree was built from,
-    these are the residues that recover_recursive takes from the leaf fits.
-    Each level solves its own least squares system, so on noisy data the
+    replay the tree's build on the source's grid: the build's own level
+    walk (_build), each level split (_split) on the tree's poles instead of
+    fitted ones.  In the leading half of the axes the pseudo-inverses are
+    carried down as weights and read from the grid by one product; then
+    each trailing slice is split on its children's poles.  A leaf-level
+    slice is a line, so its last split gives the amplitudes of its leaves,
+    in depth-first leaf order.  On the source a tree was built from, these
+    are the residues that recover_recursive takes from the leaf fits.  Each
+    level solves its own least squares system, so on noisy data the
     amplitudes are not the least squares fit of the whole grid by the tree's
     terms.
 
     A tree whose dimension is not the source's raises ShapeMismatch; a
     malformed tree (PoleTree.validate), or a pole not finite or on (or a hair
-    off) a sample point k = -N..N, raises BadParameters before any peel.  A
-    refused split raises the error of the first node it fails on.
+    off) a sample point k = -N..N, raises BadParameters before any split.  A
+    refused split raises as in a build: the error of the first node, depth
+    first, that fails, as "at pole path {path}: ...".
     """
     if tree.dimension != source.d:
         raise ShapeMismatch(
@@ -415,28 +415,12 @@ def leaves_to_sum(tree, source):
             f"{source.d}-dimensional source"
         )
     poles = tree.validate().leaf_paths()
-    n, d = 2 * source.N + 1, tree.dimension
-    k = _sample_points(n)
+    k = _sample_points(2 * source.N + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cauchy = 1.0 / (k[:, None] - poles.T[:, None, :])  # (d, n, M)
     if not (np.isfinite(poles).all() and np.isfinite(cauchy).all()):
         raise linalg._non_finite_cauchy("amplitude system")
-    grid, lead = source.grid(), d // 2
-    stack, weights, siblings = grid[None], None, [tree.roots]
-    for level in range(d):
-        rows = [np.array([node.pole for node in group], dtype=complex) for group in siblings]
-        siblings = [node.children for group in siblings for node in group]
-        if level < lead:
-            pinvs, errors = _level_pinvs(rows, n)
-            weights = _descend(weights, pinvs)
-            if level + 1 == lead and not errors:
-                stack = _read(grid, weights, d - lead)
-                errors = linalg._out_of_range(stack, "slice system")
-        else:
-            stack, errors = _peel_level(rows, stack)
-        if errors:
-            raise errors[min(errors)]
-    return ExponentialSum.from_poles(poles, stack, source.P)
+    return ExponentialSum.from_poles(poles, _build(source, tree=tree)[1], source.P)
 
 
 def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=None):

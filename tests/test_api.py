@@ -27,7 +27,8 @@ REMOVED = {
     "expanal.sparse": ("plan", "SparseGridPlan", "HUNGARIAN_LIMIT", "_greedy_assignment"),
     "expanal.recursive": ("_line_poles", "SliceValues", "distinct_poles",
                           "TreeNode.leaf_multiplicity", "PoleTree._leaves", "_peel",
-                          "RESYNTHESIS_WARN_TOL", "PoleTree._root_peel", "_distinct"),
+                          "RESYNTHESIS_WARN_TOL", "PoleTree._root_peel", "_distinct",
+                          "_peel_level", "_level_pinvs"),
     "expanal.rational": ("_cauchy_lstsq", "_misfit_error"),
     "expanal.validation": ("check_positive_int", "check_rcond"),
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices",

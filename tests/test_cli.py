@@ -193,6 +193,20 @@ class TestRecover:
                    "--out", str(tmp_path / "r.json"))
         assert code == 4
 
+    def test_tau_on_full_grid_refused(self, spec_file, tmp_path, capsys):
+        # --tau cross-checks a diagonal shift, and a full grid has none
+        grid = str(tmp_path / "grid.json")
+        run("generate", spec_file, "--N", "6", "--coverage", "full", "--out", grid)
+        capsys.readouterr()
+        result = tmp_path / "r.json"
+        code = run("recover", grid, "--method", "recursive", "--tau", "7",
+                   "--out", str(result))
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --tau needs sparse-lines coverage: a full grid has no diagonal shift"
+        ]
+        assert not result.exists()
+
     def test_recovery_failure_payload(self, tmp_path):
         # a valid signal sampled with a shift too small for it: recovery
         # must fail with the error name in the payload
@@ -388,6 +402,23 @@ class TestCompare:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.splitlines() == ["error: --seed must be non-negative, got -1"]
+
+    def test_failed_recovery_result(self, spec_file, tmp_path, capsys):
+        # the file recover writes on exit 3 holds no signal: compare names
+        # the recorded failure instead of a missing field
+        grid, result = str(tmp_path / "grid.json"), str(tmp_path / "r.json")
+        run("generate", spec_file, "--N", "1", "--coverage", "full", "--out", grid)
+        assert run("recover", grid, "--method", "recursive", "--out", result) == 3
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        assert run("compare", spec_file, result, "--json", str(report)) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [
+            "error: the result file records a failed recovery: NoConvergence: at pole "
+            "path (): greedy fit did not reach tolerance within 1 steps"
+        ]
+        assert not report.exists()
 
     def test_json_report(self, spec_file, tmp_path):
         out = str(tmp_path / "report.json")

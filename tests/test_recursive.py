@@ -513,6 +513,18 @@ def _slices(tree):
     return out
 
 
+def _count_linalg(monkeypatch):
+    """The counts of the np.linalg svd, eigvals and lstsq calls made from now
+    on, filled in as they are made."""
+    counts = {}
+    for name in ("svd", "eigvals", "lstsq"):
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 class TestStackedCalls:
     """The LAPACK calls of a tree grow with its levels and fit steps, not with
     its nodes.  Depth first, trivariate-6 made 25 svd, 13 eigvals and 13
@@ -525,7 +537,7 @@ class TestStackedCalls:
     peel of each level they made 13 svd, 1 eigvals and no lstsq, and 20, 2
     and 0 (the pencil engine 16 and 25 svd); now that the residue solve of
     each fit splits its whole slice they make 11 and 16 svd (the pencil
-    engine 14 and 21)."""
+    engine 14 and 21).  The replay of leaves_to_sum fits no line."""
 
     @pytest.mark.parametrize("case, method", [
         pytest.param(case, method, id=case.name + ("" if method == "eig" else "-pencil"))
@@ -533,12 +545,7 @@ class TestStackedCalls:
     ])
     def test_call_counts(self, case, method, monkeypatch):
         src = case.signal.synthesize(case.P, case.N, FullGrid())
-        counts = {}
-        for name in ("svd", "eigvals", "lstsq"):
-            def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _call(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        counts = _count_linalg(monkeypatch)
         traces = []
         tree = build_pole_tree(src, method=method, trace_sink=traces)
         monkeypatch.undo()
@@ -559,6 +566,25 @@ class TestStackedCalls:
         assert counts.get("svd", 0) <= svd_bound + (method == "pencil") * len(fit_groups)
         # every Cauchy system goes through the one stacked SVD solve
         assert counts.get("lstsq", 0) == 0
+
+    @pytest.mark.parametrize("case", [TRIVARIATE_6, QUADVARIATE_8], ids=lambda c: c.name)
+    def test_replay_fits_no_line(self, case, monkeypatch):
+        # leaves_to_sum takes every level's poles from the tree: no line
+        # fit, no eigenproblem, one svd per (level, pole count) group
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        signal, tree = recover_recursive(src)
+
+        def no_fit(*args):
+            raise AssertionError("a replay fits no line")
+
+        monkeypatch.setattr(recursive, "_fit_lines", no_fit)
+        counts = _count_linalg(monkeypatch)
+        replay = leaves_to_sum(tree, src)
+        monkeypatch.undo()
+        assert 0 < counts.get("svd", 0) <= len(set(_slices(tree)))
+        assert counts.get("eigvals", 0) == 0 and counts.get("lstsq", 0) == 0
+        scale = np.abs(replay.coefficients).max()
+        assert np.abs(replay.coefficients - signal.coefficients).max() <= 1e-13 * scale
 
 
 class TestLeavesToSum:
@@ -642,10 +668,31 @@ class TestLeavesToSum:
 
     def test_near_duplicate_paths_ill_conditioned(self):
         # the root peel's Cauchy matrix has a singular value ratio of about
-        # 1.8e-15 for roots 1e-14 apart, below the rank rule's RCOND
+        # 1.8e-15 for roots 1e-14 apart, below the rank rule's RCOND; the
+        # refusal names the pole path of the slice, as in a build
         _, src, tree = self._near_duplicate_roots(1e-14)
-        with pytest.raises(IllConditioned, match="slice system for 2 poles is numerically"):
+        with pytest.raises(IllConditioned, match=r"^at pole path \(\): slice system for 2 "
+                                                 r"poles is numerically"):
             leaves_to_sum(tree, src)
+
+    # a second copy of the first root's first child, 1e-14 away: the split of
+    # the first root's slice (level 1) is rank deficient, in the leading half
+    # of the axes on quadvariate-8 (a pseudo-inverse) and in the trailing half
+    # on bivariate-5 (a peel of the slice)
+    @pytest.mark.parametrize("case", [QUADVARIATE_8, BIVARIATE_5], ids=lambda c: c.name)
+    def test_near_duplicate_child_names_its_pole_path(self, case):
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        built = build_pole_tree(src)
+        first = built.roots[0]
+        child = first.children[0]
+        twin = TreeNode(pole=child.pole + 1e-14, children=child.children)
+        root = TreeNode(pole=first.pole, children=(child, twin) + first.children[1:])
+        tree = PoleTree(roots=(root,) + built.roots[1:], dimension=built.dimension).validate()
+        with pytest.raises(IllConditioned) as info:
+            leaves_to_sum(tree, src)
+        assert str(info.value).startswith(
+            f"at pole path {(first.pole,)}: slice system for {len(root.children)} poles "
+            f"is numerically rank deficient")
 
     def test_near_duplicate_paths_1e9_apart_solved(self):
         # 1e-9 apart the ratio is about 1.7e-10, above RCOND: the root peel
