@@ -39,7 +39,6 @@ _EXPORTS = {
     "BarycentricForm": "rational",
     "PoleResidue": "rational",
     "aaa_fit": "rational",
-    "evaluate_barycentric": "rational",
     "loewner_pencil_poles": "rational",
     "poles_of": "rational",
     "recover_univariate": "rational",

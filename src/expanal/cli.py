@@ -81,11 +81,11 @@ def _fail(message, code):
 
 def cmd_generate(args):
     from . import model
-    from .errors import BadParameters, DegenerateFrequency, ExpanalError
+    from .errors import DegenerateFrequency, ExpanalError
 
     try:
         signal, file_period = model.signal_from_json(_load_json(args.signal))
-    except (OSError, ValueError, BadParameters) as exc:
+    except (OSError, ValueError, ExpanalError) as exc:
         return _fail(f"cannot read signal file: {exc}", EXIT_INPUT)
     period = args.P if args.P is not None else file_period
     try:
@@ -214,7 +214,7 @@ def cmd_compare(args):
     if args.seed < 0:
         return _fail(f"--seed must be non-negative, got {args.seed}", EXIT_INPUT)
     from . import model
-    from .errors import BadParameters, ExpanalError
+    from .errors import ExpanalError
 
     try:
         truth, _ = model.signal_from_json(_load_json(args.truth))
@@ -226,7 +226,7 @@ def cmd_compare(args):
         if isinstance(payload, dict) and "recovered" in payload:
             payload = payload["recovered"]
         recovered, _ = model.signal_from_json(payload)
-    except (OSError, ValueError, BadParameters) as exc:
+    except (OSError, ValueError, ExpanalError) as exc:
         return _fail(f"cannot read inputs: {exc}", EXIT_INPUT)
     try:
         report = model.relative_errors(truth, recovered, seed=args.seed)

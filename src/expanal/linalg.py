@@ -231,8 +231,3 @@ def linear_assignment(cost):
         return cols[order], rows[order]
     return rows, cols
 
-
-def sort_complex(values):
-    """Sort complex values by (real, imag) lexicographic order."""
-    arr = np.asarray(values, dtype=complex).ravel()
-    return arr[np.lexsort((arr.imag, arr.real))]

@@ -7,7 +7,9 @@ and maps pole/residue pairs back to exponential-sum parameters.
 
 pole_residue_from_samples is the one line fit of both recovery methods: it
 owns the sample geometry k = -N..N and the whole acceptance policy, so no
-caller repeats any of it.  It is the fit's validation boundary: it checks its
+caller repeats any of it: one acceptance step (_accept) refuses, among
+others, a line with two poles closer than POLE_SEPARATION_RTOL, so neither
+method merges poles.  It is the fit's validation boundary: it checks its
 arguments once, then runs private kernels on trusted arrays.  The kernels
 fit the central line of each slice of a stack, so that the pole tree fits a
 level in one call, and one Cauchy solve on the whole slice gives both the
@@ -49,6 +51,10 @@ ISOLATED_MISFIT_TOL = 1e-6
 # a fitted pole this close to a sample point is that same signature: the fit
 # parked a pole on the index whose coefficient broke the rational structure
 SAMPLE_COLLISION_TOL = 1e-8
+
+# two fitted poles of one line closer than this times its largest pole
+# modulus resolve no distinct terms: the fit is refused, for both methods
+POLE_SEPARATION_RTOL = 1e-8
 
 # a barycentric weight sum this small against the weights' 1-norm means the
 # denominator lost a degree: one pole sits at infinity
@@ -249,23 +255,6 @@ def _greedy_fit(pts, vals, tol, max_order):
     return groups, traces, vals, e
 
 
-def evaluate_barycentric(form, z):
-    """Evaluate a barycentric form; support points return their stored value."""
-    zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    flat = np.atleast_1d(zz)
-    diff = flat[:, None] - form.support[None, :]
-    at_node = diff == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cauchy = 1.0 / np.where(at_node, 1.0, diff)
-        num = cauchy @ (form.weights * form.values)
-        den = cauchy @ form.weights
-        out = num / den
-    hit_rows, hit_cols = np.nonzero(at_node)
-    out[hit_rows] = form.values[hit_cols]
-    return complex(out[0]) if scalar else out.reshape(zz.shape)
-
-
 def poles_of(form):
     """Poles of a barycentric form: the zeros of q(z) = sum_j w_j / (z - z_j).
 
@@ -343,7 +332,7 @@ def _sorted_eigvals(a):
         # a 1 x 1 matrix is its own eigenvalue, which LAPACK returns as is
         return a[:, :, 0]
     poles = linalg._lapack("pencil eigenvalue iteration", np.linalg.eigvals, a)
-    # complex sorts by (real, imag); stable, like linalg.sort_complex
+    # complex sorts by (real, imag), stably
     return np.sort(poles, axis=1, kind="stable")
 
 
@@ -475,8 +464,9 @@ def check_fit_residual(pole_residue, points, values):
 
     A small number of isolated misfits while the rest of the samples agree is
     the signature of a frequency of the form 2*pi*i*k/P (constant coefficient
-    branch), which rational recovery cannot represent.  This is the misfit
-    rule of the line fit (_accept), on one line.
+    branch), which rational recovery cannot represent.  These are the
+    acceptance rules of the line fit (_accept) on one line, so two poles
+    within POLE_SEPARATION_RTOL of each other raise IllConditioned first.
     """
     vals = np.asarray(values, dtype=complex).ravel()
     if np.abs(vals).max() == 0.0:
@@ -509,8 +499,10 @@ def _collisions(points, poles):
 def _accept(poles, children, points, vals, converged, steps, e):
     """The checks after the spurious filter on a stack of slices with equal
     pole counts, on their central lines vals and residues scaled by 2^-e, in
-    order: distinct poles and nonzero residues (PoleResidue), NoConvergence,
-    and the misfit rule (check_fit_residual).  Returns {row: first error}.
+    order: the separation rule (no two poles within POLE_SEPARATION_RTOL times
+    the largest modulus, IllConditioned), nonzero residues (PoleResidue),
+    NoConvergence, and the misfit rule (check_fit_residual).  Returns {row:
+    first error}.
 
     A line's samples are never all zero here: such a line stops on its first
     support point and fails as constant."""
@@ -518,17 +510,23 @@ def _accept(poles, children, points, vals, converged, steps, e):
     model = (residues[:, None, :] / (points[:, None] - poles[:, None, :])).sum(axis=-1)
     resid = np.abs(model - vals) / np.abs(vals).max(axis=1)[:, None]
     bad = resid > ISOLATED_MISFIT_TOL
-    # sorted poles: equal ones are neighbours
-    repeated = poles[:, 1:] == poles[:, :-1]
+    scale = np.abs(poles).max(axis=1)
+    gaps = np.abs(poles[:, :, None] - poles[:, None, :])
+    near = gaps <= POLE_SEPARATION_RTOL * scale[:, None, None]
+    # only the zero diagonal lies within the threshold when no pair does
+    close = near.sum(axis=(1, 2)) > poles.shape[1]
     zero = residues == 0
     errors = {}
-    if converged.all() and not (bad.any() or repeated.any() or zero.any()):
+    if converged.all() and not (bad.any() or close.any() or zero.any()):
         return errors
-    for i, (count, dup, nil, done) in enumerate(zip(
-            bad.sum(axis=1).tolist(), repeated.any(axis=1).tolist(),
-            zero.any(axis=1).tolist(), converged.tolist())):
-        if dup:
-            errors[i] = BadParameters("poles must be pairwise distinct")
+    off = ~np.eye(poles.shape[1], dtype=bool)
+    for i, (count, pair, nil, done) in enumerate(zip(
+            bad.sum(axis=1).tolist(), close.tolist(), zero.any(axis=1).tolist(),
+            converged.tolist())):
+        if pair:
+            errors[i] = IllConditioned(
+                f"two fitted poles lie {gaps[i][off].min() / scale[i]:.3e} apart relative to "
+                f"the largest, within POLE_SEPARATION_RTOL = {POLE_SEPARATION_RTOL:.0e}")
         elif nil:
             errors[i] = BadParameters("residues must be nonzero")
         elif not done:
@@ -654,9 +652,11 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
     arguments are checked first (max_order <= N); the policy then runs in this
     order: pole extraction, the sample-collision check (DegenerateFrequency),
     the residue solve (BadParameters beyond the float range), the spurious
-    filter, NoConvergence when the greedy fit missed its tolerance, and the
-    misfit rule (check_fit_residual).  This is the one-line case of the
-    stacked fit that build_pole_tree runs on the slices of a tree level.
+    filter, the separation rule (IllConditioned for two poles within
+    POLE_SEPARATION_RTOL times the largest modulus), NoConvergence when the
+    greedy fit missed its tolerance, and the misfit rule
+    (check_fit_residual).  This is the one-line case of the stacked fit that
+    build_pole_tree runs on the slices of a tree level.
 
     Returns (PoleResidue with poles sorted by (real, imag), AaaTrace).
     """

@@ -4,7 +4,7 @@ One coordinate is peeled at a time, and the pole tree is built one level
 (one axis) at a time.  A level holds every node whose axis is the next to
 peel, in depth-first (pre-order) order.  One stacked call of the line fit
 (the kernel of rational.pole_residue_from_samples, with the same policy as
-the line-based method; only close poles are merged here) finds the distinct
+the line-based method, its pole-separation rule included) finds the distinct
 poles on the central axis lines of all of them.  Its residue solve is a
 Cauchy least squares solve (linalg.cauchy_lstsq) with one SVD per node.  So
 the numpy calls of a tree grow with its levels and fit steps, not with its
@@ -17,8 +17,8 @@ Kronecker product of the pseudo-inverses that the residue solves along its
 path formed, applied to a sub-grid of the first axes.  One product of those
 rows with the grid, seen as an (n^h, n^(d-h)) matrix, then gives the depth-h
 slices.  Each trailing level's residue solve runs on the whole slices, so it
-gives both the lines' residues and one lower-dimensional child per pole; only
-a node whose close poles were merged is split again (_split).  A slice of the
+gives both the lines' residues and one lower-dimensional child per pole, so
+a fitted level takes its splits straight from its fits.  A slice of the
 last level is a single line, and its children are the amplitudes of the terms
 below it: a recovery solves no separate amplitude system.  leaves_to_sum runs
 the same level walk (_build) on a given tree, each level split by _split on
@@ -46,7 +46,6 @@ from .rational import (DEFAULT_TOL, _fit_lines, _sample_points,  # noqa: F401
                        pole_residue_from_samples)
 from .validation import check_nonnegative_int
 
-POLE_MERGE_RTOL = 1e-8
 RESYNTHESIS_TOL = 1e-6
 SPOT_CHECK_POINTS = 100
 
@@ -135,55 +134,6 @@ class PoleTree:
         return {"dimension": self.dimension, "roots": [encode(r) for r in self.roots]}
 
 
-def _merge_close(poles):
-    """Fitted poles sorted by (real, imag), those closer than POLE_MERGE_RTOL
-    (relative) merged to their mean, so that finite precision cannot split one
-    branch into two."""
-    scale = np.abs(poles).max()
-    threshold = POLE_MERGE_RTOL * scale if scale > 0 else 0.0
-    clusters = []
-    for pole in poles:
-        for cluster in clusters:
-            if abs(pole - np.mean(cluster)) <= threshold:
-                cluster.append(pole)
-                break
-        else:
-            clusters.append([pole])
-    merged = np.array([np.mean(c) for c in clusters], dtype=complex)
-    return linalg.sort_complex(merged)
-
-
-def _by_count(rows):
-    """The indices of the arrays in rows (None entries skipped), grouped by
-    length."""
-    groups = {}
-    for i, row in enumerate(rows):
-        if row is not None:
-            groups.setdefault(len(row), []).append(i)
-    return groups
-
-
-def _merge_rows(rows):
-    """_merge_close, in place, on each sorted pole array of rows (None entries
-    skipped); one stacked test per pole count finds the arrays that hold a
-    close pair, and the others are already what _merge_close returns.
-    Returns the indices of the arrays it replaced."""
-    merged = []
-    for count, idx in _by_count(rows).items():
-        if count == 1:
-            continue
-        poles = np.array([rows[i] for i in idx])
-        threshold = POLE_MERGE_RTOL * np.abs(poles).max(axis=1)
-        near = np.abs(poles[:, :, None] - poles[:, None, :]) <= threshold[:, None, None]
-        # only the zero diagonal lies within the threshold when no pair does
-        close = near.sum(axis=(1, 2)) > count
-        if close.any():
-            for pos in np.flatnonzero(close).tolist():
-                rows[idx[pos]] = _merge_close(rows[idx[pos]])
-                merged.append(idx[pos])
-    return merged
-
-
 def peel_dimension(poles, parent_values):
     """Split a slice into one child slice per pole of its leading axis.
 
@@ -221,17 +171,19 @@ def _split(poles, stack, leading):
     """The splits of one tree level on given poles, one Cauchy solve per pole
     count.
 
-    poles[i] holds the poles of stack[i], or None for a node not to split.
-    In the leading half of the axes (leading true) node i's part is the
-    (len(poles[i]), n) pseudo-inverse of its slice system (linalg._cauchy_pinv),
-    which its children read the grid through (_descend); in the trailing
-    half it is the (len(poles[i]), *tail) children of stack[i]
-    (linalg.cauchy_lstsq).  Returns (parts, {node: error}), parts[i] None for
-    a node not split.
+    poles[i] holds the poles of stack[i].  In the leading half of the axes
+    (leading true) node i's part is the (len(poles[i]), n) pseudo-inverse of
+    its slice system (linalg._cauchy_pinv), which its children read the grid
+    through (_descend); in the trailing half it is the (len(poles[i]), *tail)
+    children of stack[i] (linalg.cauchy_lstsq).  Returns (parts, {node:
+    error}).
     """
     k = _sample_points(stack.shape[1])
+    by_count = {}
+    for i, row in enumerate(poles):
+        by_count.setdefault(len(row), []).append(i)
     parts, errors = [None] * len(poles), {}
-    for count, idx in _by_count(poles).items():
+    for count, idx in by_count.items():
         b, what = np.array([poles[i] for i in idx]), f"slice system for {count} poles"
         if leading:
             rows, errs = linalg._cauchy_pinv(b, k, what)
@@ -281,11 +233,12 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
 
     A level holds the nodes whose axis is the next to peel, in depth-first
     (pre-order) order.  One stacked line fit finds the poles on the central
-    axis lines of all of them (at most source.N per line; close poles
-    merged).  In the leading half of the axes (the first d // 2) a node is
-    its central line alone, read from the grid through the pseudo-inverses
-    of the fits above it; the trailing half splits whole slices, one per
-    pole; the last dimension's poles become leaves.
+    axis lines of all of them (at most source.N per line; a fit with two
+    poles within rational.POLE_SEPARATION_RTOL of each other fails its node
+    with IllConditioned).  In the leading half of the axes (the first
+    d // 2) a node is its central line alone, read from the grid through the
+    pseudo-inverses of the fits above it; the trailing half splits whole
+    slices, one per pole; the last dimension's poles become leaves.
 
     Result and errors are those of a depth-first build.  A failing node is
     recorded with its depth-first key, the nodes whose key sorts after the
@@ -309,11 +262,10 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
     solve formed.  After level h - 1 one product of those weights with the
     grid, seen as (n^h, n^(d-h)), gives the depth-h slices, and each
     trailing level splits its slices by the children of their fits, as
-    peel_dimension does.  A node whose close poles were merged, and every
-    node of a replay, is split by _split instead.  A leaf-level slice is a
-    line, so its children are the amplitudes of the leaves below it.  A
-    product row outside the float range fails the node whose split produced
-    it.
+    peel_dimension does.  Only a replay splits its nodes itself (_split), on
+    the tree's poles.  A leaf-level slice is a line, so its children are the
+    amplitudes of the leaves below it.  A product row outside the float
+    range fails the node whose split produced it.
     """
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
@@ -339,16 +291,12 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
                 else:
                     poles[i], parts[i] = fit[0], fit[3] if leading else fit[1]
                     traced.append((keys[i], fit[2]))
-            merged = set(_merge_rows(poles))
-            to_split = [row if i in merged else None for i, row in enumerate(poles)]
         else:
-            to_split = poles = [np.array([node.pole for node in group], dtype=complex)
-                                for group in groups]
-            parts = [None] * len(poles)
+            poles = [np.array([node.pole for node in group], dtype=complex)
+                     for group in groups]
             groups = [node.children for group in groups for node in group]
-        split, errors = _split(to_split, stack, leading)
-        parts = [part if new is None else new for part, new in zip(parts, split)]
-        failures.update((keys[i], (paths[i], exc)) for i, exc in errors.items())
+            parts, errors = _split(poles, stack, leading)
+            failures.update((keys[i], (paths[i], exc)) for i, exc in errors.items())
         levels.append(poles)
         keys = [key + (j,) for key, row in zip(keys, poles) if row is not None
                 for j in range(len(row))]

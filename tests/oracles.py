@@ -13,7 +13,10 @@ depth-first pole tree, one line fit and one peel per node, instead of the
 level-at-a-time build, a per-line pencil on a greedy refit instead of the
 stacked pencil on the line fit's own support points, and the sparse method
 with one line fit per axis and one pairing solve per diagonal instead of the
-stacked fit and the stacked solve.
+stacked fit and the stacked solve.  Three plain helpers of the tests live
+here too: sort_complex, evaluate_barycentric (the direct evaluation of a
+barycentric form) and with_close_pair (a pole engine that reports one pole
+as two).
 """
 
 import itertools
@@ -30,10 +33,10 @@ from expanal.errors import (
     NoConvergence,
     TauViolation,
 )
-from expanal.linalg import RCOND, _rank_errors, gen_eig, sort_complex, svd
+from expanal.linalg import RCOND, _rank_errors, gen_eig, svd
 from expanal.model import ExponentialSum, FullGrid, SparseLines
 from expanal.rational import DEFAULT_TOL, aaa_fit, pole_residue_from_samples
-from expanal.recursive import PoleTree, TreeNode, _merge_close, peel_dimension
+from expanal.recursive import PoleTree, TreeNode, peel_dimension
 from expanal.sparse import (
     AxisRecovery,
     PairingCertificate,
@@ -41,6 +44,45 @@ from expanal.sparse import (
     pairing_system,
     recover_axis,
 )
+
+
+def sort_complex(values):
+    """Sort complex values by (real, imag) lexicographic order."""
+    arr = np.asarray(values, dtype=complex).ravel()
+    return arr[np.lexsort((arr.imag, arr.real))]
+
+
+def evaluate_barycentric(form, z):
+    """Evaluate a barycentric form; support points return their stored value."""
+    zz = np.asarray(z, dtype=complex)
+    scalar = zz.ndim == 0
+    flat = np.atleast_1d(zz)
+    diff = flat[:, None] - form.support[None, :]
+    at_node = diff == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cauchy = 1.0 / np.where(at_node, 1.0, diff)
+        num = cauchy @ (form.weights * form.values)
+        den = cauchy @ form.weights
+        out = num / den
+    hit_rows, hit_cols = np.nonzero(at_node)
+    out[hit_rows] = form.values[hit_cols]
+    return complex(out[0]) if scalar else out.reshape(zz.shape)
+
+
+def with_close_pair(engine, inject=lambda: True):
+    """The pole engine `engine` (rational._arrowhead_poles), except that each
+    call for which inject() is true reports the first pole p of every line
+    as the pair p -/+ gap / 2, gap 1e-10 times the line's largest pole
+    modulus: closer than rational.POLE_SEPARATION_RTOL, which the line fit
+    must refuse."""
+    def engine_with_pair(z, w):
+        poles, errors = engine(z, w)
+        if inject():
+            gap = 1e-10 * np.abs(poles).max(axis=1)
+            poles = np.concatenate([poles, poles[:, :1] + gap[:, None] / 2], axis=1)
+            poles[:, 0] -= gap / 2
+        return poles, errors
+    return engine_with_pair
 
 
 def box_quadrature_coefficient(signal, k, P):
@@ -291,10 +333,10 @@ def depth_first_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None
     """The pole tree built depth first: one line fit and one peel per node.
 
     Each node fits its slice's central axis line with pole_residue_from_samples
-    (or fit, with the same signature), merges close poles, peels the slice
-    with peel_dimension and recurses into the per-pole child slices.  The
-    first error met is raised with its pole path, and trace_sink receives the
-    traces in depth-first pre-order.
+    (or fit, with the same signature), peels the slice with peel_dimension
+    and recurses into the per-pole child slices.  The first error met is
+    raised with its pole path, and trace_sink receives the traces in
+    depth-first pre-order.
     """
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
@@ -307,7 +349,7 @@ def depth_first_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None
             pr, trace = fit(line, tol=tol, max_order=n_half, method=method)
         except ExpanalError as exc:
             raise type(exc)(f"at pole path {path}: {exc}") from exc
-        poles = _merge_close(pr.poles)
+        poles = pr.poles
         if trace_sink is not None:
             trace_sink.append(trace)
         if values.ndim == 1:

@@ -23,18 +23,20 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
 REMOVED = {
-    "expanal": ("plan", "SparseGridPlan", "SliceValues", "distinct_poles"),
+    "expanal": ("plan", "SparseGridPlan", "SliceValues", "distinct_poles",
+                "evaluate_barycentric"),
     "expanal.sparse": ("plan", "SparseGridPlan", "HUNGARIAN_LIMIT", "_greedy_assignment"),
     "expanal.recursive": ("_line_poles", "SliceValues", "distinct_poles",
                           "TreeNode.leaf_multiplicity", "PoleTree._leaves", "_peel",
                           "RESYNTHESIS_WARN_TOL", "PoleTree._root_peel", "_distinct",
-                          "_peel_level", "_level_pinvs"),
-    "expanal.rational": ("_cauchy_lstsq", "_misfit_error"),
+                          "_peel_level", "_level_pinvs", "_merge_close", "_merge_rows",
+                          "POLE_MERGE_RTOL"),
+    "expanal.rational": ("_cauchy_lstsq", "_misfit_error", "evaluate_barycentric"),
     "expanal.validation": ("check_positive_int", "check_rcond"),
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices",
                       "_SeparableSum.gram", "_SeparableSum.adjoint", "_SeparableSum.apply"),
     "expanal.errors": ("RankDeficient", "OrderMismatch", "ResynthesisWarning"),
-    "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd", "eigh"),
+    "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd", "eigh", "sort_complex"),
 }
 
 # Thresholds are module constants, each with one owner (linalg.RCOND,

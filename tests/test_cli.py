@@ -66,6 +66,31 @@ def test_undecodable_json_is_an_input_error(verb, content, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# one gamma entry fewer than lambda has rows: ExponentialSum raises
+# ShapeMismatch, which each verb reports as an unreadable input
+SHORT_GAMMA = {"d": 1, "P": 1.0, "gamma": [[1, 0]], "lambda": [[[0.1, 1]], [[-0.2, 3]]]}
+
+
+@pytest.mark.parametrize("verb", ["generate", "compare"])
+def test_gamma_count_mismatch_is_an_input_error(verb, tmp_path):
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(SHORT_GAMMA))
+    argv = {
+        "generate": ["generate", str(bad), "--N", "5", "--coverage", "full", "--out", str(out)],
+        "compare": ["compare", str(bad), str(bad), "--json", str(out)],
+    }[verb]
+    proc = subprocess.run([sys.executable, "-m", "expanal.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: cannot read {'signal file' if verb == 'generate' else 'inputs'}: need one "
+        f"coefficient per frequency row, got (2, 1) and (1,)"
+    ]
+    assert not out.exists()
+
+
 # every verb writes its output through a temporary file, which must end with
 # the mode open() gives a new file: 0666 less the umask
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])

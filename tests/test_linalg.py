@@ -14,11 +14,11 @@ from expanal.linalg import (
     cauchy_lstsq,
     linear_assignment,
     lstsq_with_rank,
-    sort_complex,
 )
 
 from cases import random_poles
-from oracles import characteristic_roots, match_complex_sets, rank_one_pseudoinverse
+from oracles import (characteristic_roots, match_complex_sets, rank_one_pseudoinverse,
+                     sort_complex)
 
 
 def random_complex(rng, shape):

@@ -9,7 +9,6 @@ from expanal import (
     FullGrid,
     SparseLines,
     aaa_fit,
-    evaluate_barycentric,
     loewner_pencil_poles,
     poles_of,
     recover_axis,
@@ -27,7 +26,6 @@ from expanal.errors import (
     ShapeMismatch,
 )
 from expanal import rational
-from expanal.linalg import sort_complex
 from expanal.model import TWO_PI_I, ExponentialSum
 from expanal.rational import (
     DEFAULT_TOL,
@@ -49,9 +47,12 @@ from cases import (
 )
 from oracles import (
     depth_first_pole_tree,
+    evaluate_barycentric,
     match_complex_sets,
     qz_arrowhead_poles,
     refit_pencil_poles,
+    sort_complex,
+    with_close_pair,
 )
 
 KGRID = np.arange(-10, 11, dtype=float)
@@ -441,6 +442,25 @@ class TestOneLineFitPolicy:
         src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
         with pytest.raises(ShapeMismatch):
             LINE_FITS[entry](src.axis_line(0)[1:])
+
+    def test_close_poles_refused(self, monkeypatch):
+        # the engine reports the first pole as two copies 1e-10 apart
+        # (relative), and the acceptance step refuses them
+        case = BIVARIATE_5
+        line = case.signal.synthesize(case.P, case.N, SparseLines(case.tau)).axis_line(0)
+        monkeypatch.setattr(rational, "_arrowhead_poles",
+                            with_close_pair(rational._arrowhead_poles))
+        with pytest.raises(IllConditioned, match=r"^two fitted poles lie 1\.000e-10 apart "
+                                                 r"relative to the largest, within "
+                                                 r"POLE_SEPARATION_RTOL = 1e-08$"):
+            pole_residue_from_samples(line)
+
+    def test_close_poles_refused_by_the_residual_check(self):
+        # the same rule holds for a model handed to check_fit_residual
+        poles = np.array([0.5 + 0.8j, 0.5 + 0.8j + 1e-9, -1.0 + 0.3j])
+        pr = PoleResidue(poles, [1.0, -1.0, 2.0])
+        with pytest.raises(IllConditioned, match="POLE_SEPARATION_RTOL = 1e-08$"):
+            check_fit_residual(pr, KGRID, pr(KGRID))
 
 
 def composed_line_fit(values, method="eig"):

@@ -32,12 +32,10 @@ from expanal.errors import (
     ResynthesisMismatch,
     ShapeMismatch,
 )
-from expanal import recursive
-from expanal.linalg import sort_complex
+from expanal import rational, recursive
 from expanal.model import TWO_PI_I
 from expanal.rational import pole_residue_from_samples
 from expanal.linalg import cauchy_lstsq
-from expanal.recursive import _merge_close
 
 from cases import (
     ALL_REFERENCE,
@@ -58,6 +56,8 @@ from oracles import (
     depth_first_pole_tree,
     grid_contracting_leaves_to_sum,
     per_node_peel_leaves_to_sum,
+    sort_complex,
+    with_close_pair,
 )
 
 
@@ -268,20 +268,6 @@ except BadParameters as exc:
         slice_ = (1.0 / (k - 0.5j))[:, None] * np.ones(3)
         with pytest.raises(IllConditioned, match="slice system for 2 poles is numerically"):
             peel_dimension([0.5j, 0.5j + 1e-15], slice_)
-
-
-class TestMergeClose:
-    def test_no_close_pair_unchanged(self):
-        poles = np.array([1.0 + 0.5j, -2.0 + 0.1j, 0.3 - 1.0j])
-        assert np.array_equal(_merge_close(poles), sort_complex(poles))
-
-    def test_close_pair_merged_to_its_mean(self):
-        pair = np.array([1.0 + 0.5j, 1.0 + 0.5j + 1e-10])
-        merged = _merge_close(np.array([pair[0], -2.0 + 0.1j, pair[1]]))
-        assert np.array_equal(merged, [-2.0 + 0.1j, np.mean(pair)])
-
-    def test_single_pole(self):
-        assert np.array_equal(_merge_close(np.array([0.4 - 0.2j])), [0.4 - 0.2j])
 
 
 class TestBuildPoleTree:
@@ -834,6 +820,28 @@ class TestRecoverRecursive:
         assert cross.frequency_error <= 1e-8
 
 
+class TestNearlyCollidingPoles:
+    """Two of three terms share their axis-0 pole up to delta * (1 + 1j).
+    Every input must end in the true order or a typed error."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the root fit returns one pole for the pair, and the split on it leaks "
+        "the pair's terms into the other root's slice, whose leaf line takes 3 "
+        "poles where it holds 1: order 5 against 3 with exit 0"))
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_true_order_or_typed_error(self, N, delta):
+        poles = np.array([[-0.7 + 0.4j, 0.3 - 0.2j],
+                          [-0.7 + 0.4j + delta * (1 + 1j), -0.9 + 0.3j],
+                          [1.1 - 0.3j, 0.6 + 0.5j]])
+        sig = signal_from_amplitudes(poles, np.array([1 + 0.5j, -0.8 + 0.2j, 0.6 - 0.3j]), 2.0)
+        try:
+            rec, _ = recover_recursive(sig.synthesize(2.0, N, FullGrid()))
+        except ExpanalError:
+            return
+        assert rec.order == sig.order
+
+
 class TestLeafResidues:
     """recover_recursive takes the amplitudes from the residues of the leaf
     fits, in depth-first leaf order, instead of solving for them again."""
@@ -854,46 +862,31 @@ class TestLeafResidues:
         dense = dense_amplitude_coefficients(tree.leaf_paths(), src.grid(), P)
         assert np.abs(rec.coefficients - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("case, call, below", [
-        (BIVARIATE_5, 1, 0.5), (BIVARIATE_5, 2, 0.0), (QUADVARIATE_8, 1, 0.5),
+    @pytest.mark.parametrize("case, level", [
+        (BIVARIATE_5, 1), (BIVARIATE_5, 2), (QUADVARIATE_8, 1),
     ], ids=["root", "leaves", "root-d4"])
-    def test_merged_poles_are_solved_again(self, case, call, below, monkeypatch):
-        # the fit of the first slice of the root (call 1) or of the leaf
-        # level (call 2) reports its first pole p as two copies 1e-10 apart
-        # (relative), the lower one `below` of the gap under p, with the first
-        # row of its children and of its pseudo-inverse split between them:
-        # the merge keeps their mean, whose pseudo-inverse (in the leading
-        # half of the axes, as at the root of quadvariate-8) or children are
-        # solved again.  At the root the copies straddle p: a merged root pole
-        # off p moves every child, and the leaf fits at the default tol then
-        # over-fit (see CHANGES.md)
+    def test_merged_poles_are_solved_again(self, case, level, monkeypatch):
+        # every line fit of the root level (1) or of the leaf level (2)
+        # reports its first pole as two copies 1e-10 apart (relative): the
+        # separation rule of the line fit refuses them, with no merge, and the
+        # recovery fails at the first node of that level, depth first (in the
+        # leading half of the axes at the root of quadvariate-8)
         src = case.signal.synthesize(case.P, case.N, FullGrid())
+        path = () if level == 1 else (build_pole_tree(src).roots[0].pole,)
         fit, stacks = recursive._fit_lines, []
 
-        def split_first_pole(slices, *args):
-            fits = fit(slices, *args)
+        def counted(slices, *args):
             stacks.append(len(slices))
-            if len(stacks) == call:
-                poles, children, trace, pinv = fits[0]
-                gap = 1e-10 * np.abs(poles).max()
-                split = np.append(poles, poles[0] + (1 - below) * gap)
-                split[0] -= below * gap
-                children = np.concatenate([children, children[:1]])
-                children[[0, -1]] /= 2
-                pinv = np.concatenate([pinv, pinv[:1]])
-                pinv[[0, -1]] /= 2
-                fits[0] = (split, children, trace, pinv)
-            return fits
+            return fit(slices, *args)
 
-        monkeypatch.setattr(recursive, "_fit_lines", split_first_pole)
-        rec, tree = recover_recursive(src)
-        monkeypatch.undo()
-        assert stacks == [1] + tree.level_sizes()[:-1]
-        assert tree.order == case.signal.order
-        replay = leaves_to_sum(tree, src).coefficients
-        assert np.abs(rec.coefficients - replay).max() <= 1e-13 * np.abs(replay).max()
-        report = relative_errors(case.signal, rec)
-        assert report.frequency_error <= 1e-9 and report.coefficient_error <= 1e-8
+        monkeypatch.setattr(recursive, "_fit_lines", counted)
+        monkeypatch.setattr(rational, "_arrowhead_poles", with_close_pair(
+            rational._arrowhead_poles, lambda: len(stacks) == level))
+        with pytest.raises(IllConditioned) as info:
+            recover_recursive(src)
+        assert len(stacks) == level
+        assert str(info.value).startswith(f"at pole path {path}: two fitted poles lie ")
+        assert str(info.value).endswith(" within POLE_SEPARATION_RTOL = 1e-08")
 
     def test_noisy_repeated_axis_within_3x_of_the_global_fit(self):
         # the repeated-axis tree is no full tensor product, so the level-wise

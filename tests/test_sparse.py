@@ -23,7 +23,6 @@ from expanal.errors import (
     IllConditioned,
     TauViolation,
 )
-from expanal.linalg import sort_complex
 from expanal.model import TWO_PI_I
 
 from cases import (
@@ -35,7 +34,7 @@ from cases import (
     signal_from_poles,
     spiked_bivariate_5,
 )
-from oracles import brute_force_pairing, per_axis_sparse_recovery
+from oracles import brute_force_pairing, per_axis_sparse_recovery, sort_complex, with_close_pair
 
 
 class TestPlan:
@@ -263,6 +262,25 @@ class TestRecoverSparse:
         assert report.frequency_error <= 1e-8
         assert report.coefficient_error <= 1e-8
         assert len(cert.permutations) == 1
+
+    def test_close_poles_on_a_stacked_axis_refused(self, monkeypatch):
+        # the first engine call fits axis 0; from the second on (the stacked
+        # fit of the other axes) the engine reports each line's first pole as
+        # two copies 1e-10 apart (relative), which the acceptance step refuses
+        case = TRIVARIATE_6
+        src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
+        calls = []
+
+        def after_axis_0():
+            calls.append(None)
+            return len(calls) > 1
+
+        monkeypatch.setattr(rational, "_arrowhead_poles",
+                            with_close_pair(rational._arrowhead_poles, after_axis_0))
+        with pytest.raises(IllConditioned, match=r"^two fitted poles lie 1\.000e-10 apart "
+                                                 r".* POLE_SEPARATION_RTOL = 1e-08$"):
+            recover_sparse(src)
+        assert len(calls) >= 2
 
     def test_full_coverage_rejected(self):
         case = BIVARIATE_5
