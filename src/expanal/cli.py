@@ -40,26 +40,35 @@ def _apply_thread_cap():
         os.environ.setdefault(var, cap)
 
 
+class _CannotWrite(Exception):
+    """An output file that could not be written; main reports it as an
+    input error."""
+
+
 def _write_atomic(path, text):
     """Write text to path through a temporary file in the same directory.
 
     mkstemp creates the temporary file with mode 0600, so it is given the
     mode open() would give a new file, 0666 less the umask, before it
-    replaces path.
+    replaces path.  An OSError (a missing directory, a directory at path, a
+    full disk) removes the temporary file and raises _CannotWrite.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".expanal-", suffix=".tmp")
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".expanal-", suffix=".tmp")
+        try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _dump(obj):
@@ -313,7 +322,10 @@ def build_parser():
 def main(argv=None):
     _apply_thread_cap()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CannotWrite as exc:
+        return _fail(str(exc), EXIT_INPUT)
 
 
 def entry():

@@ -177,7 +177,9 @@ class ExponentialSum:
         sampled |k| <= N: such coefficients lose their rational structure and
         are outside the recovery scope.  The values are computed into one
         fresh array, which the returned source keeps (read-only) without a
-        copy: a full grid costs one grid of memory, not two.
+        copy: a full grid costs one grid of memory, not two.  A full grid
+        that cannot be allocated raises BadParameters with its shape and
+        byte count.
         """
         check_period(P)
         if N < 1:
@@ -193,7 +195,15 @@ class ExponentialSum:
             )
         if isinstance(coverage, FullGrid):
             axes = [np.arange(-N, N + 1)] * self.d
-            values = self._coefficient_terms(P, axes).grid(self.coefficients)
+            try:
+                values = self._coefficient_terms(P, axes).grid(self.coefficients)
+            except (MemoryError, ValueError) as exc:
+                # numpy raises ValueError for a size past its index range
+                shape = (2 * N + 1,) * self.d
+                raise BadParameters(
+                    f"a full grid of shape {shape} needs {16 * (2 * N + 1) ** self.d} "
+                    f"bytes, which cannot be allocated"
+                ) from exc
         elif isinstance(coverage, SparseLines):
             values = self.fourier_coefficients(coverage.unique_indices(self.d, N), P)
         else:
@@ -233,12 +243,13 @@ class _SeparableSum:
         each entry's terms in order, so `at` matches it bitwise.
 
         The einsum writes into a 2-D view of the result, which is allocated
-        once in its final shape; the caller owns it, and no other reference
-        to it exists.
+        once in its final shape, before the halves: a grid too large to
+        allocate fails before any work.  The caller owns it, and no other
+        reference to it exists.
         """
+        out = np.empty(tuple(table.shape[0] for table in self.tables), dtype=complex)
         tables, weights = _with_two_terms(self.tables, weights)
         left, right = _halves(tables)
-        out = np.empty(tuple(table.shape[0] for table in tables), dtype=complex)
         np.einsum("xz,yz->xy", left * weights, right,
                   out=out.reshape(left.shape[0], right.shape[0]))
         return out

@@ -23,6 +23,11 @@ last level is a single line, and its children are the amplitudes of the terms
 below it: a recovery solves no separate amplitude system.  leaves_to_sum runs
 the same level walk (_build) on a given tree, each level split by _split on
 the tree's poles instead of fitted ones.
+
+The walk ends with the leaf paths and their amplitudes, which define the
+index-domain model sum_j a_j * prod_a 1/(k_a - b_ja).  recover_recursive
+spot-checks that model against the grid and converts it to frequencies
+(ExponentialSum.from_poles) once, for its result.
 """
 
 import bisect
@@ -250,9 +255,11 @@ def build_pole_tree(source, tol=DEFAULT_TOL, method="eig", trace_sink=None):
 
 
 def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
-    """build_pole_tree, and the amplitudes: (tree, amplitudes in depth-first
-    leaf order).  The one level walk of the module: given a tree, a level
-    takes its poles from the tree instead of fitting them (the replay of
+    """build_pole_tree, with the amplitudes and the leaf paths: (tree,
+    amplitudes, paths), the amplitudes and the rows of the (M, d) complex
+    array paths in depth-first leaf order, as PoleTree.leaf_paths lists
+    them.  The one level walk of the module: given a tree, a level takes its
+    poles from the tree instead of fitting them (the replay of
     leaves_to_sum), and tol, method and trace_sink go unused.
 
     The grid is read through its two halves, as model._halves writes it.  A
@@ -332,7 +339,7 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
     for rows in reversed(levels):
         below = iter([tuple(TreeNode(pole=pole, children=next(below)) for pole in row.tolist())
                       for row in rows])
-    return PoleTree(roots=next(below), dimension=d), stack
+    return PoleTree(roots=next(below), dimension=d), stack, np.array(paths, dtype=complex)
 
 
 def leaves_to_sum(tree, source):
@@ -375,9 +382,12 @@ def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=
     """Recover an exponential sum from a full coefficient grid.
 
     Builds the pole tree; the amplitudes are the residues of its leaf fits
-    (see leaves_to_sum, which replays the same splits).  The spot check then
-    draws SPOT_CHECK_POINTS indices with the seed: a reconstruction that
-    misses the input coefficients there by a relative residual above
+    (see leaves_to_sum, which replays the same splits).  The leaf paths b_j
+    and amplitudes a_j become the result's frequencies and coefficients
+    (ExponentialSum.from_poles).  The spot check then draws
+    SPOT_CHECK_POINTS indices k with the seed and evaluates the leaf fits'
+    own index-domain sum there, sum_j a_j * prod_a 1/(k_a - b_ja): a model
+    that misses the input coefficients by a relative residual above
     RESYNTHESIS_TOL raises ResynthesisMismatch (the usual cause is a slice
     function vanishing at the origin, which hides one of the poles from its
     axis line).  The grid is read by one product, of the Kronecker rows of
@@ -386,12 +396,12 @@ def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=
     Returns (ExponentialSum, PoleTree).
     """
     check_nonnegative_int(seed, "seed")
-    tree, amplitudes = _build(source, tol, method, trace_sink)
-    signal = ExponentialSum.from_poles(tree.leaf_paths(), amplitudes, source.P)
+    tree, amplitudes, paths = _build(source, tol, method, trace_sink)
+    signal = ExponentialSum.from_poles(paths, amplitudes, source.P)
     rng = np.random.default_rng(seed)
     picks = rng.integers(-source.N, source.N + 1, size=(SPOT_CHECK_POINTS, source.d))
     data = source.grid()[tuple((picks + source.N).T)]
-    model = signal.fourier_coefficients(picks, source.P)
+    model = (1 / (picks[:, None, :] - paths)).prod(axis=2) @ amplitudes
     scale = np.abs(data).max()
     if scale > 0:
         residual = np.abs(model - data).max() / scale

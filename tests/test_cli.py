@@ -111,6 +111,46 @@ def test_output_files_get_the_umask_mode(umask, mode, spec_file, tmp_path):
         assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
+def cli(*argv):
+    """expanal run in a subprocess on this tree's sources."""
+    return subprocess.run([sys.executable, "-m", "expanal.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+
+
+# each verb that writes a file, pointed at an output it cannot write: a
+# missing directory, or (generate-onto-directory) a directory where the file
+# should go, which fails only when the temporary file replaces it
+@pytest.mark.parametrize("verb", ["generate", "generate-onto-directory", "plot-grid",
+                                  "recover", "recover-failure", "compare"])
+def test_unwritable_output_is_an_input_error(verb, spec_file, tmp_path):
+    lines, grid, result = (str(tmp_path / name) for name in ("lines.json", "grid.json", "r.json"))
+    assert run("generate", spec_file, "--N", "15", "--coverage", "sparse:7", "--out", lines) == 0
+    assert run("generate", spec_file, "--N", "1", "--coverage", "full", "--out", grid) == 0
+    assert run("recover", lines, "--method", "sparse", "--out", result) == 0
+    out = tmp_path / "missing" / "out"
+    if verb == "generate-onto-directory":
+        out = tmp_path / "directory"
+        out.mkdir()
+    argv = {
+        "generate": ["generate", spec_file, "--N", "5", "--coverage", "full", "--out"],
+        "generate-onto-directory": ["generate", spec_file, "--N", "5", "--coverage", "full",
+                                    "--out"],
+        "plot-grid": ["plot-grid", "--d", "2", "--N", "5", "--tau", "2", "--out"],
+        "recover": ["recover", lines, "--method", "sparse", "--out"],
+        # N = 1 fails the recovery, whose payload then cannot be written
+        "recover-failure": ["recover", grid, "--method", "recursive", "--out"],
+        "compare": ["compare", spec_file, result, "--json"],
+    }[verb]
+    before = sorted(os.listdir(tmp_path))
+    proc = cli(*argv, str(out))
+    assert proc.returncode == 1
+    reason = "Is a directory" if verb == "generate-onto-directory" else "No such file or directory"
+    assert proc.stderr.splitlines() == [f"error: cannot write {out}: {reason}"]
+    # no output, and no .expanal-*.tmp file left behind
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 class TestGenerate:
     def test_sparse_lines(self, spec_file, tmp_path):
         out = str(tmp_path / "grid.json")
@@ -151,6 +191,20 @@ class TestGenerate:
         out = tmp_path / "grid.json"
         assert run("generate", spec_file, "--P", period, "--N", "6",
                    "--coverage", "full", "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_unallocatable_grid_is_an_input_error(self, tmp_path):
+        # d = 10 at N = 10: 21^10 values (243 TiB), which no allocation holds
+        spec, out = tmp_path / "sig.json", tmp_path / "grid.json"
+        spec.write_text(json.dumps({"d": 10, "P": 2.0, "gamma": [[1.0, 0.0]],
+                                    "lambda": [[[-0.3, 0.7]] * 10]}))
+        proc = cli("generate", str(spec), "--N", "10", "--coverage", "full", "--out", str(out))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: a full grid of shape {(21,) * 10} needs {16 * 21 ** 10} bytes, "
+            f"which cannot be allocated"
+        ]
         assert not out.exists()
 
     def test_full_grid_count(self, tmp_path):

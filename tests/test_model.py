@@ -2,6 +2,10 @@
 
 import base64
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -180,6 +184,43 @@ class TestSynthesize:
         src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
         with pytest.raises(KeyError):
             src.value([1, 1])
+
+    # The probe synthesizes a one-term grid of dimension argv[1] and
+    # half-width argv[2] under a 4 GiB address-space limit, so that an
+    # allocation it should not make fails instead of filling memory.  It
+    # reports the resident peak of its own address space (Linux VmHWM):
+    # ru_maxrss starts from the parent's peak, and tracemalloc counts the
+    # refused request.
+    _HUGE_GRID_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+import numpy as np
+from expanal import ExponentialSum, FullGrid
+from expanal.errors import BadParameters
+d, N = int(sys.argv[1]), int(sys.argv[2])
+try:
+    ExponentialSum(np.full((1, d), -0.3 + 0.7j), [1.0]).synthesize(2.0, N, FullGrid())
+except BadParameters as exc:
+    print(exc)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+    # d = 10 at N = 10: 21^10 values (243 TiB), which malloc refuses; the
+    # Khatri-Rao halves, formed before the output, peaked at 284 MB.  d = 4
+    # at N = 20000: 16 * 40001^4 bytes, past numpy's index range (its
+    # ValueError), with 51 GB halves.
+    @pytest.mark.parametrize("d, N", [(10, 10), (4, 20000)])
+    def test_unallocatable_grid_refused_before_any_work(self, d, N):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", self._HUGE_GRID_PROBE, str(d), str(N)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        message, peak_kb = proc.stdout.splitlines()
+        assert message == (f"a full grid of shape {(2 * N + 1,) * d} needs "
+                           f"{16 * (2 * N + 1) ** d} bytes, which cannot be allocated")
+        assert int(peak_kb) < 100 * 1024
 
 
 def wire_text(values):

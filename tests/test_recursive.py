@@ -789,6 +789,23 @@ class TestRecoverRecursive:
                            match=r"relative \d\.\d{3}e-01 > RESYNTHESIS_TOL = 1e-06"):
             recover_recursive(src)
 
+    @pytest.mark.parametrize("case", ALL_REFERENCE, ids=lambda c: c.name)
+    def test_spot_check_reads_the_leaf_fits(self, case, monkeypatch):
+        # the check evaluates the build's own leaf paths and amplitudes in
+        # the index domain: no second walk of the tree, and no resynthesis of
+        # the result through the frequency-domain coefficient formula
+        def refused(*args, **kwargs):
+            raise AssertionError("recover_recursive must not call this")
+
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        monkeypatch.setattr(ExponentialSum, "fourier_coefficients", refused)
+        monkeypatch.setattr(PoleTree, "leaf_paths", refused)
+        rec, _ = recover_recursive(src)
+        # the acceptance criteria's reference tolerance
+        report = relative_errors(case.signal, rec)
+        assert report.frequency_error <= 1e-8
+        assert report.coefficient_error <= 1e-8
+
     def test_one_sample_per_side_is_unconverged(self):
         # N = 1 caps every line at one support point: the root fit stops
         # there with its tolerance missed, which is no constant line
