@@ -10,6 +10,9 @@ Each verb imports only the modules it uses, and importing the package loads
 none of them, so the EXPANAL_THREADS cap reaches the BLAS thread pools before
 numpy loads.  No verb loads scipy: the library is numpy only, so generate,
 recover and compare each pay for the numpy import and their own modules.
+No recovery loads numpy.random either (its import, through secrets and
+OpenSSL, costs more than picking the spot check's indices); only an error
+lattice at d >= 4 (compare, or recover --truth) loads it, for its subsample.
 """
 
 import argparse
@@ -298,7 +301,9 @@ def build_parser():
     rec.add_argument("--tau", type=int, default=None,
                      help="cross-check against the grid's diagonal shift (sparse-lines only)")
     rec.add_argument("--truth", default=None, help="signal JSON to score against")
-    rec.add_argument("--seed", type=int, default=0)
+    rec.add_argument("--seed", type=int, default=0,
+                     help="offsets the recursive spot check's index walk "
+                          "(and draws the d >= 4 error-lattice subsample of --truth)")
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=cmd_recover)
 
@@ -306,7 +311,8 @@ def build_parser():
     cmp_.add_argument("truth", help="signal JSON file")
     cmp_.add_argument("result", help="recovery result JSON (or a signal JSON)")
     cmp_.add_argument("--json", default=None, help="also write the report as JSON")
-    cmp_.add_argument("--seed", type=int, default=0)
+    cmp_.add_argument("--seed", type=int, default=0,
+                      help="draws the d >= 4 error-lattice subsample")
     cmp_.set_defaults(func=cmd_compare)
 
     pg = sub.add_parser("plot-grid", help="CSV of the line-sampling index pattern")

@@ -78,7 +78,11 @@ class SparseGridRecovery(_BaseRecovery):
 
 
 class RecursiveRecovery(_BaseRecovery):
-    """Full-grid recursive dimension-reduction estimator."""
+    """Full-grid recursive dimension-reduction estimator.
+
+    seed offsets the low-discrepancy walk that picks the resynthesis spot
+    check's indices (see recover_recursive); it loads no numpy.random.
+    """
 
     def __init__(self, tol=DEFAULT_TOL, method="eig", seed=0):
         self.tol = tol

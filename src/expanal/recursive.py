@@ -31,6 +31,7 @@ spot-checks that model against the grid and converts it to frequencies
 """
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -378,28 +379,58 @@ def leaves_to_sum(tree, source):
     return ExponentialSum.from_poles(poles, _build(source, tree=tree)[1], source.P)
 
 
+@functools.lru_cache(maxsize=16)
+def _weyl_steps(d):
+    """The R_d steps phi_d^-(a+1), a = 0..d-1, as a read-only array.
+
+    phi_d is the positive root of x^(d+1) = x + 1.  The fixed-point map
+    x -> (1 + x)^(1/(d+1)) contracts by at most 1 / (2 phi_1) < 0.31 near it,
+    so 40 steps from 2 reach it to rounding."""
+    phi = 2.0
+    for _ in range(40):
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    steps = phi ** -np.arange(1.0, d + 1)
+    steps.setflags(write=False)
+    return steps
+
+
+def _spot_check_picks(seed, N, d):
+    """SPOT_CHECK_POINTS indices in [-N, N]^d from the R_d low-discrepancy walk.
+
+    Coordinate a of pick i = 1..SPOT_CHECK_POINTS is
+    floor(frac(u_a + i alpha_a) (2N + 1)) - N, with the steps alpha_a of
+    _weyl_steps and the start u_a = frac((seed mod 2^32) alpha_a).  The
+    arithmetic is in floats, so no seed or d overflows it, and it needs no
+    numpy.random, whose import costs a CLI recovery more than the check."""
+    steps = _weyl_steps(d)
+    start = np.modf((seed % 2 ** 32) * steps)[0]
+    walk = np.modf(start + np.arange(1.0, SPOT_CHECK_POINTS + 1)[:, None] * steps)[0]
+    return np.floor(walk * (2 * N + 1)).astype(np.intp) - N
+
+
 def recover_recursive(source, tol=DEFAULT_TOL, method="eig", seed=0, trace_sink=None):
     """Recover an exponential sum from a full coefficient grid.
 
     Builds the pole tree; the amplitudes are the residues of its leaf fits
     (see leaves_to_sum, which replays the same splits).  The leaf paths b_j
     and amplitudes a_j become the result's frequencies and coefficients
-    (ExponentialSum.from_poles).  The spot check then draws
-    SPOT_CHECK_POINTS indices k with the seed and evaluates the leaf fits'
-    own index-domain sum there, sum_j a_j * prod_a 1/(k_a - b_ja): a model
-    that misses the input coefficients by a relative residual above
-    RESYNTHESIS_TOL raises ResynthesisMismatch (the usual cause is a slice
-    function vanishing at the origin, which hides one of the poles from its
-    axis line).  The grid is read by one product, of the Kronecker rows of
-    the leading half's pseudo-inverses with the grid (see _build).
+    (ExponentialSum.from_poles).  The spot check then takes
+    SPOT_CHECK_POINTS indices k from the R_d low-discrepancy walk that the
+    seed offsets (_spot_check_picks; no recovery loads numpy.random) and
+    evaluates the leaf fits' own index-domain sum there,
+    sum_j a_j * prod_a 1/(k_a - b_ja): a model that misses the input
+    coefficients by a relative residual above RESYNTHESIS_TOL raises
+    ResynthesisMismatch (the usual cause is a slice function vanishing at
+    the origin, which hides one of the poles from its axis line).  The grid
+    is read by one product, of the Kronecker rows of the leading half's
+    pseudo-inverses with the grid (see _build).
 
     Returns (ExponentialSum, PoleTree).
     """
     check_nonnegative_int(seed, "seed")
     tree, amplitudes, paths = _build(source, tol, method, trace_sink)
     signal = ExponentialSum.from_poles(paths, amplitudes, source.P)
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(-source.N, source.N + 1, size=(SPOT_CHECK_POINTS, source.d))
+    picks = _spot_check_picks(seed, source.N, source.d)
     data = source.grid()[tuple((picks + source.N).T)]
     model = (1 / (picks[:, None, :] - paths)).prod(axis=2) @ amplitudes
     scale = np.abs(data).max()

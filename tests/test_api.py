@@ -237,11 +237,15 @@ def _run_probe(tmp_path, prelude=None):
 def test_cli_verbs_load_only_what_they_use(tmp_path):
     # numpy must not be loaded before main() applies the EXPANAL_THREADS cap,
     # no verb loads scipy, which the library does not use, and a full-grid
-    # recovery does not load numpy's masked arrays (np.unique would)
+    # recovery does not load numpy's masked arrays (np.unique would).  No
+    # verb here loads numpy.random: the spot check walks a float sequence,
+    # and only a compare at d >= 4 draws its lattice subsample with it
     stages = _run_probe(tmp_path)
     assert stages["import"] == []
     assert "numpy" in stages["generate"]
     assert "numpy.ma" not in stages["recover-recursive"]
+    assert {verb: [m for m in mods if m.startswith("numpy.random")]
+            for verb, mods in stages.items()} == {verb: [] for verb in stages}
     assert {verb: [m for m in mods if m.startswith("scipy")]
             for verb, mods in stages.items()} == {verb: [] for verb in stages}
 

@@ -1,5 +1,6 @@
 """Tests for the full-grid recursive dimension-reduction pipeline."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -835,6 +836,63 @@ class TestRecoverRecursive:
         full_rec, _ = recover_recursive(sig.synthesize(2.0, 10, FullGrid()))
         cross = relative_errors(sparse_rec, full_rec)
         assert cross.frequency_error <= 1e-8
+
+
+class TestSpotCheckPicks:
+    """The spot check's indices are the R_d low-discrepancy walk, offset by
+    the seed: pick i = 1..100 has coordinates
+    floor(frac(frac((seed mod 2^32) alpha_a) + i alpha_a) (2N + 1)) - N."""
+
+    @staticmethod
+    def reference(seed, N, d):
+        steps = recursive._weyl_steps(d)
+        return np.array([[math.floor(math.modf(math.modf((seed % 2 ** 32) * alpha)[0]
+                                               + i * alpha)[0] * (2 * N + 1)) - N
+                          for alpha in steps.tolist()]
+                         for i in range(1, recursive.SPOT_CHECK_POINTS + 1)])
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_steps_are_powers_of_the_generalized_golden_ratio(self, d):
+        steps = recursive._weyl_steps(d)
+        roots = np.roots([1] + [0] * (d - 1) + [-1, -1])  # x^(d+1) - x - 1
+        phi = max(r.real for r in roots if abs(r.imag) < 1e-12)
+        assert np.allclose(steps, phi ** -np.arange(1.0, d + 1), rtol=1e-14, atol=0)
+        assert not steps.flags.writeable
+
+    @pytest.mark.parametrize("N", [1, 15])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_walk_inside_the_grid_and_seeded(self, d, N):
+        picks = {seed: recursive._spot_check_picks(seed, N, d) for seed in (0, 1, 2 ** 80)}
+        for seed, walk in picks.items():
+            assert walk.shape == (recursive.SPOT_CHECK_POINTS, d)
+            assert walk.dtype.kind == "i"
+            assert -N <= walk.min() and walk.max() <= N
+            assert np.array_equal(walk, recursive._spot_check_picks(seed, N, d))
+            assert np.array_equal(walk, self.reference(seed, N, d))
+        assert not np.array_equal(picks[0], picks[1])
+
+    def test_huge_seed_recovers(self):
+        case = BIVARIATE_5
+        rec, _ = recover_recursive(case.signal.synthesize(case.P, case.N, FullGrid()),
+                                   seed=2 ** 80)
+        report = relative_errors(case.signal, rec)
+        assert report.frequency_error <= 1e-8
+        assert report.coefficient_error <= 1e-8
+
+    def test_recovery_loads_no_numpy_random(self):
+        # the walk is float arithmetic, so a CLI recovery does not pay for
+        # importing numpy.random (and through it secrets, hmac and OpenSSL)
+        tests = pathlib.Path(__file__).resolve().parent
+        probe = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                 "from cases import TRIVARIATE_8 as c\n"
+                 "from expanal import FullGrid, recover_recursive\n"
+                 "recover_recursive(c.signal.synthesize(c.P, c.N, FullGrid()))\n"
+                 "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, str(tests)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestNearlyCollidingPoles:
