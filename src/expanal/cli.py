@@ -10,9 +10,9 @@ Each verb imports only the modules it uses, and importing the package loads
 none of them, so the EXPANAL_THREADS cap reaches the BLAS thread pools before
 numpy loads.  No verb loads scipy: the library is numpy only, so generate,
 recover and compare each pay for the numpy import and their own modules.
-No recovery loads numpy.random either (its import, through secrets and
-OpenSSL, costs more than picking the spot check's indices); only an error
-lattice at d >= 4 (compare, or recover --truth) loads it, for its subsample.
+No verb loads numpy.random either: its import, through secrets and OpenSSL,
+costs more than the spot check's index walk or the error lattice, and neither
+draws random numbers.
 """
 
 import argparse
@@ -204,9 +204,7 @@ def cmd_recover(args):
     if args.truth is not None:
         try:
             truth, _ = model.signal_from_json(_load_json(args.truth))
-            errors_obj = _report_json(
-                model.relative_errors(truth, signal, seed=args.seed)
-            )
+            errors_obj = _report_json(model.relative_errors(truth, signal))
         except (OSError, ValueError, ExpanalError) as exc:
             return _fail(f"cannot score against truth file: {exc}", EXIT_INPUT)
 
@@ -223,8 +221,6 @@ def cmd_recover(args):
 
 
 def cmd_compare(args):
-    if args.seed < 0:
-        return _fail(f"--seed must be non-negative, got {args.seed}", EXIT_INPUT)
     from . import model
     from .errors import ExpanalError
 
@@ -241,7 +237,7 @@ def cmd_compare(args):
     except (OSError, ValueError, ExpanalError) as exc:
         return _fail(f"cannot read inputs: {exc}", EXIT_INPUT)
     try:
-        report = model.relative_errors(truth, recovered, seed=args.seed)
+        report = model.relative_errors(truth, recovered)
     except ExpanalError as exc:
         return _fail(str(exc), EXIT_INPUT)
 
@@ -302,8 +298,7 @@ def build_parser():
                      help="cross-check against the grid's diagonal shift (sparse-lines only)")
     rec.add_argument("--truth", default=None, help="signal JSON to score against")
     rec.add_argument("--seed", type=int, default=0,
-                     help="offsets the recursive spot check's index walk "
-                          "(and draws the d >= 4 error-lattice subsample of --truth)")
+                     help="offsets the recursive spot check's index walk")
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=cmd_recover)
 
@@ -311,8 +306,8 @@ def build_parser():
     cmp_.add_argument("truth", help="signal JSON file")
     cmp_.add_argument("result", help="recovery result JSON (or a signal JSON)")
     cmp_.add_argument("--json", default=None, help="also write the report as JSON")
-    cmp_.add_argument("--seed", type=int, default=0,
-                      help="draws the d >= 4 error-lattice subsample")
+    # ignored; the benchmark's CLI workload passes it until ROADMAP item 9
+    cmp_.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     cmp_.set_defaults(func=cmd_compare)
 
     pg = sub.add_parser("plot-grid", help="CSV of the line-sampling index pattern")

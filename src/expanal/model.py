@@ -11,8 +11,8 @@ each line's values sit in that array.
 Both the signal and its coefficients are sums of M separable terms: term j is
 a weight times a product of one univariate factor per axis.  _SeparableSum
 holds one factor table per axis and contracts those tables against the term
-weights, so grid synthesis and the signal error cost O(size of the grid) time
-and memory and never form a (grid x M) array.
+weights: grid synthesis in O(size of the grid) time and memory, the signal
+error in bounded blocks of its lattice; neither forms a (grid x M) array.
 """
 
 import base64
@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import linear_assignment
-from .validation import _positive_int, check_nonnegative_int, check_period
+from .validation import _positive_int, check_period
 
 TWO_PI_I = 2j * np.pi
 
@@ -48,10 +48,12 @@ _DEGENERATE_BRANCH_RTOL = 1e-14
 # (or numerically at) a sampled index.
 _DEGENERATE_GUARD_TOL = 1e-9
 
-# the lattice of relative_errors' signal error (subsampled beyond the cap)
+# the lattice of relative_errors' signal error, _lattice_points(d) per axis
+# (all 51 up to d = 4), in blocks of _LATTICE_BLOCK rows x right-half rows
 SIGNAL_BOX = (-10.0, 10.0)
 SIGNAL_POINTS_PER_AXIS = 51
-MAX_SIGNAL_POINTS = 2_000_000
+MAX_SIGNAL_POINTS = 8_000_000
+_LATTICE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -230,8 +232,8 @@ class _SeparableSum:
     A[k, j] = prod_a tables[a][k_a, j] is the Khatri-Rao product of the tables
     (axis 0 slowest).  Both methods work through the products of two halves
     of the axes (_halves): `grid` on the whole product index set (coefficient
-    synthesis), `at` on chosen rows (coefficient lookup, the lattice of the
-    signal error).  Neither forms A or any other (grid x M) array.
+    synthesis), `at` on chosen rows (coefficient lookup).  Neither forms A or
+    any other (grid x M) array.
     """
 
     def __init__(self, tables):
@@ -535,16 +537,14 @@ def _match_rows(truth_freq, rec_freq):
     return perm
 
 
-def relative_errors(truth, recovered, seed=0):
+def relative_errors(truth, recovered):
     """Relative errors between a reference signal and a reconstruction.
 
     Rows are matched first by an optimal assignment on the frequency-row
     distances, so the metrics are invariant under row permutations of either
     input.  The signal error is the sup-norm misfit over the equispaced
-    lattice of SIGNAL_POINTS_PER_AXIS points per axis in SIGNAL_BOX,
-    subsampled (seeded) when the lattice exceeds MAX_SIGNAL_POINTS.
+    product lattice of _lattice_points(d) points per axis in SIGNAL_BOX.
     """
-    check_nonnegative_int(seed, "seed")
     if truth.d != recovered.d:
         raise ShapeMismatch(f"dimension mismatch: {truth.d} vs {recovered.d}")
     perm = _match_rows(truth.frequencies, recovered.frequencies)
@@ -553,26 +553,19 @@ def relative_errors(truth, recovered, seed=0):
     rj = np.array([j for _, j in matched], dtype=int)
 
     t, r = truth.frequencies, recovered.frequencies
-    f, g = _lattice_values((truth, recovered), seed)
-    # |f| and |f - g| are inf, without a warning, where they exceed a float
-    with np.errstate(over="ignore", invalid="ignore"):
-        size, misfit = np.abs(f), np.abs(f - g)
-    for name, values in (("truth", size), ("recovered", g)):
-        if not np.isfinite(values).all():
-            raise BadParameters(
-                f"the {name} signal overflows a float on the error lattice "
-                f"over SIGNAL_BOX = {SIGNAL_BOX} per axis"
-            )
-    if not np.isfinite(misfit).all():
-        raise BadParameters(
-            "the truth and recovered signals differ by more than a float holds on the "
-            f"error lattice over SIGNAL_BOX = {SIGNAL_BOX} per axis"
-        )
+    peaks = _lattice_peaks(truth, recovered)
+    for peak, what in zip(peaks, ("the truth signal overflows a float",
+                                  "the recovered signal overflows a float",
+                                  "the truth and recovered signals differ by more than a "
+                                  "float holds")):
+        if not np.isfinite(peak):
+            raise BadParameters(f"{what} on the error lattice over SIGNAL_BOX = "
+                                f"{SIGNAL_BOX} per axis")
     return ErrorReport(
         frequency_error=max(_relative(t[ti, a] - r[rj, a], t[:, a]) for a in range(truth.d)),
         coefficient_error=_relative(truth.coefficients[ti] - recovered.coefficients[rj],
                                     truth.coefficients),
-        signal_error=_relative(misfit, size),
+        signal_error=_relative(peaks[2], peaks[0]),
         matched_permutation=tuple(perm),
         truth_order=truth.order,
         recovered_order=recovered.order,
@@ -585,27 +578,37 @@ def _relative(error, reference):
     return float(num / den if den > 0 else num)
 
 
-def _lattice_values(signals, seed):
-    """Each signal's values on the equispaced lattice, or on its seeded subsample.
+def _lattice_points(d):
+    """The largest odd n <= SIGNAL_POINTS_PER_AXIS with n**d <= MAX_SIGNAL_POINTS,
+    at least 3 (past d = 14): an odd axis holds SIGNAL_BOX's ends and centre."""
+    n = SIGNAL_POINTS_PER_AXIS - 1 + SIGNAL_POINTS_PER_AXIS % 2
+    while n > 3 and n ** d > MAX_SIGNAL_POINTS:
+        n -= 2
+    return n
+
+
+def _lattice_peaks(truth, recovered):
+    """max|f|, max|g| and max|f - g| on the signal-error lattice, for the
+    truth f and the recovered signal g.
 
     exp(<row_j, t>) factors over the axes, so each signal is a separable sum
-    over one exp table per axis on the 1-D lattice axis.  A signal that
-    overflows there gets values that are not finite, without a warning.
+    over one exp table per axis, and each block is one matmul of its weighted
+    halves.  A peak that leaves a float on some block is inf or nan, without
+    a warning: np.maximum carries a nan on, where max would drop it.
     """
-    axis = np.linspace(*SIGNAL_BOX, SIGNAL_POINTS_PER_AXIS)
-    d = signals[0].d
+    axis = np.linspace(*SIGNAL_BOX, _lattice_points(truth.d))
+    peaks = np.zeros(3)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = [
-            _SeparableSum([np.exp(axis[:, None] * s.frequencies[None, :, a]) for a in range(d)])
-            for s in signals
-        ]
-        if SIGNAL_POINTS_PER_AXIS ** d <= MAX_SIGNAL_POINTS:
-            return [t.grid(s.coefficients) for t, s in zip(terms, signals)]
-        # numpy's generator draws these 2M picks in under half the time that
-        # a low-discrepancy walk in numpy arithmetic takes
-        picks = np.random.default_rng(seed).integers(0, SIGNAL_POINTS_PER_AXIS,
-                                                     size=(MAX_SIGNAL_POINTS, d))
-        return [t.at(picks, s.coefficients) for t, s in zip(terms, signals)]
+        weighted = []
+        for s in (truth, recovered):
+            left, right = _halves([np.exp(axis[:, None] * s.frequencies[None, :, a])
+                                   for a in range(s.d)])
+            weighted.append((left * s.coefficients, right.T))
+        rows = max(1, _LATTICE_BLOCK // right.shape[0])
+        for start in range(0, left.shape[0], rows):
+            f, g = (w_left[start:start + rows] @ w_right for w_left, w_right in weighted)
+            peaks = np.maximum(peaks, [np.abs(f).max(), np.abs(g).max(), np.abs(f - g).max()])
+    return peaks
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ import expanal, expanal.cli
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 
-signal, tmp = sys.argv[1], sys.argv[2]
+signal, signal4, tmp = sys.argv[1], sys.argv[2], sys.argv[3]
 full, lines = os.path.join(tmp, "full.json"), os.path.join(tmp, "lines.json")
 verbs = {
     "generate": ["generate", signal, "--N", "6", "--coverage", "full", "--out", full],
@@ -193,6 +193,7 @@ verbs = {
     "recover-sparse": ["recover", lines, "--method", "sparse", "--truth", signal,
                        "--out", os.path.join(tmp, "r2.json")],
     "compare": ["compare", signal, os.path.join(tmp, "r2.json")],
+    "compare-d4": ["compare", signal4, signal4],
 }
 stages = {"import": loaded()}
 for name, argv in verbs.items():
@@ -224,8 +225,14 @@ def _run_probe(tmp_path, prelude=None):
         "d": 2, "P": 1.0, "gamma": [[1.0, 0.0], [0.5, 0.5]],
         "lambda": [[[-0.1, 1.3], [0.2, -2.1]], [[0.3, 0.7], [-0.2, 2.9]]],
     }))
+    signal4 = tmp_path / "signal4.json"
+    signal4.write_text(json.dumps({
+        "d": 4, "P": 1.0, "gamma": [[1.0, 0.0], [0.5, 0.5]],
+        "lambda": [[[-0.1, 1.3], [0.2, -2.1], [0.1, 0.4], [-0.2, 0.9]],
+                   [[0.3, 0.7], [-0.2, 2.9], [0.0, -1.1], [0.1, 0.2]]],
+    }))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = [_IMPORT_PROBE, str(signal), str(tmp_path)]
+    argv = [_IMPORT_PROBE, str(signal), str(signal4), str(tmp_path)]
     if prelude is not None:
         argv = [prelude] + argv
     proc = subprocess.run([sys.executable, "-c", *argv],
@@ -238,8 +245,8 @@ def test_cli_verbs_load_only_what_they_use(tmp_path):
     # numpy must not be loaded before main() applies the EXPANAL_THREADS cap,
     # no verb loads scipy, which the library does not use, and a full-grid
     # recovery does not load numpy's masked arrays (np.unique would).  No
-    # verb here loads numpy.random: the spot check walks a float sequence,
-    # and only a compare at d >= 4 draws its lattice subsample with it
+    # verb loads numpy.random: the spot check walks a float sequence, and the
+    # error lattice is a fixed product lattice at every d, 4 included
     stages = _run_probe(tmp_path)
     assert stages["import"] == []
     assert "numpy" in stages["generate"]
@@ -253,4 +260,4 @@ def test_cli_verbs_load_only_what_they_use(tmp_path):
 def test_cli_verbs_run_without_scipy(tmp_path):
     stages = _run_probe(tmp_path, prelude=_NO_SCIPY)
     assert list(stages) == ["import", "generate", "generate-sparse",
-                            "recover-recursive", "recover-sparse", "compare"]
+                            "recover-recursive", "recover-sparse", "compare", "compare-d4"]

@@ -11,7 +11,13 @@ import sys
 import numpy as np
 import pytest
 
-from expanal import SparseLines, relative_errors, signal_from_json, signal_to_json
+from expanal import (
+    ExponentialSum,
+    SparseLines,
+    relative_errors,
+    signal_from_json,
+    signal_to_json,
+)
 from expanal.cli import main
 
 from cases import BIVARIATE_5, QUADVARIATE_9, signal_from_amplitudes, signal_from_poles
@@ -243,7 +249,7 @@ class TestRecover:
             "--out", result)
         payload = read_json(result)
         recovered, _ = signal_from_json(payload["recovered"])
-        report = relative_errors(BIVARIATE_5.signal, recovered, seed=0)
+        report = relative_errors(BIVARIATE_5.signal, recovered)
         assert report.signal_error == payload["errors"]["e_signal"]
 
     def test_recursive_roundtrip(self, spec_file, tmp_path):
@@ -456,8 +462,6 @@ class TestCompare:
     def test_permuted_rows(self, spec_file, tmp_path, capsys):
         sig = BIVARIATE_5.signal
         perm = [4, 2, 0, 1, 3]
-        from expanal import ExponentialSum
-
         shuffled = ExponentialSum(sig.frequencies[perm], sig.coefficients[perm])
         other = tmp_path / "perm.json"
         other.write_text(json.dumps(signal_to_json(shuffled, BIVARIATE_5.P)))
@@ -470,17 +474,22 @@ class TestCompare:
         bad.write_text("[")
         assert run("compare", spec_file, str(bad)) == 1
 
-    def test_negative_seed(self, tmp_path, capsys):
-        # d=4: the seed picks the subsample of the 2M-point lattice, and the
-        # check comes before it
-        path = tmp_path / "sig4.json"
-        path.write_text(
-            json.dumps(signal_to_json(QUADVARIATE_9.signal, QUADVARIATE_9.P))
-        )
-        assert run("compare", str(path), str(path), "--seed", "-1") == 1
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.splitlines() == ["error: --seed must be non-negative, got -1"]
+    def test_seed_is_ignored(self, tmp_path, capsys):
+        # d=4, where the error lattice was once a seeded subsample: --seed
+        # still parses, and changes nothing
+        sig = QUADVARIATE_9.signal
+        truth, other = tmp_path / "sig4.json", tmp_path / "other4.json"
+        truth.write_text(json.dumps(signal_to_json(sig, QUADVARIATE_9.P)))
+        other.write_text(json.dumps(signal_to_json(
+            ExponentialSum(sig.frequencies * (1 + 1e-9), sig.coefficients), QUADVARIATE_9.P)))
+        tables = []
+        for seed in ([], ["--seed", "5"]):
+            assert run("compare", str(truth), str(other), *seed) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            tables.append(out.out)
+        assert tables[0] == tables[1]
+        assert float(tables[0].splitlines()[1].split()[2]) > 0.0
 
     def test_failed_recovery_result(self, spec_file, tmp_path, capsys):
         # the file recover writes on exit 3 holds no signal: compare names

@@ -357,48 +357,72 @@ class TestRelativeErrors:
 
     @pytest.mark.parametrize("seed", [-1, 0.5, True])
     def test_bad_seed_rejected(self, seed):
-        # d=4: the check comes before the 2M-point lattice
+        # one fixed lattice for every d: relative_errors takes no seed at all
         sig = QUADVARIATE_9.signal
-        with pytest.raises(BadParameters, match="seed"):
+        with pytest.raises(TypeError, match="seed"):
             relative_errors(sig, sig, seed=seed)
 
-    def test_grid_override(self, monkeypatch):
-        # the subsampled estimate normalizes by its own sup, so it tracks the
-        # full-lattice value only up to a modest factor
-        sig = BIVARIATE_5.signal
-        other = ExponentialSum(sig.frequencies * (1 + 1e-10), sig.coefficients)
-        monkeypatch.setattr(model, "SIGNAL_POINTS_PER_AXIS", 21)
-        full = relative_errors(sig, other)
-        monkeypatch.setattr(model, "MAX_SIGNAL_POINTS", 50)
-        sub = relative_errors(sig, other)
-        assert full.signal_error > 0.0
-        assert 0.1 * full.signal_error <= sub.signal_error <= 10.0 * full.signal_error
+    @pytest.mark.parametrize("d, points", [(1, 51), (4, 51), (5, 23), (6, 13), (7, 9),
+                                           (14, 3), (15, 3)])
+    def test_lattice_points(self, d, points):
+        # the largest odd count within the budget, and never fewer than 3
+        n = model._lattice_points(d)
+        assert n == points and n % 2 == 1
+        assert n ** d <= model.MAX_SIGNAL_POINTS or n == 3
+        assert n == model.SIGNAL_POINTS_PER_AXIS or (n + 2) ** d > model.MAX_SIGNAL_POINTS
 
+    @pytest.mark.parametrize("d, axis", [(1, 0), (5, 0), (5, 4), (7, 3)])
+    def test_lattice_holds_ends_and_centre(self, d, axis):
+        # against a truth of 1: |1 - exp(+-0.1 t)| peaks at t = +-10 alone,
+        # and 0.1 * |1 + 2 cos(0.3 t)| at t = 0 alone, over SIGNAL_BOX
+        truth = ExponentialSum(np.zeros((1, d)), [1.0])
+        row = np.eye(d)[axis]
+        for rows, weights, expected in [
+            ([0.1 * row], [1.0], np.e - 1),
+            ([-0.1 * row], [1.0], np.e - 1),
+            ([0 * row, 0.3j * row, -0.3j * row], [0.9, -0.1, -0.1], 0.3),
+        ]:
+            recovered = ExponentialSum(np.array(rows), np.array(weights))
+            assert abs(relative_errors(truth, recovered).signal_error - expected) <= 1e-13
+
+    def test_grid_override(self, monkeypatch):
+        # d = 5 with the budget cut to 10^5 points: 9 per axis (11^5 > 10^5),
+        # streamed in 11 blocks of 8 left-half rows (the last holds 1)
+        rng = np.random.default_rng(5)
+        sig = ExponentialSum(rng.uniform(-0.2, 0.2, (3, 5)) + 1j * rng.uniform(-2, 2, (3, 5)),
+                             rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        other = ExponentialSum(sig.frequencies * (1 + 1e-9), sig.coefficients)
+        monkeypatch.setattr(model, "MAX_SIGNAL_POINTS", 100_000)
+        monkeypatch.setattr(model, "_LATTICE_BLOCK", 8 * 9 ** 3)
+        axis = np.linspace(-10.0, 10.0, 9)
+        pts = np.stack(np.meshgrid(*([axis] * 5), indexing="ij"), axis=-1).reshape(-1, 5)
+        f, g = sig.evaluate(pts), other.evaluate(pts)
+        expected = np.abs(f - g).max() / np.abs(f).max()
+        assert model._lattice_points(5) == 9
+        assert expected > 0.0
+        assert abs(relative_errors(sig, other).signal_error - expected) <= 1e-13
 
     @pytest.mark.parametrize(
-        "sig, points, cap",
-        [(BIVARIATE_5.signal, 51, 2_000_000), (QUADVARIATE_9.signal, 21, 20_000)],
-        ids=["full-lattice-d2", "subsample-d4"],
+        "sig, points",
+        [(BIVARIATE_5.signal, 51), (QUADVARIATE_9.signal, 21)],
+        ids=["full-lattice-d2", "whole-lattice-d4"],
     )
-    def test_signal_error_matches_evaluate(self, sig, points, cap, monkeypatch):
+    def test_signal_error_matches_evaluate(self, sig, points, monkeypatch):
+        # brute force over every lattice point: 51^2, and 21^4 = 194,481
         other = ExponentialSum(sig.frequencies * (1 + 1e-9), sig.coefficients * (1 - 1e-9))
         axis = np.linspace(-10.0, 10.0, points)
-        if points ** sig.d <= cap:
-            mesh = np.meshgrid(*([axis] * sig.d), indexing="ij")
-            pts = np.stack(mesh, axis=-1).reshape(-1, sig.d)
-        else:
-            pts = axis[np.random.default_rng(0).integers(0, points, size=(cap, sig.d))]
+        mesh = np.meshgrid(*([axis] * sig.d), indexing="ij")
+        pts = np.stack(mesh, axis=-1).reshape(-1, sig.d)
         f, g = sig.evaluate(pts), other.evaluate(pts)
         expected = np.abs(f - g).max() / np.abs(f).max()
         monkeypatch.setattr(model, "SIGNAL_POINTS_PER_AXIS", points)
-        monkeypatch.setattr(model, "MAX_SIGNAL_POINTS", cap)
         report = relative_errors(sig, other)
         assert expected > 0.0
         assert abs(report.signal_error - expected) <= 1e-13
 
     # exp(100 * 10) overflows on the lattice; the refusal comes without a
-    # RuntimeWarning (tier-1 turns one into an error), as the one-grid
-    # lattice of d = 1 and as the subsample of d = 4
+    # RuntimeWarning (tier-1 turns one into an error), in the one block of
+    # d = 1 and in the late blocks of d = 4 (exp(100 * t) overflows past t = 7.1)
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("which", ["truth", "recovered"])
     def test_overflowing_signal_refused(self, d, which):
@@ -416,6 +440,28 @@ class TestRelativeErrors:
         recovered = ExponentialSum(np.array([[rate]]), np.array([-10.0]))
         with pytest.raises(BadParameters, match=r"the truth and recovered signals .*SIGNAL_BOX"):
             relative_errors(truth, recovered)
+
+    def test_overflowing_difference_refused_in_a_late_block(self):
+        # d = 4: each signal peaks at 1e308 in the last block, their
+        # difference at 2e308, and the earlier blocks are finite
+        rate = np.log(1e307) / 10
+        truth = ExponentialSum(np.array([[rate, 0, 0, 0]]), np.array([10.0]))
+        recovered = ExponentialSum(np.array([[rate, 0, 0, 0]]), np.array([-10.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParameters, match=r"the truth and recovered signals "):
+                relative_errors(truth, recovered)
+
+    def test_nan_difference_carried_to_the_refusal(self):
+        # two equal signals that overflow in the late blocks of d = 4: there
+        # f - g is inf - inf, a nan that a running max() would drop
+        big = ExponentialSum(np.array([[100, 0, 0, 0]]), np.array([1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peaks = model._lattice_peaks(big, big)
+            with pytest.raises(BadParameters, match=r"the truth signal .*SIGNAL_BOX"):
+                relative_errors(big, big)
+        assert not np.isfinite(peaks).any() and np.isnan(peaks[2])
 
     def test_overflowing_magnitude_refused(self):
         # the truth's parts peak at 1.5e308 on the lattice, its modulus at
