@@ -9,10 +9,10 @@ linear_assignment.
 
 RCOND is the one numerical-rank cutoff and _rank_errors its one rule, for the
 pencil engine and cauchy_lstsq, the one solver of sum_j x_j / (k - b_j) = rhs
-(the line fit's residues, the slice peel and the pairing of both methods);
-_cauchy_pinv forms its pseudo-inverses, which the pole tree also carries down
-its leading levels.  _out_of_range is the one check of a solution against the
-float range, _lapack the one conversion of a LAPACK failure to
+(the line fit's residues, the pole tree's splits, the pairing); it returns
+the pseudo-inverses it applied (_cauchy_pinv), which the pole tree carries
+down its leading levels.  _out_of_range is the one check of a solution
+against the float range, _lapack the one conversion of a LAPACK failure to
 ConvergenceFailure, and _pow2_scale the one exact power-of-two scaling of a
 stack of lines (the line fit's).
 """
@@ -79,18 +79,13 @@ def cauchy_lstsq(b, k, rhs, what):
     """Least squares solutions x[i] of sum_j x[i, j] / (k - b[i, j]) = rhs[i]
     for a (g, p) stack of poles b, the (n,) sample points k and (g, n, *tail)
     right-hand sides: one SVD, each pseudo-inverse applied to all its tails in
-    one matmul.  Returns (x, {row: error naming `what`}), x (g, p, *tail).  A
+    one matmul.  Returns (x, {row: error naming `what`}, pinv), x (g, p, *tail)
+    and pinv the (g, p, n) pseudo-inverses applied (_cauchy_pinv).  A
     non-finite Cauchy matrix, or a solution outside the float range, is
     refused with BadParameters, and one with fewer rows than poles or
     s[-1] <= RCOND * s[0] with IllConditioned.  A LAPACK failure is pinned on
     its row by solving the rows one at a time.
     """
-    x, errors, _ = _cauchy_solve(b, k, rhs, what)
-    return x, errors
-
-
-def _cauchy_solve(b, k, rhs, what):
-    """cauchy_lstsq, and the (g, p, n) pseudo-inverses it applied."""
     g, n = rhs.shape[:2]
     pinv, errors = _cauchy_pinv(b, k, what)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -579,10 +579,16 @@ def _relative(error, reference):
 
 
 def _lattice_points(d):
-    """The largest odd n <= SIGNAL_POINTS_PER_AXIS with n**d <= MAX_SIGNAL_POINTS,
-    at least 3 (past d = 14): an odd axis holds SIGNAL_BOX's ends and centre."""
+    """The largest odd n <= SIGNAL_POINTS_PER_AXIS with n**d <= MAX_SIGNAL_POINTS:
+    an odd axis holds SIGNAL_BOX's ends and centre.  Past d = 14 not even 3
+    points per axis fit, and the lattice is refused with BadParameters."""
+    if 3 ** d > MAX_SIGNAL_POINTS:
+        # the largest supported d is the number of base-3 digits of the budget, less one
+        raise BadParameters(f"the error lattice at d = {d} exceeds MAX_SIGNAL_POINTS = "
+                            f"{MAX_SIGNAL_POINTS:,} with 3 points per axis; relative_errors "
+                            f"supports d <= {len(np.base_repr(MAX_SIGNAL_POINTS, 3)) - 1}")
     n = SIGNAL_POINTS_PER_AXIS - 1 + SIGNAL_POINTS_PER_AXIS % 2
-    while n > 3 and n ** d > MAX_SIGNAL_POINTS:
+    while n ** d > MAX_SIGNAL_POINTS:
         n -= 2
     return n
 

@@ -390,7 +390,7 @@ def _pencil_poles(points, vals, chosen):
 def residues_ls(poles, points, values):
     """Residues minimizing the 2-norm misfit of sum_j a_j/(k - b_j) = values."""
     b, pts, vals = _cauchy_inputs(poles, points, values)
-    residues, errors = linalg.cauchy_lstsq(b[None], pts, vals[None], "residue system")
+    residues, errors, _ = linalg.cauchy_lstsq(b[None], pts, vals[None], "residue system")
     if errors:
         raise errors[0]
     return residues[0]
@@ -437,7 +437,7 @@ def _filter_spurious(b, pts, slices, e):
     them) or to the error it fails with (a refused residue system, or
     DegenerateFrequency).
     """
-    children, partial, pinv = linalg._cauchy_solve(b, pts, slices, "residue system")
+    children, partial, pinv = linalg.cauchy_lstsq(b, pts, slices, "residue system")
     size = np.abs(_central_residues(children, e))
     top = size.max(axis=1)
     keep = size >= SPURIOUS_RESIDUE_RTOL * top[:, None]
@@ -452,8 +452,8 @@ def _filter_spurious(b, pts, slices, e):
                 "all residues fall below the spurious-pole threshold")
         else:
             kept = b[i, keep[i]]
-            refit, errors, refit_pinv = linalg._cauchy_solve(kept[None], pts, slices[i, None],
-                                                             "residue system")
+            refit, errors, refit_pinv = linalg.cauchy_lstsq(kept[None], pts, slices[i, None],
+                                                            "residue system")
             partial[i] = errors[0] if errors else (kept, refit[0], refit_pinv[0])
     return children, pinv, partial
 

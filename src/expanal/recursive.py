@@ -12,17 +12,16 @@ nodes.  The root-to-leaf paths of the tree are the recovered pole vectors, so
 pairing is automatic and repeated per-axis values are handled.
 
 The grid is read once, through its two halves, as model._halves writes it.
+A node's outcome is the line fit's (poles, children, trace, pseudo-inverse).
 In the leading h = d // 2 levels a node is its central line alone: the
-Kronecker product of the pseudo-inverses that the residue solves along its
-path formed, applied to a sub-grid of the first axes.  One product of those
-rows with the grid, seen as an (n^h, n^(d-h)) matrix, then gives the depth-h
-slices.  Each trailing level's residue solve runs on the whole slices, so it
-gives both the lines' residues and one lower-dimensional child per pole, so
-a fitted level takes its splits straight from its fits.  A slice of the
-last level is a single line, and its children are the amplitudes of the terms
-below it: a recovery solves no separate amplitude system.  leaves_to_sum runs
-the same level walk (_build) on a given tree, each level split by _split on
-the tree's poles instead of fitted ones.
+Kronecker product of the pseudo-inverses along its path, applied to a
+sub-grid of the first axes.  One product of those rows with the grid, seen
+as an (n^h, n^(d-h)) matrix, then gives the depth-h slices.  Each trailing
+level's residue solve runs on the whole slices, so its children are one
+lower-dimensional slice per pole, and at the last level the amplitudes of
+the terms below: a recovery solves no separate amplitude system.
+leaves_to_sum runs the same level walk (_build) on a given tree, its
+outcomes from _split, one Cauchy solve on the tree's poles, not the fit.
 
 The walk ends with the leaf paths and their amplitudes, which define the
 index-domain model sum_j a_j * prod_a 1/(k_a - b_ja).  recover_recursive
@@ -151,8 +150,7 @@ def peel_dimension(poles, parent_values):
     samples or a rank deficient system raise IllConditioned.
 
     Returns the (len(poles), *tail) solution array: row j is the child slice
-    of poles[j].  It is the split (_split) a trailing tree level makes of
-    each slice, in a build and in the replay of leaves_to_sum.
+    of poles[j], as one node's split (_split) in the replay of leaves_to_sum.
     """
     vals = np.asarray(parent_values, dtype=complex)
     if vals.ndim < 2:
@@ -167,40 +165,35 @@ def peel_dimension(poles, parent_values):
         raise BadParameters("need at least one pole")
     if not np.isfinite(vals).all():
         raise BadParameters("parent_values contains non-finite entries")
-    (children,), errors = _split([b], vals[None], leading=False)
-    if errors:
-        raise errors[0]
-    return children
+    fit = _split([b], vals[None])[0]
+    if isinstance(fit, ExpanalError):
+        raise fit
+    return fit[1]
 
 
-def _split(poles, stack, leading):
-    """The splits of one tree level on given poles, one Cauchy solve per pole
-    count.
+def _split(poles, stack):
+    """The splits of one tree level on given poles, one Cauchy solve
+    (linalg.cauchy_lstsq) per pole count.
 
-    poles[i] holds the poles of stack[i].  In the leading half of the axes
-    (leading true) node i's part is the (len(poles[i]), n) pseudo-inverse of
-    its slice system (linalg._cauchy_pinv), which its children read the grid
-    through (_descend); in the trailing half it is the (len(poles[i]), *tail)
-    children of stack[i] (linalg.cauchy_lstsq).  Returns (parts, {node:
-    error}).
+    poles[i] holds the poles of stack[i].  Returns one outcome per node, in
+    the line fit's shape (_fit_lines) with no trace: (poles[i], its children
+    (len(poles[i]), *tail) in stack[i], None, the (len(poles[i]), n)
+    pseudo-inverse that split it), or the error that refuses its system.
     """
     k = _sample_points(stack.shape[1])
     by_count = {}
     for i, row in enumerate(poles):
         by_count.setdefault(len(row), []).append(i)
-    parts, errors = [None] * len(poles), {}
+    out = [None] * len(poles)
     for count, idx in by_count.items():
-        b, what = np.array([poles[i] for i in idx]), f"slice system for {count} poles"
-        if leading:
-            rows, errs = linalg._cauchy_pinv(b, k, what)
-        else:
-            # one group holding every node splits the stack as it is, without a copy
-            rows, errs = linalg.cauchy_lstsq(b, k, stack if len(idx) == len(stack) else stack[idx],
-                                             what)
+        b = np.array([poles[i] for i in idx])
+        # one group holding every node splits the stack as it is, without a copy
+        children, errors, pinv = linalg.cauchy_lstsq(
+            b, k, stack if len(idx) == len(stack) else stack[idx],
+            f"slice system for {count} poles")
         for pos, i in enumerate(idx):
-            parts[i] = rows[pos]
-        errors.update((idx[pos], exc) for pos, exc in errs.items())
-    return parts, errors
+            out[i] = errors.get(pos, (b[pos], children[pos], None, pinv[pos]))
+    return out
 
 
 def _descend(weights, pinvs):
@@ -260,20 +253,19 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
     amplitudes, paths), the amplitudes and the rows of the (M, d) complex
     array paths in depth-first leaf order, as PoleTree.leaf_paths lists
     them.  The one level walk of the module: given a tree, a level takes its
-    poles from the tree instead of fitting them (the replay of
-    leaves_to_sum), and tol, method and trace_sink go unused.
+    outcomes from _split on the tree's poles instead of from the line fit
+    (the replay of leaves_to_sum), and tol, method and trace_sink go unused.
 
     The grid is read through its two halves, as model._halves writes it.  A
     node in the leading h = d // 2 levels is its central line, read from the
     grid by the Kronecker product of the pseudo-inverses along its path
-    (_descend, _read); its fit hands back the pseudo-inverse its residue
-    solve formed.  After level h - 1 one product of those weights with the
-    grid, seen as (n^h, n^(d-h)), gives the depth-h slices, and each
-    trailing level splits its slices by the children of their fits, as
-    peel_dimension does.  Only a replay splits its nodes itself (_split), on
-    the tree's poles.  A leaf-level slice is a line, so its children are the
-    amplitudes of the leaves below it.  A product row outside the float
-    range fails the node whose split produced it.
+    (_descend, _read).  After level h - 1 one product of those weights with
+    the grid, seen as (n^h, n^(d-h)), gives the depth-h slices.  Fitted or
+    replayed, one loop records a level's failures and takes the other nodes'
+    pseudo-inverses (leading half) or children (trailing half).  A leaf-level
+    slice is a line, so its children are the amplitudes of the leaves below
+    it.  A product row outside the float range fails the node whose split
+    produced it.
     """
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
@@ -292,19 +284,17 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
             except ExpanalError as exc:
                 # tol and method fail on the first line fitted, the root
                 raise type(exc)(f"at pole path (): {exc}") from exc
-            poles, parts = [None] * len(fits), [None] * len(fits)
-            for i, fit in enumerate(fits):
-                if isinstance(fit, ExpanalError):
-                    failures[keys[i]] = (paths[i], fit)
-                else:
-                    poles[i], parts[i] = fit[0], fit[3] if leading else fit[1]
-                    traced.append((keys[i], fit[2]))
         else:
-            poles = [np.array([node.pole for node in group], dtype=complex)
-                     for group in groups]
+            fits = _split([np.array([node.pole for node in group], dtype=complex)
+                           for group in groups], stack)
             groups = [node.children for group in groups for node in group]
-            parts, errors = _split(poles, stack, leading)
-            failures.update((keys[i], (paths[i], exc)) for i, exc in errors.items())
+        poles, parts = [None] * len(fits), [None] * len(fits)
+        for i, fit in enumerate(fits):
+            if isinstance(fit, ExpanalError):
+                failures[keys[i]] = (paths[i], fit)
+            else:
+                poles[i], parts[i] = fit[0], fit[3] if leading else fit[1]
+                traced.append((keys[i], fit[2]))
         levels.append(poles)
         keys = [key + (j,) for key, row in zip(keys, poles) if row is not None
                 for j in range(len(row))]
@@ -329,10 +319,9 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
             break
 
     first = min(failures) if failures else None
-    if trace_sink is not None:
-        for key, trace in sorted(traced, key=lambda pair: pair[0]):
-            if first is None or key <= first:
-                trace_sink.append(trace)
+    if trace_sink is not None and tree is None:
+        trace_sink.extend(trace for key, trace in sorted(traced, key=lambda pair: pair[0])
+                          if first is None or key <= first)
     if failures:
         path, exc = failures[first]
         raise type(exc)(f"at pole path {path}: {exc}") from exc
@@ -347,11 +336,9 @@ def leaves_to_sum(tree, source):
     """Signal parameters from a pole tree and its full-grid source.
 
     The root-to-leaf pole paths give the frequency rows.  The amplitudes
-    replay the tree's build on the source's grid: the build's own level
-    walk (_build), each level split (_split) on the tree's poles instead of
-    fitted ones.  In the leading half of the axes the pseudo-inverses are
-    carried down as weights and read from the grid by one product; then
-    each trailing slice is split on its children's poles.  A leaf-level
+    replay the tree's build on the source's grid: the build's own level walk
+    (_build), each level's outcomes, in the line fit's shape, from one Cauchy
+    solve on the tree's poles (_split) in place of the fit.  A leaf-level
     slice is a line, so its last split gives the amplitudes of its leaves,
     in depth-first leaf order.  On the source a tree was built from, these
     are the residues that recover_recursive takes from the leaf fits.  Each

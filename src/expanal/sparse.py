@@ -113,7 +113,7 @@ def _pairing_solve(poles, diagonals, tau):
     n = diagonals.shape[1] // 2 + tau
     k = _sample_points(2 * n + 1)[:diagonals.shape[1]]
     return linalg.cauchy_lstsq(np.concatenate([poles[:-1], poles[1:] - 2 * tau], axis=1),
-                               k, diagonals, "pairing system")
+                               k, diagonals, "pairing system")[:2]
 
 
 def _score_matrix(c, coeffs_prev, poles_prev, poles_next, tau):

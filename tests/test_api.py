@@ -36,7 +36,8 @@ REMOVED = {
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices",
                       "_SeparableSum.gram", "_SeparableSum.adjoint", "_SeparableSum.apply"),
     "expanal.errors": ("RankDeficient", "OrderMismatch", "ResynthesisWarning"),
-    "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd", "eigh", "sort_complex"),
+    "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd", "eigh", "sort_complex",
+                       "_cauchy_solve"),
 }
 
 # Thresholds are module constants, each with one owner (linalg.RCOND,

@@ -531,6 +531,22 @@ class TestCompare:
             "SIGNAL_BOX = (-10.0, 10.0) per axis"
         ]
 
+    def test_lattice_past_d_14_is_an_input_error(self, tmp_path):
+        # 3 points per axis at d = 15 already exceed MAX_SIGNAL_POINTS
+        path = tmp_path / "d15.json"
+        path.write_text(json.dumps({"d": 15, "P": 1.0, "gamma": [[1, 0]],
+                                    "lambda": [[[0, 0.1]] * 15]}))
+        proc = subprocess.run([sys.executable, "-m", "expanal.cli", "compare",
+                               str(path), str(path)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: the error lattice at d = 15 exceeds MAX_SIGNAL_POINTS = 8,000,000 with "
+            "3 points per axis; relative_errors supports d <= 14"
+        ]
+
     def test_overflowing_difference_is_an_input_error(self, tmp_path):
         # each signal peaks at 1e308 on the lattice, their difference at 2e308
         rate = np.log(1e307) / 10

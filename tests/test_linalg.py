@@ -121,7 +121,7 @@ class TestCauchyLstsq:
     ], ids=["wide", "close-poles"])
     def test_rank_deficient_refused(self, poles, ratio):
         k = np.arange(-6, 7, dtype=float)
-        _, errors = cauchy_lstsq(poles[None], k, np.ones((1, 13), complex), "test system")
+        _, errors, _ = cauchy_lstsq(poles[None], k, np.ones((1, 13), complex), "test system")
         assert list(errors) == [0] and isinstance(errors[0], IllConditioned)
         assert re.search(f"test system .*ratio {ratio} <= 1e-13", str(errors[0]))
 
@@ -146,7 +146,7 @@ class TestCauchyLstsq:
                 b = np.array([random_poles(rng, p, half / 2) for _ in range(g)])
                 shape = tail
             rhs = random_complex(rng, (g, len(k)) + shape)
-            x, errors = cauchy_lstsq(b, k, rhs, "test system")
+            x, errors, _ = cauchy_lstsq(b, k, rhs, "test system")
             assert errors == {} and x.shape == b.shape + shape
             for row, poles, values in zip(x, b, rhs):
                 oracle = np.linalg.lstsq(1.0 / (k[:, None] - poles), values.reshape(len(k), -1),
@@ -161,12 +161,29 @@ class TestCauchyLstsq:
         rhs = random_complex(np.random.default_rng(3), (3, 7, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, errors = cauchy_lstsq(b, k, rhs, "test system")
+            x, errors, _ = cauchy_lstsq(b, k, rhs, "test system")
         assert sorted(errors) == [0, 1]
         assert isinstance(errors[0], BadParameters)
         assert "test system has non-finite entries" in str(errors[0])
         assert isinstance(errors[1], IllConditioned)
         assert np.array_equal(x[2], cauchy_lstsq(b[2:], k, rhs[2:], "test system")[0][0])
+
+    def test_returns_the_pseudo_inverses_it_applied(self):
+        # the pole tree carries these down its leading levels: a kept row's
+        # pinv gives its solution exactly, and a refused row's (the rank rule
+        # on row 0, the pole on the sample point 2 on row 2) is finite
+        k = np.arange(-3, 4, dtype=float)
+        b = np.array([[0.5j, 0.5j + 1e-15], [0.4 + 0.7j, -1.3 + 0.2j],
+                      [2.0, 1.5 + 0.2j], [-0.8 - 0.3j, 2.6 + 0.1j]])
+        rhs = random_complex(np.random.default_rng(3), (4, 7, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, errors, pinv = cauchy_lstsq(b, k, rhs, "test system")
+        assert sorted(errors) == [0, 2] and pinv.shape == (4, 2, 7)
+        assert isinstance(errors[0], IllConditioned) and isinstance(errors[2], BadParameters)
+        for i in (1, 3):
+            assert np.array_equal(pinv[i] @ rhs[i], x[i])
+        assert np.isfinite(pinv[[0, 2]]).all()
 
 
 class TestGenEig:

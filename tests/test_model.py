@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -363,13 +364,30 @@ class TestRelativeErrors:
             relative_errors(sig, sig, seed=seed)
 
     @pytest.mark.parametrize("d, points", [(1, 51), (4, 51), (5, 23), (6, 13), (7, 9),
-                                           (14, 3), (15, 3)])
+                                           (14, 3)])
     def test_lattice_points(self, d, points):
-        # the largest odd count within the budget, and never fewer than 3
+        # the largest odd count within the budget
         n = model._lattice_points(d)
         assert n == points and n % 2 == 1
-        assert n ** d <= model.MAX_SIGNAL_POINTS or n == 3
+        assert n ** d <= model.MAX_SIGNAL_POINTS
         assert n == model.SIGNAL_POINTS_PER_AXIS or (n + 2) ** d > model.MAX_SIGNAL_POINTS
+
+    @pytest.mark.parametrize("d", [15, 20])
+    def test_lattice_refused_past_d_14(self, d):
+        # 3^15 points exceed the budget; the lattice's cost would triple with
+        # each further axis (about 40 s at d = 20), so the refusal comes first
+        sig = ExponentialSum(np.full((1, d), 0.1j), [1.0])
+        start = time.perf_counter()
+        with pytest.raises(BadParameters, match=r"MAX_SIGNAL_POINTS = 8,000,000 .*"
+                                                r"supports d <= 14$"):
+            relative_errors(sig, sig)
+        assert time.perf_counter() - start < 0.1
+
+    def test_lattice_at_d_14_evaluated(self):
+        # 3^14 = 4,782,969 points, the largest lattice of 3 per axis in the budget
+        truth = ExponentialSum(np.full((1, 14), 0.01j), [1.0])
+        recovered = ExponentialSum(np.full((1, 14), 0.01j), [1.0 + 1e-9])
+        assert abs(relative_errors(truth, recovered).signal_error - 1e-9) <= 1e-15
 
     @pytest.mark.parametrize("d, axis", [(1, 0), (5, 0), (5, 4), (7, 3)])
     def test_lattice_holds_ends_and_centre(self, d, axis):

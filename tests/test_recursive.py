@@ -204,8 +204,8 @@ class TestPeelDimension:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", failing)
-        children, errors = cauchy_lstsq(b, np.arange(-4, 5, dtype=float), slices,
-                                        "slice system")
+        children, errors, _ = cauchy_lstsq(b, np.arange(-4, 5, dtype=float), slices,
+                                           "slice system")
         assert list(errors) == [1] and "SVD did not converge" in str(errors[1])
         monkeypatch.undo()
         for i in (0, 2):
@@ -575,6 +575,19 @@ class TestStackedCalls:
 
 
 class TestLeavesToSum:
+    @pytest.mark.parametrize("case, method", [
+        pytest.param(case, method, id=case.name + ("" if method == "eig" else "-pencil"))
+        for method in ("eig", "pencil") for case in ALL_REFERENCE
+    ])
+    def test_replay_matches_the_build_bitwise(self, case, method):
+        # the replay's split on the tree's poles is the same Cauchy solve as
+        # the fits' residue solve, so it gives the same bits
+        src = case.signal.synthesize(case.P, case.N, FullGrid())
+        signal, tree = recover_recursive(src, method=method)
+        replay = leaves_to_sum(tree, src)
+        assert np.array_equal(replay.frequencies, signal.frequencies)
+        assert np.array_equal(replay.coefficients, signal.coefficients)
+
     def test_single_leaf_closed_form(self):
         rng = np.random.default_rng(7)
         sig, _ = random_axis_distinct(rng, 1, 2, tau=3)
