@@ -9,12 +9,13 @@ linear_assignment.
 
 RCOND is the one numerical-rank cutoff and _rank_errors its one rule, for the
 pencil engine and cauchy_lstsq, the one solver of sum_j x_j / (k - b_j) = rhs
-(the line fit's residues, the pole tree's splits, the pairing); it returns
-the pseudo-inverses it applied (_cauchy_pinv), which the pole tree carries
-down its leading levels.  _out_of_range is the one check of a solution
-against the float range, _lapack the one conversion of a LAPACK failure to
-ConvergenceFailure, and _pow2_scale the one exact power-of-two scaling of a
-stack of lines (the line fit's).
+(the line fit's residues and spurious refits, the replay of the pole tree and
+peel_dimension, the pairing); it returns the pseudo-inverses it applied
+(_cauchy_pinv), with which the pole tree splits every level's slices.
+_out_of_range is the one check of a solution against the float range,
+_lapack the one conversion of a LAPACK failure to ConvergenceFailure, and
+_pow2_scale the one exact power-of-two scaling of a stack of lines (the line
+fit's).
 """
 
 import math

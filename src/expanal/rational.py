@@ -11,16 +11,16 @@ caller repeats any of it: one acceptance step (_accept) refuses, among
 others, a line with two poles closer than POLE_SEPARATION_RTOL, so neither
 method merges poles.  It is the fit's validation boundary: it checks its
 arguments once, then runs private kernels on trusted arrays.  The kernels
-fit the central line of each slice of a stack, so that the pole tree fits a
-level in one call, and one Cauchy solve on the whole slice gives both the
-line's residues and the slice's children; they also hand back the solve's
-pseudo-inverse, with which the tree splits slices it never formed.  The
-public fit is their one-line case.  The public steps check their own
-arguments and call the same kernels.  The line fit caps max_order at N; its
-pencil projects onto the first m - 1 of the fit's own m support points.  The
-greedy fit scales each line by an exact power of two, so that no kernel
-overflows, and the filter and the acceptance step read the residues scaled
-the same way.
+fit a stack of lines in one call (a level of the pole tree, the axes of the
+line-based method) and hand back, with each line's poles and residues, the
+pseudo-inverse of its residue solve, with which the pole tree splits the
+slice the line was taken from.  The public fit is their one-line case.  The
+public steps check their own arguments and call the same kernels.  The line
+fit caps max_order at N; its pencil projects onto the first m - 1 of the
+fit's own m support points.  The greedy fit scales each line by an exact
+power of two, so that no kernel overflows; the residue solve runs on the
+line as given, and the filter and the acceptance step read its residues
+scaled the same way.
 """
 
 import functools
@@ -419,26 +419,18 @@ def _cauchy_inputs(poles, points, values):
     return b, pts, vals
 
 
-def _central_residues(children, e):
-    """The central column of a (g, p, *tail) stack of children, row i times
-    2^-e[i]: the residues of the central lines, scaled as the fit scaled them."""
-    mid = (children.shape[-1] // 2,) * (children.ndim - 2)
-    return linalg._ldexp(children[(slice(None), slice(None)) + mid], -e)
+def _filter_spurious(b, pts, lines, e):
+    """filter_spurious on a trusted (g, n) stack of lines with equal pole
+    counts, on their residues scaled by 2^-e.
 
-
-def _filter_spurious(b, pts, slices, e):
-    """filter_spurious on a trusted (g, n, *tail) stack of slices with equal
-    pole counts, on the residues of their central lines scaled by 2^-e.
-
-    Returns (children, pinv, partial): children (g, p, *tail) is the first
-    solve, on the whole slices, with the (g, p, n) pseudo-inverses pinv it
-    applied, and partial maps each slice that does not keep every pole to its
-    (kept poles in input order, children and pseudo-inverse solved again on
-    them) or to the error it fails with (a refused residue system, or
-    DegenerateFrequency).
+    Returns (residues, pinv, partial): residues (g, p) is the first solve,
+    with the (g, p, n) pseudo-inverses pinv it applied, and partial maps each
+    line that does not keep every pole to its (kept poles in input order,
+    residues and pseudo-inverse solved again on them) or to the error it
+    fails with (a refused residue system, or DegenerateFrequency).
     """
-    children, partial, pinv = linalg.cauchy_lstsq(b, pts, slices, "residue system")
-    size = np.abs(_central_residues(children, e))
+    residues, partial, pinv = linalg.cauchy_lstsq(b, pts, lines, "residue system")
+    size = np.abs(linalg._ldexp(residues, -e))
     top = size.max(axis=1)
     keep = size >= SPURIOUS_RESIDUE_RTOL * top[:, None]
     for i in np.flatnonzero(~keep.all(axis=1) | (top == 0.0)).tolist():
@@ -452,10 +444,10 @@ def _filter_spurious(b, pts, slices, e):
                 "all residues fall below the spurious-pole threshold")
         else:
             kept = b[i, keep[i]]
-            refit, errors, refit_pinv = linalg.cauchy_lstsq(kept[None], pts, slices[i, None],
+            refit, errors, refit_pinv = linalg.cauchy_lstsq(kept[None], pts, lines[i, None],
                                                             "residue system")
             partial[i] = errors[0] if errors else (kept, refit[0], refit_pinv[0])
-    return children, pinv, partial
+    return residues, pinv, partial
 
 
 def check_fit_residual(pole_residue, points, values):
@@ -496,17 +488,17 @@ def _collisions(points, poles):
     return errors
 
 
-def _accept(poles, children, points, vals, converged, steps, e):
-    """The checks after the spurious filter on a stack of slices with equal
-    pole counts, on their central lines vals and residues scaled by 2^-e, in
-    order: the separation rule (no two poles within POLE_SEPARATION_RTOL times
-    the largest modulus, IllConditioned), nonzero residues (PoleResidue),
+def _accept(poles, residues, points, vals, converged, steps, e):
+    """The checks after the spurious filter on a stack of lines with equal
+    pole counts, on the lines vals and residues scaled by 2^-e, in order: the
+    separation rule (no two poles within POLE_SEPARATION_RTOL times the
+    largest modulus, IllConditioned), nonzero residues (PoleResidue),
     NoConvergence, and the misfit rule (check_fit_residual).  Returns {row:
     first error}.
 
     A line's samples are never all zero here: such a line stops on its first
     support point and fails as constant."""
-    residues = _central_residues(children, e)
+    residues = linalg._ldexp(residues, -e)
     model = (residues[:, None, :] / (points[:, None] - poles[:, None, :])).sum(axis=-1)
     resid = np.abs(model - vals) / np.abs(vals).max(axis=1)[:, None]
     bad = resid > ISOLATED_MISFIT_TOL
@@ -541,57 +533,53 @@ def _accept(poles, children, points, vals, converged, steps, e):
     return errors
 
 
-def _fit_lines(slices, tol, max_order, method):
-    """The line fit on a trusted (r, 2N+1, *tail) stack of slices, on each
-    slice's central line (samples at k = -N..N, the tail at its centre).
+def _fit_lines(lines, tol, max_order, method):
+    """The line fit on a trusted (r, 2N+1) stack of lines, samples at k = -N..N.
 
-    Returns one outcome per slice: (poles sorted by (real, imag), children,
+    Returns one outcome per line: (poles sorted by (real, imag), residues,
     AaaTrace, pseudo-inverse), or the ExpanalError that
-    pole_residue_from_samples raises on that line alone.  The children
-    (len(poles), *tail) solve the Cauchy system of the poles on the whole
-    slice: their central column is the line's residues, and a line's
-    children are its residues.  The (len(poles), 2N+1) pseudo-inverse of
-    that system is the one the solve applied, so a caller that holds only
-    the line can split a slice it has not formed.  A bad method,
-    tol or max_order (an integer in 1..N) raises before any work.  Each step
-    runs as one stacked call per group of slices of equal size, so the number
-    of numpy calls grows with the fit steps and the groups, not with the
-    slices.  A LAPACK failure fails its whole stacked call; the stack is then
-    refitted slice by slice, which pins the failure on its slice.
+    pole_residue_from_samples raises on that line alone.  The (len(poles),
+    2N+1) pseudo-inverse is the one the residue solve applied to the line, so
+    that a caller can split a slice whose central line it is, one child per
+    pole.  A bad method, tol or max_order (an integer in 1..N) raises before
+    any work.  Each step runs as one stacked call per group of lines of equal
+    size, so the number of numpy calls grows with the fit steps and the
+    groups, not with the lines.  A LAPACK failure fails its whole stacked
+    call; the stack is then refitted line by line, which pins the failure on
+    its line.
     """
     if method not in ("eig", "pencil"):
         raise BadParameters(f"unknown pole method {method!r}")
-    max_order = _fit_args(slices.shape[1], tol, max_order, cap=slices.shape[1] // 2)
+    max_order = _fit_args(lines.shape[1], tol, max_order, cap=lines.shape[1] // 2)
     try:
-        return _fit_stack(slices, tol, max_order, method)
+        return _fit_stack(lines, tol, max_order, method)
     except ConvergenceFailure as exc:
-        if len(slices) == 1:
+        if len(lines) == 1:
             return [exc]
-        return [_fit_lines(one[None], tol, max_order, method)[0] for one in slices]
+        return [_fit_lines(one[None], tol, max_order, method)[0] for one in lines]
 
 
-def _fit_stack(slices, tol, max_order, method):
+def _fit_stack(lines, tol, max_order, method):
     """_fit_lines without the refit on a LAPACK failure."""
-    points = _sample_points(slices.shape[1])
-    vals = slices[(slice(None), slice(None)) + (len(points) // 2,) * (slices.ndim - 2)]
-    out = [None] * len(slices)
-    live = np.arange(len(slices))
-    if not np.isfinite(vals).all():
-        finite = np.isfinite(vals).all(axis=1)
+    points = _sample_points(lines.shape[1])
+    out = [None] * len(lines)
+    live, vals = np.arange(len(lines)), lines
+    if not np.isfinite(lines).all():
+        finite = np.isfinite(lines).all(axis=1)
         for i in np.flatnonzero(~finite).tolist():
             out[i] = BadParameters("values contains non-finite entries")
-        live, vals = live[finite], vals[finite]
+        live, vals = live[finite], lines[finite]
     groups, traces, vals, e = _greedy_fit(points, vals, tol, max_order)
     for rows, chosen, weights, converged in groups:
-        # a group of every slice is solved in place, not copied
-        group = slices if len(rows) == len(slices) else slices[live[rows]]
+        # a group of every line is solved in place, not copied
+        group = lines if len(rows) == len(lines) else lines[live[rows]]
         fits = _fit_group(points, group, vals[rows], e[rows], chosen, weights, converged, method)
         for i, row, fit in zip(live[rows].tolist(), rows.tolist(), fits):
             if isinstance(fit, ExpanalError):
                 out[i] = fit
             else:
-                poles, children, pinv = fit
-                out[i] = (poles, children, traces[row], pinv)
+                poles, residues, pinv = fit
+                out[i] = (poles, residues, traces[row], pinv)
     return out
 
 
@@ -605,10 +593,11 @@ def _drop(out, alive, settled, *arrays):
     return [alive[keep]] + [array[keep] for array in arrays]
 
 
-def _fit_group(points, slices, vals, e, chosen, weights, converged, method):
-    """The policy after the greedy fit, for slices whose central lines vals,
-    scaled by 2^-e, have the same number of support points: per slice
-    (poles, children, pseudo-inverse of the residue solve) or its error."""
+def _fit_group(points, lines, vals, e, chosen, weights, converged, method):
+    """The policy after the greedy fit, for lines that have the same number
+    of support points, given as they are and as vals, scaled by 2^-e: per
+    line (poles, residues, pseudo-inverse of the residue solve) or its
+    error."""
     g, m = chosen.shape
     if m < 2:
         # one support point: the fit is the constant at that point
@@ -624,21 +613,21 @@ def _fit_group(points, slices, vals, e, chosen, weights, converged, method):
     # a line refused by its engine keeps that error, whatever its poles
     errors = {**_collisions(points, poles), **errors}
     if errors:
-        alive, poles, slices, vals, e, converged = _drop(
-            out, alive, errors, poles, slices, vals, e, converged)
+        alive, poles, lines, vals, e, converged = _drop(
+            out, alive, errors, poles, lines, vals, e, converged)
     # both engines sort their poles and the filter keeps their order
-    children, pinv, partial = _filter_spurious(poles, points, slices, e)
+    residues, pinv, partial = _filter_spurious(poles, points, lines, e)
     if partial:
         for pos, fit in partial.items():
             if not isinstance(fit, ExpanalError):
                 kept, refit, _ = fit
                 partial[pos] = _accept(kept[None], refit[None], points, vals[pos, None],
                                        converged[pos, None], m, e[pos, None]).get(0, fit)
-        alive, poles, children, pinv, vals, e, converged = _drop(
-            out, alive, partial, poles, children, pinv, vals, e, converged)
-    errors = _accept(poles, children, points, vals, converged, m, e)
+        alive, poles, residues, pinv, vals, e, converged = _drop(
+            out, alive, partial, poles, residues, pinv, vals, e, converged)
+    errors = _accept(poles, residues, points, vals, converged, m, e)
     for pos, line in enumerate(alive.tolist()):
-        out[line] = errors.get(pos, (poles[pos], children[pos], pinv[pos]))
+        out[line] = errors.get(pos, (poles[pos], residues[pos], pinv[pos]))
     return out
 
 
@@ -656,7 +645,7 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
     POLE_SEPARATION_RTOL times the largest modulus), NoConvergence when the
     greedy fit missed its tolerance, and the misfit rule
     (check_fit_residual).  This is the one-line case of the stacked fit that
-    build_pole_tree runs on the slices of a tree level.
+    build_pole_tree runs on the central lines of a tree level.
 
     Returns (PoleResidue with poles sorted by (real, imag), AaaTrace).
     """

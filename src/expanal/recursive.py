@@ -12,16 +12,16 @@ nodes.  The root-to-leaf paths of the tree are the recovered pole vectors, so
 pairing is automatic and repeated per-axis values are handled.
 
 The grid is read once, through its two halves, as model._halves writes it.
-A node's outcome is the line fit's (poles, children, trace, pseudo-inverse).
-In the leading h = d // 2 levels a node is its central line alone: the
-Kronecker product of the pseudo-inverses along its path, applied to a
+Each node takes its poles and its pseudo-inverse from the line fit of its
+central line.  In the leading h = d // 2 levels a node is that line alone:
+the Kronecker product of the pseudo-inverses along its path, applied to a
 sub-grid of the first axes.  One product of those rows with the grid, seen
-as an (n^h, n^(d-h)) matrix, then gives the depth-h slices.  Each trailing
-level's residue solve runs on the whole slices, so its children are one
-lower-dimensional slice per pole, and at the last level the amplitudes of
-the terms below: a recovery solves no separate amplitude system.
-leaves_to_sum runs the same level walk (_build) on a given tree, its
-outcomes from _split, one Cauchy solve on the tree's poles, not the fit.
+as an (n^h, n^(d-h)) matrix, then gives the depth-h slices.  A trailing
+node's pseudo-inverse, applied to its whole slice (_children), gives one
+lower-dimensional child slice per pole, and at the last level, whose slices
+are lines, the amplitudes of the terms below: a recovery solves no separate
+amplitude system.  leaves_to_sum runs the same level walk (_build) on a
+given tree, its pseudo-inverses from _split on the tree's poles, not the fit.
 
 The walk ends with the leaf paths and their amplitudes, which define the
 index-domain model sum_j a_j * prod_a 1/(k_a - b_ja).  recover_recursive
@@ -150,7 +150,7 @@ def peel_dimension(poles, parent_values):
     samples or a rank deficient system raise IllConditioned.
 
     Returns the (len(poles), *tail) solution array: row j is the child slice
-    of poles[j], as one node's split (_split) in the replay of leaves_to_sum.
+    of poles[j], as a trailing level of the pole tree splits a slice.
     """
     vals = np.asarray(parent_values, dtype=complex)
     if vals.ndim < 2:
@@ -175,10 +175,11 @@ def _split(poles, stack):
     """The splits of one tree level on given poles, one Cauchy solve
     (linalg.cauchy_lstsq) per pole count.
 
-    poles[i] holds the poles of stack[i].  Returns one outcome per node, in
-    the line fit's shape (_fit_lines) with no trace: (poles[i], its children
-    (len(poles[i]), *tail) in stack[i], None, the (len(poles[i]), n)
-    pseudo-inverse that split it), or the error that refuses its system.
+    poles[i] holds the poles of stack[i], a line in the replay of
+    leaves_to_sum, a slice in peel_dimension.  Returns one outcome per node,
+    in the line fit's shape with no trace: (poles[i], its solution
+    (len(poles[i]), *tail), None, the (len(poles[i]), n) pseudo-inverse), or
+    the error that refuses its system.
     """
     k = _sample_points(stack.shape[1])
     by_count = {}
@@ -194,6 +195,17 @@ def _split(poles, stack):
         for pos, i in enumerate(idx):
             out[i] = errors.get(pos, (b[pos], children[pos], None, pinv[pos]))
     return out
+
+
+def _children(pinvs, stack):
+    """The children of a trailing level, depth first: row j of pinvs[i]
+    times the slice stack[i] (a line at the leaf level) is the slice (the
+    amplitude) of child j of node i, and a failed node (pinvs[i] None) has
+    none.  A child outside the float range is left for the caller to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [pinv @ part.reshape(len(part), -1)
+                 for pinv, part in zip(pinvs, stack) if pinv is not None]
+    return np.concatenate(parts).reshape((-1,) + stack.shape[2:])
 
 
 def _descend(weights, pinvs):
@@ -256,16 +268,12 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
     outcomes from _split on the tree's poles instead of from the line fit
     (the replay of leaves_to_sum), and tol, method and trace_sink go unused.
 
-    The grid is read through its two halves, as model._halves writes it.  A
-    node in the leading h = d // 2 levels is its central line, read from the
-    grid by the Kronecker product of the pseudo-inverses along its path
-    (_descend, _read).  After level h - 1 one product of those weights with
-    the grid, seen as (n^h, n^(d-h)), gives the depth-h slices.  Fitted or
-    replayed, one loop records a level's failures and takes the other nodes'
-    pseudo-inverses (leading half) or children (trailing half).  A leaf-level
-    slice is a line, so its children are the amplitudes of the leaves below
-    it.  A product row outside the float range fails the node whose split
-    produced it.
+    Every level fits (or replays) the central lines of its slices, and one
+    loop records its failures and takes the other nodes' poles and
+    pseudo-inverses.  A leading level reads its children from the grid by
+    the Kronecker products of those (_descend, _read), a trailing one splits
+    its slices by them (_children).  One range check on each new stack fails
+    the node whose split produced a row outside the float range.
     """
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
@@ -277,23 +285,23 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
     # in a replay, the tree's nodes below each node of the level
     groups = [] if tree is None else [tree.roots]
     for level in range(d):
-        leading = level < lead
+        lines = stack[(slice(None), slice(None)) + (n_half,) * (stack.ndim - 2)]
         if tree is None:
             try:
-                fits = _fit_lines(stack, tol, n_half, method)
+                fits = _fit_lines(lines, tol, n_half, method)
             except ExpanalError as exc:
                 # tol and method fail on the first line fitted, the root
                 raise type(exc)(f"at pole path (): {exc}") from exc
         else:
             fits = _split([np.array([node.pole for node in group], dtype=complex)
-                           for group in groups], stack)
+                           for group in groups], lines)
             groups = [node.children for group in groups for node in group]
-        poles, parts = [None] * len(fits), [None] * len(fits)
+        poles, pinvs = [None] * len(fits), [None] * len(fits)
         for i, fit in enumerate(fits):
             if isinstance(fit, ExpanalError):
                 failures[keys[i]] = (paths[i], fit)
             else:
-                poles[i], parts[i] = fit[0], fit[3] if leading else fit[1]
+                poles[i], pinvs[i] = fit[0], fit[3]
                 traced.append((keys[i], fit[2]))
         levels.append(poles)
         keys = [key + (j,) for key, row in zip(keys, poles) if row is not None
@@ -302,18 +310,18 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
                  for pole in row.tolist()]
         if not keys:
             break
-        if leading:
-            weights = _descend(weights, parts)
+        if level < lead:
+            weights = _descend(weights, pinvs)
             stack = _read(grid, weights, 1 if level + 1 < lead else d - lead)
-            # a row of the product is a child: its split was its parent's
-            for row, exc in linalg._out_of_range(stack, "residue system").items():
-                failures.setdefault(keys[row][:-1], (paths[row][:-1], exc))
         else:
-            stack = np.concatenate([part for part in parts if part is not None])
+            stack = _children(pinvs, stack)
+        # a row of the new stack is a child: its split was its parent's
+        for row, exc in linalg._out_of_range(stack, "residue system").items():
+            failures.setdefault(keys[row][:-1], (paths[row][:-1], exc))
         if failures:
             cut = bisect.bisect_left(keys, min(failures))
             stack, keys, paths, groups = stack[:cut], keys[:cut], paths[:cut], groups[:cut]
-            if leading:
+            if level < lead:
                 weights = weights[:cut]
         if not keys:
             break

@@ -70,8 +70,7 @@ def recover_axis(values, axis, tol=DEFAULT_TOL, method="eig"):
     """Fit one axis line on k = -N..N; poles sorted by (real, imag).
 
     The fit and its policy are pole_residue_from_samples; NoConvergence names
-    the axis.  recover_sparse fits axis 0 with it, which fixes the order, then
-    the other axes in one stacked fit, and solves the pairing once.
+    the axis, as recover_sparse names axis 0 when its fit does not converge.
     """
     try:
         pr, trace = pole_residue_from_samples(values, tol=tol, method=method)
@@ -186,10 +185,13 @@ def recover_sparse(source, tol=DEFAULT_TOL, method="eig"):
     d = source.d
 
     lines = np.array([source.axis_line(axis) for axis in range(d)])
-    first = recover_axis(lines[0], 0, tol=tol, method=method)
-    order = first.order
-    fits = [(first.poles, first.coefficients, first.trace)] + _fit_lines(
-        lines[1:], tol, order + 1, method)
+    first = _fit_lines(lines[:1], tol, None, method)[0]
+    if isinstance(first, NoConvergence):
+        raise NoConvergence(f"axis 0: {first}") from first
+    if isinstance(first, ExpanalError):
+        raise first
+    order = len(first[0])
+    fits = [first] + _fit_lines(lines[1:], tol, order + 1, method)
     rule = f"axis 0 fixed order {order}; axiswise-distinct assumption violated"
     for axis, fit in enumerate(fits):
         if isinstance(fit, NoConvergence):
@@ -224,7 +226,7 @@ def recover_sparse(source, tol=DEFAULT_TOL, method="eig"):
             f"parameter does not cover the data"
         )
 
-    amplitudes = first.coefficients * np.prod(-poles[:, 1:], axis=1)
+    amplitudes = residues[0] * np.prod(-poles[:, 1:], axis=1)
     certificate = PairingCertificate(
         permutations=tuple(tuple(perm.tolist()) for perm in perms[1:]),
         stage_coefficients=tuple(map(tuple, c.tolist())),

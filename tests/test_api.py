@@ -31,7 +31,8 @@ REMOVED = {
                           "RESYNTHESIS_WARN_TOL", "PoleTree._root_peel", "_distinct",
                           "_peel_level", "_level_pinvs", "_merge_close", "_merge_rows",
                           "POLE_MERGE_RTOL"),
-    "expanal.rational": ("_cauchy_lstsq", "_misfit_error", "evaluate_barycentric"),
+    "expanal.rational": ("_cauchy_lstsq", "_misfit_error", "evaluate_barycentric",
+                         "_central_residues"),
     "expanal.validation": ("check_positive_int", "check_rcond"),
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices",
                       "_SeparableSum.gram", "_SeparableSum.adjoint", "_SeparableSum.apply"),

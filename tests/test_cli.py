@@ -317,6 +317,19 @@ class TestRecover:
         assert payload["error"] == "NoConvergence"
         assert payload["message"].endswith("within 1 steps")
 
+    def test_unconverged_axis_0_is_a_recovery_failure(self, spec_file, tmp_path, capsys):
+        # no axis-0 fit of the sparse lines reaches --tol 1e-300
+        lines, result = str(tmp_path / "lines.json"), str(tmp_path / "r.json")
+        assert run("generate", spec_file, "--N", "15", "--coverage", "sparse:7",
+                   "--out", lines) == 0
+        capsys.readouterr()
+        assert run("recover", lines, "--method", "sparse", "--tol", "1e-300",
+                   "--out", result) == 3
+        assert read_json(result) == {
+            "method": "sparse", "error": "NoConvergence",
+            "message": "axis 0: greedy fit did not reach tolerance within 15 steps"}
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_hidden_pole_is_a_recovery_failure(self, tmp_path, capsys):
         # the second term's amplitude cancels the first one's slice on its
         # central line, so the tree misses a pole; the resynthesis spot check

@@ -475,6 +475,28 @@ class TestLevelBuild:
                                                 r"residue system has a solution outside"):
             build_pole_tree(src)
 
+    def test_child_outside_the_float_range_fails_its_trailing_parent(self):
+        # d = 3: the depth-1 slice is split by its node's pseudo-inverse,
+        # whose entries for the pole 30j reach about 30; 1.7e308 off the
+        # node's central line leaves its fit finite and overflows the split.
+        # The build and the replay on the clean grid's tree fail that node
+        # alike, and the node's own fit reaches trace_sink
+        k = np.arange(-3, 4, dtype=float)
+        factors = [1.0 / (k - pole) for pole in (0.7 - 0.6j, 30j, 1.3 + 0.2j)]
+        grid = np.multiply.outer(np.multiply.outer(factors[0], factors[1]), factors[2])
+        tree = build_pole_tree(CoefficientSource(3, 2.0, 3, FullGrid(), grid))
+        grid[3, :2, 0] = 1.7e308
+        src = CoefficientSource(3, 2.0, 3, FullGrid(), grid)
+        expected = (f"at pole path ({tree.roots[0].pole},): residue system has a "
+                    f"solution outside the float range")
+        traces = []
+        with pytest.raises(BadParameters) as built:
+            build_pole_tree(src, trace_sink=traces)
+        assert str(built.value) == expected and len(traces) == 2
+        with pytest.raises(BadParameters) as replayed:
+            leaves_to_sum(tree, src)
+        assert str(replayed.value) == expected
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"tol": 0.0}, "tol"), ({"method": "qz"}, "method"),
     ])
@@ -514,17 +536,10 @@ def _count_linalg(monkeypatch):
 
 class TestStackedCalls:
     """The LAPACK calls of a tree grow with its levels and fit steps, not with
-    its nodes.  Depth first, trivariate-6 made 25 svd, 13 eigvals and 13
-    lstsq calls, and quadvariate-8 made 47, 24 and 24.  The pencil adds at
-    most one svd and one eigvals per (level, support size) group; when it
-    refitted each line, trivariate-6 made 28 svd and 13 eigvals, and
-    quadvariate-8 46 and 24.  With one lstsq per line for the residues,
-    trivariate-6 made 10 svd, 1 eigvals and 13 lstsq calls, and quadvariate-8
-    15, 2 and 24.  With the residues on linalg.cauchy_lstsq and a separate
-    peel of each level they made 13 svd, 1 eigvals and no lstsq, and 20, 2
-    and 0 (the pencil engine 16 and 25 svd); now that the residue solve of
-    each fit splits its whole slice they make 11 and 16 svd (the pencil
-    engine 14 and 21).  The replay of leaves_to_sum fits no line."""
+    its nodes: trivariate-6 makes 11 svd, 1 eigvals and no lstsq call, and
+    quadvariate-8 16, 2 and 0.  The pencil adds at most one svd per (level,
+    support size) group (14 and 21 svd).  The replay of leaves_to_sum fits
+    no line."""
 
     @pytest.mark.parametrize("case, method", [
         pytest.param(case, method, id=case.name + ("" if method == "eig" else "-pencil"))
@@ -547,8 +562,8 @@ class TestStackedCalls:
         # the spurious filter may have refitted their residues
         refits = sum(count < t.iterations - 1 for (_, count), t in zip(slices, traces))
         # one svd per greedy step after the first, one per fit group for the
-        # residue solve that also splits the slices and one per spurious
-        # refit, and the pencil's one per fit group
+        # residue solve, whose pseudo-inverses split the slices, and one per
+        # spurious refit, and the pencil's one per fit group
         svd_bound = steps - len(depths) + len(fit_groups) + refits
         assert counts.get("svd", 0) <= svd_bound + (method == "pencil") * len(fit_groups)
         # every Cauchy system goes through the one stacked SVD solve
@@ -963,9 +978,9 @@ class TestLeafResidues:
         path = () if level == 1 else (build_pole_tree(src).roots[0].pole,)
         fit, stacks = recursive._fit_lines, []
 
-        def counted(slices, *args):
-            stacks.append(len(slices))
-            return fit(slices, *args)
+        def counted(lines, *args):
+            stacks.append(len(lines))
+            return fit(lines, *args)
 
         monkeypatch.setattr(recursive, "_fit_lines", counted)
         monkeypatch.setattr(rational, "_arrowhead_poles", with_close_pair(

@@ -21,6 +21,7 @@ from expanal.errors import (
     DegenerateFrequency,
     ExpanalError,
     IllConditioned,
+    NoConvergence,
     TauViolation,
 )
 from expanal.model import TWO_PI_I
@@ -345,6 +346,16 @@ class TestRecoverSparse:
         # returning would give a 1.1e-5 coefficient error with exit 0
         with pytest.raises(DegenerateFrequency, match="isolated"):
             recover_sparse(spiked_bivariate_5())
+
+    def test_unconverged_axis_0_names_it(self):
+        # no fit reaches 1e-300 of the line's scale: axis 0 stops at its cap
+        # of N = 15 support points, and that refusal names the axis (the
+        # pencil engine refuses the line's rank first)
+        case = BIVARIATE_5
+        src = case.signal.synthesize(case.P, case.N, SparseLines(case.tau))
+        with pytest.raises(NoConvergence, match=r"^axis 0: greedy fit did not reach "
+                                                r"tolerance within 15 steps$"):
+            recover_sparse(src, tol=1e-300)
 
     def test_univariate_degenerates_gracefully(self):
         rng = np.random.default_rng(8)
