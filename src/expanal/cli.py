@@ -293,7 +293,7 @@ def build_parser():
     rec = sub.add_parser("recover", help="run a recovery method on a coefficient grid")
     rec.add_argument("grid", help="coefficient grid JSON file")
     rec.add_argument("--method", choices=("sparse", "recursive"), required=True)
-    rec.add_argument("--tol", type=float, default=1e-12)
+    rec.add_argument("--tol", type=float, default=1e-12)  # rational.DEFAULT_TOL
     rec.add_argument("--tau", type=int, default=None,
                      help="cross-check against the grid's diagonal shift (sparse-lines only)")
     rec.add_argument("--truth", default=None, help="signal JSON to score against")

@@ -7,20 +7,21 @@ and maps pole/residue pairs back to exponential-sum parameters.
 
 pole_residue_from_samples is the one line fit of both recovery methods: it
 owns the sample geometry k = -N..N and the whole acceptance policy, so no
-caller repeats any of it: one acceptance step (_accept) refuses, among
-others, a line with two poles closer than POLE_SEPARATION_RTOL, so neither
-method merges poles.  It is the fit's validation boundary: it checks its
-arguments once, then runs private kernels on trusted arrays.  The kernels
-fit a stack of lines in one call (a level of the pole tree, the axes of the
-line-based method) and hand back, with each line's poles and residues, the
-pseudo-inverse of its residue solve, with which the pole tree splits the
-slice the line was taken from.  The public fit is their one-line case.  The
-public steps check their own arguments and call the same kernels.  The line
-fit caps max_order at N; its pencil projects onto the first m - 1 of the
-fit's own m support points.  The greedy fit scales each line by an exact
-power of two, so that no kernel overflows; the residue solve runs on the
-line as given, and the filter and the acceptance step read its residues
-scaled the same way.
+caller repeats any of it: the greedy fit's verdict settles a line first, so
+only converged lines reach pole extraction, and one acceptance step
+(_accept) refuses, among others, a line with two poles closer than
+POLE_SEPARATION_RTOL, so neither method merges poles.  It is the fit's
+validation boundary: it checks its arguments and samples once, then runs
+private kernels on trusted arrays.  The kernels fit a stack of lines in one
+call (a level of the pole tree, the axes of the line-based method) and hand
+back, with each line's poles and residues, the pseudo-inverse of its
+residue solve, with which the pole tree splits the slice the line was taken
+from.  The public fit is their one-line case.  The public steps check their
+own arguments and call the same kernels.  The line fit caps max_order at N;
+its pencil projects onto the first m - 1 of the fit's own m support points.
+The greedy fit scales each line by an exact power of two, so that no kernel
+overflows; the residue solve runs on the line as given, and the filter and
+the acceptance step read its residues scaled the same way.
 """
 
 import functools
@@ -427,7 +428,8 @@ def _filter_spurious(b, pts, lines, e):
     with the (g, p, n) pseudo-inverses pinv it applied, and partial maps each
     line that does not keep every pole to its (kept poles in input order,
     residues and pseudo-inverse solved again on them) or to the error it
-    fails with (a refused residue system, or DegenerateFrequency).
+    fails with (a refused residue system, or DegenerateFrequency when all its
+    residues are zero; otherwise it keeps its largest, as the rtol is below 1).
     """
     residues, partial, pinv = linalg.cauchy_lstsq(b, pts, lines, "residue system")
     size = np.abs(linalg._ldexp(residues, -e))
@@ -439,9 +441,6 @@ def _filter_spurious(b, pts, lines, e):
         if top[i] == 0.0:
             partial[i] = DegenerateFrequency(
                 "samples carry no rational structure of positive order")
-        elif not keep[i].any():
-            partial[i] = DegenerateFrequency(
-                "all residues fall below the spurious-pole threshold")
         else:
             kept = b[i, keep[i]]
             refit, errors, refit_pinv = linalg.cauchy_lstsq(kept[None], pts, lines[i, None],
@@ -458,14 +457,14 @@ def check_fit_residual(pole_residue, points, values):
     the signature of a frequency of the form 2*pi*i*k/P (constant coefficient
     branch), which rational recovery cannot represent.  These are the
     acceptance rules of the line fit (_accept) on one line, so two poles
-    within POLE_SEPARATION_RTOL of each other raise IllConditioned first.
+    within POLE_SEPARATION_RTOL of each other raise IllConditioned first; the
+    line fit's greedy verdict (NoConvergence) is not among them.
     """
     vals = np.asarray(values, dtype=complex).ravel()
     if np.abs(vals).max() == 0.0:
         return
     errors = _accept(pole_residue.poles[None], pole_residue.residues[None],
-                     np.asarray(points, dtype=complex).ravel(), vals[None],
-                     np.ones(1, bool), 0, np.zeros(1, int))
+                     np.asarray(points, dtype=complex).ravel(), vals[None], np.zeros(1, int))
     if errors:
         raise errors[0]
 
@@ -488,13 +487,12 @@ def _collisions(points, poles):
     return errors
 
 
-def _accept(poles, residues, points, vals, converged, steps, e):
+def _accept(poles, residues, points, vals, e):
     """The checks after the spurious filter on a stack of lines with equal
     pole counts, on the lines vals and residues scaled by 2^-e, in order: the
     separation rule (no two poles within POLE_SEPARATION_RTOL times the
-    largest modulus, IllConditioned), nonzero residues (PoleResidue),
-    NoConvergence, and the misfit rule (check_fit_residual).  Returns {row:
-    first error}.
+    largest modulus, IllConditioned), nonzero residues (PoleResidue), and the
+    misfit rule (check_fit_residual).  Returns {row: first error}.
 
     A line's samples are never all zero here: such a line stops on its first
     support point and fails as constant."""
@@ -509,20 +507,17 @@ def _accept(poles, residues, points, vals, converged, steps, e):
     close = near.sum(axis=(1, 2)) > poles.shape[1]
     zero = residues == 0
     errors = {}
-    if converged.all() and not (bad.any() or close.any() or zero.any()):
+    if not (bad.any() or close.any() or zero.any()):
         return errors
     off = ~np.eye(poles.shape[1], dtype=bool)
-    for i, (count, pair, nil, done) in enumerate(zip(
-            bad.sum(axis=1).tolist(), close.tolist(), zero.any(axis=1).tolist(),
-            converged.tolist())):
+    for i, (count, pair, nil) in enumerate(zip(
+            bad.sum(axis=1).tolist(), close.tolist(), zero.any(axis=1).tolist())):
         if pair:
             errors[i] = IllConditioned(
                 f"two fitted poles lie {gaps[i][off].min() / scale[i]:.3e} apart relative to "
                 f"the largest, within POLE_SEPARATION_RTOL = {POLE_SEPARATION_RTOL:.0e}")
         elif nil:
             errors[i] = BadParameters("residues must be nonzero")
-        elif not done:
-            errors[i] = NoConvergence(f"greedy fit did not reach tolerance within {steps} steps")
         elif count and count / len(points) <= 0.1:
             worst = int(np.argmax(resid[i]))
             errors[i] = DegenerateFrequency(
@@ -542,15 +537,18 @@ def _fit_lines(lines, tol, max_order, method):
     2N+1) pseudo-inverse is the one the residue solve applied to the line, so
     that a caller can split a slice whose central line it is, one child per
     pole.  A bad method, tol or max_order (an integer in 1..N) raises before
-    any work.  Each step runs as one stacked call per group of lines of equal
-    size, so the number of numpy calls grows with the fit steps and the
-    groups, not with the lines.  A LAPACK failure fails its whole stacked
-    call; the stack is then refitted line by line, which pins the failure on
-    its line.
+    any work, and so does a stack with a non-finite entry, which only the
+    public fit can pass.  Each step runs as one stacked call per group of
+    lines of equal size, so the number of numpy calls grows with the fit steps
+    and the groups, not with the lines.  A LAPACK failure fails its whole
+    stacked call; the stack is then refitted line by line, which pins the
+    failure on its line.
     """
     if method not in ("eig", "pencil"):
         raise BadParameters(f"unknown pole method {method!r}")
     max_order = _fit_args(lines.shape[1], tol, max_order, cap=lines.shape[1] // 2)
+    if not np.isfinite(lines).all():
+        raise BadParameters("values contains non-finite entries")
     try:
         return _fit_stack(lines, tol, max_order, method)
     except ConvergenceFailure as exc:
@@ -560,26 +558,31 @@ def _fit_lines(lines, tol, max_order, method):
 
 
 def _fit_stack(lines, tol, max_order, method):
-    """_fit_lines without the refit on a LAPACK failure."""
+    """_fit_lines without the refit on a LAPACK failure.  The greedy verdict
+    settles the unconverged and the constant lines before any pole is read."""
     points = _sample_points(lines.shape[1])
     out = [None] * len(lines)
-    live, vals = np.arange(len(lines)), lines
-    if not np.isfinite(lines).all():
-        finite = np.isfinite(lines).all(axis=1)
-        for i in np.flatnonzero(~finite).tolist():
-            out[i] = BadParameters("values contains non-finite entries")
-        live, vals = live[finite], lines[finite]
-    groups, traces, vals, e = _greedy_fit(points, vals, tol, max_order)
+    groups, traces, vals, e = _greedy_fit(points, lines, tol, max_order)
     for rows, chosen, weights, converged in groups:
+        m = chosen.shape[1]
+        settled = ~converged | (m < 2)
+        for i, ok in zip(rows[settled].tolist(), converged[settled].tolist()):
+            out[i] = (DegenerateFrequency("samples are constant; no rational structure of "
+                                          "positive order") if ok else
+                      NoConvergence(f"greedy fit did not reach tolerance within {m} steps"))
+        if settled.all():
+            continue
+        if settled.any():
+            rows, chosen, weights = rows[~settled], chosen[~settled], weights[~settled]
         # a group of every line is solved in place, not copied
-        group = lines if len(rows) == len(lines) else lines[live[rows]]
-        fits = _fit_group(points, group, vals[rows], e[rows], chosen, weights, converged, method)
-        for i, row, fit in zip(live[rows].tolist(), rows.tolist(), fits):
+        group = lines if len(rows) == len(lines) else lines[rows]
+        fits = _fit_group(points, group, vals[rows], e[rows], chosen, weights, method)
+        for i, fit in zip(rows.tolist(), fits):
             if isinstance(fit, ExpanalError):
                 out[i] = fit
             else:
                 poles, residues, pinv = fit
-                out[i] = (poles, residues, traces[row], pinv)
+                out[i] = (poles, residues, traces[i], pinv)
     return out
 
 
@@ -593,19 +596,12 @@ def _drop(out, alive, settled, *arrays):
     return [alive[keep]] + [array[keep] for array in arrays]
 
 
-def _fit_group(points, lines, vals, e, chosen, weights, converged, method):
-    """The policy after the greedy fit, for lines that have the same number
-    of support points, given as they are and as vals, scaled by 2^-e: per
-    line (poles, residues, pseudo-inverse of the residue solve) or its
-    error."""
-    g, m = chosen.shape
-    if m < 2:
-        # one support point: the fit is the constant at that point
-        return [DegenerateFrequency("samples are constant; no rational structure of "
-                                    "positive order") if ok else
-                NoConvergence("greedy fit did not reach tolerance within 1 steps")
-                for ok in converged.tolist()]
-    out, alive = [None] * g, np.arange(g)
+def _fit_group(points, lines, vals, e, chosen, weights, method):
+    """The policy after the greedy fit, for converged lines that have the
+    same number m >= 2 of support points, given as they are and as vals,
+    scaled by 2^-e: per line (poles, residues, pseudo-inverse of the residue
+    solve) or its error."""
+    out, alive = [None] * len(chosen), np.arange(len(chosen))
     if method == "eig":
         poles, errors = _arrowhead_poles(points[chosen], weights)
     else:
@@ -613,8 +609,7 @@ def _fit_group(points, lines, vals, e, chosen, weights, converged, method):
     # a line refused by its engine keeps that error, whatever its poles
     errors = {**_collisions(points, poles), **errors}
     if errors:
-        alive, poles, lines, vals, e, converged = _drop(
-            out, alive, errors, poles, lines, vals, e, converged)
+        alive, poles, lines, vals, e = _drop(out, alive, errors, poles, lines, vals, e)
     # both engines sort their poles and the filter keeps their order
     residues, pinv, partial = _filter_spurious(poles, points, lines, e)
     if partial:
@@ -622,10 +617,10 @@ def _fit_group(points, lines, vals, e, chosen, weights, converged, method):
             if not isinstance(fit, ExpanalError):
                 kept, refit, _ = fit
                 partial[pos] = _accept(kept[None], refit[None], points, vals[pos, None],
-                                       converged[pos, None], m, e[pos, None]).get(0, fit)
-        alive, poles, residues, pinv, vals, e, converged = _drop(
-            out, alive, partial, poles, residues, pinv, vals, e, converged)
-    errors = _accept(poles, residues, points, vals, converged, m, e)
+                                       e[pos, None]).get(0, fit)
+        alive, poles, residues, pinv, vals, e = _drop(
+            out, alive, partial, poles, residues, pinv, vals, e)
+    errors = _accept(poles, residues, points, vals, e)
     for pos, line in enumerate(alive.tolist()):
         out[line] = errors.get(pos, (poles[pos], residues[pos], pinv[pos]))
     return out
@@ -638,13 +633,15 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
     k = -N..N; another shape or an even count raises ShapeMismatch.  Poles
     come from the arrowhead eigenproblem of the greedy fit (method="eig") or
     from the pencil on its first m - 1 support points (method="pencil").  All
-    arguments are checked first (max_order <= N); the policy then runs in this
-    order: pole extraction, the sample-collision check (DegenerateFrequency),
-    the residue solve (BadParameters beyond the float range), the spurious
-    filter, the separation rule (IllConditioned for two poles within
-    POLE_SEPARATION_RTOL times the largest modulus), NoConvergence when the
-    greedy fit missed its tolerance, and the misfit rule
-    (check_fit_residual).  This is the one-line case of the stacked fit that
+    arguments are checked first (max_order <= N), then that the samples are
+    finite (BadParameters); the policy then runs in this order: NoConvergence
+    when the greedy fit missed its tolerance within its m steps, a constant
+    line (DegenerateFrequency) when it converged on one support point, pole
+    extraction, the sample-collision check (DegenerateFrequency), the residue
+    solve (BadParameters beyond the float range), the spurious filter, the
+    separation rule (IllConditioned for two poles within POLE_SEPARATION_RTOL
+    times the largest modulus), and the misfit rule (check_fit_residual).
+    This is the one-line case of the stacked fit that
     build_pole_tree runs on the central lines of a tree level.
 
     Returns (PoleResidue with poles sorted by (real, imag), AaaTrace).

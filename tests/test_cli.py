@@ -18,7 +18,8 @@ from expanal import (
     signal_from_json,
     signal_to_json,
 )
-from expanal.cli import main
+from expanal.cli import build_parser, main
+from expanal.rational import DEFAULT_TOL
 
 from cases import BIVARIATE_5, QUADVARIATE_9, signal_from_amplitudes, signal_from_poles
 
@@ -226,6 +227,13 @@ class TestGenerate:
 
 
 class TestRecover:
+    def test_default_tol_is_the_library_default(self):
+        # the parser holds a literal, since numpy may not load before the
+        # thread cap; it must be the library's own default
+        args = build_parser().parse_args(
+            ["recover", "grid.json", "--method", "sparse", "--out", "result.json"])
+        assert args.tol == DEFAULT_TOL
+
     def test_sparse_roundtrip(self, spec_file, tmp_path):
         grid = str(tmp_path / "grid.json")
         result = str(tmp_path / "result.json")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expanal import (
     BarycentricForm,
@@ -25,7 +26,7 @@ from expanal.errors import (
     NoConvergence,
     ShapeMismatch,
 )
-from expanal import rational
+from expanal import linalg, rational
 from expanal.model import TWO_PI_I, ExponentialSum
 from expanal.rational import (
     DEFAULT_TOL,
@@ -471,8 +472,10 @@ def composed_line_fit(values, method="eig"):
     n_half = (len(vals) - 1) // 2
     points = np.arange(-n_half, n_half + 1, dtype=float)
     form, trace = aaa_fit(points, vals)
-    if len(form) < 2 and not trace.converged:
-        raise NoConvergence("greedy fit did not reach tolerance within 1 steps")
+    if not trace.converged:
+        raise NoConvergence(
+            f"greedy fit did not reach tolerance within {trace.iterations} steps"
+        )
     if len(form) < 2:
         raise DegenerateFrequency(
             "samples are constant; no rational structure of positive order"
@@ -492,10 +495,6 @@ def composed_line_fit(values, method="eig"):
     pr = filter_spurious(poles, points, vals)
     srt = np.lexsort((pr.poles.imag, pr.poles.real))
     pr = PoleResidue(pr.poles[srt], pr.residues[srt])
-    if not trace.converged:
-        raise NoConvergence(
-            f"greedy fit did not reach tolerance within {trace.iterations} steps"
-        )
     check_fit_residual(pr, points, vals)
     return pr, trace
 
@@ -781,6 +780,78 @@ class TestValidatedOncePath:
         assert np.abs(pr.poles - sort_complex(poles)).max() <= 1e-10
         with pytest.raises(NoConvergence, match="within 10 steps"):
             pole_residue_from_samples(noisy, max_order=10, method=method)
+
+
+class TestGreedyVerdict:
+    """The greedy fit's verdict settles a line before its poles are read: an
+    unconverged fit ends in NoConvergence, a converged one on one support
+    point in the constant-line DegenerateFrequency, and neither reaches a
+    pole engine or the residue solve."""
+
+    # exact sums of 1-4 poles; at tol 1e-300 no fit converges, at 1e-17 and
+    # 1e-15 some stop at the cap N and some do not
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n_half=st.integers(4, 15), count=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1),
+           tol=st.sampled_from([1e-300, 1e-17, 1e-15, 1e-12]))
+    def test_no_convergence_exactly_when_the_greedy_fit_stops_short(
+            self, n_half, count, seed, tol):
+        rng = np.random.default_rng(seed)
+        k = np.arange(-n_half, n_half + 1, dtype=float)
+        poles = (rng.uniform(-n_half, n_half, count)
+                 + 1j * rng.uniform(0.1, 1.5, count) * rng.choice([-1.0, 1.0], count))
+        line = pole_samples(k, poles, rng.standard_normal(count) + 1j * rng.standard_normal(count))
+        _, trace = aaa_fit(k, line, tol=tol, max_order=n_half)
+        verdict = f"greedy fit did not reach tolerance within {trace.iterations} steps"
+        for method in ("eig", "pencil"):
+            fit = _outcome(lambda v: pole_residue_from_samples(v, tol=tol, method=method), line)
+            if trace.converged:
+                assert "greedy fit did not reach tolerance" not in str(fit)
+            else:
+                assert type(fit) is NoConvergence and str(fit) == verdict
+
+    @pytest.mark.parametrize("method", ["eig", "pencil"])
+    def test_refused_lines_reach_no_engine(self, method, monkeypatch):
+        # one stack: an exact 2-pole sum (converges on 3 support points), a
+        # constant line and seeded noise (stops at the cap N = 10)
+        k = np.arange(-10, 11, dtype=float)
+        exact = pole_samples(k, [0.3 + 0.8j, -1.2 + 0.4j], [1.0, -0.7])
+        noise = np.random.default_rng(5).standard_normal(21).astype(complex)
+        stack = np.array([exact, np.full(21, 2.0 - 1j), noise])
+        rows = {"_arrowhead_poles": [], "_pencil_poles": [], "cauchy_lstsq": []}
+
+        def seen(module, name, stacked):
+            call = getattr(module, name)
+
+            def wrapped(*args):
+                rows[name].append(len(args[stacked]))
+                return call(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        seen(rational, "_arrowhead_poles", 0)
+        seen(rational, "_pencil_poles", 1)
+        seen(linalg, "cauchy_lstsq", 0)
+        fits = _fit_lines(stack, DEFAULT_TOL, None, method)
+        monkeypatch.undo()
+        engine = "_arrowhead_poles" if method == "eig" else "_pencil_poles"
+        assert rows == {"_arrowhead_poles": [], "_pencil_poles": [],
+                        engine: [1], "cauchy_lstsq": [1]}
+        pr, trace = pole_residue_from_samples(exact, method=method)
+        assert fits[0][2] == trace and np.array_equal(fits[0][0], pr.poles)
+        assert type(fits[1]) is DegenerateFrequency
+        assert str(fits[1]).startswith("samples are constant")
+        assert type(fits[2]) is NoConvergence
+        assert str(fits[2]) == "greedy fit did not reach tolerance within 10 steps"
+
+    def test_non_finite_stack_refused_whole(self):
+        # only the public fit can hand the kernels such a line: it is
+        # refused after the argument checks, before any work
+        line = np.array([1.0, np.nan, 2.0])
+        with pytest.raises(BadParameters, match="^values contains non-finite entries$"):
+            _fit_lines(np.array([line, np.ones(3)], dtype=complex), DEFAULT_TOL, None, "eig")
+        with pytest.raises(BadParameters, match="^tol"):
+            pole_residue_from_samples(line, tol=0.0)
 
 
 def _axis_lines():
