@@ -5,8 +5,8 @@ coefficients over a period box follow a closed product formula, which this
 module evaluates exactly; recovery code consumes those coefficients through a
 CoefficientSource that declares which integer indices are covered (a full grid
 or a set of index lines) and holds their values in one array, in
-lexicographic index order.  SparseLines alone knows the line geometry: where
-each line's values sit in that array.
+lexicographic index order.  SparseLines alone knows the line geometry: it
+builds every line, counts its samples and places its values in that array.
 
 Both the signal and its coefficients are sums of M separable terms: term j is
 a weight times a product of one univariate factor per axis.  _SeparableSum
@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import linear_assignment
-from .validation import _positive_int, check_period
+from .validation import _is_int, _positive_int, check_period
 
 TWO_PI_I = 2j * np.pi
 
@@ -304,28 +304,6 @@ def _khatri_rao(tables, terms):
 # Index coverage
 
 
-def axis_line_indices(d, N, axis):
-    """Indices (0,...,k,...,0) with k on the given axis, k = -N..N."""
-    if not 0 <= axis < d:
-        raise BadParameters(f"axis must be in 0..{d - 1}, got {axis}")
-    k = np.arange(-N, N + 1)
-    line = np.zeros((k.size, d), dtype=int)
-    line[:, axis] = k
-    return line
-
-def diagonal_line_indices(d, N, tau, axis):
-    """Indices (0,...,k,k+2*tau,...,0) with k at axis-1 and k+2*tau at axis."""
-    if not 1 <= axis < d:
-        raise BadParameters(f"diagonal axis must be in 1..{d - 1}, got {axis}")
-    if not 1 <= tau < N:
-        raise BadParameters(f"need 1 <= tau < N, got tau={tau}, N={N}")
-    k = np.arange(-N, N - 2 * tau + 1)
-    line = np.zeros((k.size, d), dtype=int)
-    line[:, axis - 1] = k
-    line[:, axis] = k + 2 * tau
-    return line
-
-
 @dataclass(frozen=True)
 class FullGrid:
     """Every integer index in [-N, N]^d."""
@@ -339,8 +317,8 @@ class FullGrid:
 
 @dataclass(frozen=True)
 class SparseLines:
-    """The 2d-1 index lines of the line-based recovery: d coordinate axes plus
-    d-1 diagonals shifted by 2*tau."""
+    """The 2d-1 index lines of the line-based recovery, d coordinate axes plus
+    d-1 diagonals shifted by 2*tau, and the one owner of their geometry."""
 
     tau: int
 
@@ -352,23 +330,25 @@ class SparseLines:
 
     def counted_samples(self, d, N):
         # per-line accounting; the origin is shared by all axis lines
-        return d * (2 * N + 1) + (d - 1) * (2 * N + 1 - 2 * self.tau)
+        return sum(len(line) for _, line in self.line_indices(d, N))
 
     def line_indices(self, d, N):
         """("axis" or "diagonal", (n, d) index array) pairs, axes first.
 
-        The one owner of the line geometry: d axis lines of 2N+1 indices and
-        d-1 diagonals of 2N+1-2*tau.  Needs d >= 1 and tau < N.
+        The one code that builds a line: axis m holds k*e_m for k = -N..N,
+        and diagonal m (1 <= m < d) holds k*e_(m-1) + (k+2*tau)*e_m for
+        k = -N..N-2*tau.  Needs d >= 1 and tau < N.
         """
         if d < 1:
             raise BadParameters(f"dimension must be >= 1, got {d}")
         if self.tau >= N:
             raise BadParameters(f"need tau < N, got tau={self.tau}, N={N}")
-        lines = [("axis", axis_line_indices(d, N, m)) for m in range(d)]
-        lines += [
-            ("diagonal", diagonal_line_indices(d, N, self.tau, m))
-            for m in range(1, d)
-        ]
+        unit = np.eye(d, dtype=int)
+        k = np.arange(-N, N + 1)[:, None]
+        diagonal = k[:len(k) - 2 * self.tau]
+        lines = [("axis", k * unit[m]) for m in range(d)]
+        lines += [("diagonal", diagonal * unit[m - 1] + (diagonal + 2 * self.tau) * unit[m])
+                  for m in range(1, d)]
         return lines
 
     def layout(self, d, N):
@@ -474,23 +454,28 @@ class CoefficientSource:
         raise KeyError(tuple(int(x) for x in idx))
 
     def axis_line(self, axis):
-        """Values on the coordinate-axis line, k = -N..N."""
+        """Values on the coordinate-axis line, k = -N..N, in a fresh array:
+        a full grid's slice through its centre, copied, or a gather by layout."""
+        axis = self._axis("axis", axis, 0)
         if self._lines is None:
-            line = axis_line_indices(self.d, self.N, axis)
-            return self.values[tuple((line + self.N).T)]
-        return self._line("axis", axis)
+            centre = [self.N] * self.d
+            centre[axis] = slice(None)
+            return self.values[tuple(centre)].copy()
+        return self.values[self._lines[("axis", axis)]]
 
     def diagonal_line(self, axis):
         """Values on the shifted diagonal pairing axes (axis-1, axis)."""
         if self._lines is None:
             raise CoverageMismatch("a full grid holds no diagonal lines")
-        return self._line("diagonal", axis)
+        return self.values[self._lines[("diagonal", self._axis("diagonal", axis, 1))]]
 
-    def _line(self, kind, axis):
-        positions = self._lines.get((kind, axis))
-        if positions is None:
-            raise BadParameters(f"no {kind} line {axis} at d={self.d}")
-        return self.values[positions]
+    def _axis(self, kind, axis, low):
+        """The one axis check of both coverages: axis as an int, or
+        BadParameters unless it is an integer (_is_int) in low..d-1."""
+        if not (_is_int(axis) and low <= axis < self.d):
+            raise BadParameters(f"no {kind} line {axis!r} at d={self.d}: the axis must be "
+                                f"an integer with {low} <= axis < d")
+        return int(axis)
 
     def grid(self):
         """The dense (2N+1)^d value array (full coverage only)."""

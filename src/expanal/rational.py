@@ -17,8 +17,8 @@ call (a level of the pole tree, the axes of the line-based method) and hand
 back, with each line's poles and residues, the pseudo-inverse of its
 residue solve, with which the pole tree splits the slice the line was taken
 from.  The public fit is their one-line case.  The public steps check their
-own arguments and call the same kernels.  The line fit caps max_order at N;
-its pencil projects onto the first m - 1 of the fit's own m support points.
+own arguments and call the same kernels.  The line fit caps max_order at N,
+its default; its pencil projects onto the first m - 1 of its m support points.
 The greedy fit scales each line by an exact power of two, so that no kernel
 overflows; the residue solve runs on the line as given, and the filter and
 the acceptance step read its residues scaled the same way.
@@ -536,17 +536,18 @@ def _fit_lines(lines, tol, max_order, method):
     pole_residue_from_samples raises on that line alone.  The (len(poles),
     2N+1) pseudo-inverse is the one the residue solve applied to the line, so
     that a caller can split a slice whose central line it is, one child per
-    pole.  A bad method, tol or max_order (an integer in 1..N) raises before
-    any work, and so does a stack with a non-finite entry, which only the
-    public fit can pass.  Each step runs as one stacked call per group of
-    lines of equal size, so the number of numpy calls grows with the fit steps
-    and the groups, not with the lines.  A LAPACK failure fails its whole
-    stacked call; the stack is then refitted line by line, which pins the
-    failure on its line.
+    pole.  A bad method, tol or max_order (an integer in 1..N, None for N)
+    raises before any work, and so does a stack with a non-finite entry, which
+    only the public fit can pass.  Each step runs as one stacked call per
+    group of lines of equal size, so the number of numpy calls grows with the
+    fit steps and the groups, not with the lines.  A LAPACK failure fails its
+    whole stacked call; the stack is then refitted line by line, which pins
+    the failure on its line.
     """
     if method not in ("eig", "pencil"):
         raise BadParameters(f"unknown pole method {method!r}")
-    max_order = _fit_args(lines.shape[1], tol, max_order, cap=lines.shape[1] // 2)
+    cap = lines.shape[1] // 2
+    max_order = _fit_args(lines.shape[1], tol, cap if max_order is None else max_order, cap=cap)
     if not np.isfinite(lines).all():
         raise BadParameters("values contains non-finite entries")
     try:
@@ -633,14 +634,15 @@ def pole_residue_from_samples(values, tol=DEFAULT_TOL, max_order=None, method="e
     k = -N..N; another shape or an even count raises ShapeMismatch.  Poles
     come from the arrowhead eigenproblem of the greedy fit (method="eig") or
     from the pencil on its first m - 1 support points (method="pencil").  All
-    arguments are checked first (max_order <= N), then that the samples are
-    finite (BadParameters); the policy then runs in this order: NoConvergence
-    when the greedy fit missed its tolerance within its m steps, a constant
-    line (DegenerateFrequency) when it converged on one support point, pole
-    extraction, the sample-collision check (DegenerateFrequency), the residue
-    solve (BadParameters beyond the float range), the spurious filter, the
-    separation rule (IllConditioned for two poles within POLE_SEPARATION_RTOL
-    times the largest modulus), and the misfit rule (check_fit_residual).
+    arguments are checked first (max_order <= N, None for N), then that the
+    samples are finite (BadParameters); the policy then runs in this order:
+    NoConvergence when the greedy fit missed its tolerance within its m steps,
+    a constant line (DegenerateFrequency) when it converged on one support
+    point, pole extraction, the sample-collision check (DegenerateFrequency),
+    the residue solve (BadParameters beyond the float range), the spurious
+    filter, the separation rule (IllConditioned for two poles within
+    POLE_SEPARATION_RTOL times the largest modulus), and the misfit rule
+    (check_fit_residual).
     This is the one-line case of the stacked fit that
     build_pole_tree runs on the central lines of a tree level.
 

@@ -165,35 +165,32 @@ def peel_dimension(poles, parent_values):
         raise BadParameters("need at least one pole")
     if not np.isfinite(vals).all():
         raise BadParameters("parent_values contains non-finite entries")
-    fit = _split([b], vals[None])[0]
-    if isinstance(fit, ExpanalError):
-        raise fit
-    return fit[1]
+    children, errors, _ = linalg.cauchy_lstsq(b[None], _sample_points(n), vals[None],
+                                              f"slice system for {b.size} poles")
+    if errors:
+        raise errors[0]
+    return children[0]
 
 
-def _split(poles, stack):
-    """The splits of one tree level on given poles, one Cauchy solve
-    (linalg.cauchy_lstsq) per pole count.
+def _split(poles, n):
+    """The pseudo-inverses of one replayed tree level on the tree's poles,
+    one linalg._cauchy_pinv call (one SVD) per pole count.
 
-    poles[i] holds the poles of stack[i], a line in the replay of
-    leaves_to_sum, a slice in peel_dimension.  Returns one outcome per node,
-    in the line fit's shape with no trace: (poles[i], its solution
-    (len(poles[i]), *tail), None, the (len(poles[i]), n) pseudo-inverse), or
-    the error that refuses its system.
+    poles[i] holds the poles of node i, whose lines have n samples.  Returns
+    one outcome per node, in the line fit's shape with no residues and no
+    trace: (poles[i], None, None, the (len(poles[i]), n) pseudo-inverse), or
+    the error that refuses its system.  The level walk applies them.
     """
-    k = _sample_points(stack.shape[1])
+    k = _sample_points(n)
     by_count = {}
     for i, row in enumerate(poles):
         by_count.setdefault(len(row), []).append(i)
     out = [None] * len(poles)
     for count, idx in by_count.items():
         b = np.array([poles[i] for i in idx])
-        # one group holding every node splits the stack as it is, without a copy
-        children, errors, pinv = linalg.cauchy_lstsq(
-            b, k, stack if len(idx) == len(stack) else stack[idx],
-            f"slice system for {count} poles")
+        pinv, errors = linalg._cauchy_pinv(b, k, f"slice system for {count} poles")
         for pos, i in enumerate(idx):
-            out[i] = errors.get(pos, (b[pos], children[pos], None, pinv[pos]))
+            out[i] = errors.get(pos, (b[pos], None, None, pinv[pos]))
     return out
 
 
@@ -268,12 +265,13 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
     outcomes from _split on the tree's poles instead of from the line fit
     (the replay of leaves_to_sum), and tol, method and trace_sink go unused.
 
-    Every level fits (or replays) the central lines of its slices, and one
-    loop records its failures and takes the other nodes' poles and
-    pseudo-inverses.  A leading level reads its children from the grid by
-    the Kronecker products of those (_descend, _read), a trailing one splits
-    its slices by them (_children).  One range check on each new stack fails
-    the node whose split produced a row outside the float range.
+    Every level fits the central lines of its slices (a replay takes the
+    pseudo-inverses of the tree's poles instead), and one loop records its
+    failures and takes the other nodes' poles and pseudo-inverses.  A
+    leading level reads its children from the grid by the Kronecker products
+    of those (_descend, _read), a trailing one splits its slices by them
+    (_children).  One range check on each new stack fails the node whose
+    split produced a row outside the float range.
     """
     if not isinstance(source.coverage, FullGrid):
         raise CoverageMismatch("recursive recovery needs full-grid coverage")
@@ -285,16 +283,16 @@ def _build(source, tol=DEFAULT_TOL, method="eig", trace_sink=None, tree=None):
     # in a replay, the tree's nodes below each node of the level
     groups = [] if tree is None else [tree.roots]
     for level in range(d):
-        lines = stack[(slice(None), slice(None)) + (n_half,) * (stack.ndim - 2)]
         if tree is None:
+            lines = stack[(slice(None), slice(None)) + (n_half,) * (stack.ndim - 2)]
             try:
-                fits = _fit_lines(lines, tol, n_half, method)
+                fits = _fit_lines(lines, tol, None, method)
             except ExpanalError as exc:
                 # tol and method fail on the first line fitted, the root
                 raise type(exc)(f"at pole path (): {exc}") from exc
         else:
             fits = _split([np.array([node.pole for node in group], dtype=complex)
-                           for group in groups], lines)
+                           for group in groups], len(grid))
             groups = [node.children for group in groups for node in group]
         poles, pinvs = [None] * len(fits), [None] * len(fits)
         for i, fit in enumerate(fits):
@@ -345,8 +343,9 @@ def leaves_to_sum(tree, source):
 
     The root-to-leaf pole paths give the frequency rows.  The amplitudes
     replay the tree's build on the source's grid: the build's own level walk
-    (_build), each level's outcomes, in the line fit's shape, from one Cauchy
-    solve on the tree's poles (_split) in place of the fit.  A leaf-level
+    (_build), each level's outcomes, in the line fit's shape, from the
+    pseudo-inverses of the tree's poles (_split) in place of the fit, so it
+    refuses an overflow in a build's words.  A leaf-level
     slice is a line, so its last split gives the amplitudes of its leaves,
     in depth-first leaf order.  On the source a tree was built from, these
     are the residues that recover_recursive takes from the leaf fits.  Each

@@ -35,7 +35,8 @@ REMOVED = {
                          "_central_residues"),
     "expanal.validation": ("check_positive_int", "check_rcond"),
     "expanal.model": ("CoefficientSource.items", "CoefficientSource.indices",
-                      "_SeparableSum.gram", "_SeparableSum.adjoint", "_SeparableSum.apply"),
+                      "_SeparableSum.gram", "_SeparableSum.adjoint", "_SeparableSum.apply",
+                      "axis_line_indices", "diagonal_line_indices", "CoefficientSource._line"),
     "expanal.errors": ("RankDeficient", "OrderMismatch", "ResynthesisWarning"),
     "expanal.linalg": ("DEFAULT_RCOND", "full_rank_svd", "eigh", "sort_complex",
                        "_cauchy_solve"),

@@ -695,6 +695,30 @@ class TestSparseStore:
             assert got.tobytes() == sig.fourier_coefficients(line, 2.0).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("N, tau", [(2, 1), (5, 2), (6, 5), (9, 3)])
+    def test_line_indices_match_the_definition(self, d, N, tau):
+        # axis m holds k*e_m for k = -N..N; diagonal m holds
+        # k*e_(m-1) + (k+2*tau)*e_m for k = -N..N-2*tau
+        coverage = SparseLines(tau)
+        lines = coverage.line_indices(d, N)
+        want = [("axis", [[k * (a == m) for a in range(d)] for k in range(-N, N + 1)])
+                for m in range(d)]
+        want += [("diagonal", [[k * (a == m - 1) + (k + 2 * tau) * (a == m) for a in range(d)]
+                               for k in range(-N, N - 2 * tau + 1)])
+                 for m in range(1, d)]
+        assert [(kind, line.tolist()) for kind, line in lines] == want
+        assert coverage.counted_samples(d, N) == sum(len(line) for _, line in want)
+        # each coverage reads a line as the formula gives it, into a fresh array
+        sig, _ = random_axis_distinct(np.random.default_rng(N + d), 2, d, tau=3)
+        for src in (sig.synthesize(2.0, N, coverage), sig.synthesize(2.0, N, FullGrid())):
+            reads = [src.axis_line(m) for m in range(d)]
+            if src.coverage == coverage:
+                reads += [src.diagonal_line(m) for m in range(1, d)]
+            for got, (_, line) in zip(reads, lines):
+                assert got.tobytes() == sig.fourier_coefficients(line, 2.0).tobytes()
+                assert got.flags.writeable and not np.shares_memory(got, src.values)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("tau", [1, 3])
     def test_rows_unique_and_lexicographic(self, d, tau):
         coverage = SparseLines(tau)
@@ -747,6 +771,22 @@ class TestSparseStore:
             src.axis_line(2)
         with pytest.raises(BadParameters):
             src.diagonal_line(0)
+
+    # both coverages check the axis alike: an integer in range, not a bool
+    @pytest.mark.parametrize("coverage", [FullGrid(), SparseLines(2)],
+                             ids=["full", "sparse"])
+    @pytest.mark.parametrize("axis", [1.5, True, "0", -1, 2])
+    def test_bad_axis_refused(self, coverage, axis):
+        src = BIVARIATE_5.signal.synthesize(BIVARIATE_5.P, 6, coverage)
+        with pytest.raises(BadParameters, match="no axis line"):
+            src.axis_line(axis)
+        assert np.array_equal(src.axis_line(np.int64(1)), src.axis_line(1))
+
+    @pytest.mark.parametrize("axis", [0, 1.5, True, 2])
+    def test_bad_diagonal_refused(self, axis):
+        src = BIVARIATE_5.signal.synthesize(BIVARIATE_5.P, 6, SparseLines(2))
+        with pytest.raises(BadParameters, match="no diagonal line"):
+            src.diagonal_line(axis)
 
     @pytest.mark.parametrize("edit", [
         "short-values", "long-values", "nan-in-im", "re-im", "per-entry",

@@ -13,6 +13,7 @@ from expanal import (
     loewner_pencil_poles,
     poles_of,
     recover_axis,
+    recover_recursive,
     recover_univariate,
     relative_errors,
     residues_ls,
@@ -780,6 +781,18 @@ class TestValidatedOncePath:
         assert np.abs(pr.poles - sort_complex(poles)).max() <= 1e-10
         with pytest.raises(NoConvergence, match="within 10 steps"):
             pole_residue_from_samples(noisy, max_order=10, method=method)
+
+    def test_default_cap_is_n(self):
+        # N = 110: past 100 the line fit still caps itself at N, the public
+        # fit as the pole tree; aaa_fit's own default cap is min(N, 100)
+        rng = np.random.default_rng(0)
+        line = rng.standard_normal(221) + 1j * rng.standard_normal(221)
+        words = "greedy fit did not reach tolerance within 110 steps$"
+        with pytest.raises(NoConvergence, match="^" + words):
+            pole_residue_from_samples(line, tol=1e-300)
+        with pytest.raises(NoConvergence, match=r"^at pole path \(\): " + words):
+            recover_recursive(CoefficientSource(1, 1.0, 110, FullGrid(), line), tol=1e-300)
+        assert aaa_fit(np.arange(-110.0, 111.0), line, tol=1e-300)[1].iterations == 100
 
 
 class TestGreedyVerdict:

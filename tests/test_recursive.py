@@ -595,8 +595,8 @@ class TestLeavesToSum:
         for method in ("eig", "pencil") for case in ALL_REFERENCE
     ])
     def test_replay_matches_the_build_bitwise(self, case, method):
-        # the replay's split on the tree's poles is the same Cauchy solve as
-        # the fits' residue solve, so it gives the same bits
+        # the replay splits by the pseudo-inverses of the tree's poles, the
+        # same ones the fits' residue solve applied, so it gives the same bits
         src = case.signal.synthesize(case.P, case.N, FullGrid())
         signal, tree = recover_recursive(src, method=method)
         replay = leaves_to_sum(tree, src)
@@ -718,6 +718,21 @@ class TestLeavesToSum:
         truth = sig.coefficients[0]
         assert abs(rec.coefficients[0] - truth) <= 1e-6 * abs(truth)
         assert abs(rec.coefficients[1]) <= 1e-6 * abs(truth)
+
+    def test_overflow_refused_in_the_words_of_a_build(self):
+        # the replay range-checks only what the level walk makes with the
+        # tree's pseudo-inverses, as a build does, so both refuse alike
+        k = np.arange(-3, 4)
+        grid = sum(1 / (k[:, None] - a) / (k[None, :] - b)
+                   for a, b in [(20j, 0.7 - 0.6j), (-20j, 1.3 + 0.2j)])
+        grid = grid / np.abs(grid).max()
+        tree = build_pole_tree(CoefficientSource(2, 1.0, 3, FullGrid(), grid))
+        huge = CoefficientSource(2, 1.0, 3, FullGrid(), grid * 3e307)
+        words = r"^at pole path \(\): residue system has a solution outside the float range$"
+        with pytest.raises(BadParameters, match=words):
+            build_pole_tree(huge)
+        with pytest.raises(BadParameters, match=words):
+            leaves_to_sum(tree, huge)
 
     @pytest.mark.parametrize("case", ALL_REFERENCE + ("univariate", "noisy-repeated-axis",
                                                       "unsorted-roots"),
